@@ -162,6 +162,8 @@ class KnowledgeGraph:
         self.skills: dict[int, SkillNode] = {}
         self.task_types: dict[int, TaskTypeNode] = {}
         self.experience: dict[int, ExperienceNode] = {}
+        # derived, not serialised: retrieval_recipe ids per skill, oldest first
+        self._recipe_ids: dict[int, list[int]] = {}
         self.env_nodes: dict[int, EnvNode] = {}
         # prerequisite edge (a, b): a must be mastered before b
         self._prereq_edges: set[tuple[int, int]] = set()
@@ -412,6 +414,11 @@ class KnowledgeGraph:
                 )
             self._commit("prune", {"threshold": None, "removed_ids": [node_id]})
 
+    def recipe_ids(self, skill_id: int) -> list[int]:
+        """Ids of the skill's retrieval_recipe nodes, oldest first."""
+        with self._lock:
+            return list(self._recipe_ids.get(skill_id, ()))
+
     def protected_counts(self) -> dict[str, int]:
         with self._lock:
             counts = {outcome: 0 for outcome in sorted(PROTECTED_OUTCOMES)}
@@ -584,10 +591,14 @@ class KnowledgeGraph:
                 payload=copy.deepcopy(payload["payload"]),
                 created_iter=payload["created_iter"],
             )
+            if payload["outcome"] == "retrieval_recipe" and payload["skill_id"] is not None:
+                self._recipe_ids.setdefault(payload["skill_id"], []).append(payload["id"])
         elif op == "prune":
             # removed ids applied verbatim; the writer already validated them
             for nid in payload["removed_ids"]:
-                self.experience.pop(nid, None)
+                node = self.experience.pop(nid, None)
+                if node is not None and nid in self._recipe_ids.get(node.skill_id, ()):
+                    self._recipe_ids[node.skill_id].remove(nid)
         elif op == "add_env_node":
             self._claim_id(payload["id"])
             self.env_nodes[payload["id"]] = EnvNode(

@@ -1,16 +1,21 @@
 """Dual exemplar memory: embedding stores, bundles, and cascade context.
 
-Success memories and failure memories live in separate stores. Retrieval
-filters both stores to the query's task type, ranks by cosine similarity
-over L2-normalized vectors (exact scan, no approximate index), and fills a
-success block and a failure block. The slot split depends on how much
-context the question already carries: short contexts get two success slots
-and one failure slot, long contexts (at or past ``long_context_threshold``
-characters) flip to one success and two failures. Underfilled slots are
-backfilled from the other store. Failure memories of kind ``type_strategy``
-are admitted only at or above a similarity floor, because a generic
-strategy pasted onto a dissimilar question misleads more than it helps.
-Ranking ties break on node id ascending, so retrieval is deterministic.
+Success memories and failure memories live in separate stores, and each
+store keeps one block per task type id: a contiguous matrix of the
+L2-normalized vectors (one row per exemplar, with amortised growth) beside
+the node ids, a ``type_strategy`` mask and the entries. Retrieval scores
+the query against its task type's block in one batched row-dot (an exact
+inner-product scan, no approximate index), keeps the best ``k`` rows of
+each store, and fills a success block and a failure block. The slot split
+depends on how much context the question already carries: short contexts
+get two success slots and one failure slot, long contexts (at or past
+``long_context_threshold`` characters) flip to one success and two
+failures. Underfilled slots are backfilled from the other store. Failure
+memories of kind ``type_strategy`` are admitted only at or above a
+similarity floor, because a generic strategy pasted onto a dissimilar
+question misleads more than it helps. Ranking is a stable sort on
+(-similarity, node id), so ties break on node id ascending and retrieval
+is deterministic.
 
 ``format_bundle`` renders the byte-stable prompt contract:
 
@@ -42,6 +47,7 @@ from .errors import NotFoundError, ValidationError
 from .graph import KnowledgeGraph
 
 LATTICE_DEPTH_CAP = 8
+_INITIAL_ROWS = 16
 
 
 @dataclass
@@ -134,15 +140,57 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return arr / norm
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     node_id: int
     task_type_id: int | None
-    vector: np.ndarray
     outcome: str
     kind: str | None
     skill_id: int | None
     payload: dict[str, Any]
+
+
+class _Block:
+    """The exemplars of one (outcome store, task type id).
+
+    Row ``i`` of ``vectors`` is the normalised vector of ``entries[i]``;
+    ``ids`` and ``strategy`` (kind is ``type_strategy``) are the matching
+    columns. The arrays grow by half their size when full (less slack than
+    doubling, for peak memory), and the properties hide the unused capacity.
+    """
+
+    __slots__ = ("entries", "_vectors", "_ids", "_strategy")
+
+    def __init__(self, dimension: int):
+        self.entries: list[_Entry] = []
+        self._vectors = np.empty((_INITIAL_ROWS, dimension))
+        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        self._strategy = np.empty(_INITIAL_ROWS, dtype=bool)
+
+    def append(self, entry: _Entry, vector: np.ndarray) -> None:
+        n = len(self.entries)
+        if n == len(self._ids):
+            extra = n // 2
+            self._vectors, self._ids, self._strategy = (
+                np.concatenate([a, np.empty_like(a[:extra])])
+                for a in (self._vectors, self._ids, self._strategy)
+            )
+        self._vectors[n] = vector
+        self._ids[n] = entry.node_id
+        self._strategy[n] = entry.kind == "type_strategy"
+        self.entries.append(entry)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._vectors[: len(self.entries)]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._ids[: len(self.entries)]
+
+    @property
+    def strategy(self) -> np.ndarray:
+        return self._strategy[: len(self.entries)]
 
 
 class MemoryIndex:
@@ -159,20 +207,22 @@ class MemoryIndex:
         self.graph = graph
         self.dimension = dimension
         self.type_strategy_min_similarity = type_strategy_min_similarity
-        self._success: list[_Entry] = []
-        self._failure: list[_Entry] = []
+        self._blocks: dict[tuple[str, int | None], _Block] = {}
         self._indexed: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._success) + len(self._failure)
+        return len(self._indexed)
+
+    def _count(self, outcome: str) -> int:
+        return sum(len(b.entries) for (o, _), b in self._blocks.items() if o == outcome)
 
     @property
     def success_count(self) -> int:
-        return len(self._success)
+        return self._count("success_memory")
 
     @property
     def failure_count(self) -> int:
-        return len(self._failure)
+        return self._count("failure_memory")
 
     def index_memory(self, node_id: int, task_type_id: int | None, vector: np.ndarray) -> None:
         """Add one protected exemplar to its store by outcome.
@@ -196,16 +246,16 @@ class MemoryIndex:
         entry = _Entry(
             node_id=node_id,
             task_type_id=task_type_id,
-            vector=normalize(arr),
             outcome=node.outcome,
             kind=node.kind,
             skill_id=node.skill_id,
             payload=node.payload,
         )
-        if node.outcome == "success_memory":
-            self._success.append(entry)
-        else:
-            self._failure.append(entry)
+        key = (node.outcome, task_type_id)
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._blocks[key] = _Block(self.dimension)
+        block.append(entry, normalize(arr))
         self._indexed.add(node_id)
 
     def refresh(self, embed: Callable[[str], np.ndarray]) -> int:
@@ -215,41 +265,53 @@ class MemoryIndex:
         so a swapped embedder propagates on the refresh cadence.
         """
         count = 0
-        for entry in self._success + self._failure:
-            text = entry.payload.get("question", "")
-            entry.vector = normalize(np.asarray(embed(text), dtype=np.float64))
-            count += 1
+        for block in self._blocks.values():
+            vectors = block.vectors
+            for row, entry in enumerate(block.entries):
+                text = entry.payload.get("question", "")
+                vectors[row] = normalize(embed(text))
+            count += len(block.entries)
         return count
 
     def _candidates(
         self,
-        store: list[_Entry],
+        outcome: str,
         query: np.ndarray,
         task_type_id: int | None,
-        floor: bool,
         scorer: Callable[[_Entry], float] | None = None,
+        k: int | None = None,
     ) -> list[tuple[float, _Entry]]:
-        """Eligible entries ranked for one query.
+        """The ``k`` best eligible entries of one store for a query, best
+        first; all of them when ``k`` is None.
 
         Eligibility (task filter, type_strategy floor) always uses the
         embedding similarity; ``scorer`` only swaps the ranking key, which
         is how an external accuracy oracle retrieves over the same
-        candidate set.
+        candidate set. Ties on the key break on node id ascending.
         """
-        out = []
-        for entry in store:
-            if entry.task_type_id != task_type_id:
-                continue
-            sim = float(entry.vector @ query)
-            if (
-                floor
-                and entry.kind == "type_strategy"
-                and sim < self.type_strategy_min_similarity
-            ):
-                continue
-            out.append((scorer(entry) if scorer else sim, entry))
-        out.sort(key=lambda pair: (-pair[0], pair[1].node_id))
-        return out
+        block = self._blocks.get((outcome, task_type_id))
+        if block is None:
+            return []
+        # vecdot runs the per-row kernel of ``vector @ query``, so a row's
+        # similarity does not depend on where the row sits in the block and
+        # duplicate exemplars tie exactly. A BLAS matvec (``M @ query``)
+        # rounds by row position and would break those ties.
+        sims = np.vecdot(block.vectors, query)
+        rows = np.flatnonzero(
+            ~(block.strategy & (sims < self.type_strategy_min_similarity))
+        )
+        if scorer is None:
+            keys = sims[rows]
+        else:
+            keys = np.array([scorer(block.entries[i]) for i in rows], dtype=np.float64)
+        if k is not None and k < len(rows):
+            # keep every row tied with the k-th best key; the sort below
+            # orders those ties by node id
+            kth = np.partition(keys, len(keys) - k)[len(keys) - k]
+            keep = keys >= kth
+            rows, keys = rows[keep], keys[keep]
+        order = np.lexsort((block.ids[rows], -keys))[:k]
+        return [(float(keys[i]), block.entries[rows[i]]) for i in order]
 
     def retrieve_bundle(
         self,
@@ -266,8 +328,9 @@ class MemoryIndex:
                 f"query dimension {query.shape} does not match index dimension {self.dimension}"
             )
         n_success, n_failure = allocation_for(context_length, k, long_context_threshold)
-        succ = self._candidates(self._success, query, task_type_id, floor=False, scorer=scorer)
-        fail = self._candidates(self._failure, query, task_type_id, floor=True, scorer=scorer)
+        # no store contributes more than k, backfill included
+        succ = self._candidates("success_memory", query, task_type_id, scorer, k)
+        fail = self._candidates("failure_memory", query, task_type_id, scorer, k)
         take_s = succ[:n_success]
         take_f = fail[:n_failure]
         # leftover budget backfills from the other store
@@ -325,9 +388,8 @@ class MemoryIndex:
         for query in queries:
             qvec, task_type_id = query
             qn = normalize(qvec)
-            succ = self._candidates(self._success, qn, task_type_id, floor=False)
-            fail = self._candidates(self._failure, qn, task_type_id, floor=True)
-            pool = succ + fail
+            pool = self._candidates("success_memory", qn, task_type_id)
+            pool += self._candidates("failure_memory", qn, task_type_id)
             pool.sort(key=lambda pair: (-pair[0], pair[1].node_id))
             retrieved = [e.node_id for _, e in pool[:k]]
             entries = [self._entry_to_bundle(sim, e) for sim, e in pool]
@@ -541,19 +603,13 @@ def record_action_recipe(
 
 
 def latest_action_recipe(graph: KnowledgeGraph, skill_id: int) -> list[str]:
-    """Most recent recipe recorded for a skill; empty when none exists."""
-    best: list[str] = []
-    best_id = -1
-    for node in graph.experience.values():
-        if (
-            node.outcome == "retrieval_recipe"
-            and node.skill_id == skill_id
-            and node.id > best_id
-            and node.payload.get("actions")
-        ):
-            best = list(node.payload["actions"])
-            best_id = node.id
-    return best
+    """Most recent recipe with actions recorded for a skill; empty when none
+    exists."""
+    for node_id in reversed(graph.recipe_ids(skill_id)):
+        actions = graph.experience[node_id].payload.get("actions")
+        if actions:
+            return list(actions)
+    return []
 
 
 def render_skill_lattice(graph: KnowledgeGraph, task_type_id: int) -> str:

@@ -158,6 +158,39 @@ def topk_reference(scored_ids, k: int) -> list:
     return [nid for nid, _ in ranked[:k]]
 
 
+def rank_store_reference(entries, query, task_type_id, floor: float, score=None) -> list:
+    """Brute-force ranking of one exemplar store for one query.
+
+    entries: iterable of dicts with node_id, task_type_id, kind and vector.
+    Keeps the query's task type, drops ``type_strategy`` entries whose
+    cosine similarity is below ``floor``, and returns (key, node_id) pairs
+    best first: key is the similarity, or ``score(node_id)`` when given;
+    ties go to the smaller node id.
+    """
+    q = np.asarray(query, dtype=float)
+    q = q / np.linalg.norm(q)
+    ranked = []
+    for entry in entries:
+        if entry["task_type_id"] != task_type_id:
+            continue
+        v = np.asarray(entry["vector"], dtype=float)
+        sim = float(np.dot(v / np.linalg.norm(v), q))
+        if entry["kind"] == "type_strategy" and sim < floor:
+            continue
+        key = sim if score is None else float(score(entry["node_id"]))
+        ranked.append((key, entry["node_id"]))
+    ranked.sort(key=lambda pair: (-pair[0], pair[1]))
+    return ranked
+
+
+def bundle_sizes_reference(n_success_ranked: int, n_failure_ranked: int, allocation) -> tuple:
+    """Slots each store fills once the other store's shortfall is lent to it."""
+    want_s, want_f = allocation
+    take_s = min(n_success_ranked, want_s + max(0, want_f - n_failure_ranked))
+    take_f = min(n_failure_ranked, want_f + max(0, want_s - n_success_ranked))
+    return take_s, take_f
+
+
 # ----------------------------------------------------------------------
 # bandits
 

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evoloop import (
+    EngineConfig,
     FailurePayload,
+    HashEmbedder,
     KnowledgeGraph,
     MemoryBundle,
     MemoryIndex,
@@ -21,13 +23,17 @@ from evoloop import (
     harvest_failure,
     harvest_success,
     latest_action_recipe,
+    make_env,
     rebuild_index,
     record_action_recipe,
     render_skill_lattice,
 )
 
+from evoloop.engine import build_simulated_engine
 from oracles import (
     allocation_reference,
+    bundle_sizes_reference,
+    rank_store_reference,
     respects_prereq_order,
     topk_reference,
     tv_reference,
@@ -228,6 +234,106 @@ def test_scorer_swaps_ranking_not_eligibility(indexed):
     assert bundle.failure == []
 
 
+# a few fixed directions, so drawn entries repeat vectors exactly
+POOL_VECTORS = [seeded_unit(200 + i) for i in range(6)]
+QUERY_VECTORS = POOL_VECTORS + [seeded_unit(300)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(("success", "specific", "type_strategy")),
+            st.integers(0, 2),
+            st.integers(0, len(POOL_VECTORS) - 1),
+        ),
+        max_size=24,
+    ),
+    query_tt=st.integers(0, 2),
+    query_vec=st.integers(0, len(QUERY_VECTORS) - 1),
+    floor=st.sampled_from((0.0, 0.55)),
+    k=st.integers(1, 5),
+    context_length=st.sampled_from((0, 900)),
+    utilities=st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=24, max_size=24),
+    use_scorer=st.booleans(),
+)
+def test_retrieval_matches_bruteforce_reference(
+    entries, query_tt, query_vec, floor, k, context_length, utilities, use_scorer
+):
+    query = QUERY_VECTORS[query_vec]
+    # no similarity sits on the floor, so rounding cannot decide admission
+    assume(all(abs(float(v @ query) - floor) > 1e-9 for v in POOL_VECTORS))
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=64, type_strategy_min_similarity=floor)
+    tts = [graph.add_task_type(f"t{i}") for i in range(3)]
+    stores = {"success": [], "failure": []}
+    utility = {}
+    for (store, t, v), u in zip(entries, utilities):
+        if store == "success":
+            nid = add_success(graph, index, tts[t], question=f"s{v}", vector=POOL_VECTORS[v])
+            kind = None
+        else:
+            nid = add_failure(graph, index, tts[t], question=f"f{v}", vector=POOL_VECTORS[v], kind=store)
+            kind = store
+        utility[nid] = u
+        stores["success" if kind is None else "failure"].append(
+            {"node_id": nid, "task_type_id": tts[t], "kind": kind, "vector": POOL_VECTORS[v]}
+        )
+    tt = tts[query_tt]
+    score = utility.__getitem__ if use_scorer else None
+
+    ranked_s = rank_store_reference(stores["success"], query, tt, floor, score)
+    ranked_f = rank_store_reference(stores["failure"], query, tt, floor, score)
+    allocation = allocation_reference(context_length, k, 500)
+    take_s, take_f = bundle_sizes_reference(len(ranked_s), len(ranked_f), allocation)
+    bundle = index.retrieve_bundle(
+        query,
+        tt,
+        context_length=context_length,
+        k=k,
+        scorer=(lambda e: utility[e.node_id]) if use_scorer else None,
+    )
+    assert bundle.allocation == allocation
+    for got, want in ((bundle.success, ranked_s[:take_s]), (bundle.failure, ranked_f[:take_f])):
+        assert [e.node_id for e in got] == [nid for _, nid in want]
+        assert [e.similarity for e in got] == pytest.approx([key for key, _ in want], abs=1e-12)
+
+    pool = sorted(
+        rank_store_reference(stores["success"], query, tt, floor)
+        + rank_store_reference(stores["failure"], query, tt, floor),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    retrieved = [nid for _, nid in pool[:k]]
+    optimal = topk_reference([(nid, utility[nid]) for _, nid in pool], k)
+    report = index.measure_retrieval_error(
+        [(query, tt)], k=k, oracle=lambda q, be: utility[be.node_id]
+    )
+    assert report.per_query == pytest.approx([tv_reference(retrieved, optimal)], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [10, 23, 50, 101, 400])
+def test_duplicate_exemplars_tie_exactly_wherever_they_sit(n):
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=64)
+    tt = graph.add_task_type("t")
+    near, far = seeded_unit(1), seeded_unit(2)
+    ids = [
+        add_success(graph, index, tt, question=f"s{i}", vector=far if i % 3 == 0 else near)
+        for i in range(n)
+    ]
+    near_ids = [nid for i, nid in enumerate(ids) if i % 3]
+    far_ids = [nid for i, nid in enumerate(ids) if i % 3 == 0]
+    query = near + 0.5 * far
+    bundle = index.retrieve_bundle(query, tt, context_length=10, k=n)
+    # every copy of a vector scores the same, so each group is in id order
+    assert [e.node_id for e in bundle.success] == near_ids + far_ids
+    assert len({e.similarity for e in bundle.success[: len(near_ids)]}) == 1
+    assert len({e.similarity for e in bundle.success[len(near_ids) :]}) == 1
+    # a short top-k keeps the smallest ids among the tied copies
+    top = index.retrieve_bundle(query, tt, context_length=10, k=3)
+    assert [e.node_id for e in top.success] == near_ids[:3]
+
+
 def test_index_rejects_duplicates_and_wrong_class(indexed):
     graph, index, _ = indexed
     tt = graph.add_task_type("t")
@@ -350,6 +456,67 @@ def test_refresh_reembeds_everything(graph, embedder):
     assert index.refresh(embedder.embed) == 3
     bundle = index.retrieve_bundle(embedder.embed("q1"), tt, context_length=10)
     assert bundle.success[0].payload["question"] == "q1"
+
+
+def _bundle_key(bundle):
+    return [
+        [(e.node_id, e.similarity) for e in bundle.success],
+        [(e.node_id, e.similarity) for e in bundle.failure],
+        bundle.allocation,
+    ]
+
+
+def test_refresh_with_new_embedder_matches_fresh_rebuild(graph, embedder):
+    index = MemoryIndex(graph, dimension=64)
+    tts = [graph.add_task_type(f"t{i}") for i in range(2)]
+    questions = [f"how many {w} remain" for w in ("apples", "pears", "plums", "figs")]
+    for i, question in enumerate(questions):
+        tt = tts[i % 2]
+        harvest_success(
+            graph, index, embedder.embed, tt, None,
+            SuccessPayload(question=question, reasoning_trace="r", answer="a"),
+        )
+        harvest_failure(
+            graph, index, embedder.embed, tt, None,
+            FailurePayload(
+                question=question,
+                wrong_answer="0",
+                corrective_reasoning="count again",
+                correct_answer="1",
+                kind="type_strategy" if i % 2 else "specific",
+            ),
+        )
+    swapped = HashEmbedder(dimension=64, seed=embedder.seed + 1)
+    assert index.refresh(swapped.embed) == 2 * len(questions)
+    fresh = rebuild_index(graph, 64, swapped.embed)
+    for question in questions:
+        for tt in tts:
+            for context_length in (0, 900):
+                q = swapped.embed(question)
+                assert _bundle_key(
+                    index.retrieve_bundle(q, tt, context_length=context_length)
+                ) == _bundle_key(fresh.retrieve_bundle(q, tt, context_length=context_length))
+
+
+def test_live_index_matches_rebuild_after_training():
+    config = EngineConfig(pool_size=36, iterations=6)
+    env = make_env("static_qa", seed=config.seed, pool_size=config.pool_size)
+    engine = build_simulated_engine(config, env)
+    engine.bootstrap()
+    # six iterations include one refresh (every memory_refresh_gap = 5)
+    for k in range(config.iterations):
+        engine.run_iteration(k)
+    embed = engine.backends.embedder.embed
+    rebuilt = rebuild_index(
+        engine.graph, engine.index.dimension, embed, config.type_strategy_min_similarity
+    )
+    assert len(rebuilt) == len(engine.index) > 0
+    for q in env.evolution_pool():
+        tt = engine.graph.task_type_by_name(q.task_type).id
+        args = (embed(q.text), tt, len(q.context), config.retrieval_top_k)
+        assert _bundle_key(engine.index.retrieve_bundle(*args)) == _bundle_key(
+            rebuilt.retrieve_bundle(*args)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -594,6 +761,24 @@ def test_recipe_latest_wins(graph):
     record_action_recipe(graph, s, ["old"])
     record_action_recipe(graph, s, ["new"])
     assert latest_action_recipe(graph, s) == ["new"]
+
+
+def test_recipe_falls_back_when_newest_is_deleted():
+    records = []
+    graph = KnowledgeGraph(event_sink=records.append)
+    s = graph.add_skill("s")
+    other = graph.add_skill("other")
+    record_action_recipe(graph, s, ["old"])
+    newer = record_action_recipe(graph, s, ["new"])
+    record_action_recipe(graph, other, ["elsewhere"])
+    # a recipe without actions is skipped, even when it is the newest
+    graph.append_experience("retrieval_recipe", {"actions": []}, skill_id=s)
+    assert latest_action_recipe(graph, s) == ["new"]
+    graph.delete_experience(newer)
+    replayed = KnowledgeGraph.replay(records)
+    for g in (graph, replayed):
+        assert latest_action_recipe(g, s) == ["old"]
+        assert latest_action_recipe(g, other) == ["elsewhere"]
 
 
 def test_recipe_requires_actions(graph):
