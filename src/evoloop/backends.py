@@ -72,27 +72,6 @@ class CallTracker:
         with self._lock:
             return dict(self._counts)
 
-    def snapshot_totals(self) -> dict[str, int]:
-        """Flattened {"phase/agent/role": count} view for serialization."""
-        with self._lock:
-            return {"/".join(key): n for key, n in sorted(self._counts.items())}
-
-    def total(self, phase: str | None = None, exclude_roles: tuple[str, ...] = ()) -> int:
-        with self._lock:
-            return sum(
-                n
-                for (ph, _agent, role), n in self._counts.items()
-                if (phase is None or ph == phase) and role not in exclude_roles
-            )
-
-    def agent_total(self, agents: frozenset[str], phase: str | None = None) -> int:
-        with self._lock:
-            return sum(
-                n
-                for (ph, agent, role), n in self._counts.items()
-                if agent in agents and role != "embedder" and (phase is None or ph == phase)
-            )
-
 
 @dataclass
 class BackendSet:

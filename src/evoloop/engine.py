@@ -573,26 +573,43 @@ class Engine:
 
         return score
 
-    def _answer_question(self, q, tt_id: int, skill_id: int, search_arm: str) -> tuple[str, str, int, int]:
+    def _answer_question(
+        self,
+        q,
+        tt_id: int,
+        skill_id: int,
+        search_arm: str,
+        phase: str = "train",
+        retrieval: bool = True,
+    ) -> tuple[str, str, int, int]:
+        """Assemble the learner prompt for one question and ask it once.
+
+        Training and frozen ("infer") eval share this path; the phase picks
+        the temperature. Without retrieval the prompt carries no exemplars,
+        lattice or guidance notes.
+        """
         skill = self.graph.skills[skill_id]
-        qvec = self._embed(q.text)
-        bundle = self.index.retrieve_bundle(
-            qvec,
-            tt_id,
-            context_length=len(q.context),
-            k=self.config.retrieval_top_k,
-            long_context_threshold=self.config.long_context_threshold,
-            scorer=self._oracle_scorer(q.text),
-        )
         lattice = None
         notes: list[str] = []
-        if search_arm == "cascade":
-            lattice = render_skill_lattice(self.graph, tt_id) or None
-            for pid in cascade_principles(self.graph, skill_id)[:GUIDANCE_NOTE_CAP]:
-                notes.append(self.graph.experience[pid].payload.get("text", ""))
-            recipe = latest_action_recipe(self.graph, skill_id)
-            if recipe:
-                notes.append("recipe: " + " -> ".join(recipe))
+        if retrieval:
+            qvec = self._embed(q.text)
+            bundle = self.index.retrieve_bundle(
+                qvec,
+                tt_id,
+                context_length=len(q.context),
+                k=self.config.retrieval_top_k,
+                long_context_threshold=self.config.long_context_threshold,
+                scorer=self._oracle_scorer(q.text),
+            )
+            if search_arm == "cascade":
+                lattice = render_skill_lattice(self.graph, tt_id) or None
+                for pid in cascade_principles(self.graph, skill_id)[:GUIDANCE_NOTE_CAP]:
+                    notes.append(self.graph.experience[pid].payload.get("text", ""))
+                recipe = latest_action_recipe(self.graph, skill_id)
+                if recipe:
+                    notes.append("recipe: " + " -> ".join(recipe))
+        else:
+            bundle = memory.MemoryBundle(allocation=(0, 0))
         prompt = format_bundle(
             bundle,
             skill.prompt_template.replace("{question}", q.text),
@@ -600,9 +617,10 @@ class Engine:
             lattice=lattice,
             guidance=notes,
         )
-        raw = self._call_execution(
-            "learner", "train", prompt, {"question_id": q.qid}, self.config.train_temperature
+        temperature = (
+            self.config.train_temperature if phase == "train" else self.config.eval_temperature
         )
+        raw = self._call_execution("learner", phase, prompt, {"question_id": q.qid}, temperature)
         return raw, extract_answer(raw), len(bundle.success), len(bundle.failure)
 
     def _pool_size_cap(self, pool):
@@ -1034,36 +1052,10 @@ class Engine:
                 skill_id = curriculum_override(
                     self.graph, skill_id, self.config.mastery_threshold
                 )
-            skill = self.graph.skills[skill_id]
-            lattice = None
-            notes: list[str] = []
-            if retrieval:
-                qvec = self._embed(q.text)
-                bundle = self.index.retrieve_bundle(
-                    qvec,
-                    tt.id,
-                    context_length=len(q.context),
-                    k=self.config.retrieval_top_k,
-                    long_context_threshold=self.config.long_context_threshold,
-                    scorer=self._oracle_scorer(q.text),
-                )
-                if search_arm == "cascade":
-                    lattice = render_skill_lattice(self.graph, tt.id) or None
-                    for pid in cascade_principles(self.graph, skill_id)[:GUIDANCE_NOTE_CAP]:
-                        notes.append(self.graph.experience[pid].payload.get("text", ""))
-            else:
-                bundle = memory.MemoryBundle(allocation=(0, 0))
-            prompt = format_bundle(
-                bundle,
-                skill.prompt_template.replace("{question}", q.text),
-                context=q.context,
-                lattice=lattice,
-                guidance=notes,
+            _raw, predicted, _ns, _nf = self._answer_question(
+                q, tt.id, skill_id, search_arm, phase="infer", retrieval=retrieval
             )
-            raw = self._call_execution(
-                "learner", "infer", prompt, {"question_id": q.qid}, self.config.eval_temperature
-            )
-            if extract_answer(raw).strip() == q.answer.strip():
+            if predicted.strip() == q.answer.strip():
                 correct += 1
         return correct / len(pool), len(pool)
 

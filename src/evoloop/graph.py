@@ -779,12 +779,16 @@ class KnowledgeGraph:
         principles_per_skill_cap: int = 12,
         skill_growth_cap: int = 30,
         snapshot_history_limit: int = 64,
+        on_iteration: Callable[["KnowledgeGraph", int | None], None] | None = None,
     ) -> "KnowledgeGraph":
         """Rebuild a graph from an event log.
 
-        Records must arrive in strictly increasing seq order starting at 1.
-        The apply step runs verbatim (no write-side validation) so the
-        rebuilt state matches the writer's state bit-exactly.
+        Records must arrive in strictly increasing seq order starting at 1,
+        and their iter never goes backwards. The apply step runs verbatim
+        (no write-side validation) so the rebuilt state matches the writer's
+        state bit-exactly. ``on_iteration(graph, it)`` sees the graph each
+        time the log moves on to a later iteration ``it``, before that
+        iteration's first record, and once more with ``it=None`` at the end.
         """
         graph = cls(
             event_sink=None,
@@ -801,10 +805,17 @@ class KnowledgeGraph:
                     record["op"],
                     record["payload"],
                 )
+                backwards = it < graph.current_iter
             except (KeyError, TypeError) as exc:
                 raise IntegrityError(f"malformed event record at seq {expected_seq}") from exc
             if seq != expected_seq:
                 raise IntegrityError(f"event seq gap: expected {expected_seq}, got {seq}")
+            if backwards:
+                raise IntegrityError(
+                    f"event iter goes backwards at seq {seq}: {it} after {graph.current_iter}"
+                )
+            if it > graph.current_iter and on_iteration is not None:
+                on_iteration(graph, it)
             graph.current_iter = it
             try:
                 graph._apply(op, payload)
@@ -814,6 +825,8 @@ class KnowledgeGraph:
                 raise IntegrityError(f"replay failed at seq {seq} ({op})") from exc
             graph._seq = seq
             expected_seq += 1
+        if on_iteration is not None:
+            on_iteration(graph, None)
         return graph
 
 

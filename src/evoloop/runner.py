@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .backends import simulated_backend_set
 from .engine import Engine, EngineConfig, IterationReport
@@ -198,7 +198,3 @@ def stats_rows(store: RunStore) -> list[dict[str, Any]]:
             }
         )
     return rows
-
-
-def load_report_dicts(store: RunStore) -> list[Mapping[str, Any]]:
-    return store.read_reports()

@@ -230,18 +230,8 @@ def test_tracker_counts_by_phase_agent_role():
     t.record("infer", "learner", "execution")
     t.record("train", "critic", "judge")
     assert t.counts()[("train", "learner", "execution")] == 3
-    assert t.total(phase="train") == 4
-    assert t.total(phase="train", exclude_roles=("judge",)) == 3
-    assert t.snapshot_totals()["infer/learner/execution"] == 1
-
-
-def test_tracker_agent_total_ignores_embedder():
-    t = CallTracker()
-    t.record("train", "navigator", "guidance")
-    t.record("train", "navigator", "embedder")
-    from evoloop import GUIDANCE_AGENTS
-
-    assert t.agent_total(GUIDANCE_AGENTS) == 1
+    assert t.counts()[("infer", "learner", "execution")] == 1
+    assert t.counts()[("train", "critic", "judge")] == 1
 
 
 def test_simulated_backend_set_roles():

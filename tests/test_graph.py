@@ -301,6 +301,30 @@ def test_replay_rejects_unknown_op():
         KnowledgeGraph.replay([{"seq": 1, "iter": -1, "op": "warp", "payload": {}}])
 
 
+def _events_at_iters(iters):
+    events = []
+    graph = KnowledgeGraph(event_sink=events.append)
+    for n, it in enumerate(iters):
+        graph.current_iter = it
+        graph.add_skill(f"s{n}")
+    return events
+
+
+def test_replay_rejects_iter_going_backwards():
+    with pytest.raises(IntegrityError, match="iter goes backwards at seq 3"):
+        KnowledgeGraph.replay(_events_at_iters([-1, 1, 0]))
+
+
+def test_replay_reports_each_move_to_a_later_iteration():
+    seen = []
+    KnowledgeGraph.replay(
+        _events_at_iters([-1, -1, 0, 2, 2]),
+        on_iteration=lambda graph, it: seen.append((it, graph.last_seq, len(graph.skills))),
+    )
+    # the graph holds every record before the move, none after it
+    assert seen == [(0, 2, 2), (2, 3, 3), (None, 5, 5)]
+
+
 # ----------------------------------------------------------------------
 # randomized conservation property (the acceptance suite scales this up)
 

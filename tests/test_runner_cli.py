@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from evoloop import RunStore, ValidationError, audit_run, load_engine, run_eval
+from evoloop import (
+    IntegrityError,
+    KnowledgeGraph,
+    RunStore,
+    ValidationError,
+    audit_run,
+    load_engine,
+    run_eval,
+)
 from evoloop.cli import STATS_HEADER, main
 
 
@@ -260,14 +268,72 @@ def test_corrupt_event_line_is_an_integrity_failure(tmp_path, capsys):
 def test_tampered_boundary_snapshot_fails_replay_check(tmp_path):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=3)
-    snap_path = store.snapshot_path(1)
-    state = json.loads(snap_path.read_text())
-    state["next_id"] = state["next_id"] + 1
-    snap_path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")))
+    # the first, a middle and the last boundary
+    for boundary in (0, 1, 2):
+        snap_path = store.snapshot_path(boundary)
+        original = snap_path.read_bytes()
+        state = json.loads(original)
+        state["next_id"] = state["next_id"] + 1
+        snap_path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")))
+        result = audit_run(RunStore(run_dir))
+        by_name = {c.name: c for c in result.checks}
+        assert not by_name["log_replay"].passed
+        assert by_name["log_replay"].detail == f"boundary snapshot {boundary} diverges from replay"
+        # replay goes on past the divergence, so the bandit recount is still judged
+        assert by_name["bandit_consistency"].passed
+        snap_path.write_bytes(original)
+
+
+def test_audit_replays_once_and_reads_each_snapshot_once(tmp_path, monkeypatch):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=3)
+    replay, read_snapshot = KnowledgeGraph.replay, RunStore.read_snapshot
+    replays, reads = [], []
+
+    def counting_replay(cls, *args, **kwargs):
+        replays.append(1)
+        return replay(*args, **kwargs)
+
+    def counting_read(self, iteration):
+        reads.append(iteration)
+        return read_snapshot(self, iteration)
+
+    monkeypatch.setattr(KnowledgeGraph, "replay", classmethod(counting_replay))
+    monkeypatch.setattr(RunStore, "read_snapshot", counting_read)
+    result = audit_run(RunStore(run_dir))
+    assert result.passed
+    assert len(replays) == 1
+    assert reads == [0, 1, 2]
+
+
+def test_audit_skips_a_deleted_middle_snapshot(tmp_path):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=3)
+    store.snapshot_path(1).unlink()
+    result = audit_run(RunStore(run_dir))
+    assert result.passed
+    by_name = {c.name: c for c in result.checks}
+    assert "events replay cleanly, 2 boundary snapshots match" in by_name["log_replay"].detail
+
+
+def test_log_whose_iter_goes_backwards_is_refused(tmp_path):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=3)
+    events = list(store.read_events())
+    assert events[-1]["iter"] == 2
+    append_event(run_dir, {
+        "seq": events[-1]["seq"] + 1,
+        "iter": 0,
+        "op": "prune",
+        "payload": {"threshold": None, "removed_ids": []},
+    })
     result = audit_run(RunStore(run_dir))
     by_name = {c.name: c for c in result.checks}
     assert not by_name["log_replay"].passed
-    assert "snapshot 1" in by_name["log_replay"].detail
+    assert "iter goes backwards" in by_name["log_replay"].detail
+    assert not by_name["bandit_consistency"].passed
+    with pytest.raises(IntegrityError, match="iter goes backwards"):
+        load_engine(RunStore(run_dir))
 
 
 def test_bandit_event_on_unknown_context_fails_cleanly(tmp_path):
