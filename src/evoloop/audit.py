@@ -22,9 +22,10 @@ Six checks, each independent and reported separately:
                            recount of draw and update events
 
 The two replay checks share one forward replay: each event is applied
-once, and each stored boundary snapshot is read and compared once. A
-diverging boundary snapshot fails only log_replay; a log that does not
-replay fails both.
+once, and each stored boundary snapshot is read and compared once, as raw
+bytes against the replayed graph's canonical encoding. A boundary file that
+differs in any byte (including one that is not JSON at all) fails only
+log_replay; a log that does not replay fails both.
 
 The audit reads the run directory only; it never mutates it.
 """
@@ -250,7 +251,7 @@ def _check_log_replay(
         nonlocal checked, diverged
         while diverged is None and pending and (next_iter is None or pending[0] < next_iter):
             iteration = pending.popleft()
-            if store.read_snapshot(iteration) != graph.state_dict():
+            if store.read_snapshot(iteration) != graph.canonical_bytes():
                 diverged = iteration
             else:
                 checked += 1

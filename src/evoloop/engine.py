@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from . import bandits, memory
@@ -241,7 +241,9 @@ class IterationReport:
     boundary_snapshot_id: int
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        # shallow: the fields are already plain data, and asdict would
+        # deep-copy every per-question dict just to have them serialised
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "IterationReport":

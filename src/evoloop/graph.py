@@ -23,6 +23,17 @@ and nothing else, so protected nodes appended after a snapshot always
 survive a rollback. At most ``snapshot_limit`` snapshots are retained,
 oldest dropped first.
 
+Experience nodes, environment nodes and in-graph snapshot records never
+change once applied. Their payloads are frozen at commit: the writer copies
+a caller's payload once, and nothing mutates it afterwards (replay builds
+its nodes from the fresh dicts of the decoded log). So
+``canonical_bytes`` encodes each such record once, on first use, and keeps
+the fragment in a derived cache that is never serialised; a prune or a ring
+eviction drops the fragment with its record. Each call encodes only the
+small mutable sections (skills, task types, bandits, prerequisite edges,
+counters) and joins them with the cached fragments, byte for byte what a
+single ``json.dumps(sort_keys=True)`` of the whole state would write.
+
 Writes are serialized behind a single lock; readers copy under the same
 lock so they never observe a torn record.
 """
@@ -169,6 +180,10 @@ class KnowledgeGraph:
         self._prereq_edges: set[tuple[int, int]] = set()
         self.bandits: dict[str, BanditSlot] = {}
         self._snapshots: dict[int, dict[str, Any]] = {}
+        # derived, not serialised: canonical JSON of each immutable record
+        self._experience_json = _FragmentCache(_experience_record)
+        self._env_json = _FragmentCache(_env_record)
+        self._snapshot_json = _FragmentCache(lambda rec: rec)
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -588,15 +603,17 @@ class KnowledgeGraph:
                 skill_id=payload["skill_id"],
                 kind=payload["kind"],
                 confidence=payload["confidence"],
-                payload=copy.deepcopy(payload["payload"]),
+                payload=payload["payload"],
                 created_iter=payload["created_iter"],
             )
+            self._experience_json.discard(payload["id"])
             if payload["outcome"] == "retrieval_recipe" and payload["skill_id"] is not None:
                 self._recipe_ids.setdefault(payload["skill_id"], []).append(payload["id"])
         elif op == "prune":
             # removed ids applied verbatim; the writer already validated them
             for nid in payload["removed_ids"]:
                 node = self.experience.pop(nid, None)
+                self._experience_json.discard(nid)
                 if node is not None and nid in self._recipe_ids.get(node.skill_id, ()):
                     self._recipe_ids[node.skill_id].remove(nid)
         elif op == "add_env_node":
@@ -604,8 +621,9 @@ class KnowledgeGraph:
             self.env_nodes[payload["id"]] = EnvNode(
                 id=payload["id"],
                 node_class=payload["node_class"],
-                payload=copy.deepcopy(payload["payload"]),
+                payload=payload["payload"],
             )
+            self._env_json.discard(payload["id"])
         elif op == "bandit_init":
             arms = payload["arm_ids"]
             self.bandits[payload["context_id"]] = BanditSlot(
@@ -633,8 +651,11 @@ class KnowledgeGraph:
                 "mutable_state": self._capture_mutable_state(),
                 "protected_watermark": self._counts_unlocked(),
             }
+            self._snapshot_json.discard(sid)
             while len(self._snapshots) > self.snapshot_history_limit:
-                del self._snapshots[min(self._snapshots)]
+                oldest = min(self._snapshots)
+                del self._snapshots[oldest]
+                self._snapshot_json.discard(oldest)
         elif op == "rollback":
             state = self._snapshots[payload["snapshot_id"]]["mutable_state"]
             for sid_str, slots in state["skills"].items():
@@ -709,62 +730,49 @@ class KnowledgeGraph:
     # serialization
 
     def state_dict(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "next_id": self._next_id,
-                "last_seq": self._seq,
-                "skills": {
-                    str(s.id): {
-                        "id": s.id,
-                        "name": s.name,
-                        "mastery": s.mastery,
-                        "prompt_template": s.prompt_template,
-                        "strategy": s.strategy,
-                        "principle_ids": list(s.principle_ids),
-                    }
-                    for s in self.skills.values()
-                },
-                "task_types": {
-                    str(t.id): {
-                        "id": t.id,
-                        "name": t.name,
-                        "n_fail": t.n_fail,
-                        "k_last": t.k_last,
-                        "resolver_skill_id": t.resolver_skill_id,
-                        "observed_iter": t.observed_iter,
-                    }
-                    for t in self.task_types.values()
-                },
-                "experience": {
-                    str(e.id): {
-                        "id": e.id,
-                        "outcome": e.outcome,
-                        "task_type_id": e.task_type_id,
-                        "skill_id": e.skill_id,
-                        "kind": e.kind,
-                        "confidence": e.confidence,
-                        "payload": copy.deepcopy(e.payload),
-                        "created_iter": e.created_iter,
-                    }
-                    for e in self.experience.values()
-                },
-                "env_nodes": {
-                    str(n.id): {
-                        "id": n.id,
-                        "node_class": n.node_class,
-                        "payload": copy.deepcopy(n.payload),
-                    }
-                    for n in self.env_nodes.values()
-                },
-                "prereq_edges": sorted([list(e) for e in self._prereq_edges]),
-                "bandits": {cid: slot.to_dict() for cid, slot in self.bandits.items()},
-                "snapshots": {
-                    str(sid): copy.deepcopy(rec) for sid, rec in self._snapshots.items()
-                },
-            }
+        """The canonical state as fresh plain data."""
+        return json.loads(self.canonical_bytes())
 
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.state_dict(), sort_keys=True, separators=(",", ":")).encode()
+        """The whole state as JSON with sorted keys and no whitespace."""
+        with self._lock:
+            sections = {
+                "bandits": _dumps({cid: slot.to_dict() for cid, slot in self.bandits.items()}),
+                "env_nodes": self._env_json.section(self.env_nodes),
+                "experience": self._experience_json.section(self.experience),
+                "last_seq": _dumps(self._seq),
+                "next_id": _dumps(self._next_id),
+                "prereq_edges": _dumps(sorted([list(e) for e in self._prereq_edges])),
+                "skills": _dumps(
+                    {
+                        str(s.id): {
+                            "id": s.id,
+                            "name": s.name,
+                            "mastery": s.mastery,
+                            "prompt_template": s.prompt_template,
+                            "strategy": s.strategy,
+                            "principle_ids": s.principle_ids,
+                        }
+                        for s in self.skills.values()
+                    }
+                ),
+                "snapshots": self._snapshot_json.section(self._snapshots),
+                "task_types": _dumps(
+                    {
+                        str(t.id): {
+                            "id": t.id,
+                            "name": t.name,
+                            "n_fail": t.n_fail,
+                            "k_last": t.k_last,
+                            "resolver_skill_id": t.resolver_skill_id,
+                            "observed_iter": t.observed_iter,
+                        }
+                        for t in self.task_types.values()
+                    }
+                ),
+            }
+        members = (b'"%s":%s' % (name.encode(), body) for name, body in sorted(sections.items()))
+        return b"{" + b",".join(members) + b"}"
 
     def graph_hash(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -828,6 +836,55 @@ class KnowledgeGraph:
         if on_iteration is not None:
             on_iteration(graph, None)
         return graph
+
+
+def _dumps(value: Any) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _experience_record(e: ExperienceNode) -> dict[str, Any]:
+    return {
+        "id": e.id,
+        "outcome": e.outcome,
+        "task_type_id": e.task_type_id,
+        "skill_id": e.skill_id,
+        "kind": e.kind,
+        "confidence": e.confidence,
+        "payload": e.payload,
+        "created_iter": e.created_iter,
+    }
+
+
+def _env_record(n: EnvNode) -> dict[str, Any]:
+    return {"id": n.id, "node_class": n.node_class, "payload": n.payload}
+
+
+class _FragmentCache:
+    """Canonical JSON members of one section of immutable records, by id.
+
+    A fragment is ``"<id>":{...}`` exactly as ``json.dumps(sort_keys=True)``
+    writes that member inside its section. It is encoded on first use and
+    must be discarded whenever the record under its id leaves or is replaced.
+    """
+
+    def __init__(self, to_plain: Callable[[Any], Any]):
+        self._to_plain = to_plain
+        self._fragments: dict[int, bytes] = {}
+
+    def discard(self, record_id: int) -> None:
+        self._fragments.pop(record_id, None)
+
+    def section(self, records: dict[int, Any]) -> bytes:
+        fragments = self._fragments
+        members = []
+        # sort_keys orders the members by their string keys
+        for rid in sorted(records, key=str):
+            fragment = fragments.get(rid)
+            if fragment is None:
+                fragment = _dumps({str(rid): self._to_plain(records[rid])})[1:-1]
+                fragments[rid] = fragment
+            members.append(fragment)
+        return b"{" + b",".join(members) + b"}"
 
 
 def _check_unit_interval(name: str, value: float) -> None:

@@ -23,7 +23,7 @@ from typing import Any
 from .backends import simulated_backend_set
 from .engine import Engine, EngineConfig, IterationReport
 from .envs import make_env
-from .errors import ValidationError
+from .errors import IntegrityError, ValidationError
 from .graph import KnowledgeGraph
 from .memory import rebuild_index
 from .runstore import RunStore
@@ -43,10 +43,26 @@ def committed_iterations(store: RunStore) -> int:
 
 
 def _truncate_uncommitted(store: RunStore, last_committed: int) -> list[dict[str, Any]]:
-    """Drop event-log tail past the last committed iteration, if any."""
+    """Drop event-log tail past the last committed iteration, if any.
+
+    The uncommitted records must be one contiguous tail whose iter never goes
+    backwards, as the writer leaves them; any other log is refused before the
+    file is touched.
+    """
     events = list(store.read_events())
-    keep = [e for e in events if e["iter"] <= last_committed]
-    # bootstrap events carry iter -1 and always stay
+    try:
+        iters = [e["iter"] for e in events]
+        # bootstrap events carry iter -1 and always stay
+        cut = next((i for i, it in enumerate(iters) if it > last_committed), len(events))
+        back = next((i for i in range(cut + 1, len(iters)) if iters[i] < iters[i - 1]), None)
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed event record: no comparable iter ({exc!r})") from exc
+    if back is not None:
+        raise IntegrityError(
+            f"event iter goes backwards at seq {events[back].get('seq')}: "
+            f"{iters[back]} after {iters[back - 1]}"
+        )
+    keep = events[:cut]
     if len(keep) != len(events):
         path = store.root / "events.log"
         path.write_text(

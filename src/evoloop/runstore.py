@@ -5,13 +5,16 @@
       meta.json          environment name and bookkeeping
       events.log         one JSON graph event per line, append-only
       reports.jsonl      one iteration report per line
-      snap-00007.json    canonical graph state at an iteration boundary
+      snap-00007.json    canonical graph state at an iteration boundary,
+                         the exact bytes of ``KnowledgeGraph.canonical_bytes``
       eval-<tag>.json    frozen evaluation records
 
 Events buffer in memory during an iteration and flush at the boundary, so
 a killed process never leaves a partial iteration tail in events.log.
 Replay of config + events reproduces the graph bit-exactly; resume counts
-committed reports and continues from there.
+committed reports and continues from there. ``read_snapshot`` returns a
+boundary file's raw bytes, undecoded: the audit compares them byte for byte
+with the replayed graph's encoding.
 """
 
 from __future__ import annotations
@@ -139,11 +142,11 @@ class RunStore:
     def write_snapshot(self, iteration: int, state_bytes: bytes) -> None:
         self.snapshot_path(iteration).write_bytes(state_bytes)
 
-    def read_snapshot(self, iteration: int) -> dict[str, Any]:
+    def read_snapshot(self, iteration: int) -> bytes:
         path = self.snapshot_path(iteration)
         if not path.is_file():
             raise ValidationError(f"missing snapshot {path.name}")
-        return json.loads(path.read_text())
+        return path.read_bytes()
 
     def snapshot_iterations(self) -> list[int]:
         return sorted(

@@ -9,6 +9,7 @@ values the tests compare against.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -202,3 +203,74 @@ def beta_best_share(successes, failures, n_draws: int, seed: int) -> float:
         [rng.beta(s + 1, f + 1, size=n_draws) for s, f in zip(successes, failures)]
     )
     return float(np.mean(np.argmax(samples, axis=1) == 0))
+
+
+# ----------------------------------------------------------------------
+# graph encoding
+
+
+def canonical_bytes_reference(graph) -> bytes:
+    """The whole graph state re-encoded from its live objects in one dump.
+
+    Reads the graph's attributes directly and shares nothing with the
+    package's incremental encoder, so a stale cached fragment shows up as a
+    difference.
+    """
+    state = {
+        "next_id": graph._next_id,
+        "last_seq": graph.last_seq,
+        "skills": {
+            str(s.id): {
+                "id": s.id,
+                "name": s.name,
+                "mastery": s.mastery,
+                "prompt_template": s.prompt_template,
+                "strategy": s.strategy,
+                "principle_ids": list(s.principle_ids),
+            }
+            for s in graph.skills.values()
+        },
+        "task_types": {
+            str(t.id): {
+                "id": t.id,
+                "name": t.name,
+                "n_fail": t.n_fail,
+                "k_last": t.k_last,
+                "resolver_skill_id": t.resolver_skill_id,
+                "observed_iter": t.observed_iter,
+            }
+            for t in graph.task_types.values()
+        },
+        "experience": {
+            str(e.id): {
+                "id": e.id,
+                "outcome": e.outcome,
+                "task_type_id": e.task_type_id,
+                "skill_id": e.skill_id,
+                "kind": e.kind,
+                "confidence": e.confidence,
+                "payload": e.payload,
+                "created_iter": e.created_iter,
+            }
+            for e in graph.experience.values()
+        },
+        "env_nodes": {
+            str(n.id): {"id": n.id, "node_class": n.node_class, "payload": n.payload}
+            for n in graph.env_nodes.values()
+        },
+        "prereq_edges": sorted([list(e) for e in graph.prereq_edges()]),
+        "bandits": {
+            cid: {
+                "context_id": slot.context_id,
+                "arm_ids": list(slot.arm_ids),
+                "successes": dict(slot.successes),
+                "failures": dict(slot.failures),
+                "warmup_pulls": slot.warmup_pulls,
+                "rng_seed": slot.rng_seed,
+                "draws": slot.draws,
+            }
+            for cid, slot in graph.bandits.items()
+        },
+        "snapshots": {str(sid): rec for sid, rec in graph._snapshots.items()},
+    }
+    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode()

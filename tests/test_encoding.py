@@ -1,0 +1,200 @@
+"""Canonical graph encoding: the cached encoder against a one-dump reference."""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evoloop import EngineConfig, KnowledgeGraph, RunStore, init_run, load_engine, run_training
+from evoloop.graph import ENV_CLASSES
+from evoloop.runner import bootstrap_run
+
+from oracles import canonical_bytes_reference
+
+OUTCOMES = [
+    ("principle", None),
+    ("success_memory", None),
+    ("failure_memory", "specific"),
+    ("failure_memory", "type_strategy"),
+    ("abstracted_pattern", None),
+    ("retrieval_recipe", None),
+]
+CONFIDENCES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+payloads = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(
+        st.integers(-5, 5),
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        st.text(max_size=6),
+        st.lists(st.integers(0, 9), max_size=3),
+    ),
+    max_size=3,
+)
+
+appends = st.tuples(
+    st.just("append"),
+    st.integers(0, len(OUTCOMES) - 1),
+    st.sampled_from(CONFIDENCES),
+    st.booleans(),
+    payloads,
+)
+ops = st.one_of(
+    appends,
+    appends,
+    appends,
+    st.tuples(st.just("prune"), st.sampled_from(CONFIDENCES + [0.6])),
+    st.tuples(st.just("delete"), st.integers(0, 50)),
+    st.tuples(st.just("env"), st.sampled_from(sorted(ENV_CLASSES)), payloads),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("rollback"), st.integers(0, 3)),
+    st.tuples(st.just("mastery"), st.integers(0, 1), st.sampled_from(CONFIDENCES)),
+    st.tuples(st.just("principle_ref"), st.integers(0, 1)),
+    st.tuples(st.just("bandit"), st.sampled_from(["direct", "chain"]), st.integers(0, 1)),
+    st.tuples(st.just("next_iter")),
+)
+
+
+def apply_op(graph, skills, task_type, op):
+    kind = op[0]
+    if kind == "append":
+        _, index, confidence, typed, payload = op
+        outcome, failure_kind = OUTCOMES[index]
+        graph.append_experience(
+            outcome,
+            payload,
+            task_type_id=task_type if typed else None,
+            skill_id=skills[0] if outcome == "retrieval_recipe" else None,
+            kind=failure_kind,
+            confidence=confidence,
+        )
+    elif kind == "prune":
+        graph.prune_low_confidence(op[1])
+    elif kind == "delete":
+        unprotected = sorted(nid for nid, n in graph.experience.items() if not n.protected)
+        if unprotected:
+            graph.delete_experience(unprotected[op[1] % len(unprotected)])
+    elif kind == "env":
+        graph.add_env_node(op[1], op[2])
+    elif kind == "snapshot":
+        graph.snapshot()
+    elif kind == "rollback":
+        ids = graph.snapshot_ids()
+        if ids:
+            graph.rollback_mutable(ids[op[1] % len(ids)])
+    elif kind == "mastery":
+        graph.set_mastery(skills[op[1]], op[2])
+    elif kind == "principle_ref":
+        principles = [nid for nid, n in graph.experience.items() if n.outcome == "principle"]
+        if principles:
+            graph.add_principle_ref(skills[op[1]], principles[-1])
+    elif kind == "bandit":
+        graph.bandit_record_draw("route/s", op[1])
+        graph.bandit_update("route/s", op[1], op[2])
+    elif kind == "next_iter":
+        graph.current_iter += 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(appends, min_size=4, max_size=8), st.lists(ops, min_size=5, max_size=40))
+def test_cached_encoding_matches_reference_after_any_op_sequence(seed_appends, sequence):
+    events = []
+    graph = KnowledgeGraph(event_sink=events.append, snapshot_history_limit=2)
+    skills = [graph.add_skill("a"), graph.add_skill("b")]
+    task_type = graph.add_task_type("t")
+    graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=1, rng_seed=3)
+    assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+    # ids soon pass 9, where string order and numeric order part
+    for op in seed_appends + sequence:
+        apply_op(graph, skills, task_type, op)
+        # encoding after every op fills the cache before prunes and evictions
+        assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+    assert len(graph.snapshot_ids()) <= 2
+    # pruned nodes and evicted ring records take their fragments with them
+    for cache, records in (
+        (graph._experience_json, graph.experience),
+        (graph._env_json, graph.env_nodes),
+        (graph._snapshot_json, graph._snapshots),
+    ):
+        assert set(cache._fragments) == set(records)
+
+    # replay decodes the log as a run directory would hand it over
+    decoded = [json.loads(json.dumps(e, sort_keys=True)) for e in events]
+    replayed = KnowledgeGraph.replay(decoded, snapshot_history_limit=2)
+    assert replayed.canonical_bytes() == canonical_bytes_reference(replayed)
+    assert replayed.canonical_bytes() == graph.canonical_bytes()
+    assert replayed.state_dict() == json.loads(graph.canonical_bytes())
+
+
+def test_in_place_payload_mutation_shows_as_stale_cache(graph):
+    nid = graph.append_experience("success_memory", {"question": "q", "answer": "1"})
+    assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+    # breaks the rule that payloads are frozen at commit
+    graph.experience[nid].payload["answer"] = "2"
+    assert graph.canonical_bytes() != canonical_bytes_reference(graph)
+
+
+def test_replayed_record_under_a_reused_id_replaces_its_fragment():
+    def append(seq, it, answer):
+        payload = {"id": 1, "outcome": "success_memory", "task_type_id": None,
+                   "skill_id": None, "kind": None, "confidence": 1.0,
+                   "payload": {"answer": answer}, "created_iter": it}
+        return {"seq": seq, "iter": it, "op": "append_experience", "payload": payload}
+
+    seen = []
+
+    def encode(graph, it):
+        seen.append(graph.canonical_bytes())
+
+    graph = KnowledgeGraph.replay([append(1, 0, "a"), append(2, 1, "b")], on_iteration=encode)
+    # seen: before iter 0, before iter 1 (caching "a"), at the end
+    assert b'"answer":"a"' in seen[1]
+    assert seen[-1] == graph.canonical_bytes() == canonical_bytes_reference(graph)
+    assert b'"answer":"b"' in seen[-1]
+
+
+def test_writer_copies_the_callers_payload_once(graph):
+    payload = {"question": "q", "steps": [1, 2]}
+    nid = graph.append_experience("success_memory", payload)
+    env_payload = {"entity": "door"}
+    eid = graph.add_env_node("entity", env_payload)
+    encoded = graph.canonical_bytes()
+    payload["steps"].append(3)
+    env_payload["entity"] = "wall"
+    assert graph.experience[nid].payload == {"question": "q", "steps": [1, 2]}
+    assert graph.env_nodes[eid].payload == {"entity": "door"}
+    assert graph.canonical_bytes() == encoded == canonical_bytes_reference(graph)
+
+
+def check_run_against_reference(tmp_path, config, env_name):
+    store = init_run(tmp_path / "run", config, env_name)
+    engine = bootstrap_run(store)
+    boundaries = []
+
+    def check(report):
+        assert engine.graph.canonical_bytes() == canonical_bytes_reference(engine.graph)
+        boundaries.append(report.iteration)
+
+    run_training(store, engine=engine, on_iteration=check)
+    assert boundaries == list(range(config.iterations))
+
+    def check_replayed(graph, it):
+        assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+
+    KnowledgeGraph.replay(
+        RunStore(store.root).read_events(),
+        snapshot_history_limit=config.snapshot_history_limit,
+        on_iteration=check_replayed,
+    )
+    loaded = load_engine(RunStore(store.root)).graph
+    final = store.snapshot_path(config.iterations - 1).read_bytes()
+    assert loaded.canonical_bytes() == canonical_bytes_reference(loaded) == final
+
+
+def test_static_qa_run_and_its_replay_match_reference(tmp_path):
+    config = EngineConfig(iterations=4, pool_size=40, seed=2, snapshot_history_limit=2)
+    check_run_against_reference(tmp_path, config, "static_qa")
+
+
+def test_sequential_run_and_its_replay_match_reference(tmp_path):
+    check_run_against_reference(tmp_path, EngineConfig(iterations=6, seed=2), "sequential")

@@ -162,6 +162,54 @@ def test_uncommitted_event_tail_is_truncated_on_load(tmp_path):
     assert "ghost" not in {s.name for s in engine.graph.skills.values()}
 
 
+def test_uncommitted_records_out_of_order_are_refused_untouched(tmp_path):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=3)
+    seq = list(store.read_events())[-1]["seq"]
+    # committed iters end at 2; an uncommitted 5 followed by a stray 1
+    for offset, it in ((1, 5), (2, 1)):
+        append_event(run_dir, {
+            "seq": seq + offset,
+            "iter": it,
+            "op": "prune",
+            "payload": {"threshold": None, "removed_ids": []},
+        })
+    tampered = read_bytes(run_dir, "events.log")
+    with pytest.raises(IntegrityError, match=f"iter goes backwards at seq {seq + 2}: 1 after 5"):
+        load_engine(RunStore(run_dir))
+    assert read_bytes(run_dir, "events.log") == tampered
+
+
+def test_event_record_without_iter_is_refused_untouched(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    seq = list(store.read_events())[-1]["seq"]
+    append_event(run_dir, {"seq": seq + 1, "op": "prune", "payload": {}})
+    tampered = read_bytes(run_dir, "events.log")
+    with pytest.raises(IntegrityError, match="malformed event record"):
+        load_engine(RunStore(run_dir))
+    assert main(["run", str(run_dir), "--resume", "--iterations", "3"]) == 2
+    assert "malformed event record" in capsys.readouterr().err
+    assert read_bytes(run_dir, "events.log") == tampered
+
+
+def test_contiguous_uncommitted_tail_over_several_iters_is_truncated(tmp_path):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=3)
+    original = read_bytes(run_dir, "events.log")
+    seq = list(store.read_events())[-1]["seq"]
+    for offset, it in ((1, 3), (2, 3), (3, 4)):
+        append_event(run_dir, {
+            "seq": seq + offset,
+            "iter": it,
+            "op": "prune",
+            "payload": {"threshold": None, "removed_ids": []},
+        })
+    engine = load_engine(RunStore(run_dir))
+    assert read_bytes(run_dir, "events.log") == original
+    assert engine.graph.last_seq == seq
+
+
 def test_missing_boundary_snapshot_is_rebuilt(tmp_path):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=3)
@@ -282,6 +330,19 @@ def test_tampered_boundary_snapshot_fails_replay_check(tmp_path):
         # replay goes on past the divergence, so the bandit recount is still judged
         assert by_name["bandit_consistency"].passed
         snap_path.write_bytes(original)
+
+
+def test_boundary_snapshot_that_is_not_json_fails_replay_check(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    store.snapshot_path(0).write_text("{not json")
+    result = audit_run(RunStore(run_dir))
+    by_name = {c.name: c for c in result.checks}
+    assert by_name["log_replay"].detail == "boundary snapshot 0 diverges from replay"
+    assert not by_name["log_replay"].passed
+    assert by_name["bandit_consistency"].passed
+    assert main(["audit", str(run_dir)]) == 2
+    assert "[FAIL] log_replay: boundary snapshot 0 diverges from replay" in capsys.readouterr().out
 
 
 def test_audit_replays_once_and_reads_each_snapshot_once(tmp_path, monkeypatch):
