@@ -19,6 +19,9 @@ model server:
     tool notes from structured metadata.
   * judge: exact string match per item.
   * embedder: seeded hash projection of token bags into a fixed dimension.
+    A vector is a pure function of (seed, dimension, text), so the embedder
+    memoizes it by text and hands out the one read-only array each time;
+    ``calls`` still counts every request, memo hits included.
 
 The HTTP backend speaks a minimal chat wire protocol: POST
 ``{"model", "messages", "temperature", "max_tokens"}`` and read
@@ -249,6 +252,7 @@ class HashEmbedder:
         self.seed = seed
         self.calls = 0
         self._token_cache: dict[str, np.ndarray] = {}
+        self._memo: dict[str, np.ndarray] = {}
 
     def _token_vector(self, token: str) -> np.ndarray:
         cached = self._token_cache.get(token)
@@ -260,6 +264,9 @@ class HashEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         self.calls += 1
+        cached = self._memo.get(text)
+        if cached is not None:
+            return cached
         tokens = [t for t in text.lower().split() if t] or ["<empty>"]
         acc = np.zeros(self.dimension)
         for tok in tokens:
@@ -268,7 +275,11 @@ class HashEmbedder:
         if norm == 0.0:
             acc[0] = 1.0
             norm = 1.0
-        return acc / norm
+        vector = acc / norm
+        # shared by every caller of this text, so no caller may write into it
+        vector.flags.writeable = False
+        self._memo[text] = vector
+        return vector
 
 
 class HttpBackend(Backend):

@@ -29,6 +29,13 @@ Guidance-tier agents (skill_discovery, navigator, critic, curator) never
 run during inference: ``eval_run`` freezes the graph, selects bandit arms
 by posterior mean, scores answers against environment gold directly, and
 leaves the graph hash unchanged.
+
+An answering pass (training EVALUATE, the re-measure pass, frozen eval)
+reads a graph that does not change under it: EVALUATE queues its writes
+and frozen eval freezes the graph. So the cascade context of a question
+(skill lattice, principle notes, action recipe) is computed once per
+(task type, skill) and graph version, the graph's ``last_seq``, which
+every write advances.
 """
 
 from __future__ import annotations
@@ -213,7 +220,8 @@ class QuestionResult:
     bundle_failure: int
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        # shallow, as IterationReport.to_dict: every field is a scalar
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -270,7 +278,8 @@ class Engine:
         self.prev_accuracy: float | None = None
         self.prev_boundary_snapshot: int | None = None
         self.selected_ever: set[int] = set()
-        self._qvec_cache: dict[str, Any] = {}
+        # (graph version, {(task type id, skill id): (lattice, notes)})
+        self._cascade_memo: tuple[int, dict] = (-1, {})
 
     # ------------------------------------------------------------------
     # phase 0
@@ -324,13 +333,6 @@ class Engine:
     def _call_execution(self, agent: str, phase: str, prompt: str, meta: dict, temperature: float) -> str:
         self.backends.tracker.record(phase, agent, self.backends.execution.role)
         return self.backends.execution.complete(prompt, meta=meta, temperature=temperature)
-
-    def _embed(self, text: str):
-        cached = self._qvec_cache.get(text)
-        if cached is None:
-            cached = self.backends.embedder.embed(text)
-            self._qvec_cache[text] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # one full iteration
@@ -483,7 +485,7 @@ class Engine:
             recipe = latest_action_recipe(self.graph, skill.id)
             # the recipe's final action is the one that fired the unlock
             guidance_notes = [f"next-action {recipe[-1]}"] if recipe else []
-            qvec = self._embed(f"achieve {target}")
+            qvec = self.backends.embedder.embed(f"achieve {target}")
             bundle = self.index.retrieve_bundle(
                 qvec,
                 tt.id,
@@ -592,11 +594,10 @@ class Engine:
         """
         skill = self.graph.skills[skill_id]
         lattice = None
-        notes: list[str] = []
+        notes: tuple[str, ...] = ()
         if retrieval:
-            qvec = self._embed(q.text)
             bundle = self.index.retrieve_bundle(
-                qvec,
+                self.backends.embedder.embed(q.text),
                 tt_id,
                 context_length=len(q.context),
                 k=self.config.retrieval_top_k,
@@ -604,12 +605,7 @@ class Engine:
                 scorer=self._oracle_scorer(q.text),
             )
             if search_arm == "cascade":
-                lattice = render_skill_lattice(self.graph, tt_id) or None
-                for pid in cascade_principles(self.graph, skill_id)[:GUIDANCE_NOTE_CAP]:
-                    notes.append(self.graph.experience[pid].payload.get("text", ""))
-                recipe = latest_action_recipe(self.graph, skill_id)
-                if recipe:
-                    notes.append("recipe: " + " -> ".join(recipe))
+                lattice, notes = self._cascade_context(tt_id, skill_id)
         else:
             bundle = memory.MemoryBundle(allocation=(0, 0))
         prompt = format_bundle(
@@ -624,6 +620,30 @@ class Engine:
         )
         raw = self._call_execution("learner", phase, prompt, {"question_id": q.qid}, temperature)
         return raw, extract_answer(raw), len(bundle.success), len(bundle.failure)
+
+    def _cascade_context(self, tt_id: int, skill_id: int) -> tuple[str | None, tuple[str, ...]]:
+        """Skill lattice and guidance notes of a cascade prompt.
+
+        Memoized per (task type, skill) while the graph version stands; the
+        memo is swapped whole, so worker threads of one pass share it safely.
+        """
+        version = self.graph.last_seq
+        memo_version, memo = self._cascade_memo
+        if memo_version != version:
+            memo = {}
+            self._cascade_memo = (version, memo)
+        context = memo.get((tt_id, skill_id))
+        if context is None:
+            lattice = render_skill_lattice(self.graph, tt_id) or None
+            notes = [
+                self.graph.experience[pid].payload.get("text", "")
+                for pid in cascade_principles(self.graph, skill_id)[:GUIDANCE_NOTE_CAP]
+            ]
+            recipe = latest_action_recipe(self.graph, skill_id)
+            if recipe:
+                notes.append("recipe: " + " -> ".join(recipe))
+            context = memo[(tt_id, skill_id)] = (lattice, tuple(notes))
+        return context
 
     def _pool_size_cap(self, pool):
         return pool[: self.config.pool_size]
@@ -1045,17 +1065,21 @@ class Engine:
         pool = (
             self.env.heldout_pool() if pool_name == "held_out" else self.env.evolution_pool()
         )
-        correct = 0
-        for q in pool:
-            tt = self.graph.task_type_by_name(q.task_type)
+        # the frozen graph fixes one route per task type for the whole pass
+        routes: dict[str, tuple[int, int, str]] = {}
+        for name in sorted({q.task_type for q in pool}):
+            tt = self.graph.task_type_by_name(name)
             search_arm = bandits.exploit_arm(self.graph.bandits[f"search/{tt.id}"])
             skill_id = tt.resolver_skill_id
             if search_arm == "cascade":
                 skill_id = curriculum_override(
                     self.graph, skill_id, self.config.mastery_threshold
                 )
+            routes[name] = (tt.id, skill_id, search_arm)
+        correct = 0
+        for q in pool:
             _raw, predicted, _ns, _nf = self._answer_question(
-                q, tt.id, skill_id, search_arm, phase="infer", retrieval=retrieval
+                q, *routes[q.task_type], phase="infer", retrieval=retrieval
             )
             if predicted.strip() == q.answer.strip():
                 correct += 1

@@ -864,17 +864,22 @@ class _FragmentCache:
 
     A fragment is ``"<id>":{...}`` exactly as ``json.dumps(sort_keys=True)``
     writes that member inside its section. It is encoded on first use and
-    must be discarded whenever the record under its id leaves or is replaced.
+    must be discarded whenever the record under its id leaves or is replaced,
+    or arrives: the joined section is kept until the next discard.
     """
 
     def __init__(self, to_plain: Callable[[Any], Any]):
         self._to_plain = to_plain
         self._fragments: dict[int, bytes] = {}
+        self._section: bytes | None = None
 
     def discard(self, record_id: int) -> None:
         self._fragments.pop(record_id, None)
+        self._section = None
 
     def section(self, records: dict[int, Any]) -> bytes:
+        if self._section is not None:
+            return self._section
         fragments = self._fragments
         members = []
         # sort_keys orders the members by their string keys
@@ -884,7 +889,8 @@ class _FragmentCache:
                 fragment = _dumps({str(rid): self._to_plain(records[rid])})[1:-1]
                 fragments[rid] = fragment
             members.append(fragment)
-        return b"{" + b",".join(members) + b"}"
+        self._section = b"{" + b",".join(members) + b"}"
+        return self._section
 
 
 def _check_unit_interval(name: str, value: float) -> None:

@@ -213,6 +213,17 @@ def test_embedder_counts_calls_and_handles_empty():
     assert e.calls == 2
 
 
+def test_embedder_memo_hands_out_one_read_only_vector():
+    e = HashEmbedder(dimension=64, seed=3)
+    first = e.embed("memoized text")
+    again = e.embed("memoized text")
+    assert again is first
+    assert np.array_equal(first, HashEmbedder(dimension=64, seed=3).embed("memoized text"))
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    assert e.calls == 2
+
+
 def test_embedder_seed_changes_projection():
     a = HashEmbedder(dimension=64, seed=0).embed("same text")
     b = HashEmbedder(dimension=64, seed=1).embed("same text")
@@ -280,6 +291,7 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def test_http_backend_round_trip(stub_server):

@@ -1,5 +1,8 @@
 """Engine loop: config, rotation, delta guard, rollback, frozen inference."""
 
+import dataclasses
+import sys
+
 import pytest
 
 from evoloop import (
@@ -12,6 +15,7 @@ from evoloop import (
     make_env,
     rotation_action,
 )
+from evoloop import engine as engine_module
 from evoloop.engine import build_simulated_engine
 
 
@@ -299,11 +303,73 @@ def test_eval_on_training_pool_uses_harvested_exemplars():
 
 def test_eval_workers_do_not_change_results():
     serial = make_engine(pool_size=30)
-    threaded = make_engine(pool_size=30, eval_workers=4)
-    for k in range(2):
-        a = serial.run_iteration(k).to_dict()
-        b = threaded.run_iteration(k).to_dict()
-        assert a == b
+    # more workers than cores and a short switch interval, so threads of
+    # one pass interleave inside the shared embedding and cascade memos;
+    # iterations 1 and 3 answer on cascade arms
+    threaded = make_engine(pool_size=30, eval_workers=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(4):
+            a = serial.run_iteration(k).to_dict()
+            b = threaded.run_iteration(k).to_dict()
+            assert a == b
+            assert serial.graph.canonical_bytes() == threaded.graph.canonical_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cascade_context_is_computed_once_per_pair_in_a_pass(monkeypatch):
+    engine = make_engine(pool_size=30)
+    engine.run_iteration(0)
+    calls = {"lattice": [], "principles": []}
+
+    def counting(name, fn):
+        def wrapper(graph, node_id):
+            calls[name].append(node_id)
+            return fn(graph, node_id)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        engine_module, "render_skill_lattice", counting("lattice", engine_module.render_skill_lattice)
+    )
+    monkeypatch.setattr(
+        engine_module, "cascade_principles", counting("principles", engine_module.cascade_principles)
+    )
+    evaluation = engine._evaluate_static(1)
+    pairs = [(r.task_type_id, r.skill_id) for r in evaluation["results"] if r.search_arm == "cascade"]
+    assert len(pairs) > len(set(pairs)) > 0
+    assert sorted(calls["lattice"]) == sorted(tt for tt, _ in set(pairs))
+    assert sorted(calls["principles"]) == sorted(skill for _, skill in set(pairs))
+
+
+def test_cascade_context_follows_a_graph_write():
+    engine = make_engine(pool_size=12)
+    prompts = []
+    complete = engine.backends.execution.complete
+
+    def capture(prompt, meta=None, temperature=0.0):
+        prompts.append(prompt)
+        return complete(prompt, meta=meta, temperature=temperature)
+
+    engine.backends.execution.complete = capture
+    q = engine.env.evolution_pool()[0]
+    tt = engine.graph.task_type_by_name(q.task_type)
+    skill = engine.graph.skills[tt.resolver_skill_id]
+    for _ in range(2):
+        engine._answer_question(q, tt.id, skill.id, "cascade")
+    engine.graph.set_mastery(skill.id, 0.75)
+    engine._answer_question(q, tt.id, skill.id, "cascade")
+    assert prompts[0] == prompts[1]
+    assert f"- {skill.name} (mastery 0.00)" in prompts[1]
+    assert f"- {skill.name} (mastery 0.75)" in prompts[2]
+
+
+def test_question_result_dict_equals_asdict():
+    engine = make_engine(pool_size=12)
+    result = engine._evaluate_static(0)["results"][0]
+    assert result.to_dict() == dataclasses.asdict(result)
 
 
 def test_oracle_retrieval_accuracy_never_drops():
