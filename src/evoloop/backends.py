@@ -1,10 +1,10 @@
 """Model backends behind one call interface, plus call accounting.
 
 Every backend exposes ``complete(prompt, meta, temperature) -> str``. The
-engine tags each call with the agent making it and the phase it runs in;
-the tracker counts every attempt (retries included) so audits can separate
-guidance-tier from execution-tier traffic. Embedder calls are tracked but
-excluded from audit fractions.
+engine tags each call with the agent making it and the phase it runs in,
+and records one tracker call per ``complete`` or ``act``, so audits can
+separate guidance-tier from execution-tier traffic. Embedder calls are
+tracked but excluded from audit fractions.
 
 The simulated backends make the whole engine deterministic without any
 model server:
@@ -25,8 +25,9 @@ model server:
 
 The HTTP backend speaks a minimal chat wire protocol: POST
 ``{"model", "messages", "temperature", "max_tokens"}`` and read
-``{"text": ...}`` back. It retries twice with backoff and counts every
-attempt.
+``{"text": ...}`` back. It retries twice with backoff and leaves the
+attempt count of its last call in ``last_attempts``. Nothing reads that yet,
+so a retried HTTP call still counts once in the tracker (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 import requests
@@ -285,8 +286,8 @@ class HashEmbedder:
 class HttpBackend(Backend):
     """Chat-completion wire client with bounded retries.
 
-    Every attempt counts as a call; the caller's tracker receives the
-    attempt count through ``last_attempts`` after each ``complete``.
+    ``last_attempts`` holds the attempt count of the last ``complete``. The
+    engine does not read it, so its tracker counts a retried call once.
     """
 
     def __init__(
@@ -348,6 +349,3 @@ def simulated_backend_set(
         judge=SimulatedJudgeBackend(),
         embedder=HashEmbedder(dimension=EMBED_DIMENSION, seed=seed),
     )
-
-
-EmbedFn = Callable[[str], np.ndarray]

@@ -5,7 +5,10 @@ One iteration runs five phases against a frozen model tier:
   PLAN      curriculum frontier, refined by one navigator call that may
             only reorder or subset it
   EXPLORE   sequential environments only: one episode, writing observation
-            nodes, abstracted patterns, and trailing-action recipes
+            nodes, abstracted patterns, and trailing-action recipes; each
+            step asks the explorer through ``_explorer_step``, the one
+            sequential prompt path, which frozen eval shares without
+            retrieval
   EVALUATE  the learner answers the evolution pool with retrieved bundles;
             the critic judges one batch per task type; every graph or
             bandit write this phase produces is queued
@@ -40,7 +43,6 @@ every write advances.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Sequence
@@ -289,7 +291,7 @@ class Engine:
         if self.graph.skills or self.graph.task_types:
             raise ValidationError("bootstrap requires an empty graph")
         self.graph.current_iter = -1
-        self._call_guidance("skill_discovery", "bootstrap", {"kind": "ontology"}, prompt="ontology")
+        self._call_guidance("skill_discovery", {"kind": "ontology"}, prompt="ontology")
         skill_ids: dict[str, int] = {}
         for name, _prereqs in self.env.SKILLS:
             skill_ids[name] = self.graph.add_skill(name)
@@ -321,7 +323,7 @@ class Engine:
     # ------------------------------------------------------------------
     # backend call helpers (every call is tracked with agent and phase)
 
-    def _call_guidance(self, agent: str, phase_tag: str, meta: dict, prompt: str) -> str:
+    def _call_guidance(self, agent: str, meta: dict, prompt: str) -> str:
         self.backends.tracker.record("train", agent, self.backends.guidance.role)
         return self.backends.guidance.complete(prompt, meta=meta, temperature=0.0)
 
@@ -445,7 +447,6 @@ class Engine:
         )
         reply = self._call_guidance(
             "navigator",
-            "plan",
             {
                 "kind": "navigator",
                 "frontier": frontier,
@@ -480,32 +481,7 @@ class Engine:
             target = env.intended_action(state)
             if target is None:
                 break
-            tt = self.graph.task_type_by_name(target)
-            skill = self.graph.skill_by_name(env.RESOLVER[target])
-            recipe = latest_action_recipe(self.graph, skill.id)
-            # the recipe's final action is the one that fired the unlock
-            guidance_notes = [f"next-action {recipe[-1]}"] if recipe else []
-            qvec = self.backends.embedder.embed(f"achieve {target}")
-            bundle = self.index.retrieve_bundle(
-                qvec,
-                tt.id,
-                context_length=0,
-                k=self.config.retrieval_top_k,
-                long_context_threshold=self.config.long_context_threshold,
-            )
-            prompt = format_bundle(
-                bundle,
-                f"achieve {target}",
-                context=f"unlocked: {', '.join(state.unlocked) or 'none'}",
-                guidance=guidance_notes,
-            )
-            self.backends.tracker.record("train", "explorer", self.backends.execution.role)
-            action = self.backends.execution.act(
-                prompt,
-                meta={"state_id": state.state_id, "intended_action": target},
-                actions=env.actions(),
-            )
-            unlocked = env.step(state, action)
+            unlocked = env.step(state, self._explorer_step(state, target, "train"))
             if unlocked is not None:
                 unlock_steps[unlocked] = state.step
                 record_action_recipe(
@@ -523,6 +499,40 @@ class Engine:
             confidence=len(state.unlocked) / len(env.ACHIEVEMENTS),
         )
         return {"state": state, "unlock_steps": unlock_steps}
+
+    def _explorer_step(self, state, target: str, phase: str) -> str:
+        """Assemble the explorer prompt for one episode step and ask for an action.
+
+        EXPLORE ("train") and frozen eval ("infer") share this path; only
+        training retrieves an exemplar bundle for the step's task type.
+        """
+        skill = self.graph.skill_by_name(self.env.RESOLVER[target])
+        recipe = latest_action_recipe(self.graph, skill.id)
+        # the recipe's final action is the one that fired the unlock
+        notes = [f"next-action {recipe[-1]}"] if recipe else []
+        goal = f"achieve {target}"
+        if phase == "train":
+            bundle = self.index.retrieve_bundle(
+                self.backends.embedder.embed(goal),
+                self.graph.task_type_by_name(target).id,
+                context_length=0,
+                k=self.config.retrieval_top_k,
+                long_context_threshold=self.config.long_context_threshold,
+            )
+        else:
+            bundle = memory.MemoryBundle(allocation=(0, 0))
+        prompt = format_bundle(
+            bundle,
+            goal,
+            context=f"unlocked: {', '.join(state.unlocked) or 'none'}",
+            guidance=notes,
+        )
+        self.backends.tracker.record(phase, "explorer", self.backends.execution.role)
+        return self.backends.execution.act(
+            prompt,
+            meta={"state_id": state.state_id, "intended_action": target},
+            actions=self.env.actions(),
+        )
 
     # ------------------------------------------------------------------
     # EVALUATE
@@ -763,29 +773,21 @@ class Engine:
         raw_by_qid = evaluation.get("raw_by_qid", {})
         for result in evaluation["results"]:
             q = pool_by_qid.get(result.qid)
-            if result.reward == 1 and q is not None:
-                payload = SuccessPayload(
-                    question=q.text,
-                    reasoning_trace=raw_by_qid.get(result.qid) or self._trace_for(q),
-                    answer=q.answer,
-                    decomposition=[tuple(step) for step in q.decomposition],
-                )
-                harvest_success(
-                    self.graph,
-                    self.index,
-                    self.backends.embedder.embed,
-                    result.task_type_id,
-                    result.skill_id,
-                    payload,
-                    trace_char_cap=self.config.trace_char_cap,
-                )
-            elif result.reward == 1:
-                # sequential achievements: short synthetic exemplar
-                payload = SuccessPayload(
-                    question=result.qid.replace("ach-", "achieve "),
-                    reasoning_trace="followed the unlocked action chain",
-                    answer="unlocked",
-                )
+            if result.reward == 1:
+                if q is not None:
+                    payload = SuccessPayload(
+                        question=q.text,
+                        reasoning_trace=raw_by_qid.get(result.qid) or self._trace_for(q),
+                        answer=q.answer,
+                        decomposition=[tuple(step) for step in q.decomposition],
+                    )
+                else:
+                    # sequential achievements: short synthetic exemplar
+                    payload = SuccessPayload(
+                        question=result.qid.replace("ach-", "achieve "),
+                        reasoning_trace="followed the unlocked action chain",
+                        answer="unlocked",
+                    )
                 harvest_success(
                     self.graph,
                     self.index,
@@ -888,7 +890,6 @@ class Engine:
             if errors:
                 correction = self._call_guidance(
                     "skill_discovery",
-                    "evolve",
                     {
                         "kind": "correction",
                         "task_type": tt.name,
@@ -917,7 +918,6 @@ class Engine:
                     appended["failure_memory"].append(nid)
                 strategy_text = self._call_guidance(
                     "skill_discovery",
-                    "evolve",
                     {"kind": "type_strategy", "task_type": tt.name, "skill": skill_name},
                     prompt="write type strategy",
                 )
@@ -958,7 +958,6 @@ class Engine:
         if action == "principle_extraction":
             text = self._call_guidance(
                 "skill_discovery",
-                "evolve",
                 {"kind": "principle", "task_type": tt.name, "skill": skill_name},
                 prompt="extract principle",
             )
@@ -973,7 +972,6 @@ class Engine:
         elif action == "prompt_refinement":
             template = self._call_guidance(
                 "skill_discovery",
-                "evolve",
                 {"kind": "prompt_refinement", "task_type": tt.name},
                 prompt="refine prompt",
             )
@@ -981,7 +979,6 @@ class Engine:
         elif action == "tool_authoring":
             tool = self._call_guidance(
                 "skill_discovery",
-                "evolve",
                 {"kind": "tool", "task_type": tt.name},
                 prompt="author tool",
             )
@@ -995,7 +992,6 @@ class Engine:
         elif action == "skill_splitting":
             name = self._call_guidance(
                 "skill_discovery",
-                "evolve",
                 {"kind": "skill_split", "task_type": tt.name, "skill": skill_name},
                 prompt="split skill",
             )
@@ -1092,22 +1088,7 @@ class Engine:
             target = env.intended_action(state)
             if target is None:
                 break
-            skill = self.graph.skill_by_name(env.RESOLVER[target])
-            recipe = latest_action_recipe(self.graph, skill.id)
-            notes = [f"next-action {recipe[-1]}"] if recipe else []
-            prompt = format_bundle(
-                memory.MemoryBundle(allocation=(0, 0)),
-                f"achieve {target}",
-                context=f"unlocked: {', '.join(state.unlocked) or 'none'}",
-                guidance=notes,
-            )
-            self.backends.tracker.record("infer", "explorer", self.backends.execution.role)
-            action = self.backends.execution.act(
-                prompt,
-                meta={"state_id": state.state_id, "intended_action": target},
-                actions=env.actions(),
-            )
-            env.step(state, action)
+            env.step(state, self._explorer_step(state, target, "infer"))
         return len(state.unlocked) / len(env.ACHIEVEMENTS), len(env.ACHIEVEMENTS)
 
 
@@ -1128,7 +1109,8 @@ def call_audit(
     """Guidance-call accounting over a run record.
 
     Guidance fraction counts calls made by the guidance roster agents over
-    all non-embedder calls; retries are already folded into the counts.
+    all non-embedder calls. The engine records one call per backend request,
+    so the retries of an HTTP backend are not in the counts (ROADMAP item 5).
     """
     train_guidance = 0
     train_total = 0
@@ -1178,6 +1160,3 @@ def build_simulated_engine(
     )
     return Engine(graph, index, backend_set, config, env)
 
-
-def config_to_json(config: EngineConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"

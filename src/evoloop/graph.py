@@ -20,8 +20,8 @@ timestamps.
 Snapshots capture only the mutable slots (masteries, prompt templates,
 strategies, task counters, bandit states). Rolling back restores those slots
 and nothing else, so protected nodes appended after a snapshot always
-survive a rollback. At most ``snapshot_limit`` snapshots are retained,
-oldest dropped first.
+survive a rollback. At most ``snapshot_history_limit`` snapshots are
+retained, oldest dropped first.
 
 Experience nodes, environment nodes and in-graph snapshot records never
 change once applied. Their payloads are frozen at commit: the writer copies
@@ -313,11 +313,6 @@ class KnowledgeGraph:
             stack.extend(b for (a, b) in self._prereq_edges if a == cur)
         return False
 
-    def prerequisites_of(self, skill_id: int) -> set[int]:
-        with self._lock:
-            self._require_skill(skill_id)
-            return {a for (a, b) in self._prereq_edges if b == skill_id}
-
     def prereq_edges(self) -> set[tuple[int, int]]:
         with self._lock:
             return set(self._prereq_edges)
@@ -436,11 +431,7 @@ class KnowledgeGraph:
 
     def protected_counts(self) -> dict[str, int]:
         with self._lock:
-            counts = {outcome: 0 for outcome in sorted(PROTECTED_OUTCOMES)}
-            for node in self.experience.values():
-                if node.outcome in counts:
-                    counts[node.outcome] += 1
-            return counts
+            return self._counts_unlocked()
 
     # ------------------------------------------------------------------
     # environment subgraph
@@ -480,13 +471,6 @@ class KnowledgeGraph:
                 },
             )
 
-    def bandit_state(self, context_id: str) -> BanditSlot:
-        with self._lock:
-            slot = self.bandits.get(context_id)
-            if slot is None:
-                raise NotFoundError(f"bandit context {context_id!r} not found")
-            return BanditSlot.from_dict(slot.to_dict())
-
     def bandit_record_draw(self, context_id: str, arm_id: str) -> None:
         with self._lock:
             slot = self.bandits.get(context_id)
@@ -524,13 +508,6 @@ class KnowledgeGraph:
             if snapshot_id not in self._snapshots:
                 raise NotFoundError(f"snapshot {snapshot_id} not found")
             self._commit("rollback", {"snapshot_id": snapshot_id})
-
-    def snapshot_record(self, snapshot_id: int) -> dict[str, Any]:
-        with self._lock:
-            rec = self._snapshots.get(snapshot_id)
-            if rec is None:
-                raise NotFoundError(f"snapshot {snapshot_id} not found")
-            return copy.deepcopy(rec)
 
     def snapshot_ids(self) -> list[int]:
         with self._lock:

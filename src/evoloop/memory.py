@@ -213,17 +213,6 @@ class MemoryIndex:
     def __len__(self) -> int:
         return len(self._indexed)
 
-    def _count(self, outcome: str) -> int:
-        return sum(len(b.entries) for (o, _), b in self._blocks.items() if o == outcome)
-
-    @property
-    def success_count(self) -> int:
-        return self._count("success_memory")
-
-    @property
-    def failure_count(self) -> int:
-        return self._count("failure_memory")
-
     def index_memory(self, node_id: int, task_type_id: int | None, vector: np.ndarray) -> None:
         """Add one protected exemplar to its store by outcome.
 

@@ -16,7 +16,6 @@ finished run is byte-identical to an uninterrupted one.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
@@ -62,16 +61,9 @@ def _truncate_uncommitted(store: RunStore, last_committed: int) -> list[dict[str
             f"event iter goes backwards at seq {events[back].get('seq')}: "
             f"{iters[back]} after {iters[back - 1]}"
         )
-    keep = events[:cut]
-    if len(keep) != len(events):
-        path = store.root / "events.log"
-        path.write_text(
-            "".join(
-                json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-                for e in keep
-            )
-        )
-    return keep
+    if cut != len(events):
+        store.truncate_events(cut)
+    return events[:cut]
 
 
 def load_engine(store: RunStore) -> Engine:
@@ -116,24 +108,11 @@ def load_engine(store: RunStore) -> Engine:
 
 
 def bootstrap_run(store: RunStore) -> Engine:
-    """First load of a fresh run: seed the graph and flush the bootstrap."""
-    config = EngineConfig.from_dict(store.load_config())
-    meta = store.load_meta()
-    env = make_env(meta["env"], seed=config.seed, pool_size=config.pool_size)
-    graph = KnowledgeGraph(
-        event_sink=store.event_sink,
-        principles_per_skill_cap=config.principles_per_skill_cap,
-        skill_growth_cap=config.skill_growth_cap,
-        snapshot_history_limit=config.snapshot_history_limit,
-    )
-    backends = simulated_backend_set(env.answer_key(), seed=config.seed)
-    index = rebuild_index(
-        graph,
-        backends.embedder.dimension,
-        backends.embedder.embed,
-        config.type_strategy_min_similarity,
-    )
-    engine = Engine(graph, index, backends, config, env)
+    """First load of a fresh run: seed the graph and flush the bootstrap.
+
+    Loading a run with an empty log gives the empty graph, index and engine.
+    """
+    engine = load_engine(store)
     engine.bootstrap()
     store.flush_events()
     return engine

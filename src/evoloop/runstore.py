@@ -87,8 +87,22 @@ class RunStore:
         self._pending_events.clear()
         return n
 
-    def discard_pending(self) -> None:
-        self._pending_events.clear()
+    def truncate_events(self, keep: int) -> None:
+        """Cut events.log after its first ``keep`` records, then fsync.
+
+        The file is truncated in place at the byte offset where record
+        ``keep`` starts, so the kept lines keep their bytes.
+        """
+        offset = 0
+        with open(self.root / EVENTS_NAME, "r+b") as fh:
+            for line in fh:
+                if line.strip():
+                    if keep == 0:
+                        break
+                    keep -= 1
+                offset += len(line)
+            fh.truncate(offset)
+            os.fsync(fh.fileno())
 
     def read_events(self) -> Iterator[dict[str, Any]]:
         path = self.root / EVENTS_NAME

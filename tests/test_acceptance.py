@@ -564,7 +564,7 @@ def test_criterion_10_delta_guard_rolls_back_exactly():
     engine = _bootstrapped_engine()
     for k in range(3):
         engine.run_iteration(k)
-    snap_state = engine.graph.snapshot_record(engine.prev_boundary_snapshot)[
+    snap_state = engine.graph.state_dict()["snapshots"][str(engine.prev_boundary_snapshot)][
         "mutable_state"
     ]
     pre_counts = engine.graph.protected_counts()

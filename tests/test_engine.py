@@ -210,7 +210,7 @@ def test_forced_drop_rolls_back_mutable_state_exactly():
     for k in range(3):
         engine.run_iteration(k)
     boundary = engine.prev_boundary_snapshot
-    snap_state = engine.graph.snapshot_record(boundary)["mutable_state"]
+    snap_state = engine.graph.state_dict()["snapshots"][str(boundary)]["mutable_state"]
     committed_before = engine.prev_accuracy
     selected_before = set(engine.selected_ever)
     success_before = engine.graph.protected_counts()["success_memory"]
@@ -277,6 +277,40 @@ def test_eval_run_leaves_graph_untouched_and_calls_no_guidance():
         assert phase == "infer"
         assert agent == "learner"
         assert role == "execution"
+
+
+def _counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_explorer_step_retrieves_in_training_only(monkeypatch):
+    engine = make_engine(env_name="sequential", pool_size=10)
+    for k in range(2):
+        engine.run_iteration(k)
+    retrievals, actions = [], []
+    monkeypatch.setattr(
+        engine.index, "retrieve_bundle", _counting(retrievals, engine.index.retrieve_bundle)
+    )
+    monkeypatch.setattr(
+        engine.backends.execution, "act", _counting(actions, engine.backends.execution.act)
+    )
+    embeds_before = engine.backends.embedder.calls
+
+    record = engine.eval_run(retrieval=True)
+    assert retrievals == []
+    assert engine.backends.embedder.calls == embeds_before
+    assert record["calls"] == {"infer/explorer/execution": len(actions)}
+    assert actions
+
+    # a sequential iteration retrieves only in EXPLORE: once per episode step
+    del actions[:]
+    engine.run_iteration(2)
+    assert actions
+    assert len(retrievals) == len(actions)
 
 
 def test_eval_retrieval_never_hurts():

@@ -1,4 +1,4 @@
-"""Golden digests: two small fixed runs must keep writing the same bytes.
+"""Golden digests: three small fixed runs must keep writing the same bytes.
 
 Determinism is a hard rule for this package: for the same config, a speedup
 leaves ``events.log``, ``reports.jsonl``, the boundary snapshots and the
@@ -8,13 +8,17 @@ became incremental, the eval-record digests before the learner prompt path
 memoized its embeddings and cascade context. A change that moves one of
 them changes what a run records; it must name that behaviour change and its
 before/after numbers, and update the digests in the same commit.
+
+The third run covers what the first two skip: it stops half way and resumes
+through ``load_engine`` in a fresh ``RunStore``, re-measures after UPDATE,
+and ranks exemplars with the oracle scorer.
 """
 
 import hashlib
 
 import pytest
 
-from evoloop import EngineConfig, init_run, run_eval, run_training
+from evoloop import EngineConfig, RunStore, init_run, run_eval, run_training
 
 GOLDEN = {
     "static_qa": (
@@ -44,6 +48,32 @@ GOLDEN = {
 def test_run_files_match_golden_digests(tmp_path, env_name):
     overrides, expected = GOLDEN[env_name]
     store = init_run(tmp_path / "run", EngineConfig(**overrides), env_name)
+    run_training(store)
+    run_eval(store, retrieval=True)
+    run_eval(store, retrieval=False)
+    digests = {
+        name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
+    }
+    assert digests == expected
+
+
+RESUMED = (
+    dict(iterations=6, pool_size=60, seed=3, remeasure_after_update=True, oracle_retrieval=True),
+    {
+        "events.log": "f422cebd0a4c4e4512deecebe07c98d5b32ef79c107ec9db7dd305f7bc9f4f1b",
+        "reports.jsonl": "6d9f1be1b094d14ae769cf711d159a387c2ad92860fb149d7773158f909e6a74",
+        "snap-00005.json": "4702d6ccd217e4ec458a3235507088d4e22c54366a1f7b35bc055862cf654a99",
+        "eval-held_out-ret-00006.json": "3ba15f91a4ef287ca73278027699a740c3cf8c64fa507eb9e8cb64ce54f7fbfe",
+        "eval-held_out-noret-00006.json": "37d6be14f42ffa3d58b24f084c955e0ac3e64701995ec419ab9bf5dba67d1e8a",
+    },
+)
+
+
+def test_resumed_remeasure_oracle_run_matches_golden_digests(tmp_path):
+    overrides, expected = RESUMED
+    store = init_run(tmp_path / "run", EngineConfig(**overrides), "static_qa")
+    run_training(store, iterations=3)
+    store = RunStore(store.root)
     run_training(store)
     run_eval(store, retrieval=True)
     run_eval(store, retrieval=False)

@@ -418,7 +418,7 @@ def test_harvest_failure_kind_and_count(graph, embedder):
     )
     assert graph.experience[nid].kind == "specific"
     assert graph.protected_counts()["failure_memory"] == 1
-    assert index.failure_count == 1
+    assert len(index) == 1
 
 
 def test_rebuild_index_matches_incremental(graph, embedder):
@@ -438,7 +438,7 @@ def test_rebuild_index_matches_incremental(graph, embedder):
     a = index.retrieve_bundle(q, tt, context_length=10)
     b = rebuilt.retrieve_bundle(q, tt, context_length=10)
     assert [e.node_id for e in a.success] == [e.node_id for e in b.success]
-    assert rebuilt.success_count == 4
+    assert len(rebuilt) == 4
 
 
 def test_refresh_reembeds_everything(graph, embedder):

@@ -1,6 +1,7 @@
 """Run directories end to end: CLI verbs, resume, crash recovery, audit."""
 
 import json
+import os
 
 import pytest
 
@@ -207,6 +208,35 @@ def test_contiguous_uncommitted_tail_over_several_iters_is_truncated(tmp_path):
         })
     engine = load_engine(RunStore(run_dir))
     assert read_bytes(run_dir, "events.log") == original
+    assert engine.graph.last_seq == seq
+
+
+def test_truncation_keeps_committed_bytes_and_fsyncs(tmp_path, monkeypatch):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=3)
+    log = run_dir / "events.log"
+    # committed lines in a spacing the writer never uses: a cut that
+    # re-encodes the kept records would not give these bytes back
+    spaced = "".join(json.dumps(e, sort_keys=True) + "\n" for e in store.read_events())
+    log.write_text(spaced)
+    seq = list(store.read_events())[-1]["seq"]
+    append_event(run_dir, {
+        "seq": seq + 1,
+        "iter": 3,
+        "op": "prune",
+        "payload": {"threshold": None, "removed_ids": []},
+    })
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    engine = load_engine(RunStore(run_dir))
+    assert log.read_text() == spaced
+    assert log.stat().st_ino in synced
     assert engine.graph.last_seq == seq
 
 
