@@ -25,8 +25,10 @@ retained, oldest dropped first.
 
 Experience nodes, environment nodes and in-graph snapshot records never
 change once applied. Their payloads are frozen at commit: the writer copies
-a caller's payload once, and nothing mutates it afterwards (replay builds
-its nodes from the fresh dicts of the decoded log). So
+a caller's payload once, as the JSON tree the log records (dicts and lists
+copied, tuples turned into lists, other values shared), and nothing mutates
+it afterwards (replay builds its nodes from the fresh dicts of the decoded
+log). So
 ``canonical_bytes`` encodes each such record once, on first use, and keeps
 the fragment in a derived cache that is never serialised; a prune or a ring
 eviction drops the fragment with its record. Each call encodes only the
@@ -36,11 +38,15 @@ single ``json.dumps(sort_keys=True)`` of the whole state would write.
 
 Writes are serialized behind a single lock; readers copy under the same
 lock so they never observe a torn record.
+
+The per-outcome counts of protected nodes are kept up to date by the apply
+step (an append adds one, a prune or a replayed append that replaces a node
+under the same id subtracts one), so neither ``protected_counts`` nor the
+watermark a snapshot records scans the experience nodes.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import threading
@@ -173,6 +179,8 @@ class KnowledgeGraph:
         self.skills: dict[int, SkillNode] = {}
         self.task_types: dict[int, TaskTypeNode] = {}
         self.experience: dict[int, ExperienceNode] = {}
+        # derived, not serialised: protected experience nodes per outcome
+        self._protected = {outcome: 0 for outcome in sorted(PROTECTED_OUTCOMES)}
         # derived, not serialised: retrieval_recipe ids per skill, oldest first
         self._recipe_ids: dict[int, list[int]] = {}
         self.env_nodes: dict[int, EnvNode] = {}
@@ -390,7 +398,7 @@ class KnowledgeGraph:
                     "skill_id": skill_id,
                     "kind": kind,
                     "confidence": confidence,
-                    "payload": copy.deepcopy(payload),
+                    "payload": _json_copy(payload),
                     "created_iter": self.current_iter,
                 },
             )
@@ -431,7 +439,7 @@ class KnowledgeGraph:
 
     def protected_counts(self) -> dict[str, int]:
         with self._lock:
-            return self._counts_unlocked()
+            return dict(self._protected)
 
     # ------------------------------------------------------------------
     # environment subgraph
@@ -443,7 +451,7 @@ class KnowledgeGraph:
             nid = self.allocate_id()
             self._commit(
                 "add_env_node",
-                {"id": nid, "node_class": node_class, "payload": copy.deepcopy(payload)},
+                {"id": nid, "node_class": node_class, "payload": _json_copy(payload)},
             )
             return nid
 
@@ -573,7 +581,10 @@ class KnowledgeGraph:
             self.task_types[payload["task_type_id"]].k_last = payload["k"]
         elif op == "append_experience":
             self._claim_id(payload["id"])
-            self.experience[payload["id"]] = ExperienceNode(
+            replaced = self.experience.get(payload["id"])
+            if replaced is not None:
+                self._count_protected(replaced.outcome, -1)
+            self.experience[payload["id"]] = node = ExperienceNode(
                 id=payload["id"],
                 outcome=payload["outcome"],
                 task_type_id=payload["task_type_id"],
@@ -583,6 +594,7 @@ class KnowledgeGraph:
                 payload=payload["payload"],
                 created_iter=payload["created_iter"],
             )
+            self._count_protected(node.outcome, 1)
             self._experience_json.discard(payload["id"])
             if payload["outcome"] == "retrieval_recipe" and payload["skill_id"] is not None:
                 self._recipe_ids.setdefault(payload["skill_id"], []).append(payload["id"])
@@ -591,7 +603,10 @@ class KnowledgeGraph:
             for nid in payload["removed_ids"]:
                 node = self.experience.pop(nid, None)
                 self._experience_json.discard(nid)
-                if node is not None and nid in self._recipe_ids.get(node.skill_id, ()):
+                if node is None:
+                    continue
+                self._count_protected(node.outcome, -1)
+                if nid in self._recipe_ids.get(node.skill_id, ()):
                     self._recipe_ids[node.skill_id].remove(nid)
         elif op == "add_env_node":
             self._claim_id(payload["id"])
@@ -626,7 +641,7 @@ class KnowledgeGraph:
                 "snapshot_id": sid,
                 "iter": self.current_iter,
                 "mutable_state": self._capture_mutable_state(),
-                "protected_watermark": self._counts_unlocked(),
+                "protected_watermark": dict(self._protected),
             }
             self._snapshot_json.discard(sid)
             while len(self._snapshots) > self.snapshot_history_limit:
@@ -652,12 +667,9 @@ class KnowledgeGraph:
         else:
             raise IntegrityError(f"unknown op {op!r}")
 
-    def _counts_unlocked(self) -> dict[str, int]:
-        counts = {outcome: 0 for outcome in sorted(PROTECTED_OUTCOMES)}
-        for node in self.experience.values():
-            if node.outcome in counts:
-                counts[node.outcome] += 1
-        return counts
+    def _count_protected(self, outcome: str, step: int) -> None:
+        if outcome in self._protected:
+            self._protected[outcome] += step
 
     # ------------------------------------------------------------------
     # lookups
@@ -813,6 +825,16 @@ class KnowledgeGraph:
         if on_iteration is not None:
             on_iteration(graph, None)
         return graph
+
+
+def _json_copy(value: Any) -> Any:
+    """A copy of ``value`` as JSON holds it: dicts and lists are copied,
+    tuples become lists, and every other value is shared."""
+    if isinstance(value, dict):
+        return {key: _json_copy(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_copy(item) for item in value]
+    return value
 
 
 def _dumps(value: Any) -> bytes:

@@ -17,6 +17,13 @@ question misleads more than it helps. Ranking is a stable sort on
 (-similarity, node id), so ties break on node id ascending and retrieval
 is deterministic.
 
+Every vector the index stores or queries with is normalised through a memo
+keyed by its float64 bytes, so each distinct vector is normalised once;
+``normalize`` is a pure function of those bytes, so the rows are the same
+bits either way. ``rebuild_index`` builds each block once from the graph's
+exemplars in node id order, one array per column, and a block built that
+way grows like any other when a resumed run appends to it.
+
 ``format_bundle`` renders the byte-stable prompt contract:
 
     [SUCCESS i]   blocks with Q: / Reasoning: / A: lines
@@ -44,8 +51,9 @@ import numpy as np
 
 from .curriculum import learnable_frontier
 from .errors import NotFoundError, ValidationError
-from .graph import KnowledgeGraph
+from .graph import ExperienceNode, KnowledgeGraph
 
+EXEMPLAR_OUTCOMES = ("success_memory", "failure_memory")
 LATTICE_DEPTH_CAP = 8
 _INITIAL_ROWS = 16
 
@@ -150,6 +158,17 @@ class _Entry:
     payload: dict[str, Any]
 
 
+def _entry(node: ExperienceNode, task_type_id: int | None) -> _Entry:
+    return _Entry(
+        node_id=node.id,
+        task_type_id=task_type_id,
+        outcome=node.outcome,
+        kind=node.kind,
+        skill_id=node.skill_id,
+        payload=node.payload,
+    )
+
+
 class _Block:
     """The exemplars of one (outcome store, task type id).
 
@@ -161,11 +180,21 @@ class _Block:
 
     __slots__ = ("entries", "_vectors", "_ids", "_strategy")
 
-    def __init__(self, dimension: int):
-        self.entries: list[_Entry] = []
-        self._vectors = np.empty((_INITIAL_ROWS, dimension))
-        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
-        self._strategy = np.empty(_INITIAL_ROWS, dtype=bool)
+    def __init__(
+        self, dimension: int, entries: Sequence[_Entry] = (), rows: Sequence[np.ndarray] = ()
+    ):
+        """A block holding ``entries``, with ``rows`` as their vectors."""
+        n = len(entries)
+        # at least _INITIAL_ROWS, so growth by half always adds rows
+        capacity = max(n, _INITIAL_ROWS)
+        self.entries: list[_Entry] = list(entries)
+        self._vectors = np.empty((capacity, dimension))
+        self._ids = np.empty(capacity, dtype=np.int64)
+        self._strategy = np.empty(capacity, dtype=bool)
+        if n:
+            np.stack(rows, out=self._vectors[:n])
+            self._ids[:n] = [e.node_id for e in entries]
+            self._strategy[:n] = [e.kind == "type_strategy" for e in entries]
 
     def append(self, entry: _Entry, vector: np.ndarray) -> None:
         n = len(self.entries)
@@ -209,9 +238,53 @@ class MemoryIndex:
         self.type_strategy_min_similarity = type_strategy_min_similarity
         self._blocks: dict[tuple[str, int | None], _Block] = {}
         self._indexed: set[int] = set()
+        # normalised vector by the float64 bytes of the raw one; it holds one
+        # entry per distinct vector the index has seen
+        self._units: dict[bytes, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._indexed)
+
+    def _unit(self, vector: np.ndarray) -> np.ndarray:
+        """``normalize(vector)``, read-only, computed once per distinct vector."""
+        arr = np.asarray(vector, dtype=np.float64)
+        if arr.ndim != 1:
+            # the bytes do not record the shape; normalize rejects this one
+            return normalize(arr)
+        key = arr.tobytes()
+        unit = self._units.get(key)
+        if unit is None:
+            unit = self._units[key] = normalize(arr)
+            unit.flags.writeable = False
+        return unit
+
+    def _checked(self, vector: np.ndarray) -> np.ndarray:
+        arr = np.asarray(vector, dtype=np.float64)
+        if arr.shape != (self.dimension,):
+            raise ValidationError(
+                f"vector dimension {arr.shape} does not match index dimension {self.dimension}"
+            )
+        return arr
+
+    def _build(self, embed: Callable[[str], np.ndarray]) -> None:
+        """Index every exemplar of the graph into this empty index, one
+        array build per block: the rows, in the order, that ``index_memory``
+        called for each exemplar in node id order would give."""
+        grouped: dict[tuple[str, int | None], tuple[list[_Entry], list[np.ndarray]]] = {}
+        experience = self.graph.experience
+        for node_id in sorted(experience):
+            node = experience[node_id]
+            if node.outcome not in EXEMPLAR_OUTCOMES:
+                continue
+            key = (node.outcome, node.task_type_id)
+            group = grouped.get(key)
+            if group is None:
+                group = grouped[key] = ([], [])
+            group[0].append(_entry(node, node.task_type_id))
+            group[1].append(self._unit(self._checked(embed(node.payload.get("question", "")))))
+        for key, (entries, rows) in grouped.items():
+            self._blocks[key] = _Block(self.dimension, entries, rows)
+            self._indexed.update(e.node_id for e in entries)
 
     def index_memory(self, node_id: int, task_type_id: int | None, vector: np.ndarray) -> None:
         """Add one protected exemplar to its store by outcome.
@@ -221,30 +294,18 @@ class MemoryIndex:
         recipes through the cascade helpers.
         """
         node = self.graph.experience_node(node_id)
-        if node.outcome not in ("success_memory", "failure_memory"):
+        if node.outcome not in EXEMPLAR_OUTCOMES:
             raise ValidationError(
                 f"outcome {node.outcome!r} is not exemplar-retrievable"
             )
-        arr = np.asarray(vector, dtype=np.float64)
-        if arr.shape != (self.dimension,):
-            raise ValidationError(
-                f"vector dimension {arr.shape} does not match index dimension {self.dimension}"
-            )
+        arr = self._checked(vector)
         if node_id in self._indexed:
             raise ValidationError(f"node {node_id} is already indexed")
-        entry = _Entry(
-            node_id=node_id,
-            task_type_id=task_type_id,
-            outcome=node.outcome,
-            kind=node.kind,
-            skill_id=node.skill_id,
-            payload=node.payload,
-        )
         key = (node.outcome, task_type_id)
         block = self._blocks.get(key)
         if block is None:
             block = self._blocks[key] = _Block(self.dimension)
-        block.append(entry, normalize(arr))
+        block.append(_entry(node, task_type_id), self._unit(arr))
         self._indexed.add(node_id)
 
     def refresh(self, embed: Callable[[str], np.ndarray]) -> int:
@@ -258,7 +319,7 @@ class MemoryIndex:
             vectors = block.vectors
             for row, entry in enumerate(block.entries):
                 text = entry.payload.get("question", "")
-                vectors[row] = normalize(embed(text))
+                vectors[row] = self._unit(embed(text))
             count += len(block.entries)
         return count
 
@@ -311,7 +372,7 @@ class MemoryIndex:
         long_context_threshold: int = 500,
         scorer: Callable[[_Entry], float] | None = None,
     ) -> MemoryBundle:
-        query = normalize(query_vector)
+        query = self._unit(query_vector)
         if query.shape != (self.dimension,):
             raise ValidationError(
                 f"query dimension {query.shape} does not match index dimension {self.dimension}"
@@ -463,12 +524,7 @@ def rebuild_index(
 ) -> MemoryIndex:
     """Derive the index from graph contents (used after event-log replay)."""
     index = MemoryIndex(graph, dimension, type_strategy_min_similarity)
-    for node_id in sorted(graph.experience):
-        node = graph.experience[node_id]
-        if node.outcome in ("success_memory", "failure_memory"):
-            index.index_memory(
-                node_id, node.task_type_id, embed(node.payload.get("question", ""))
-            )
+    index._build(embed)
     return index
 
 

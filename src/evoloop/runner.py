@@ -68,12 +68,16 @@ def _truncate_uncommitted(store: RunStore, last_committed: int) -> list[dict[str
 
 def load_engine(store: RunStore) -> Engine:
     """Rebuild the engine for a run directory by replaying its event log."""
+    return _load_engine(store, store.read_reports())
+
+
+def _load_engine(store: RunStore, reports: list[dict[str, Any]]) -> Engine:
+    """``load_engine`` on the run's reports, already read by the caller."""
     store.require()
     config = EngineConfig.from_dict(store.load_config())
     meta = store.load_meta()
     env = make_env(meta["env"], seed=config.seed, pool_size=config.pool_size)
 
-    reports = store.read_reports()
     last_committed = len(reports) - 1
     events = _truncate_uncommitted(store, last_committed)
     graph = KnowledgeGraph.replay(
@@ -101,6 +105,8 @@ def load_engine(store: RunStore) -> Engine:
         snapshot_ids = graph.snapshot_ids()
         engine.prev_boundary_snapshot = snapshot_ids[-1] if snapshot_ids else None
     graph.set_event_sink(store.event_sink)
+    # a write killed before its rename leaves only a temp file
+    store.discard_partial_writes()
     # crash window 3: boundary snapshot file missing for the last report
     if reports and not store.snapshot_path(last_committed).is_file():
         store.write_snapshot(last_committed, graph.canonical_bytes())
@@ -126,13 +132,14 @@ def run_training(
 ) -> list[IterationReport]:
     """Run (or continue) training until ``iterations`` are committed."""
     store.require()
+    committed = store.read_reports()
     if engine is None:
-        if committed_iterations(store) == 0 and store_has_no_events(store):
+        if not committed and not store.has_events():
             engine = bootstrap_run(store)
         else:
-            engine = load_engine(store)
+            engine = _load_engine(store, committed)
     total = iterations if iterations is not None else engine.config.iterations
-    start = committed_iterations(store)
+    start = len(committed)
     if total < start:
         raise ValidationError(
             f"run already has {start} committed iterations, cannot target {total}"
@@ -149,12 +156,6 @@ def run_training(
     return reports
 
 
-def store_has_no_events(store: RunStore) -> bool:
-    for _ in store.read_events():
-        return False
-    return True
-
-
 def run_eval(
     store: RunStore,
     pool: str = "held_out",
@@ -163,14 +164,15 @@ def run_eval(
     engine: Engine | None = None,
 ) -> dict[str, Any]:
     """Frozen evaluation against the committed graph; writes eval-<tag>.json."""
+    if engine is None and not store.has_events():
+        raise ValidationError("run has no training record yet; run training first")
+    reports = store.read_reports()
     if engine is None:
-        if store_has_no_events(store):
-            raise ValidationError("run has no training record yet; run training first")
-        engine = load_engine(store)
+        engine = _load_engine(store, reports)
     record = engine.eval_run(pool_name=pool, retrieval=retrieval)
     if record["graph_hash_before"] != record["graph_hash_after"]:
         raise ValidationError("evaluation mutated the graph")
-    record["committed_iterations"] = committed_iterations(store)
+    record["committed_iterations"] = len(reports)
     label = tag or f"{pool}-{'ret' if retrieval else 'noret'}-{record['committed_iterations']:05d}"
     store.write_eval(label, record)
     return record

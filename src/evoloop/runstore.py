@@ -15,12 +15,22 @@ Replay of config + events reproduces the graph bit-exactly; resume counts
 committed reports and continues from there. ``read_snapshot`` returns a
 boundary file's raw bytes, undecoded: the audit compares them byte for byte
 with the replayed graph's encoding.
+
+Both JSONL files are read line by line through one reused
+``json.JSONDecoder``: each stripped, non-blank line must hold exactly one
+JSON value, and a line that per-line ``json.loads`` would reject raises
+``IntegrityError`` naming the file and line, with the decoder's message.
+Boundary snapshots and eval records are written to a ``.tmp`` name (which
+the ``snap-*.json`` and ``eval-*.json`` globs do not match), fsynced and
+renamed into place, so a kill mid-write leaves either no file or a whole
+one; ``discard_partial_writes`` removes a temp file such a kill left.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -30,6 +40,11 @@ CONFIG_NAME = "config.json"
 META_NAME = "meta.json"
 EVENTS_NAME = "events.log"
 REPORTS_NAME = "reports.jsonl"
+TMP_SUFFIX = ".tmp"
+
+_DECODER = json.JSONDecoder()
+# the whitespace json.loads skips after a value, as json.decoder defines it
+_JSON_WS = re.compile(r"[ \t\n\r]*")
 
 
 class RunStore:
@@ -105,20 +120,15 @@ class RunStore:
             os.fsync(fh.fileno())
 
     def read_events(self) -> Iterator[dict[str, Any]]:
+        yield from _read_jsonl(self.root / EVENTS_NAME, "event")
+
+    def has_events(self) -> bool:
+        """Whether events.log holds a non-blank line; decodes nothing."""
         path = self.root / EVENTS_NAME
         if not path.is_file():
-            return
+            return False
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IntegrityError(
-                        f"corrupt event at {EVENTS_NAME}:{lineno}: {exc}"
-                    ) from exc
+            return any(line.strip() for line in fh)
 
     # ------------------------------------------------------------------
     # iteration reports
@@ -130,22 +140,7 @@ class RunStore:
             os.fsync(fh.fileno())
 
     def read_reports(self) -> list[dict[str, Any]]:
-        path = self.root / REPORTS_NAME
-        if not path.is_file():
-            return []
-        reports = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    reports.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise IntegrityError(
-                        f"corrupt report at {REPORTS_NAME}:{lineno}: {exc}"
-                    ) from exc
-        return reports
+        return list(_read_jsonl(self.root / REPORTS_NAME, "report"))
 
     # ------------------------------------------------------------------
     # boundary snapshots and eval records
@@ -154,7 +149,7 @@ class RunStore:
         return self.root / f"snap-{iteration:05d}.json"
 
     def write_snapshot(self, iteration: int, state_bytes: bytes) -> None:
-        self.snapshot_path(iteration).write_bytes(state_bytes)
+        _write_atomic(self.snapshot_path(iteration), state_bytes)
 
     def read_snapshot(self, iteration: int) -> bytes:
         path = self.snapshot_path(iteration)
@@ -170,8 +165,13 @@ class RunStore:
     def write_eval(self, tag: str, record: Mapping[str, Any]) -> Path:
         safe = "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in tag)
         path = self.root / f"eval-{safe}.json"
-        self._write_json(path, record)
+        _write_atomic(path, _json_text(record).encode())
         return path
+
+    def discard_partial_writes(self) -> None:
+        """Remove temp files left by a write that was killed before its rename."""
+        for path in self.root.glob("*" + TMP_SUFFIX):
+            path.unlink()
 
     def read_evals(self) -> list[dict[str, Any]]:
         records = []
@@ -181,4 +181,49 @@ class RunStore:
 
     @staticmethod
     def _write_json(path: Path, data: Mapping[str, Any]) -> None:
-        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        path.write_text(_json_text(data))
+
+
+def _json_text(data: Mapping[str, Any]) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``path`` through a fsynced temp file renamed over it."""
+    tmp = path.with_name(path.name + TMP_SUFFIX)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _read_jsonl(path: Path, what: str) -> Iterator[Any]:
+    """The value of each non-blank line of a JSONL file, read line by line.
+
+    Returns what per-line ``json.loads`` would, and for a line it rejects
+    raises ``IntegrityError`` with the same message, from one reused
+    decoder: ``raw_decode`` stops after the first value, so anything but
+    whitespace after it is "Extra data", as ``json.loads`` reports it.
+    """
+    if not path.is_file():
+        return
+    decode = _DECODER.raw_decode
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if line.startswith("\ufeff"):
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                    )
+                value, end = decode(line)
+                if end != len(line):
+                    end = _JSON_WS.match(line, end).end()
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+            except json.JSONDecodeError as exc:
+                raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {exc}") from exc
+            yield value

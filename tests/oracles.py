@@ -274,3 +274,35 @@ def canonical_bytes_reference(graph) -> bytes:
         "snapshots": {str(sid): rec for sid, rec in graph._snapshots.items()},
     }
     return json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+
+
+def protected_counts_reference(graph) -> dict:
+    """Protected experience nodes per outcome, counted by a scan of every node."""
+    counts = {outcome: 0 for outcome in ("failure_memory", "principle", "success_memory")}
+    for node in graph.experience.values():
+        if node.outcome in counts:
+            counts[node.outcome] += 1
+    return counts
+
+
+# ----------------------------------------------------------------------
+# run files
+
+
+def read_jsonl_reference(path, what: str) -> tuple:
+    """A JSONL file read with one ``json.loads`` per stripped, non-blank line.
+
+    Returns ``(records, None)``, or ``(None, message)`` with the error text
+    for the first line ``json.loads`` rejects.
+    """
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                return None, f"corrupt {what} at {path.name}:{lineno}: {exc}"
+    return records, None

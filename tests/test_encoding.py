@@ -1,4 +1,5 @@
-"""Canonical graph encoding: the cached encoder against a one-dump reference."""
+"""Canonical graph encoding: the cached encoder against a one-dump reference,
+and the running protected counts against a scan."""
 
 import json
 
@@ -9,7 +10,7 @@ from evoloop import EngineConfig, KnowledgeGraph, RunStore, init_run, load_engin
 from evoloop.graph import ENV_CLASSES
 from evoloop.runner import bootstrap_run
 
-from oracles import canonical_bytes_reference
+from oracles import canonical_bytes_reference, protected_counts_reference
 
 OUTCOMES = [
     ("principle", None),
@@ -109,6 +110,7 @@ def test_cached_encoding_matches_reference_after_any_op_sequence(seed_appends, s
         apply_op(graph, skills, task_type, op)
         # encoding after every op fills the cache before prunes and evictions
         assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+        assert graph.protected_counts() == protected_counts_reference(graph)
     assert len(graph.snapshot_ids()) <= 2
     # pruned nodes and evicted ring records take their fragments with them
     for cache, records in (
@@ -120,7 +122,11 @@ def test_cached_encoding_matches_reference_after_any_op_sequence(seed_appends, s
 
     # replay decodes the log as a run directory would hand it over
     decoded = [json.loads(json.dumps(e, sort_keys=True)) for e in events]
-    replayed = KnowledgeGraph.replay(decoded, snapshot_history_limit=2)
+
+    def check_counts(replaying, it):
+        assert replaying.protected_counts() == protected_counts_reference(replaying)
+
+    replayed = KnowledgeGraph.replay(decoded, snapshot_history_limit=2, on_iteration=check_counts)
     assert replayed.canonical_bytes() == canonical_bytes_reference(replayed)
     assert replayed.canonical_bytes() == graph.canonical_bytes()
     assert replayed.state_dict() == json.loads(graph.canonical_bytes())
@@ -153,6 +159,45 @@ def test_replayed_record_under_a_reused_id_replaces_its_fragment():
     assert b'"answer":"b"' in seen[-1]
 
 
+def _append(seq, it, nid, outcome, answer="a"):
+    payload = {"id": nid, "outcome": outcome, "task_type_id": None, "skill_id": None,
+               "kind": "specific" if outcome == "failure_memory" else None,
+               "confidence": 1.0, "payload": {"answer": answer}, "created_iter": it}
+    return {"seq": seq, "iter": it, "op": "append_experience", "payload": payload}
+
+
+def test_replayed_prune_and_id_reuse_keep_protected_counts_equal_to_a_scan():
+    # the writer refuses both; a replayed log applies them verbatim
+    log = [
+        _append(1, 0, 1, "success_memory"),
+        _append(2, 0, 2, "principle"),
+        _append(3, 0, 3, "failure_memory"),
+        _append(4, 0, 4, "abstracted_pattern"),
+        {"seq": 5, "iter": 1, "op": "prune",
+         "payload": {"threshold": None, "removed_ids": [2, 4, 2, 99]}},
+        _append(6, 2, 3, "abstracted_pattern"),
+        _append(7, 2, 1, "success_memory", answer="b"),
+        _append(8, 3, 4, "principle"),
+        {"seq": 9, "iter": 3, "op": "snapshot", "payload": {"snapshot_id": 10}},
+    ]
+    seen = []
+
+    def check(graph, it):
+        counts = graph.protected_counts()
+        assert counts == protected_counts_reference(graph)
+        seen.append(counts)
+
+    graph = KnowledgeGraph.replay(log, on_iteration=check)
+    expected = {"failure_memory": 0, "principle": 1, "success_memory": 1}
+    assert seen[1:] == [
+        {"failure_memory": 1, "principle": 1, "success_memory": 1},
+        {"failure_memory": 1, "principle": 0, "success_memory": 1},
+        {"failure_memory": 0, "principle": 0, "success_memory": 1},
+        expected,
+    ]
+    assert graph._snapshots[10]["protected_watermark"] == expected
+
+
 def test_writer_copies_the_callers_payload_once(graph):
     payload = {"question": "q", "steps": [1, 2]}
     nid = graph.append_experience("success_memory", payload)
@@ -164,6 +209,24 @@ def test_writer_copies_the_callers_payload_once(graph):
     assert graph.experience[nid].payload == {"question": "q", "steps": [1, 2]}
     assert graph.env_nodes[eid].payload == {"entity": "door"}
     assert graph.canonical_bytes() == encoded == canonical_bytes_reference(graph)
+
+
+def test_writer_copies_tuples_as_the_lists_replay_gives():
+    events = []
+    graph = KnowledgeGraph(event_sink=events.append)
+    inner = [1, 2]
+    nid = graph.append_experience("success_memory", {"steps": (inner, "x"), "n": {"k": [0]}})
+    eid = graph.add_env_node("entity", {"parts": ([3],)})
+    inner.append(3)
+    stored = graph.experience[nid].payload
+    assert stored == {"steps": [[1, 2], "x"], "n": {"k": [0]}}
+    assert type(stored["steps"]) is list
+    assert graph.env_nodes[eid].payload == {"parts": [[3]]}
+    decoded = [json.loads(json.dumps(e, sort_keys=True)) for e in events]
+    replayed = KnowledgeGraph.replay(decoded)
+    assert replayed.experience[nid].payload == stored
+    assert replayed.env_nodes[eid].payload == graph.env_nodes[eid].payload
+    assert replayed.canonical_bytes() == graph.canonical_bytes() == canonical_bytes_reference(graph)
 
 
 def check_run_against_reference(tmp_path, config, env_name):

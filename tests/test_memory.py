@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evoloop import (
@@ -30,6 +30,7 @@ from evoloop import (
 )
 
 from evoloop.engine import build_simulated_engine
+from evoloop.memory import normalize
 from oracles import (
     allocation_reference,
     bundle_sizes_reference,
@@ -439,6 +440,88 @@ def test_rebuild_index_matches_incremental(graph, embedder):
     b = rebuilt.retrieve_bundle(q, tt, context_length=10)
     assert [e.node_id for e in a.success] == [e.node_id for e in b.success]
     assert len(rebuilt) == 4
+
+
+EXEMPLAR_KINDS = [
+    ("success_memory", None),
+    ("failure_memory", "specific"),
+    ("failure_memory", "type_strategy"),
+    ("principle", None),
+]
+exemplar = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 5))
+
+
+def _append_exemplar(graph, task_types, spec):
+    kind_index, tt_index, question = spec
+    outcome, kind = EXEMPLAR_KINDS[kind_index]
+    return graph.append_experience(
+        outcome,
+        {"question": f"how many q{question}"},
+        task_type_id=task_types[tt_index],
+        kind=kind,
+    )
+
+
+def _assert_same_blocks(index, other, embed):
+    assert len(index) == len(other)
+    assert index._blocks.keys() == other._blocks.keys()
+    for key, block in index._blocks.items():
+        twin = other._blocks[key]
+        assert block.vectors.tobytes() == twin.vectors.tobytes()
+        assert block.ids.tobytes() == twin.ids.tobytes()
+        assert block.strategy.tobytes() == twin.strategy.tobytes()
+        assert [e.node_id for e in block.entries] == [e.node_id for e in twin.entries]
+        # every row is the bits of normalize on the raw embedding
+        reference = [normalize(embed(e.payload["question"])) for e in block.entries]
+        assert block.vectors.tobytes() == b"".join(r.tobytes() for r in reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(exemplar, max_size=60), st.lists(exemplar, min_size=50, max_size=50))
+# a one-row block and a full 20-row block, each grown past its capacity
+@example([(0, 0, 0)], [(0, 0, i % 6) for i in range(50)])
+@example([(1, 1, i % 6) for i in range(20)], [(2, 1, i % 6) for i in range(50)])
+def test_bulk_rebuild_matches_incremental_index_bit_for_bit(first, more):
+    embedder = HashEmbedder(dimension=64, seed=0)
+    graph = KnowledgeGraph()
+    task_types = [graph.add_task_type("a"), graph.add_task_type("b"), None]
+    incremental = MemoryIndex(graph, dimension=64)
+
+    def append(spec):
+        nid = _append_exemplar(graph, task_types, spec)
+        node = graph.experience[nid]
+        if node.outcome != "principle":
+            incremental.index_memory(nid, node.task_type_id, embedder.embed(node.payload["question"]))
+        return nid
+
+    for spec in first:
+        append(spec)
+    bulk = rebuild_index(graph, 64, embedder.embed)
+    _assert_same_blocks(bulk, incremental, embedder.embed)
+    # a block built in bulk grows like one built row by row
+    for spec in more:
+        nid = append(spec)
+        node = graph.experience[nid]
+        if node.outcome != "principle":
+            bulk.index_memory(nid, node.task_type_id, embedder.embed(node.payload["question"]))
+    _assert_same_blocks(bulk, incremental, embedder.embed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(-1e3, 1e3, width=32), min_size=4, max_size=4), min_size=1, max_size=6))
+def test_normalisation_memo_gives_the_bits_of_normalize(vectors):
+    index = MemoryIndex(KnowledgeGraph(), dimension=4)
+    for _ in range(2):
+        for raw in vectors:
+            v = np.array(raw)
+            try:
+                expected = normalize(v).tobytes()
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    index._unit(v)
+                continue
+            assert index._unit(v).tobytes() == expected
+            assert index._unit(list(raw)).tobytes() == expected
 
 
 def test_refresh_reembeds_everything(graph, embedder):

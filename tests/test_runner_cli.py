@@ -6,13 +6,16 @@ import os
 import pytest
 
 from evoloop import (
+    EngineConfig,
     IntegrityError,
     KnowledgeGraph,
     RunStore,
     ValidationError,
     audit_run,
+    init_run,
     load_engine,
     run_eval,
+    run_training,
 )
 from evoloop.cli import STATS_HEADER, main
 
@@ -250,6 +253,41 @@ def test_missing_boundary_snapshot_is_rebuilt(tmp_path):
     assert snap_path.read_bytes() == original
 
 
+def test_kill_before_a_rename_resumes_to_the_uninterrupted_run(tmp_path, monkeypatch):
+    config = EngineConfig(iterations=4, pool_size=24, seed=3)
+    whole = init_run(tmp_path / "whole", config, "static_qa")
+    run_training(whole)
+    run_eval(whole, tag="e")
+    store = init_run(tmp_path / "cut", config, "static_qa")
+    real_replace = os.replace
+    kill_at = {"snap-00001.json", "eval-killed.json"}
+
+    def replace(src, dst):
+        # stands in for a kill after the temp file is written, before the rename
+        if os.path.basename(dst) in kill_at:
+            kill_at.remove(os.path.basename(dst))
+            raise OSError("killed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError):
+        run_training(store)
+    assert (store.root / "snap-00001.json.tmp").is_file()
+    assert not store.snapshot_path(1).exists()
+    run_training(RunStore(store.root))
+    with pytest.raises(OSError):
+        run_eval(RunStore(store.root), tag="killed")
+    assert (store.root / "eval-killed.json.tmp").is_file()
+    # no later write reuses that temp name: loading removes it
+    run_eval(RunStore(store.root), tag="e")
+
+    def files(root):
+        return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+    assert files(store.root) == files(whole.root)
+    assert not list(store.root.glob("*.tmp"))
+
+
 def test_resume_after_eval_records_exist(tmp_path):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=2)
@@ -456,6 +494,21 @@ def test_run_eval_guards_against_mutation(tmp_path):
     assert record["committed_iterations"] == 2
     stored = json.loads((run_dir / "eval-t1.json").read_text())
     assert stored["accuracy"] == record["accuracy"]
+
+
+def test_run_eval_reads_the_reports_once(tmp_path, monkeypatch):
+    store = init_and_run(tmp_path / "r", iterations=2)
+    read_reports = RunStore.read_reports
+    reads = []
+
+    def counting(self):
+        reads.append(1)
+        return read_reports(self)
+
+    monkeypatch.setattr(RunStore, "read_reports", counting)
+    record = run_eval(RunStore(store.root), tag="t")
+    assert reads == [1]
+    assert record["committed_iterations"] == 2
 
 
 def test_init_run_rejects_bad_config_object(tmp_path):

@@ -1,0 +1,108 @@
+"""Run-directory files: the JSONL reader, the log probe and atomic writes."""
+
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evoloop import IntegrityError, RunStore
+from evoloop.runstore import EVENTS_NAME, REPORTS_NAME
+
+from oracles import read_jsonl_reference
+
+values = st.one_of(
+    st.integers(-5, 5),
+    st.floats(allow_nan=False, width=32),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 9), max_size=2),
+)
+record = st.dictionaries(st.text(max_size=3), values, max_size=3).map(
+    lambda r: json.dumps(r, sort_keys=True)
+)
+pad = st.sampled_from(["", " ", "\t", "  "])
+
+
+def split_in_two(text, at):
+    """``text`` cut into two non-empty lines at a point chosen by ``at``."""
+    cut = 1 + at % (len(text) - 1)
+    return [text[:cut], text[cut:]]
+
+
+# each chunk is one or more lines of the file
+chunks = st.one_of(
+    record.map(lambda r: [r]),
+    pad.map(lambda p: [p]),
+    st.tuples(pad, record, pad).map(lambda t: ["".join(t)]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8).map(lambda t: [t]),
+    st.sampled_from(["3", "[1, 2]", '"s"', "null", "true", "NaN", "-0.5e3"]).map(lambda v: [v]),
+    st.tuples(record, pad, record).map(lambda t: ["".join(t)]),
+    st.tuples(record, st.integers(0, 40)).map(lambda t: split_in_two(*t)),
+    st.sampled_from(["\ufeff{}", "{} x", "{}  ]", '{"a": 1}}', "{", "}"]).map(lambda v: [v]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(chunks, max_size=8).map(lambda cs: [line for c in cs for line in c]))
+def test_jsonl_reader_matches_per_line_json_loads(lines):
+    text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        store = RunStore(tmp)
+        for name, what, read in (
+            (EVENTS_NAME, "event", lambda s: list(s.read_events())),
+            (REPORTS_NAME, "report", RunStore.read_reports),
+        ):
+            path = Path(tmp) / name
+            path.write_bytes(text.encode("utf-8"))
+            expected, error = read_jsonl_reference(path, what)
+            if error is None:
+                # dumps compares NaN and tells 1 from 1.0 and True
+                assert json.dumps(read(store)) == json.dumps(expected)
+            else:
+                with pytest.raises(IntegrityError) as info:
+                    read(store)
+                assert str(info.value) == error
+
+
+def test_has_events_decodes_no_line(tmp_path, monkeypatch):
+    store = RunStore(tmp_path)
+    assert not store.has_events()
+    log = tmp_path / EVENTS_NAME
+    log.write_text("\n  \n\t\n")
+    assert not store.has_events()
+    decoded = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, *args, **kwargs):
+        decoded.append(1)
+        return raw_decode(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    log.write_text("\n" + '{"seq":1}\n' * 50)
+    assert store.has_events()
+    assert decoded == []
+    assert len(list(store.read_events())) == 50
+    assert len(decoded) == 50
+
+
+def test_snapshot_write_killed_before_rename_leaves_no_snapshot_file(tmp_path, monkeypatch):
+    store = RunStore(tmp_path)
+    store.write_snapshot(0, b"{}")
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(OSError):
+        store.write_snapshot(1, b'{"a":1}')
+    with pytest.raises(OSError):
+        store.write_eval("t", {"accuracy": 1.0})
+    assert store.snapshot_iterations() == [0]
+    assert store.read_evals() == []
+    monkeypatch.undo()
+    store.discard_partial_writes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap-00000.json"]
