@@ -7,12 +7,15 @@ takes a snapshot, damages the mutable state, rolls back, and finally
 replays the event log into a second graph and compares canonical bytes.
 """
 
+import json
+
 from evoloop import KnowledgeGraph, ProtectedNodeError
 
 
 def main():
-    events = []
-    graph = KnowledgeGraph(event_sink=events.append)
+    # the graph hands its sink each event as a JSON line, as events.log holds it
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
 
     # capability subgraph: arithmetic feeds algebra, algebra feeds word problems
     arith = graph.add_skill("arithmetic", mastery=0.9)
@@ -86,7 +89,7 @@ def main():
     print(f"failure appended mid-window survives rollback: {late_failure in graph.experience}")
 
     # the event log is the source of truth: replay rebuilds the same bytes
-    twin = KnowledgeGraph.replay(events)
+    twin = KnowledgeGraph.replay(json.loads(line) for line in lines)
     print("replay matches original:", twin.canonical_bytes() == graph.canonical_bytes())
 
 

@@ -25,8 +25,9 @@ model server:
 
 The HTTP backend speaks a minimal chat wire protocol: POST
 ``{"model", "messages", "temperature", "max_tokens"}`` and read
-``{"text": ...}`` back. It retries twice with backoff and leaves the
-attempt count of its last call in ``last_attempts``. Nothing reads that yet,
+``{"text": ...}`` back. It retries twice with backoff, raises
+``BackendError`` when every attempt failed, and leaves the attempt count of
+its last call in ``last_attempts``. Nothing reads that yet,
 so a retried HTTP call still counts once in the tracker (ROADMAP item 5).
 """
 
@@ -41,7 +42,7 @@ from typing import Any, Mapping
 import numpy as np
 import requests
 
-from .errors import ValidationError
+from .errors import BackendError, ValidationError
 
 GUIDANCE_AGENTS = frozenset({"skill_discovery", "navigator", "critic", "curator"})
 EXECUTION_AGENTS = frozenset({"explorer", "learner"})
@@ -286,6 +287,7 @@ class HashEmbedder:
 class HttpBackend(Backend):
     """Chat-completion wire client with bounded retries.
 
+    A call that fails on every attempt raises ``BackendError``.
     ``last_attempts`` holds the attempt count of the last ``complete``. The
     engine does not read it, so its tracker counts a retried call once.
     """
@@ -337,7 +339,7 @@ class HttpBackend(Backend):
                 last_error = exc
                 if attempt < self.attempts - 1:
                     time.sleep(self.backoff * 2**attempt)
-        raise ValidationError(f"backend call failed after {self.attempts} attempts: {last_error}")
+        raise BackendError(f"backend call failed after {self.attempts} attempts: {last_error}")
 
 
 def simulated_backend_set(

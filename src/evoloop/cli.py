@@ -9,7 +9,8 @@ Verbs:
   stats RUN_DIR               per-iteration growth table (TSV)
 
 Exit codes: 0 success, 1 validation or usage error, 2 integrity failure
-(corrupt logs, failed audit checks).
+(corrupt logs, failed audit checks), 3 a model backend that failed on every
+retry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from .audit import audit_run
 from .engine import EngineConfig
 from .envs import ENVS
-from .errors import EvoloopError, IntegrityError, ValidationError
+from .errors import BackendError, EvoloopError, IntegrityError, ValidationError
 from .runner import (
     committed_iterations,
     init_run,
@@ -197,6 +198,9 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 2
+    except BackendError as exc:
+        print(f"backend error: {exc}", file=sys.stderr)
+        return 3
     except EvoloopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,9 @@
 """Exception taxonomy shared across the package.
 
 ValidationError covers bad inputs and bad config (CLI exit code 1).
+BackendError is a model backend call that failed on every retry (CLI exit
+code 3); the iteration it interrupted was never flushed, so a resume
+starts again from the last committed one.
 The remaining errors are invariant breaches (CLI exit code 2).
 """
 
@@ -35,3 +38,7 @@ class FrozenGraphError(EvoloopError):
 
 class IntegrityError(EvoloopError):
     """Event log or snapshot record is corrupt or inconsistent."""
+
+
+class BackendError(EvoloopError):
+    """A model backend call failed on every attempt."""

@@ -10,12 +10,16 @@ The graph is the single mutable aggregate of the engine. It holds:
     success_memory are protected: append-only and immutable),
   * environment nodes (thin payload store).
 
-Every mutation goes through ``_commit`` which appends one record
-``{seq, iter, op, payload}`` to the event log and then applies the state
-transition. Replaying a log into an empty graph reproduces the final state
-bit-exactly: ids are allocated by the writer and embedded in payloads, the
-apply step is a pure function of (state, payload), and records carry no
-timestamps.
+Every mutation goes through ``_commit``, which applies the state
+transition and, when an event sink is attached, hands it the record
+``{seq, iter, op, payload}`` as its log line: JSON with sorted keys and no
+whitespace, encoded here through one reused encoder. An
+``append_experience`` payload holds exactly the node's record, so its body
+is encoded once and serves as both the middle of the line and the node's
+canonical fragment (below). Replaying a log into an empty graph reproduces
+the final state bit-exactly: ids are allocated by the writer and embedded
+in payloads, the apply step is a pure function of (state, payload), and
+records carry no timestamps.
 
 Snapshots capture only the mutable slots (masteries, prompt templates,
 strategies, task counters, bandit states). Rolling back restores those slots
@@ -28,13 +32,13 @@ change once applied. Their payloads are frozen at commit: the writer copies
 a caller's payload once, as the JSON tree the log records (dicts and lists
 copied, tuples turned into lists, other values shared), and nothing mutates
 it afterwards (replay builds its nodes from the fresh dicts of the decoded
-log). So
-``canonical_bytes`` encodes each such record once, on first use, and keeps
-the fragment in a derived cache that is never serialised; a prune or a ring
-eviction drops the fragment with its record. Each call encodes only the
-small mutable sections (skills, task types, bandits, prerequisite edges,
-counters) and joins them with the cached fragments, byte for byte what a
-single ``json.dumps(sort_keys=True)`` of the whole state would write.
+log). So each such record is encoded once, at commit or on the first
+``canonical_bytes``, and the fragment stays in a derived cache that is
+never serialised; a prune or a ring eviction drops the fragment with its
+record. Each ``canonical_bytes`` call encodes only the small mutable
+sections (skills, task types, bandits, prerequisite edges, counters) and
+joins them with the cached fragments, byte for byte what a single
+``json.dumps(sort_keys=True)`` of the whole state would write.
 
 Writes are serialized behind a single lock; readers copy under the same
 lock so they never observe a torn record.
@@ -154,7 +158,9 @@ class BanditSlot:
         )
 
 
-EventSink = Callable[[dict[str, Any]], None]
+# receives each committed event as its log line: the record's canonical JSON,
+# without the newline
+EventSink = Callable[[str], None]
 
 
 class KnowledgeGraph:
@@ -217,10 +223,21 @@ class KnowledgeGraph:
         if self._frozen:
             raise FrozenGraphError(f"graph is frozen, refused op {op!r}")
         self._seq += 1
-        record = {"seq": self._seq, "iter": self.current_iter, "op": op, "payload": payload}
         self._apply(op, payload)
-        if self._sink is not None:
-            self._sink(record)
+        if self._sink is None:
+            return
+        if op == "append_experience":
+            # the payload is the node's record, so its encoding is the node's
+            # canonical fragment as well as the middle of its log line, whose
+            # sorted keys put it between "op" and "seq"
+            body = _ENCODE(payload)
+            self._experience_json.put(payload["id"], body.encode())
+            line = '{"iter":%s,"op":"append_experience","payload":%s,"seq":%d}' % (
+                _ENCODE(self.current_iter), body, self._seq,
+            )
+        else:
+            line = _ENCODE({"seq": self._seq, "iter": self.current_iter, "op": op, "payload": payload})
+        self._sink(line)
 
     def _claim_id(self, node_id: int) -> None:
         # ids come from the payload so replay reproduces them exactly
@@ -837,8 +854,18 @@ def _json_copy(value: Any) -> Any:
     return value
 
 
+# one encoder for every log line and canonical fragment; json.dumps would
+# build a fresh one per call
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _dumps(value: Any) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    return _ENCODE(value).encode()
+
+
+def _member(record_id: int, body: bytes) -> bytes:
+    """``"<id>":<body>``, a member of a section as json.dumps writes it."""
+    return _dumps(str(record_id)) + b":" + body
 
 
 def _experience_record(e: ExperienceNode) -> dict[str, Any]:
@@ -876,6 +903,11 @@ class _FragmentCache:
         self._fragments.pop(record_id, None)
         self._section = None
 
+    def put(self, record_id: int, body: bytes) -> None:
+        """Cache the canonical JSON ``body`` of the record now under ``record_id``."""
+        self._fragments[record_id] = _member(record_id, body)
+        self._section = None
+
     def section(self, records: dict[int, Any]) -> bytes:
         if self._section is not None:
             return self._section
@@ -885,8 +917,7 @@ class _FragmentCache:
         for rid in sorted(records, key=str):
             fragment = fragments.get(rid)
             if fragment is None:
-                fragment = _dumps({str(rid): self._to_plain(records[rid])})[1:-1]
-                fragments[rid] = fragment
+                fragment = fragments[rid] = _member(rid, _dumps(self._to_plain(records[rid])))
             members.append(fragment)
         self._section = b"{" + b",".join(members) + b"}"
         return self._section

@@ -1,28 +1,44 @@
 """Dual exemplar memory: embedding stores, bundles, and cascade context.
 
 Success memories and failure memories live in separate stores, and each
-store keeps one block per task type id: a contiguous matrix of the
-L2-normalized vectors (one row per exemplar, with amortised growth) beside
-the node ids, a ``type_strategy`` mask and the entries. Retrieval scores
-the query against its task type's block in one batched row-dot (an exact
-inner-product scan, no approximate index), keeps the best ``k`` rows of
-each store, and fills a success block and a failure block. The slot split
-depends on how much context the question already carries: short contexts
-get two success slots and one failure slot, long contexts (at or past
-``long_context_threshold`` characters) flip to one success and two
-failures. Underfilled slots are backfilled from the other store. Failure
-memories of kind ``type_strategy`` are admitted only at or above a
+store keeps one block per task type id. The experience subgraph is
+append-only, so a block fills with exemplars that repeat a vector; it
+keeps one row per distinct L2-normalized vector (a contiguous matrix with
+amortised growth), keyed by the vector's bytes, and for each row the
+entries that share it in node id order, plus separately those of them
+whose kind is not ``type_strategy``. Retrieval scores the query against
+its task type's distinct rows in one batched row-dot (an exact
+inner-product scan, no approximate index), so the scan costs one row per
+distinct vector however many copies are stored, and it fills a success
+block and a failure block from the best ``k`` entries of each store. The
+slot split depends on how much context the question already carries:
+short contexts get two success slots and one failure slot, long contexts
+(at or past ``long_context_threshold`` characters) flip to one success
+and two failures. Underfilled slots are backfilled from the other store.
+Failure memories of kind ``type_strategy`` are admitted only at or above a
 similarity floor, because a generic strategy pasted onto a dissimilar
-question misleads more than it helps. Ranking is a stable sort on
-(-similarity, node id), so ties break on node id ascending and retrieval
-is deterministic.
+question misleads more than it helps.
+
+The top ``k`` of a store is taken at group level: walking the distinct
+rows best first, a row below the floor offers only its non-strategy
+entries, the k-th best similarity is where the entries offered reach
+``k``, and every row at or above it offers its first ``k`` entries. Those
+candidates are ordered on (-similarity, node id), so ties, across rows
+too, break on node id ascending and retrieval is deterministic; the list
+is the one a ranking of every stored entry gives. The walk sorts the rows
+with numpy, and a block of more than ``_SORT_ALL_ROWS`` distinct vectors
+sorts only the slices of best rows it reaches. An external ``scorer``
+(or a request for all entries) takes the same walk without the cut-offs:
+every eligible entry of every row, ranked on (-key, node id).
 
 Every vector the index stores or queries with is normalised through a memo
 keyed by its float64 bytes, so each distinct vector is normalised once;
 ``normalize`` is a pure function of those bytes, so the rows are the same
 bits either way. ``rebuild_index`` builds each block once from the graph's
-exemplars in node id order, one array per column, and a block built that
-way grows like any other when a resumed run appends to it.
+exemplars in node id order, with one array build for its matrix, embedding
+each distinct question text once, and a block built that way grows like
+any other when a resumed run appends to it. ``refresh`` rebuilds every
+block the same way.
 
 ``format_bundle`` renders the byte-stable prompt contract:
 
@@ -43,9 +59,10 @@ mastered skill to the weakest frontier skill.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +73,9 @@ from .graph import ExperienceNode, KnowledgeGraph
 EXEMPLAR_OUTCOMES = ("success_memory", "failure_memory")
 LATTICE_DEPTH_CAP = 8
 _INITIAL_ROWS = 16
+# up to this many distinct vectors one full sort per query costs less than
+# slicing off the best rows first
+_SORT_ALL_ROWS = 512
 
 
 @dataclass
@@ -169,57 +189,83 @@ def _entry(node: ExperienceNode, task_type_id: int | None) -> _Entry:
     )
 
 
-class _Block:
-    """The exemplars of one (outcome store, task type id).
+def _node_id(entry: _Entry) -> int:
+    return entry.node_id
 
-    Row ``i`` of ``vectors`` is the normalised vector of ``entries[i]``;
-    ``ids`` and ``strategy`` (kind is ``type_strategy``) are the matching
-    columns. The arrays grow by half their size when full (less slack than
-    doubling, for peak memory), and the properties hide the unused capacity.
+
+def _rank(pair: tuple[float, _Entry]) -> tuple[float, int]:
+    """Sort key of a (key, entry) candidate: best key first, then node id."""
+    return -pair[0], pair[1].node_id
+
+
+def _grown(array: np.ndarray) -> np.ndarray:
+    """``array`` with half its length again of unused capacity (less slack
+    than doubling, for peak memory)."""
+    return np.concatenate([array, np.empty_like(array[: len(array) // 2])])
+
+
+class _Block:
+    """The exemplars of one (outcome store, task type id), with one scored
+    row per distinct vector.
+
+    Row ``g`` of ``vectors`` is a distinct normalised vector, found by its
+    bytes in ``_group_of``. ``members[g]`` lists the entries with that
+    vector in node id order, and ``plain[g]`` the ones among them whose kind
+    is not ``type_strategy``. ``entries`` holds every entry in the order it
+    was added. The matrix grows by half its size when full, and ``vectors``
+    hides the unused capacity.
     """
 
-    __slots__ = ("entries", "_vectors", "_ids", "_strategy")
+    __slots__ = ("entries", "members", "plain", "_group_of", "_vectors")
 
     def __init__(
-        self, dimension: int, entries: Sequence[_Entry] = (), rows: Sequence[np.ndarray] = ()
+        self, dimension: int, entries: Sequence[_Entry] = (), units: Sequence[np.ndarray] = ()
     ):
-        """A block holding ``entries``, with ``rows`` as their vectors."""
-        n = len(entries)
-        # at least _INITIAL_ROWS, so growth by half always adds rows
-        capacity = max(n, _INITIAL_ROWS)
+        """A block holding ``entries``, with ``units`` as their normalised
+        vectors; one array build for the matrix."""
         self.entries: list[_Entry] = list(entries)
-        self._vectors = np.empty((capacity, dimension))
-        self._ids = np.empty(capacity, dtype=np.int64)
-        self._strategy = np.empty(capacity, dtype=bool)
-        if n:
-            np.stack(rows, out=self._vectors[:n])
-            self._ids[:n] = [e.node_id for e in entries]
-            self._strategy[:n] = [e.kind == "type_strategy" for e in entries]
+        self.members: list[list[_Entry]] = []
+        self.plain: list[list[_Entry]] = []
+        self._group_of: dict[bytes, int] = {}
+        distinct: list[np.ndarray] = []
+        for entry, unit in zip(self.entries, units):
+            if self._file(entry, unit) == len(distinct):
+                distinct.append(unit)
+        # at least _INITIAL_ROWS, so growth by half always adds rows
+        self._vectors = np.empty((max(len(distinct), _INITIAL_ROWS), dimension))
+        if distinct:
+            np.stack(distinct, out=self._vectors[: len(distinct)])
 
-    def append(self, entry: _Entry, vector: np.ndarray) -> None:
-        n = len(self.entries)
-        if n == len(self._ids):
-            extra = n // 2
-            self._vectors, self._ids, self._strategy = (
-                np.concatenate([a, np.empty_like(a[:extra])])
-                for a in (self._vectors, self._ids, self._strategy)
-            )
-        self._vectors[n] = vector
-        self._ids[n] = entry.node_id
-        self._strategy[n] = entry.kind == "type_strategy"
+    def _file(self, entry: _Entry, unit: np.ndarray) -> int:
+        """Add ``entry`` to the group of ``unit``, in node id order, and
+        return the group's row; an unseen vector opens a new group."""
+        key = unit.tobytes()
+        g = self._group_of.get(key)
+        if g is None:
+            g = self._group_of[key] = len(self.members)
+            self.members.append([])
+            self.plain.append([])
+        for rows in (
+            (self.members[g],) if entry.kind == "type_strategy" else (self.members[g], self.plain[g])
+        ):
+            if rows and rows[-1].node_id > entry.node_id:
+                bisect.insort(rows, entry, key=_node_id)
+            else:
+                rows.append(entry)
+        return g
+
+    def append(self, entry: _Entry, unit: np.ndarray) -> None:
+        n_groups = len(self.members)
+        g = self._file(entry, unit)
+        if g == n_groups:
+            if g == len(self._vectors):
+                self._vectors = _grown(self._vectors)
+            self._vectors[g] = unit
         self.entries.append(entry)
 
     @property
     def vectors(self) -> np.ndarray:
-        return self._vectors[: len(self.entries)]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._ids[: len(self.entries)]
-
-    @property
-    def strategy(self) -> np.ndarray:
-        return self._strategy[: len(self.entries)]
+        return self._vectors[: len(self.members)]
 
 
 class MemoryIndex:
@@ -266,10 +312,24 @@ class MemoryIndex:
             )
         return arr
 
+    def _text_units(self, embed: Callable[[str], np.ndarray]) -> Callable[[str], np.ndarray]:
+        """The normalised embedding of a question text, with ``embed``
+        called once per distinct text."""
+        units: dict[str, np.ndarray] = {}
+
+        def unit_of(text: str) -> np.ndarray:
+            unit = units.get(text)
+            if unit is None:
+                unit = units[text] = self._unit(self._checked(embed(text)))
+            return unit
+
+        return unit_of
+
     def _build(self, embed: Callable[[str], np.ndarray]) -> None:
         """Index every exemplar of the graph into this empty index, one
-        array build per block: the rows, in the order, that ``index_memory``
+        block build per (store, task type): the blocks that ``index_memory``
         called for each exemplar in node id order would give."""
+        unit_of = self._text_units(embed)
         grouped: dict[tuple[str, int | None], tuple[list[_Entry], list[np.ndarray]]] = {}
         experience = self.graph.experience
         for node_id in sorted(experience):
@@ -281,9 +341,9 @@ class MemoryIndex:
             if group is None:
                 group = grouped[key] = ([], [])
             group[0].append(_entry(node, node.task_type_id))
-            group[1].append(self._unit(self._checked(embed(node.payload.get("question", "")))))
-        for key, (entries, rows) in grouped.items():
-            self._blocks[key] = _Block(self.dimension, entries, rows)
+            group[1].append(unit_of(node.payload.get("question", "")))
+        for key, (entries, units) in grouped.items():
+            self._blocks[key] = _Block(self.dimension, entries, units)
             self._indexed.update(e.node_id for e in entries)
 
     def index_memory(self, node_id: int, task_type_id: int | None, vector: np.ndarray) -> None:
@@ -311,17 +371,21 @@ class MemoryIndex:
     def refresh(self, embed: Callable[[str], np.ndarray]) -> int:
         """Re-embed every stored exemplar against the current embedder.
 
-        With a fixed embedder this recomputes identical vectors; it exists
-        so a swapped embedder propagates on the refresh cadence.
+        Each block is rebuilt in bulk from its entries, and each distinct
+        question text is embedded once. With a fixed embedder this
+        recomputes identical blocks; it exists so a swapped embedder
+        propagates on the refresh cadence.
         """
-        count = 0
-        for block in self._blocks.values():
-            vectors = block.vectors
-            for row, entry in enumerate(block.entries):
-                text = entry.payload.get("question", "")
-                vectors[row] = self._unit(embed(text))
-            count += len(block.entries)
-        return count
+        unit_of = self._text_units(embed)
+        self._blocks = {
+            key: _Block(
+                self.dimension,
+                block.entries,
+                [unit_of(e.payload.get("question", "")) for e in block.entries],
+            )
+            for key, block in self._blocks.items()
+        }
+        return len(self)
 
     def _candidates(
         self,
@@ -343,25 +407,32 @@ class MemoryIndex:
         if block is None:
             return []
         # vecdot runs the per-row kernel of ``vector @ query``, so a row's
-        # similarity does not depend on where the row sits in the block and
-        # duplicate exemplars tie exactly. A BLAS matvec (``M @ query``)
-        # rounds by row position and would break those ties.
+        # similarity does not depend on where the row sits in the matrix and
+        # an entry scores the same bits whichever block layout holds it. A
+        # BLAS matvec (``M @ query``) rounds by row position.
         sims = np.vecdot(block.vectors, query)
-        rows = np.flatnonzero(
-            ~(block.strategy & (sims < self.type_strategy_min_similarity))
-        )
-        if scorer is None:
-            keys = sims[rows]
-        else:
-            keys = np.array([scorer(block.entries[i]) for i in rows], dtype=np.float64)
-        if k is not None and k < len(rows):
-            # keep every row tied with the k-th best key; the sort below
-            # orders those ties by node id
-            kth = np.partition(keys, len(keys) - k)[len(keys) - k]
-            keep = keys >= kth
-            rows, keys = rows[keep], keys[keep]
-        order = np.lexsort((block.ids[rows], -keys))[:k]
-        return [(float(keys[i]), block.entries[rows[i]]) for i in order]
+        floor = self.type_strategy_min_similarity
+        # ranked by similarity, a group past the k-th best entry has nothing
+        # to add, and one at or above it adds at most its first k entries
+        by_sim = scorer is None and k is not None
+        picked: list[tuple[float, _Entry]] = []
+        seen = 0
+        kth = None
+        for g, sim in _best_first(sims, k if by_sim else None):
+            if kth is not None and sim < kth:
+                break
+            rows = block.plain[g] if sim < floor else block.members[g]
+            if not rows:
+                continue
+            if scorer is None:
+                picked.extend([(sim, entry) for entry in rows[:k]])
+            else:
+                picked.extend([(float(scorer(entry)), entry) for entry in rows])
+            seen += len(rows)
+            if by_sim and kth is None and seen >= k:
+                kth = sim
+        picked.sort(key=_rank)
+        return picked[:k]
 
     def retrieve_bundle(
         self,
@@ -440,7 +511,7 @@ class MemoryIndex:
             qn = normalize(qvec)
             pool = self._candidates("success_memory", qn, task_type_id)
             pool += self._candidates("failure_memory", qn, task_type_id)
-            pool.sort(key=lambda pair: (-pair[0], pair[1].node_id))
+            pool.sort(key=_rank)
             retrieved = [e.node_id for _, e in pool[:k]]
             entries = [self._entry_to_bundle(sim, e) for sim, e in pool]
             scored = sorted(
@@ -455,6 +526,31 @@ class MemoryIndex:
             mean=sum(distances) / len(distances),
             per_query=distances,
         )
+
+
+def _best_first(sims: np.ndarray, k: int | None) -> Iterator[tuple[int, float]]:
+    """``(row, value)`` for the rows of ``sims``, highest value first, ties
+    in row order.
+
+    A block of many distinct vectors, with ``k``, comes in slices: the rows
+    at or above the k-th highest value, then down to the 4k-th, and so on,
+    each sorted only when the caller walks into it, so a walk that stops
+    early sorts a few rows instead of the whole block.
+    """
+    n = len(sims)
+    above = np.inf
+    while k is not None and k < n and n > _SORT_ALL_ROWS:
+        bound = np.partition(sims, n - k)[n - k]
+        rows = np.flatnonzero((sims >= bound) & (sims < above))
+        rows = rows[np.argsort(-sims[rows], kind="stable")]
+        yield from zip(rows.tolist(), sims[rows].tolist())
+        above, k = bound, 4 * k
+    if above == np.inf:
+        rows = np.argsort(-sims, kind="stable")
+    else:
+        rows = np.flatnonzero(sims < above)
+        rows = rows[np.argsort(-sims[rows], kind="stable")]
+    yield from zip(rows.tolist(), sims[rows].tolist())
 
 
 def _uniform_tv(set_a: Sequence[int], set_b: Sequence[int]) -> float:

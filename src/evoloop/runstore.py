@@ -10,7 +10,12 @@
       eval-<tag>.json    frozen evaluation records
 
 Events buffer in memory during an iteration and flush at the boundary, so
-a killed process never leaves a partial iteration tail in events.log.
+a killed process never leaves a partial iteration tail in events.log. The
+graph encodes each event line as it commits the event (each record is
+JSON-encoded once, there) and hands it to ``event_sink``; ``flush_events``
+only joins and writes the buffered lines. ``append_report`` writes each
+report as ``json.dumps(report, sort_keys=True)`` would, through one reused
+encoder.
 Replay of config + events reproduces the graph bit-exactly; resume counts
 committed reports and continues from there. ``read_snapshot`` returns a
 boundary file's raw bytes, undecoded: the audit compares them byte for byte
@@ -43,6 +48,8 @@ REPORTS_NAME = "reports.jsonl"
 TMP_SUFFIX = ".tmp"
 
 _DECODER = json.JSONDecoder()
+# json.dumps(report, sort_keys=True), without a fresh encoder per report
+_REPORT_ENCODE = json.JSONEncoder(sort_keys=True).encode
 # the whitespace json.loads skips after a value, as json.decoder defines it
 _JSON_WS = re.compile(r"[ \t\n\r]*")
 
@@ -50,7 +57,7 @@ _JSON_WS = re.compile(r"[ \t\n\r]*")
 class RunStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._pending_events: list[dict[str, Any]] = []
+        self._pending_events: list[str] = []
 
     # ------------------------------------------------------------------
     # creation and loading
@@ -82,20 +89,17 @@ class RunStore:
     # ------------------------------------------------------------------
     # event log
 
-    def event_sink(self, event: dict[str, Any]) -> None:
-        self._pending_events.append(event)
+    def event_sink(self, line: str) -> None:
+        """Buffer one event line, as the graph encoded it."""
+        self._pending_events.append(line)
 
     def flush_events(self) -> int:
         """Append buffered events and fsync; returns the number written."""
         if not self._pending_events:
             return 0
-        lines = "".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-            for e in self._pending_events
-        )
         path = self.root / EVENTS_NAME
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(lines)
+            fh.write("\n".join(self._pending_events) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         n = len(self._pending_events)
@@ -135,7 +139,7 @@ class RunStore:
 
     def append_report(self, report: Mapping[str, Any]) -> None:
         with open(self.root / REPORTS_NAME, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
+            fh.write(_REPORT_ENCODE(report) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
 

@@ -6,8 +6,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 from evoloop import (
+    BackendError,
     CallTracker,
     HashEmbedder,
     HttpBackend,
@@ -321,6 +323,29 @@ def test_http_backend_exhausts_retries(stub_server):
     backend = HttpBackend(
         stub_server, model="m", role="execution", attempts=2, backoff=0.0
     )
-    with pytest.raises(ValidationError, match="after 2 attempts"):
+    with pytest.raises(BackendError, match="after 2 attempts"):
         backend.complete("doomed")
     assert backend.last_attempts == 2
+
+
+class _DownSession:
+    """A ``requests.Session`` stand-in whose every POST fails to connect."""
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        raise requests.ConnectionError("connection refused")
+
+
+def test_http_backend_outage_is_a_backend_error_not_a_usage_error():
+    session = _DownSession()
+    backend = HttpBackend(
+        "http://backend.invalid/v1", model="m", role="execution",
+        attempts=3, backoff=0.0, session=session,
+    )
+    with pytest.raises(BackendError, match="after 3 attempts: connection refused") as caught:
+        backend.complete("anyone there")
+    assert not isinstance(caught.value, ValidationError)
+    assert session.posts == backend.last_attempts == 3

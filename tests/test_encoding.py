@@ -2,6 +2,7 @@
 and the running protected counts against a scan."""
 
 import json
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,8 +100,8 @@ def apply_op(graph, skills, task_type, op):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(appends, min_size=4, max_size=8), st.lists(ops, min_size=5, max_size=40))
 def test_cached_encoding_matches_reference_after_any_op_sequence(seed_appends, sequence):
-    events = []
-    graph = KnowledgeGraph(event_sink=events.append, snapshot_history_limit=2)
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append, snapshot_history_limit=2)
     skills = [graph.add_skill("a"), graph.add_skill("b")]
     task_type = graph.add_task_type("t")
     graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=1, rng_seed=3)
@@ -121,7 +122,7 @@ def test_cached_encoding_matches_reference_after_any_op_sequence(seed_appends, s
         assert set(cache._fragments) == set(records)
 
     # replay decodes the log as a run directory would hand it over
-    decoded = [json.loads(json.dumps(e, sort_keys=True)) for e in events]
+    decoded = [json.loads(line) for line in lines]
 
     def check_counts(replaying, it):
         assert replaying.protected_counts() == protected_counts_reference(replaying)
@@ -212,8 +213,8 @@ def test_writer_copies_the_callers_payload_once(graph):
 
 
 def test_writer_copies_tuples_as_the_lists_replay_gives():
-    events = []
-    graph = KnowledgeGraph(event_sink=events.append)
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
     inner = [1, 2]
     nid = graph.append_experience("success_memory", {"steps": (inner, "x"), "n": {"k": [0]}})
     eid = graph.add_env_node("entity", {"parts": ([3],)})
@@ -222,11 +223,96 @@ def test_writer_copies_tuples_as_the_lists_replay_gives():
     assert stored == {"steps": [[1, 2], "x"], "n": {"k": [0]}}
     assert type(stored["steps"]) is list
     assert graph.env_nodes[eid].payload == {"parts": [[3]]}
-    decoded = [json.loads(json.dumps(e, sort_keys=True)) for e in events]
+    decoded = [json.loads(line) for line in lines]
     replayed = KnowledgeGraph.replay(decoded)
     assert replayed.experience[nid].payload == stored
     assert replayed.env_nodes[eid].payload == graph.env_nodes[eid].payload
     assert replayed.canonical_bytes() == graph.canonical_bytes() == canonical_bytes_reference(graph)
+
+
+# text that JSON escapes (quotes, backslashes, controls, line separators)
+# or that ensure_ascii writes as \u escapes, surrogate pairs included
+json_text = st.text(
+    alphabet=st.sampled_from(['a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\x00', 'é', 'ß', '漢', '\u2028', '😀']),
+    max_size=6,
+)
+json_keys = st.one_of(json_text, st.just("seq"))
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0.1, 1e-07, -0.0, 5e-324, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    json_text,
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+line_payloads = st.dictionaries(json_keys, json_trees, max_size=4)
+LINE_OUTCOMES = [("success_memory", None), ("failure_memory", "specific"), ("principle", None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["experience", "env", "template"]), line_payloads, st.integers(0, 3)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_every_flushed_line_is_the_canonical_dump_of_its_record(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = RunStore(tmp)
+        store.initialize({}, {})
+        graph = KnowledgeGraph(event_sink=store.event_sink)
+        committed = []
+
+        def commit(op, payload):
+            committed.append(
+                {"seq": graph.last_seq, "iter": graph.current_iter, "op": op, "payload": payload}
+            )
+
+        sid = graph.add_skill("s")
+        commit("add_skill", {"id": sid, "name": "s", "mastery": 0.0,
+                             "prompt_template": "{question}", "strategy": "direct"})
+        tt = graph.add_task_type("t")
+        commit("add_task_type", {"id": tt, "name": "t", "observed_iter": 0})
+        for n, (kind, payload, step) in enumerate(steps):
+            graph.current_iter += step
+            if kind == "experience":
+                outcome, failure_kind = LINE_OUTCOMES[n % len(LINE_OUTCOMES)]
+                nid = graph.append_experience(outcome, payload, task_type_id=tt, kind=failure_kind)
+                commit("append_experience", {
+                    "id": nid, "outcome": outcome, "task_type_id": tt, "skill_id": None,
+                    "kind": failure_kind, "confidence": 1.0, "payload": payload,
+                    "created_iter": graph.current_iter,
+                })
+            elif kind == "env":
+                nid = graph.add_env_node("entity", payload)
+                commit("add_env_node", {"id": nid, "node_class": "entity", "payload": payload})
+            else:
+                template = "{question} " + json.dumps(payload, ensure_ascii=False)
+                graph.set_prompt_template(sid, template)
+                commit("set_prompt_template", {"skill_id": sid, "value": template})
+        assert store.flush_events() == len(committed)
+        text = (store.root / "events.log").read_text(encoding="utf-8")
+        assert text.split("\n") == [
+            json.dumps(record, sort_keys=True, separators=(",", ":")) for record in committed
+        ] + [""]
+        assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+        replayed = KnowledgeGraph.replay(store.read_events())
+        assert replayed.canonical_bytes() == graph.canonical_bytes()
+        report = {"iteration": 0, "payload": steps[0][1]}
+        store.append_report(report)
+        assert (store.root / "reports.jsonl").read_text(encoding="utf-8") == (
+            json.dumps(report, sort_keys=True) + "\n"
+        )
 
 
 def check_run_against_reference(tmp_path, config, env_name):

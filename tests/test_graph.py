@@ -258,22 +258,23 @@ def test_frozen_graph_refuses_writes(graph):
 
 
 def test_event_records_shape():
-    events = []
-    graph = KnowledgeGraph(event_sink=events.append)
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
     sid = graph.add_skill("s")
     graph.set_mastery(sid, 0.3)
     graph.snapshot()
+    events = [json.loads(line) for line in lines]
     assert [e["seq"] for e in events] == [1, 2, 3]
     assert all(set(e) == {"seq", "iter", "op", "payload"} for e in events)
     assert all(e["iter"] == -1 for e in events)
     graph.current_iter = 4
     graph.set_mastery(sid, 0.4)
-    assert events[-1]["iter"] == 4
+    assert json.loads(lines[-1])["iter"] == 4
 
 
 def test_replay_reproduces_state_bytes():
-    events = []
-    graph = KnowledgeGraph(event_sink=events.append)
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
     sid = graph.add_skill("s", mastery=0.2)
     tt = graph.add_task_type("t")
     graph.append_experience("success_memory", {"question": "q"}, task_type_id=tt)
@@ -282,16 +283,17 @@ def test_replay_reproduces_state_bytes():
     graph.rollback_mutable(snap)
     graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=2, rng_seed=7)
     graph.bandit_update("route/s", "chain", 1)
-    replayed = KnowledgeGraph.replay(events)
+    replayed = KnowledgeGraph.replay(json.loads(line) for line in lines)
     assert replayed.canonical_bytes() == graph.canonical_bytes()
     assert replayed.graph_hash() == graph.graph_hash()
 
 
 def test_replay_rejects_sequence_gap():
-    events = []
-    graph = KnowledgeGraph(event_sink=events.append)
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
     graph.add_skill("a")
     graph.add_skill("b")
+    events = [json.loads(line) for line in lines]
     with pytest.raises(IntegrityError):
         KnowledgeGraph.replay([events[0], dict(events[1], seq=5)])
 
@@ -302,12 +304,12 @@ def test_replay_rejects_unknown_op():
 
 
 def _events_at_iters(iters):
-    events = []
-    graph = KnowledgeGraph(event_sink=events.append)
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
     for n, it in enumerate(iters):
         graph.current_iter = it
         graph.add_skill(f"s{n}")
-    return events
+    return [json.loads(line) for line in lines]
 
 
 def test_replay_rejects_iter_going_backwards():

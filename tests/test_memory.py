@@ -1,6 +1,8 @@
 """Dual exemplar stores: retrieval, allocation, formatting, cascade context."""
 
+import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from evoloop import (
     render_skill_lattice,
 )
 
+from evoloop import memory
 from evoloop.engine import build_simulated_engine
 from evoloop.memory import normalize
 from oracles import (
@@ -335,6 +338,207 @@ def test_duplicate_exemplars_tie_exactly_wherever_they_sit(n):
     assert [e.node_id for e in top.success] == near_ids[:3]
 
 
+def _axes(*terms, dimension=8):
+    v = np.zeros(dimension)
+    for axis, weight in terms:
+        v[axis] = weight
+    return v
+
+
+# retrieval over repeated vectors: GROUP_POOL[0] and GROUP_POOL[1] are
+# distinct vectors at exactly the same similarity to GROUP_QUERY (each
+# shares one axis with it), so a tie across two groups breaks on node id
+GROUP_QUERY = _axes((0, 1.0), (1, 1.0))
+GROUP_POOL = [
+    _axes((0, 1.0), (2, 1.0)),
+    _axes((1, 1.0), (3, 1.0)),
+    _axes((0, 1.0)),
+    _axes((0, 1.0), (1, 1.0), (4, 1.0)),
+    _axes((5, 1.0)),
+    _axes((0, -1.0), (6, 1.0)),
+]
+STORE_OF = {"success": "success_memory", "specific": "failure_memory", "type_strategy": "failure_memory"}
+
+
+def _embed_pool(text):
+    return GROUP_POOL[int(text[1:])]
+
+
+def _index_specs(graph, index, tts, specs, order):
+    """Append the exemplar of each spec in ``order``; returns reference rows."""
+    stores = {"success_memory": [], "failure_memory": []}
+    for i in order:
+        kind, t, v = specs[i]
+        if kind == "success":
+            nid = add_success(graph, index, tts[t], question=f"v{v}", vector=GROUP_POOL[v])
+        else:
+            nid = add_failure(graph, index, tts[t], question=f"v{v}", vector=GROUP_POOL[v], kind=kind)
+        stores[STORE_OF[kind]].append(
+            {"node_id": nid, "task_type_id": tts[t], "kind": None if kind == "success" else kind,
+             "vector": GROUP_POOL[v]}
+        )
+    return stores
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=st.lists(
+        st.tuples(
+            st.sampled_from(("success", "specific", "type_strategy")),
+            st.integers(0, 1),
+            st.integers(0, len(GROUP_POOL) - 1),
+            st.integers(1, 6),
+        ),
+        max_size=8,
+    ),
+    shared=st.integers(0, len(GROUP_POOL) - 1),
+    above=st.booleans(),
+    context_length=st.sampled_from((0, 900)),
+    use_scorer=st.booleans(),
+    sliced=st.booleans(),
+    data=st.data(),
+)
+# more copies of one vector than any k, beside its strategy twin
+@example(
+    drawn=[("success", 0, 2, 6), ("specific", 0, 2, 6), ("type_strategy", 0, 0, 6)],
+    shared=2, above=False, context_length=0, use_scorer=False, sliced=False, data=None,
+)
+def test_grouped_retrieval_matches_bruteforce_reference(
+    drawn, shared, above, context_length, use_scorer, sliced, data
+):
+    # ``sliced`` walks even these small blocks the way a block of many
+    # distinct vectors is walked
+    with mock.patch.object(memory, "_SORT_ALL_ROWS", 0 if sliced else memory._SORT_ALL_ROWS):
+        _check_grouped_retrieval(drawn, shared, above, context_length, use_scorer, data)
+
+
+def _check_grouped_retrieval(drawn, shared, above, context_length, use_scorer, data):
+    query = GROUP_QUERY
+    # the two tied vectors tie in both the reference and the index
+    assert float(GROUP_POOL[0] @ query) == float(GROUP_POOL[1] @ query)
+    # a type_strategy and a specific failure share one vector, which sits
+    # just above or just below the floor
+    shared_sim = float(normalize(GROUP_POOL[shared]) @ normalize(query))
+    floor = shared_sim - 0.01 if above else shared_sim + 0.01
+    specs = [(kind, t, v) for kind, t, v, copies in drawn for _ in range(copies)]
+    specs += [("type_strategy", 0, shared), ("specific", 0, shared), ("success", 0, 0), ("success", 0, 1)]
+    if data is None:
+        order, k = list(range(len(specs))), 3
+    else:
+        order = data.draw(st.permutations(range(len(specs))))
+        k = data.draw(st.integers(1, len(specs) + 1))
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=floor)
+    tts = [graph.add_task_type("t0"), graph.add_task_type("t1")]
+    stores = _index_specs(graph, index, tts, specs, order)
+    unit = index._unit(query)
+    tied = np.vecdot(np.stack([index._unit(v) for v in GROUP_POOL[:2]]), unit)
+    assert tied[0] == tied[1]
+    utility = {nid: (nid * 7 % 3) / 2 for nid in graph.experience}
+    scorer = (lambda e: utility[e.node_id]) if use_scorer else None
+    score = utility.__getitem__ if use_scorer else None
+
+    # entries indexed newest first must land in the same groups, in id order
+    shuffled = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=floor)
+    for nid in sorted(graph.experience, reverse=True):
+        node = graph.experience[nid]
+        shuffled.index_memory(nid, node.task_type_id, _embed_pool(node.payload["question"]))
+    bulk = rebuild_index(graph, 8, _embed_pool, floor)
+    _assert_same_blocks(bulk, index, _embed_pool)
+
+    tt = tts[0]
+    for outcome in ("success_memory", "failure_memory"):
+        want = rank_store_reference(stores[outcome], query, tt, floor, score)[:k]
+        for candidates in (index, shuffled, bulk):
+            got = candidates._candidates(outcome, unit, tt, scorer, k)
+            assert [e.node_id for _, e in got] == [nid for _, nid in want]
+            assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
+
+    ranked_s = rank_store_reference(stores["success_memory"], query, tt, floor, score)
+    ranked_f = rank_store_reference(stores["failure_memory"], query, tt, floor, score)
+    allocation = allocation_reference(context_length, k, 500)
+    take_s, take_f = bundle_sizes_reference(len(ranked_s), len(ranked_f), allocation)
+    bundle = index.retrieve_bundle(query, tt, context_length=context_length, k=k, scorer=scorer)
+    assert [e.node_id for e in bundle.success] == [nid for _, nid in ranked_s[:take_s]]
+    assert [e.node_id for e in bundle.failure] == [nid for _, nid in ranked_f[:take_f]]
+
+    pool = sorted(
+        rank_store_reference(stores["success_memory"], query, tt, floor)
+        + rank_store_reference(stores["failure_memory"], query, tt, floor),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    retrieved = [nid for _, nid in pool[:k]]
+    optimal = topk_reference([(nid, utility[nid]) for _, nid in pool], k)
+    report = index.measure_retrieval_error(
+        [(query, tt)], k=k, oracle=lambda q, be: utility[be.node_id]
+    )
+    assert report.per_query == pytest.approx([tv_reference(retrieved, optimal)], abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from((-0.5, 0.0, 0.25, 0.5, 0.75, 1.0)), min_size=1, max_size=40),
+    st.integers(1, 41) | st.none(),
+)
+def test_best_first_walks_rows_in_stable_descending_order(values, k):
+    sims = np.array(values)
+    want = [(row, values[row]) for row in sorted(range(len(values)), key=lambda r: -values[r])]
+    # slicing applies to every block size when the threshold is 0
+    for threshold in (memory._SORT_ALL_ROWS, 0):
+        with mock.patch.object(memory, "_SORT_ALL_ROWS", threshold):
+            assert list(memory._best_first(sims, k)) == want
+
+
+def test_retrieval_over_many_distinct_vectors_matches_reference():
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=16, type_strategy_min_similarity=0.2)
+    tt = graph.add_task_type("t")
+    rng = np.random.default_rng(7)
+    pool = rng.normal(size=(700, 16))
+    rows = []
+    for i in range(900):
+        # most vectors appear once, some twice
+        vector = pool[i % 700]
+        kind = "type_strategy" if i % 3 == 0 else "specific"
+        nid = add_failure(graph, index, tt, question=f"q{i}", vector=vector, kind=kind)
+        rows.append({"node_id": nid, "task_type_id": tt, "kind": kind, "vector": vector})
+    block = index._blocks[("failure_memory", tt)]
+    assert len(block.vectors) == 700 > memory._SORT_ALL_ROWS
+    for query in rng.normal(size=(20, 16)):
+        unit = index._unit(query)
+        for k in (1, 3, 50, 700):
+            want = rank_store_reference(rows, query, tt, 0.2)[:k]
+            got = index._candidates("failure_memory", unit, tt, None, k)
+            assert [e.node_id for _, e in got] == [nid for _, nid in want]
+            assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
+
+
+def test_scan_scores_each_distinct_vector_once(monkeypatch):
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=64)
+    tt = graph.add_task_type("t")
+    vectors = [seeded_unit(400 + i) for i in range(3)]
+    ids = [
+        add_success(graph, index, tt, question=f"s{i % 3}", vector=vectors[i % 3])
+        for i in range(1000)
+    ]
+    block = index._blocks[("success_memory", tt)]
+    assert len(block.entries) == len(index) == 1000
+    assert block.vectors.shape == (3, 64)
+    scanned = []
+    vecdot = np.vecdot
+
+    def counting(rows, query):
+        scanned.append(len(rows))
+        return vecdot(rows, query)
+
+    monkeypatch.setattr(np, "vecdot", counting)
+    bundle = index.retrieve_bundle(vectors[1], tt, context_length=10, k=3)
+    # one scan of the success block's three rows; the failure store is empty
+    assert scanned == [3]
+    assert [e.node_id for e in bundle.success] == ids[1:10:3]
+
+
 def test_index_rejects_duplicates_and_wrong_class(indexed):
     graph, index, _ = indexed
     tt = graph.add_task_type("t")
@@ -468,12 +672,20 @@ def _assert_same_blocks(index, other, embed):
     for key, block in index._blocks.items():
         twin = other._blocks[key]
         assert block.vectors.tobytes() == twin.vectors.tobytes()
-        assert block.ids.tobytes() == twin.ids.tobytes()
-        assert block.strategy.tobytes() == twin.strategy.tobytes()
         assert [e.node_id for e in block.entries] == [e.node_id for e in twin.entries]
-        # every row is the bits of normalize on the raw embedding
-        reference = [normalize(embed(e.payload["question"])) for e in block.entries]
-        assert block.vectors.tobytes() == b"".join(r.tobytes() for r in reference)
+        for groups in ("members", "plain"):
+            assert [[e.node_id for e in rows] for rows in getattr(block, groups)] == [
+                [e.node_id for e in rows] for rows in getattr(twin, groups)
+            ]
+        # every entry's row is the bits of normalize on the raw embedding
+        reference = {}
+        for row, rows in zip(block.vectors, block.members):
+            for e in rows:
+                reference[e.node_id] = normalize(embed(e.payload["question"])).tobytes()
+                assert row.tobytes() == reference[e.node_id]
+        assert sorted(reference) == sorted(e.node_id for e in block.entries)
+        # and each distinct vector has one row
+        assert len(block.vectors) == len(set(reference.values()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -847,8 +1059,8 @@ def test_recipe_latest_wins(graph):
 
 
 def test_recipe_falls_back_when_newest_is_deleted():
-    records = []
-    graph = KnowledgeGraph(event_sink=records.append)
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
     s = graph.add_skill("s")
     other = graph.add_skill("other")
     record_action_recipe(graph, s, ["old"])
@@ -858,7 +1070,7 @@ def test_recipe_falls_back_when_newest_is_deleted():
     graph.append_experience("retrieval_recipe", {"actions": []}, skill_id=s)
     assert latest_action_recipe(graph, s) == ["new"]
     graph.delete_experience(newer)
-    replayed = KnowledgeGraph.replay(records)
+    replayed = KnowledgeGraph.replay(json.loads(line) for line in lines)
     for g in (graph, replayed):
         assert latest_action_recipe(g, s) == ["old"]
         assert latest_action_recipe(g, other) == ["elsewhere"]

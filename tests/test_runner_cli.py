@@ -6,6 +6,7 @@ import os
 import pytest
 
 from evoloop import (
+    BackendError,
     EngineConfig,
     IntegrityError,
     KnowledgeGraph,
@@ -86,6 +87,18 @@ def test_run_then_eval_then_audit_then_stats(tmp_path, capsys):
     assert len(lines) == 5
     first = lines[1].split("\t")
     assert first[0] == "0" and first[1] == "8"
+
+
+def test_backend_outage_exits_three(tmp_path, monkeypatch, capsys):
+    run_dir = tmp_path / "r"
+    assert main(["init", str(run_dir), "--env", "static_qa"]) == 0
+
+    def outage(*args, **kwargs):
+        raise BackendError("backend call failed after 3 attempts: connection refused")
+
+    monkeypatch.setattr("evoloop.cli.run_training", outage)
+    assert main(["run", str(run_dir)]) == 3
+    assert "backend error: backend call failed after 3 attempts" in capsys.readouterr().err
 
 
 def test_stats_on_fresh_run_prints_header_only(tmp_path, capsys):
