@@ -21,11 +21,17 @@ Six checks, each independent and reported separately:
   bandit_consistency       replayed bandit slots equal an independent
                            recount of draw and update events
 
-The two replay checks share one forward replay: each event is applied
-once, and each stored boundary snapshot is read and compared once, as raw
-bytes against the replayed graph's canonical encoding. A boundary file that
-differs in any byte (including one that is not JSON at all) fails only
-log_replay; a log that does not replay fails both.
+The three log checks share one streamed pass over events.log: each record
+is decoded once and handed to replay, and once replay has applied it, to
+the protected_conservation and bandit_consistency steps, so one decoded
+record is held at a time. If replay stops at a record, that record and the
+rest of the log still reach the protected step. Each stored boundary
+snapshot is read and compared once, as raw bytes against the replayed
+graph's canonical encoding. A boundary file that differs in any byte
+(including one that is not JSON at all) fails only log_replay; a log that
+does not replay fails both replay checks. A line of events.log or
+reports.jsonl that does not decode is the single log_replay failure; an
+eval record that does not decode fails tier_separation.
 
 The audit reads the run directory only; it never mutates it.
 """
@@ -81,61 +87,127 @@ def audit_run(store: RunStore) -> AuditResult:
     result = AuditResult()
 
     try:
-        events = list(store.read_events())
         reports = store.read_reports()
+        protected, replay_check, bandit_check = _check_event_log(store, reports, config)
     except IntegrityError as exc:
+        # a line of events.log or reports.jsonl that does not decode
         result.checks.append(CheckResult("log_replay", False, str(exc)))
         return result
 
-    result.checks.append(_check_protected_conservation(events, reports))
+    result.checks.append(protected)
     result.checks.append(_check_selection_gap(reports, config))
     result.checks.append(_check_mastery_ratchet(reports, config))
     tier_check, summary = _check_tier_separation(store, reports)
     result.checks.append(tier_check)
     result.call_summary = summary
-    replay_check, replayed = _check_log_replay(store, events, reports, config)
     result.checks.append(replay_check)
-    result.checks.append(_check_bandit_consistency(events, replayed, config))
+    result.checks.append(bandit_check)
     return result
+
+
+def _check_event_log(
+    store: RunStore, reports, config: EngineConfig
+) -> tuple[CheckResult, CheckResult, CheckResult]:
+    """protected_conservation, log_replay and bandit_consistency in one pass.
+
+    A line of events.log that does not decode raises its ``IntegrityError``.
+    """
+    protected = _ProtectedConservation()
+    bandits = _BanditRecount(config.snapshot_history_limit)
+    records = _EventStream(store, [protected.step, bandits.step])
+    replay_check, replayed = _check_log_replay(store, records, reports, config)
+    if isinstance(replayed, IntegrityError):
+        if replayed is records.decode_error:
+            raise replayed
+        # the record replay refused and the rest of the log still reach the
+        # protected step; the bandit recount is moot
+        records.steps = [protected.step]
+        for _ in records:
+            pass
+    return (
+        protected.result(reports, records.count),
+        replay_check,
+        bandits.result(replayed),
+    )
+
+
+class _EventStream:
+    """events.log read once, one decoded record at a time.
+
+    Iterating yields each record to replay; when the next record is asked
+    for, replay has applied this one, and it goes to each of ``steps``.
+    ``count`` counts the records read, ``decode_error`` keeps the error of
+    a line that does not decode.
+    """
+
+    def __init__(self, store: RunStore, steps):
+        self.steps = steps
+        self.count = 0
+        self.decode_error: IntegrityError | None = None
+        self._records = self._read(store)
+
+    def __iter__(self):
+        return self._records
+
+    def _read(self, store: RunStore):
+        try:
+            for event in store.read_events():
+                self.count += 1
+                yield event
+                for step in self.steps:
+                    step(event)
+        except IntegrityError as exc:
+            self.decode_error = exc
+            raise
 
 
 # ----------------------------------------------------------------------
 # individual checks
 
-def _check_protected_conservation(events, reports) -> CheckResult:
-    outcome_by_id: dict[int, str] = {}
-    for event in events:
+class _ProtectedConservation:
+    """protected_conservation: fed the log one event at a time."""
+
+    def __init__(self):
+        self.outcome_by_id: dict[int, str] = {}
+        self.violation: str | None = None
+
+    def step(self, event) -> None:
+        if self.violation is not None:
+            return
         op, payload = event["op"], event["payload"]
         if op == "append_experience":
-            outcome_by_id[payload["id"]] = payload["outcome"]
+            self.outcome_by_id[payload["id"]] = payload["outcome"]
         elif op == "prune":
             for nid in payload.get("removed_ids", []):
-                outcome = outcome_by_id.get(nid)
+                outcome = self.outcome_by_id.get(nid)
                 if outcome in PROTECTED_OUTCOMES:
+                    self.violation = (
+                        f"protected node {nid} ({outcome}) pruned at seq {event['seq']}"
+                    )
+                    return
+
+    def result(self, reports, n_events: int) -> CheckResult:
+        if self.violation is not None:
+            return CheckResult("protected_conservation", False, self.violation)
+        previous: dict[str, int] = {}
+        for report in reports:
+            counts = report["protected_counts_post"]
+            for outcome in PROTECTED_OUTCOMES:
+                now, before = counts.get(outcome, 0), previous.get(outcome, 0)
+                if now < before:
                     return CheckResult(
                         "protected_conservation",
                         False,
-                        f"protected node {nid} ({outcome}) pruned at seq {event['seq']}",
+                        f"{outcome} count dropped {before} -> {now} at iteration "
+                        f"{report['iteration']}",
                     )
-    previous: dict[str, int] = {}
-    for report in reports:
-        counts = report["protected_counts_post"]
-        for outcome in PROTECTED_OUTCOMES:
-            now, before = counts.get(outcome, 0), previous.get(outcome, 0)
-            if now < before:
-                return CheckResult(
-                    "protected_conservation",
-                    False,
-                    f"{outcome} count dropped {before} -> {now} at iteration "
-                    f"{report['iteration']}",
-                )
-        previous = counts
-    n_protected = sum(1 for o in outcome_by_id.values() if o in PROTECTED_OUTCOMES)
-    return CheckResult(
-        "protected_conservation",
-        True,
-        f"{n_protected} protected nodes, none deleted across {len(events)} events",
-    )
+            previous = counts
+        n_protected = sum(1 for o in self.outcome_by_id.values() if o in PROTECTED_OUTCOMES)
+        return CheckResult(
+            "protected_conservation",
+            True,
+            f"{n_protected} protected nodes, none deleted across {n_events} events",
+        )
 
 
 def _check_selection_gap(reports, config: EngineConfig) -> CheckResult:
@@ -204,7 +276,10 @@ def _check_mastery_ratchet(reports, config: EngineConfig) -> CheckResult:
 
 
 def _check_tier_separation(store: RunStore, reports) -> tuple[CheckResult, dict]:
-    eval_records = store.read_evals()
+    try:
+        eval_records = store.read_evals()
+    except IntegrityError as exc:
+        return CheckResult("tier_separation", False, str(exc)), {}
     summary = call_audit(reports, eval_records)
     known = GUIDANCE_AGENTS | EXECUTION_AGENTS
     for report in reports:
@@ -236,7 +311,7 @@ def _check_tier_separation(store: RunStore, reports) -> tuple[CheckResult, dict]
 
 
 def _check_log_replay(
-    store: RunStore, events, reports, config: EngineConfig
+    store: RunStore, records: _EventStream, reports, config: EngineConfig
 ) -> tuple[CheckResult, KnowledgeGraph | IntegrityError]:
     """Replay the log once, comparing each boundary as the log moves past it.
 
@@ -258,7 +333,7 @@ def _check_log_replay(
 
     try:
         graph = KnowledgeGraph.replay(
-            events,
+            records,
             principles_per_skill_cap=config.principles_per_skill_cap,
             skill_growth_cap=config.skill_growth_cap,
             snapshot_history_limit=config.snapshot_history_limit,
@@ -270,25 +345,29 @@ def _check_log_replay(
         detail = f"boundary snapshot {diverged} diverges from replay"
         return CheckResult("log_replay", False, detail), graph
     detail = (
-        f"{len(events)} events replay cleanly, {checked} boundary snapshots match, "
+        f"{records.count} events replay cleanly, {checked} boundary snapshots match, "
         f"final hash {graph.graph_hash()[:12]}"
     )
     return CheckResult("log_replay", True, detail), graph
 
 
-def _check_bandit_consistency(
-    events, replayed: KnowledgeGraph | IntegrityError, config: EngineConfig
-) -> CheckResult:
-    if isinstance(replayed, IntegrityError):
-        return CheckResult("bandit_consistency", False, f"log does not replay: {replayed}")
-    # recount draws and updates per context from scratch; honor rollbacks
-    draws: dict[str, int] = {}
-    totals: dict[str, dict[str, list[int]]] = {}
-    snapshots: dict[int, tuple[dict, dict]] = {}
-    snapshot_order: list[int] = []
-    limit = config.snapshot_history_limit
-    try:
-        for event in events:
+class _BanditRecount:
+    """bandit_consistency: draws and updates per context recounted from
+    scratch, one replayed event at a time; rollbacks are honored."""
+
+    def __init__(self, snapshot_history_limit: int):
+        self.limit = snapshot_history_limit
+        self.draws: dict[str, int] = {}
+        self.totals: dict[str, dict[str, list[int]]] = {}
+        self.snapshots: dict[int, tuple[dict, dict]] = {}
+        self.snapshot_order: list[int] = []
+        self.error: KeyError | None = None
+
+    def step(self, event) -> None:
+        if self.error is not None:
+            return
+        draws, totals = self.draws, self.totals
+        try:
             op, payload = event["op"], event["payload"]
             if op == "bandit_init":
                 ctx = payload["context_id"]
@@ -301,43 +380,52 @@ def _check_bandit_consistency(
                 s_f[0 if payload["reward"] == 1 else 1] += 1
             elif op == "snapshot":
                 sid = payload["snapshot_id"]
-                snapshots[sid] = (
+                self.snapshots[sid] = (
                     {c: n for c, n in draws.items()},
                     {c: {a: list(v) for a, v in arms.items()} for c, arms in totals.items()},
                 )
-                snapshot_order.append(sid)
-                if len(snapshot_order) > limit:
-                    snapshots.pop(snapshot_order.pop(0), None)
+                self.snapshot_order.append(sid)
+                if len(self.snapshot_order) > self.limit:
+                    self.snapshots.pop(self.snapshot_order.pop(0), None)
             elif op == "rollback":
-                saved_draws, saved_totals = snapshots[payload["snapshot_id"]]
+                saved_draws, saved_totals = self.snapshots[payload["snapshot_id"]]
                 for ctx in draws:
                     if ctx in saved_draws:
                         draws[ctx] = saved_draws[ctx]
                         totals[ctx] = {a: list(v) for a, v in saved_totals[ctx].items()}
-    except KeyError as exc:
-        return CheckResult(
-            "bandit_consistency", False, f"bandit event references unknown state: {exc}"
-        )
-    for ctx in sorted(draws):
-        slot = replayed.bandits.get(ctx)
-        if slot is None:
-            return CheckResult("bandit_consistency", False, f"context {ctx} missing after replay")
-        if slot.draws != draws[ctx]:
+        except KeyError as exc:
+            self.error = exc
+
+    def result(self, replayed: KnowledgeGraph | IntegrityError) -> CheckResult:
+        if isinstance(replayed, IntegrityError):
+            return CheckResult("bandit_consistency", False, f"log does not replay: {replayed}")
+        if self.error is not None:
             return CheckResult(
-                "bandit_consistency",
-                False,
-                f"{ctx}: draws {slot.draws} != recount {draws[ctx]}",
+                "bandit_consistency", False, f"bandit event references unknown state: {self.error}"
             )
-        for arm, (s, f) in totals[ctx].items():
-            if slot.successes[arm] != s or slot.failures[arm] != f:
+        draws, totals = self.draws, self.totals
+        for ctx in sorted(draws):
+            slot = replayed.bandits.get(ctx)
+            if slot is None:
+                return CheckResult(
+                    "bandit_consistency", False, f"context {ctx} missing after replay"
+                )
+            if slot.draws != draws[ctx]:
                 return CheckResult(
                     "bandit_consistency",
                     False,
-                    f"{ctx}/{arm}: s/f {slot.successes[arm]}/{slot.failures[arm]} "
-                    f"!= recount {s}/{f}",
+                    f"{ctx}: draws {slot.draws} != recount {draws[ctx]}",
                 )
-    return CheckResult(
-        "bandit_consistency",
-        True,
-        f"{len(draws)} contexts match an independent event recount",
-    )
+            for arm, (s, f) in totals[ctx].items():
+                if slot.successes[arm] != s or slot.failures[arm] != f:
+                    return CheckResult(
+                        "bandit_consistency",
+                        False,
+                        f"{ctx}/{arm}: s/f {slot.successes[arm]}/{slot.failures[arm]} "
+                        f"!= recount {s}/{f}",
+                    )
+        return CheckResult(
+            "bandit_consistency",
+            True,
+            f"{len(draws)} contexts match an independent event recount",
+        )

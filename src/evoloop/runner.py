@@ -5,8 +5,11 @@ Crash windows and their recovery, in iteration order:
   1. killed mid-iteration        buffered events were never flushed, the
                                  log ends at the previous boundary
   2. killed after the event      the log holds events for an iteration
-     flush, before the report    with no report; loading truncates that
-                                 tail before replay
+     flush, before the report    with no report; loading streams the log
+                                 into replay, reads and checks that tail
+                                 after the committed records, and cuts it
+                                 only then: never when the committed
+                                 records fail replay or the tail is refused
   3. killed after the report,    the boundary snapshot file is rebuilt
      before the snapshot file    from the replayed graph
 
@@ -16,8 +19,9 @@ finished run is byte-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+from contextlib import closing
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .backends import simulated_backend_set
 from .engine import Engine, EngineConfig, IterationReport
@@ -41,29 +45,36 @@ def committed_iterations(store: RunStore) -> int:
     return len(store.read_reports())
 
 
-def _truncate_uncommitted(store: RunStore, last_committed: int) -> list[dict[str, Any]]:
-    """Drop event-log tail past the last committed iteration, if any.
+def _committed_events(store: RunStore, last_committed: int) -> Iterator[dict[str, Any]]:
+    """Stream events.log up to the last committed iteration, then cut the rest.
 
-    The uncommitted records must be one contiguous tail whose iter never goes
-    backwards, as the writer leaves them; any other log is refused before the
-    file is touched.
+    Yields each record whose iter is at most ``last_committed`` (bootstrap
+    records carry iter -1 and always stay). The records from the first one
+    past it on are the uncommitted tail: one contiguous run whose iter never
+    goes backwards, as the writer leaves it. The tail is read and checked
+    only once every committed record has been taken (replay applies each
+    record before it asks for the next), and cut only after that, so a log
+    refused in either part is left untouched.
     """
-    events = list(store.read_events())
+    kept = 0
+    tail_iter = None
     try:
-        iters = [e["iter"] for e in events]
-        # bootstrap events carry iter -1 and always stay
-        cut = next((i for i, it in enumerate(iters) if it > last_committed), len(events))
-        back = next((i for i in range(cut + 1, len(iters)) if iters[i] < iters[i - 1]), None)
+        for event in store.read_events():
+            it = event["iter"]
+            if tail_iter is None:
+                if not it > last_committed:
+                    kept += 1
+                    yield event
+                    continue
+            elif it < tail_iter:
+                raise IntegrityError(
+                    f"event iter goes backwards at seq {event.get('seq')}: {it} after {tail_iter}"
+                )
+            tail_iter = it
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"malformed event record: no comparable iter ({exc!r})") from exc
-    if back is not None:
-        raise IntegrityError(
-            f"event iter goes backwards at seq {events[back].get('seq')}: "
-            f"{iters[back]} after {iters[back - 1]}"
-        )
-    if cut != len(events):
-        store.truncate_events(cut)
-    return events[:cut]
+    if tail_iter is not None:
+        store.truncate_events(kept)
 
 
 def load_engine(store: RunStore) -> Engine:
@@ -79,13 +90,14 @@ def _load_engine(store: RunStore, reports: list[dict[str, Any]]) -> Engine:
     env = make_env(meta["env"], seed=config.seed, pool_size=config.pool_size)
 
     last_committed = len(reports) - 1
-    events = _truncate_uncommitted(store, last_committed)
-    graph = KnowledgeGraph.replay(
-        events,
-        principles_per_skill_cap=config.principles_per_skill_cap,
-        skill_growth_cap=config.skill_growth_cap,
-        snapshot_history_limit=config.snapshot_history_limit,
-    )
+    # closing: a replay refused part way leaves the log open in the stream
+    with closing(_committed_events(store, last_committed)) as events:
+        graph = KnowledgeGraph.replay(
+            events,
+            principles_per_skill_cap=config.principles_per_skill_cap,
+            skill_growth_cap=config.skill_growth_cap,
+            snapshot_history_limit=config.snapshot_history_limit,
+        )
     backends = simulated_backend_set(env.answer_key(), seed=config.seed)
     index = rebuild_index(
         graph,

@@ -21,10 +21,14 @@ committed reports and continues from there. ``read_snapshot`` returns a
 boundary file's raw bytes, undecoded: the audit compares them byte for byte
 with the replayed graph's encoding.
 
-Both JSONL files are read line by line through one reused
-``json.JSONDecoder``: each stripped, non-blank line must hold exactly one
-JSON value, and a line that per-line ``json.loads`` would reject raises
-``IntegrityError`` naming the file and line, with the decoder's message.
+``config.json``, ``meta.json`` and the eval records are read whole; one that
+does not decode raises ``IntegrityError`` naming the file. Both JSONL files
+are read line by line through one reused ``json.JSONDecoder``: each
+stripped, non-blank line must hold exactly one JSON value, and a line that
+per-line ``json.loads`` would reject raises ``IntegrityError`` naming the
+file and line, with the decoder's message. ``read_events`` yields each
+record as its line is decoded, so a reader that consumes them one at a
+time holds one decoded record at a time.
 Boundary snapshots and eval records are written to a ``.tmp`` name (which
 the ``snap-*.json`` and ``eval-*.json`` globs do not match), fsynced and
 renamed into place, so a kill mid-write leaves either no file or a whole
@@ -80,11 +84,11 @@ class RunStore:
 
     def load_config(self) -> dict[str, Any]:
         self.require()
-        return json.loads((self.root / CONFIG_NAME).read_text())
+        return _read_json(self.root / CONFIG_NAME, "config")
 
     def load_meta(self) -> dict[str, Any]:
         self.require()
-        return json.loads((self.root / META_NAME).read_text())
+        return _read_json(self.root / META_NAME, "meta")
 
     # ------------------------------------------------------------------
     # event log
@@ -178,10 +182,7 @@ class RunStore:
             path.unlink()
 
     def read_evals(self) -> list[dict[str, Any]]:
-        records = []
-        for path in sorted(self.root.glob("eval-*.json")):
-            records.append(json.loads(path.read_text()))
-        return records
+        return [_read_json(path, "eval record") for path in sorted(self.root.glob("eval-*.json"))]
 
     @staticmethod
     def _write_json(path: Path, data: Mapping[str, Any]) -> None:
@@ -200,6 +201,14 @@ def _write_atomic(path: Path, data: bytes) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _read_json(path: Path, what: str) -> Any:
+    """The JSON value of a whole file; ``IntegrityError`` naming it if corrupt."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise IntegrityError(f"corrupt {what} {path.name}: {exc}") from exc
 
 
 def _read_jsonl(path: Path, what: str) -> Iterator[Any]:

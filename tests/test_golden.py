@@ -12,13 +12,18 @@ before/after numbers, and update the digests in the same commit.
 The third run covers what the first two skip: it stops half way and resumes
 through ``load_engine`` in a fresh ``RunStore``, re-measures after UPDATE,
 and ranks exemplars with the oracle scorer.
+
+Each run's audit lines are pinned too, as the audit printed them when it
+still decoded the whole log into a list before checking it: every event
+count, boundary count and final hash must come out of the streamed pass
+unchanged.
 """
 
 import hashlib
 
 import pytest
 
-from evoloop import EngineConfig, RunStore, init_run, run_eval, run_training
+from evoloop import EngineConfig, RunStore, audit_run, init_run, run_eval, run_training
 
 GOLDEN = {
     "static_qa": (
@@ -44,6 +49,34 @@ GOLDEN = {
 }
 
 
+AUDIT_LINES = {
+    "static_qa": [
+        "[PASS] protected_conservation: 236 protected nodes, none deleted across 879 events",
+        "[PASS] selection_gap: max observed wait 4 within running bound over 4 committed iterations",
+        "[PASS] mastery_ratchet: 11 skill trajectories obey the rise/decay law",
+        "[PASS] tier_separation: guidance calls: train 48/288 (16.67%), inference 0",
+        "[PASS] log_replay: 879 events replay cleanly, 4 boundary snapshots match, final hash 61d7d4258e94",
+        "[PASS] bandit_consistency: 17 contexts match an independent event recount",
+    ],
+    "sequential": [
+        "[PASS] protected_conservation: 36 protected nodes, none deleted across 290 events",
+        "[PASS] selection_gap: max observed wait 2 within running bound over 6 committed iterations",
+        "[PASS] mastery_ratchet: 8 skill trajectories obey the rise/decay law",
+        "[PASS] tier_separation: guidance calls: train 24/56 (42.86%), inference 0",
+        "[PASS] log_replay: 290 events replay cleanly, 6 boundary snapshots match, final hash 74820e192564",
+        "[PASS] bandit_consistency: 13 contexts match an independent event recount",
+    ],
+    "resumed": [
+        "[PASS] protected_conservation: 357 protected nodes, none deleted across 1290 events",
+        "[PASS] selection_gap: max observed wait 4 within running bound over 6 committed iterations",
+        "[PASS] mastery_ratchet: 11 skill trajectories obey the rise/decay law",
+        "[PASS] tier_separation: guidance calls: train 432/1152 (37.50%), inference 0",
+        "[PASS] log_replay: 1290 events replay cleanly, 6 boundary snapshots match, final hash 4702d6ccd217",
+        "[PASS] bandit_consistency: 17 contexts match an independent event recount",
+    ],
+}
+
+
 @pytest.mark.parametrize("env_name", sorted(GOLDEN))
 def test_run_files_match_golden_digests(tmp_path, env_name):
     overrides, expected = GOLDEN[env_name]
@@ -55,6 +88,7 @@ def test_run_files_match_golden_digests(tmp_path, env_name):
         name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
     }
     assert digests == expected
+    assert audit_run(RunStore(store.root)).lines() == AUDIT_LINES[env_name]
 
 
 RESUMED = (
@@ -81,3 +115,4 @@ def test_resumed_remeasure_oracle_run_matches_golden_digests(tmp_path):
         name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
     }
     assert digests == expected
+    assert audit_run(RunStore(store.root)).lines() == AUDIT_LINES["resumed"]

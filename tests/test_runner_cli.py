@@ -256,6 +256,76 @@ def test_truncation_keeps_committed_bytes_and_fsyncs(tmp_path, monkeypatch):
     assert engine.graph.last_seq == seq
 
 
+def test_committed_records_that_fail_replay_keep_the_tail_untouched(tmp_path):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=3)
+    lines = (run_dir / "events.log").read_text().splitlines(keepends=True)
+    seq = json.loads(lines[-1])["seq"]
+    # a seq gap among the committed records, and an uncommitted tail
+    gapped = json.loads(lines[10])
+    gapped["seq"] += 100
+    lines[10] = json.dumps(gapped, sort_keys=True, separators=(",", ":")) + "\n"
+    (run_dir / "events.log").write_text("".join(lines))
+    append_event(run_dir, {
+        "seq": seq + 1,
+        "iter": 3,
+        "op": "prune",
+        "payload": {"threshold": None, "removed_ids": []},
+    })
+    tampered = read_bytes(run_dir, "events.log")
+    with pytest.raises(IntegrityError, match="event seq gap: expected 11, got 111"):
+        load_engine(RunStore(run_dir))
+    assert read_bytes(run_dir, "events.log") == tampered
+
+
+def count_live_records(monkeypatch):
+    """Count the records read_events yields, and at each ``_apply`` note how
+    many of them are decoded but not yet applied."""
+    read_events, apply = RunStore.read_events, KnowledgeGraph._apply
+    seen = {"yielded": 0, "applied": 0, "most_live": 0}
+
+    def counting_read(self):
+        for record in read_events(self):
+            seen["yielded"] += 1
+            yield record
+
+    def checking_apply(self, op, payload):
+        seen["most_live"] = max(seen["most_live"], seen["yielded"] - seen["applied"])
+        seen["applied"] += 1
+        return apply(self, op, payload)
+
+    monkeypatch.setattr(RunStore, "read_events", counting_read)
+    monkeypatch.setattr(KnowledgeGraph, "_apply", checking_apply)
+    return seen
+
+
+def test_load_holds_one_decoded_record_at_a_time(tmp_path, monkeypatch):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=3)
+    committed = len(list(store.read_events()))
+    for offset, it in ((1, 3), (2, 4)):
+        append_event(run_dir, {
+            "seq": committed + offset,
+            "iter": it,
+            "op": "prune",
+            "payload": {"threshold": None, "removed_ids": []},
+        })
+    seen = count_live_records(monkeypatch)
+    engine = load_engine(RunStore(run_dir))
+    assert engine.graph.last_seq == committed
+    assert seen == {"yielded": committed + 2, "applied": committed, "most_live": 1}
+
+
+def test_audit_holds_one_decoded_record_at_a_time(tmp_path, monkeypatch):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=3)
+    total = len(list(store.read_events()))
+    seen = count_live_records(monkeypatch)
+    result = audit_run(RunStore(run_dir))
+    assert result.passed
+    assert seen == {"yielded": total, "applied": total, "most_live": 1}
+
+
 def test_missing_boundary_snapshot_is_rebuilt(tmp_path):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=3)
@@ -392,6 +462,53 @@ def test_corrupt_event_line_is_an_integrity_failure(tmp_path, capsys):
     with pytest.raises(Exception) as excinfo:
         load_engine(RunStore(run_dir))
     assert "corrupt event" in str(excinfo.value)
+
+
+def test_corrupt_eval_record_fails_tier_separation_only(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    run_eval(store)
+    (run_dir / "eval-held_out-ret-00002.json").write_text("{not json")
+    with pytest.raises(IntegrityError, match="corrupt eval record eval-held_out-ret-00002.json"):
+        store.read_evals()
+
+    result = audit_run(RunStore(run_dir))
+    assert [c.name for c in result.checks] == [
+        "protected_conservation", "selection_gap", "mastery_ratchet",
+        "tier_separation", "log_replay", "bandit_consistency",
+    ]
+    assert [c.name for c in result.checks if not c.passed] == ["tier_separation"]
+    assert result.checks[3].detail.startswith("corrupt eval record eval-held_out-ret-00002.json: ")
+    assert main(["audit", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] tier_separation: corrupt eval record" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_corrupt_config_is_an_integrity_error(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    (run_dir / "config.json").write_text("{not json")
+    with pytest.raises(IntegrityError, match="corrupt config config.json"):
+        store.load_config()
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 2
+    assert "corrupt config config.json" in capsys.readouterr().err
+    assert main(["run", str(run_dir), "--resume", "--iterations", "3"]) == 2
+    assert "corrupt config config.json" in capsys.readouterr().err
+
+
+def test_corrupt_meta_is_an_integrity_error(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    (run_dir / "meta.json").write_text("{not json")
+    with pytest.raises(IntegrityError, match="corrupt meta meta.json"):
+        store.load_meta()
+    capsys.readouterr()
+    assert main(["run", str(run_dir), "--resume", "--iterations", "3"]) == 2
+    assert "corrupt meta meta.json" in capsys.readouterr().err
+    assert main(["eval", str(run_dir)]) == 2
+    assert "corrupt meta meta.json" in capsys.readouterr().err
 
 
 def test_tampered_boundary_snapshot_fails_replay_check(tmp_path):
