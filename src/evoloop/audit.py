@@ -174,17 +174,21 @@ class _ProtectedConservation:
     def step(self, event) -> None:
         if self.violation is not None:
             return
-        op, payload = event["op"], event["payload"]
-        if op == "append_experience":
-            self.outcome_by_id[payload["id"]] = payload["outcome"]
-        elif op == "prune":
-            for nid in payload.get("removed_ids", []):
-                outcome = self.outcome_by_id.get(nid)
-                if outcome in PROTECTED_OUTCOMES:
-                    self.violation = (
-                        f"protected node {nid} ({outcome}) pruned at seq {event['seq']}"
-                    )
-                    return
+        try:
+            op, payload = event["op"], event["payload"]
+            if op == "append_experience":
+                self.outcome_by_id[payload["id"]] = payload["outcome"]
+            elif op == "prune":
+                for nid in payload.get("removed_ids", []):
+                    outcome = self.outcome_by_id.get(nid)
+                    if outcome in PROTECTED_OUTCOMES:
+                        self.violation = (
+                            f"protected node {nid} ({outcome}) pruned at seq {event['seq']}"
+                        )
+                        return
+        except (KeyError, TypeError, AttributeError):
+            # only a record replay refused gets here, and log_replay fails on it
+            return
 
     def result(self, reports, n_events: int) -> CheckResult:
         if self.violation is not None:
@@ -361,7 +365,7 @@ class _BanditRecount:
         self.totals: dict[str, dict[str, list[int]]] = {}
         self.snapshots: dict[int, tuple[dict, dict]] = {}
         self.snapshot_order: list[int] = []
-        self.error: KeyError | None = None
+        self.error: KeyError | TypeError | None = None
 
     def step(self, event) -> None:
         if self.error is not None:
@@ -393,7 +397,7 @@ class _BanditRecount:
                     if ctx in saved_draws:
                         draws[ctx] = saved_draws[ctx]
                         totals[ctx] = {a: list(v) for a, v in saved_totals[ctx].items()}
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             self.error = exc
 
     def result(self, replayed: KnowledgeGraph | IntegrityError) -> CheckResult:

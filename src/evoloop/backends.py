@@ -28,7 +28,9 @@ The HTTP backend speaks a minimal chat wire protocol: POST
 ``{"text": ...}`` back. It retries twice with backoff, raises
 ``BackendError`` when every attempt failed, and leaves the attempt count of
 its last call in ``last_attempts``. Nothing reads that yet,
-so a retried HTTP call still counts once in the tracker (ROADMAP item 5).
+so a retried HTTP call still counts once in the tracker (ROADMAP item 7).
+It imports ``requests`` only when one is built, so a process that runs the
+simulated backends never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
-import requests
 
 from .errors import BackendError, ValidationError
+
+if TYPE_CHECKING:
+    import requests
 
 GUIDANCE_AGENTS = frozenset({"skill_discovery", "navigator", "critic", "curator"})
 EXECUTION_AGENTS = frozenset({"explorer", "learner"})
@@ -312,7 +316,11 @@ class HttpBackend(Backend):
         self.attempts = attempts
         self.backoff = backoff
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self.last_attempts = 0
 
     def complete(self, prompt: str, meta: Mapping[str, Any] | None = None, temperature: float = 0.0) -> str:
@@ -325,6 +333,8 @@ class HttpBackend(Backend):
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        import requests
+
         self.last_attempts = 0
         last_error: Exception | None = None
         for attempt in range(self.attempts):

@@ -43,7 +43,6 @@ every write advances.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Sequence
 
@@ -261,12 +260,15 @@ class IterationReport:
 
 
 class Engine:
-    """Owns one graph, one memory index, one backend set, one environment."""
+    """Owns one graph, one memory index, one backend set, one environment.
+
+    A frozen eval without retrieval runs with no index (``index`` None).
+    """
 
     def __init__(
         self,
         graph: KnowledgeGraph,
-        index: MemoryIndex,
+        index: MemoryIndex | None,
         backends: BackendSet,
         config: EngineConfig,
         env,
@@ -670,6 +672,8 @@ class Engine:
             return q, tt_id, skill_id, search_arm, raw, predicted, n_s, n_f
 
         if self.config.eval_workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=self.config.eval_workers) as pool_exec:
                 answered = list(pool_exec.map(solve, pool))
         else:

@@ -82,8 +82,14 @@ def load_engine(store: RunStore) -> Engine:
     return _load_engine(store, store.read_reports())
 
 
-def _load_engine(store: RunStore, reports: list[dict[str, Any]]) -> Engine:
-    """``load_engine`` on the run's reports, already read by the caller."""
+def _load_engine(
+    store: RunStore, reports: list[dict[str, Any]], index: bool = True
+) -> Engine:
+    """``load_engine`` on the run's reports, already read by the caller.
+
+    Without ``index`` the engine gets no exemplar index, for a frozen eval
+    that retrieves nothing: such an engine must not train or retrieve.
+    """
     store.require()
     config = EngineConfig.from_dict(store.load_config())
     meta = store.load_meta()
@@ -99,13 +105,15 @@ def _load_engine(store: RunStore, reports: list[dict[str, Any]]) -> Engine:
             snapshot_history_limit=config.snapshot_history_limit,
         )
     backends = simulated_backend_set(env.answer_key(), seed=config.seed)
-    index = rebuild_index(
-        graph,
-        backends.embedder.dimension,
-        backends.embedder.embed,
-        config.type_strategy_min_similarity,
-    )
-    engine = Engine(graph, index, backends, config, env)
+    memory_index = None
+    if index:
+        memory_index = rebuild_index(
+            graph,
+            backends.embedder.dimension,
+            backends.embedder.embed,
+            config.type_strategy_min_similarity,
+        )
+    engine = Engine(graph, memory_index, backends, config, env)
     if reports:
         last = reports[-1]
         engine.prev_accuracy = last["committed_accuracy"]
@@ -180,7 +188,8 @@ def run_eval(
         raise ValidationError("run has no training record yet; run training first")
     reports = store.read_reports()
     if engine is None:
-        engine = _load_engine(store, reports)
+        # neither the learner nor the explorer retrieves in an eval without it
+        engine = _load_engine(store, reports, index=retrieval)
     record = engine.eval_run(pool_name=pool, retrieval=retrieval)
     if record["graph_hash_before"] != record["graph_hash_after"]:
         raise ValidationError("evaluation mutated the graph")

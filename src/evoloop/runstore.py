@@ -26,7 +26,8 @@ does not decode raises ``IntegrityError`` naming the file. Both JSONL files
 are read line by line through one reused ``json.JSONDecoder``: each
 stripped, non-blank line must hold exactly one JSON value, and a line that
 per-line ``json.loads`` would reject raises ``IntegrityError`` naming the
-file and line, with the decoder's message. ``read_events`` yields each
+file and line, with the decoder's message; bytes that are not UTF-8 raise
+``IntegrityError`` naming the file. ``read_events`` yields each
 record as its line is decoded, so a reader that consumes them one at a
 time holds one decoded record at a time.
 Boundary snapshots and eval records are written to a ``.tmp`` name (which
@@ -135,7 +136,7 @@ class RunStore:
         path = self.root / EVENTS_NAME
         if not path.is_file():
             return False
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return any(line.strip() for line in fh)
 
     # ------------------------------------------------------------------
@@ -222,21 +223,27 @@ def _read_jsonl(path: Path, what: str) -> Iterator[Any]:
     if not path.is_file():
         return
     decode = _DECODER.raw_decode
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("\ufeff"):
-                    raise json.JSONDecodeError(
-                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
-                    )
-                value, end = decode(line)
-                if end != len(line):
-                    end = _JSON_WS.match(line, end).end()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    if line.startswith("\ufeff"):
+                        raise json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                        )
+                    value, end = decode(line)
                     if end != len(line):
-                        raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {exc}") from exc
-            yield value
+                        end = _JSON_WS.match(line, end).end()
+                        if end != len(line):
+                            raise json.JSONDecodeError("Extra data", line, end)
+                except json.JSONDecodeError as exc:
+                    raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {exc}") from exc
+                yield value
+    except UnicodeDecodeError as exc:
+        # the file decodes a block at a time, so the failing line is unknown
+        raise IntegrityError(
+            f"corrupt {what} in {path.name}: bytes that are not UTF-8 ({exc.reason})"
+        ) from exc

@@ -1,6 +1,9 @@
 """Simulated backends, call accounting, and the HTTP wire client."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 import requests
 
+import evoloop
 from evoloop import (
     BackendError,
     CallTracker,
@@ -349,3 +353,28 @@ def test_http_backend_outage_is_a_backend_error_not_a_usage_error():
         backend.complete("anyone there")
     assert not isinstance(caught.value, ValidationError)
     assert session.posts == backend.last_attempts == 3
+
+
+def test_importing_the_package_loads_no_http_client_or_thread_pool():
+    src = os.path.dirname(os.path.dirname(evoloop.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, evoloop, evoloop.cli; "
+        "print(sorted(m for m in ('requests', 'concurrent.futures') if m in sys.modules))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
+
+
+def test_http_backend_without_a_session_opens_a_requests_session():
+    backend = HttpBackend("http://backend.invalid/v1", model="m", role="execution")
+    try:
+        assert isinstance(backend.session, requests.Session)
+    finally:
+        backend.session.close()

@@ -1,5 +1,6 @@
 """Engine loop: config, rotation, delta guard, rollback, frozen inference."""
 
+import concurrent.futures
 import dataclasses
 import sys
 
@@ -335,7 +336,15 @@ def test_eval_on_training_pool_uses_harvested_exemplars():
 # parallel evaluation and oracle mode
 
 
-def test_eval_workers_do_not_change_results():
+def test_eval_workers_do_not_change_results(monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     serial = make_engine(pool_size=30)
     # more workers than cores and a short switch interval, so threads of
     # one pass interleave inside the shared embedding and cascade memos;
@@ -351,6 +360,8 @@ def test_eval_workers_do_not_change_results():
             assert serial.graph.canonical_bytes() == threaded.graph.canonical_bytes()
     finally:
         sys.setswitchinterval(interval)
+    # one pool per threaded EVALUATE pass; the serial engine starts none
+    assert len(pools) == 4
 
 
 def test_cascade_context_is_computed_once_per_pair_in_a_pass(monkeypatch):

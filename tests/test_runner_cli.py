@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import evoloop.runner
 from evoloop import (
     BackendError,
     EngineConfig,
@@ -613,6 +614,43 @@ def test_bandit_event_on_unknown_context_fails_cleanly(tmp_path):
     assert main(["audit", str(run_dir)]) == 2
 
 
+@pytest.mark.parametrize(
+    "record", [{"seq": 99999, "iter": 99, "payload": {}}, [1, 2]], ids=["no-op", "not-an-object"]
+)
+def test_record_that_is_not_an_event_fails_replay_not_the_audit(tmp_path, capsys, record):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    seq = len(list(store.read_events())) + 1
+    append_event(run_dir, record)
+    result = audit_run(RunStore(run_dir))
+    assert [c.name for c in result.checks] == [
+        "protected_conservation", "selection_gap", "mastery_ratchet",
+        "tier_separation", "log_replay", "bandit_consistency",
+    ]
+    assert [c.name for c in result.checks if not c.passed] == ["log_replay", "bandit_consistency"]
+    assert result.checks[4].detail == f"malformed event record at seq {seq}"
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 2
+    out = capsys.readouterr().out
+    assert len([line for line in out.splitlines() if line.startswith(("[PASS]", "[FAIL]"))]) == 6
+    assert f"[FAIL] log_replay: malformed event record at seq {seq}" in out
+
+
+@pytest.mark.parametrize("name", ["events.log", "reports.jsonl"])
+def test_bytes_that_are_not_utf8_are_an_integrity_error(tmp_path, capsys, name):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    with open(run_dir / name, "ab") as fh:
+        fh.write(b"\xff\xfe")
+    tampered = read_bytes(run_dir, name)
+    capsys.readouterr()
+    for verb in (["audit"], ["run", "--resume", "--iterations", "3"], ["eval"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2
+        captured = capsys.readouterr()
+        assert f"in {name}: bytes that are not UTF-8" in captured.out + captured.err
+    assert read_bytes(run_dir, name) == tampered
+
+
 # ----------------------------------------------------------------------
 # direct runner API
 
@@ -639,6 +677,30 @@ def test_run_eval_reads_the_reports_once(tmp_path, monkeypatch):
     record = run_eval(RunStore(store.root), tag="t")
     assert reads == [1]
     assert record["committed_iterations"] == 2
+
+
+@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
+def test_eval_without_retrieval_builds_no_index(tmp_path, monkeypatch, env_name):
+    store = init_run(tmp_path / "r", EngineConfig(iterations=2, pool_size=24, seed=3), env_name)
+    run_training(store)
+    rebuild_index = evoloop.runner.rebuild_index
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("an eval without retrieval built the exemplar index")
+
+    monkeypatch.setattr(evoloop.runner, "rebuild_index", refusing)
+    assert run_eval(RunStore(store.root), retrieval=False)["retrieval_enabled"] is False
+
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return rebuild_index(*args, **kwargs)
+
+    monkeypatch.setattr(evoloop.runner, "rebuild_index", counting)
+    run_eval(RunStore(store.root), retrieval=True)
+    assert len(load_engine(RunStore(store.root)).index) > 0
+    assert builds == [1, 1]
 
 
 def test_init_run_rejects_bad_config_object(tmp_path):

@@ -74,6 +74,11 @@ def test_has_events_decodes_no_line(tmp_path, monkeypatch):
     log = tmp_path / EVENTS_NAME
     log.write_text("\n  \n\t\n")
     assert not store.has_events()
+    # bytes that are not UTF-8 are a line too; reading them is what fails
+    log.write_bytes(b"\xff\xfe\n")
+    assert store.has_events()
+    with pytest.raises(IntegrityError, match="in events.log: bytes that are not UTF-8"):
+        list(store.read_events())
     decoded = []
     raw_decode = json.JSONDecoder.raw_decode
 
