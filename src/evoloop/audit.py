@@ -52,6 +52,7 @@ from .curriculum import (
 from .engine import EngineConfig, call_audit
 from .errors import IntegrityError
 from .graph import PROTECTED_OUTCOMES, KnowledgeGraph
+from .runner import load_run_config
 from .runstore import RunStore
 
 RATCHET_TOLERANCE = 1e-9
@@ -83,7 +84,7 @@ class AuditResult:
 
 def audit_run(store: RunStore) -> AuditResult:
     store.require()
-    config = EngineConfig.from_dict(store.load_config())
+    config, _meta = load_run_config(store)
     result = AuditResult()
 
     try:

@@ -14,8 +14,7 @@ One iteration runs five phases against a frozen model tier:
             bandit write this phase produces is queued
   UPDATE    queued writes apply serially in question order, then the
             mastery ratchet runs per attempted skill over whole-pool
-            success rates, low-confidence patterns are pruned, and the
-            memory index refreshes on its cadence
+            success rates, and low-confidence patterns are pruned
   EVOLVE    round-robin over observed task types picks at most
             ``max_evolve_targets``; guidance writes failure memories for
             their errors plus one rotation action per selected type,
@@ -114,7 +113,6 @@ class EngineConfig:
     retrieval_top_k: int = 3
     long_context_threshold: int = 500
     type_strategy_min_similarity: float = 0.55
-    memory_refresh_gap: int = 5
     principles_per_skill_cap: int = 12
     skill_growth_cap: int = 30
     bandit_warmup_pulls: int = 20
@@ -156,8 +154,6 @@ class EngineConfig:
             raise ValidationError("long_context_threshold must be >= 0")
         if not 0.0 <= self.type_strategy_min_similarity <= 1.0:
             raise ValidationError("type_strategy_min_similarity must be in [0, 1]")
-        if self.memory_refresh_gap < 1:
-            raise ValidationError("memory_refresh_gap must be >= 1")
         if self.principles_per_skill_cap < 1:
             raise ValidationError("principles_per_skill_cap must be >= 1")
         if self.skill_growth_cap < 1:
@@ -350,7 +346,7 @@ class Engine:
         frontier = self._plan(k)
         explore_outcome = self._explore(k) if self.env.mode == "sequential" else None
         evaluation = self._evaluate(k, explore_outcome)
-        self._update(k, evaluation)
+        self._update(evaluation)
         selected, task_stats_pre, appended, cap_errors = self._evolve(k, evaluation)
 
         accuracy = evaluation["accuracy"]
@@ -769,7 +765,7 @@ class Engine:
     # ------------------------------------------------------------------
     # UPDATE
 
-    def _update(self, k: int, evaluation: dict[str, Any]) -> None:
+    def _update(self, evaluation: dict[str, Any]) -> None:
         # queued bandit draws first, then per-question effects in pool order
         for ctx, arm in evaluation["draw_queue"]:
             self.graph.bandit_record_draw(ctx, arm)
@@ -843,8 +839,6 @@ class Engine:
         evaluation["pruned_ids"] = self.graph.prune_low_confidence(
             self.config.prune_confidence_threshold
         )
-        if k > 0 and k % self.config.memory_refresh_gap == 0:
-            self.index.refresh(self.backends.embedder.embed)
 
     def _trace_for(self, q) -> str:
         lines = [f"Step {i}: {text}" for i, (_s, text) in enumerate(q.decomposition, start=1)]
@@ -1114,7 +1108,7 @@ def call_audit(
 
     Guidance fraction counts calls made by the guidance roster agents over
     all non-embedder calls. The engine records one call per backend request,
-    so the retries of an HTTP backend are not in the counts (ROADMAP item 5).
+    so the retries of an HTTP backend are not in the counts (ROADMAP item 7).
     """
     train_guidance = 0
     train_total = 0

@@ -25,9 +25,8 @@ entries, the k-th best similarity is where the entries offered reach
 ``k``, and every row at or above it offers its first ``k`` entries. Those
 candidates are ordered on (-similarity, node id), so ties, across rows
 too, break on node id ascending and retrieval is deterministic; the list
-is the one a ranking of every stored entry gives. The walk sorts the rows
-with numpy, and a block of more than ``_SORT_ALL_ROWS`` distinct vectors
-sorts only the slices of best rows it reaches. An external ``scorer``
+is the one a ranking of every stored entry gives. The walk takes the rows
+in one stable numpy sort by descending similarity. An external ``scorer``
 (or a request for all entries) takes the same walk without the cut-offs:
 every eligible entry of every row, ranked on (-key, node id).
 
@@ -37,8 +36,10 @@ keyed by its float64 bytes, so each distinct vector is normalised once;
 bits either way. ``rebuild_index`` builds each block once from the graph's
 exemplars in node id order, with one array build for its matrix, embedding
 each distinct question text once, and a block built that way grows like
-any other when a resumed run appends to it. ``refresh`` rebuilds every
-block the same way.
+any other when a resumed run appends to it. The index is derived state: a
+run's embedder is fixed, so the blocks are a function of the graph, and
+only ``rebuild_index`` (after replay, or to swap the embedder) builds them
+again.
 
 ``format_bundle`` renders the byte-stable prompt contract:
 
@@ -62,7 +63,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,9 +74,6 @@ from .graph import ExperienceNode, KnowledgeGraph
 EXEMPLAR_OUTCOMES = ("success_memory", "failure_memory")
 LATTICE_DEPTH_CAP = 8
 _INITIAL_ROWS = 16
-# up to this many distinct vectors one full sort per query costs less than
-# slicing off the best rows first
-_SORT_ALL_ROWS = 512
 
 
 @dataclass
@@ -211,24 +209,22 @@ class _Block:
     Row ``g`` of ``vectors`` is a distinct normalised vector, found by its
     bytes in ``_group_of``. ``members[g]`` lists the entries with that
     vector in node id order, and ``plain[g]`` the ones among them whose kind
-    is not ``type_strategy``. ``entries`` holds every entry in the order it
-    was added. The matrix grows by half its size when full, and ``vectors``
-    hides the unused capacity.
+    is not ``type_strategy``. The matrix grows by half its size when full,
+    and ``vectors`` hides the unused capacity.
     """
 
-    __slots__ = ("entries", "members", "plain", "_group_of", "_vectors")
+    __slots__ = ("members", "plain", "_group_of", "_vectors")
 
     def __init__(
         self, dimension: int, entries: Sequence[_Entry] = (), units: Sequence[np.ndarray] = ()
     ):
         """A block holding ``entries``, with ``units`` as their normalised
         vectors; one array build for the matrix."""
-        self.entries: list[_Entry] = list(entries)
         self.members: list[list[_Entry]] = []
         self.plain: list[list[_Entry]] = []
         self._group_of: dict[bytes, int] = {}
         distinct: list[np.ndarray] = []
-        for entry, unit in zip(self.entries, units):
+        for entry, unit in zip(entries, units):
             if self._file(entry, unit) == len(distinct):
                 distinct.append(unit)
         # at least _INITIAL_ROWS, so growth by half always adds rows
@@ -261,7 +257,6 @@ class _Block:
             if g == len(self._vectors):
                 self._vectors = _grown(self._vectors)
             self._vectors[g] = unit
-        self.entries.append(entry)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -312,24 +307,12 @@ class MemoryIndex:
             )
         return arr
 
-    def _text_units(self, embed: Callable[[str], np.ndarray]) -> Callable[[str], np.ndarray]:
-        """The normalised embedding of a question text, with ``embed``
-        called once per distinct text."""
-        units: dict[str, np.ndarray] = {}
-
-        def unit_of(text: str) -> np.ndarray:
-            unit = units.get(text)
-            if unit is None:
-                unit = units[text] = self._unit(self._checked(embed(text)))
-            return unit
-
-        return unit_of
-
     def _build(self, embed: Callable[[str], np.ndarray]) -> None:
         """Index every exemplar of the graph into this empty index, one
         block build per (store, task type): the blocks that ``index_memory``
-        called for each exemplar in node id order would give."""
-        unit_of = self._text_units(embed)
+        called for each exemplar in node id order would give. ``embed`` is
+        called once per distinct question text."""
+        unit_of: dict[str, np.ndarray] = {}
         grouped: dict[tuple[str, int | None], tuple[list[_Entry], list[np.ndarray]]] = {}
         experience = self.graph.experience
         for node_id in sorted(experience):
@@ -340,8 +323,12 @@ class MemoryIndex:
             group = grouped.get(key)
             if group is None:
                 group = grouped[key] = ([], [])
+            text = node.payload.get("question", "")
+            unit = unit_of.get(text)
+            if unit is None:
+                unit = unit_of[text] = self._unit(self._checked(embed(text)))
             group[0].append(_entry(node, node.task_type_id))
-            group[1].append(unit_of(node.payload.get("question", "")))
+            group[1].append(unit)
         for key, (entries, units) in grouped.items():
             self._blocks[key] = _Block(self.dimension, entries, units)
             self._indexed.update(e.node_id for e in entries)
@@ -367,25 +354,6 @@ class MemoryIndex:
             block = self._blocks[key] = _Block(self.dimension)
         block.append(_entry(node, task_type_id), self._unit(arr))
         self._indexed.add(node_id)
-
-    def refresh(self, embed: Callable[[str], np.ndarray]) -> int:
-        """Re-embed every stored exemplar against the current embedder.
-
-        Each block is rebuilt in bulk from its entries, and each distinct
-        question text is embedded once. With a fixed embedder this
-        recomputes identical blocks; it exists so a swapped embedder
-        propagates on the refresh cadence.
-        """
-        unit_of = self._text_units(embed)
-        self._blocks = {
-            key: _Block(
-                self.dimension,
-                block.entries,
-                [unit_of(e.payload.get("question", "")) for e in block.entries],
-            )
-            for key, block in self._blocks.items()
-        }
-        return len(self)
 
     def _candidates(
         self,
@@ -418,7 +386,9 @@ class MemoryIndex:
         picked: list[tuple[float, _Entry]] = []
         seen = 0
         kth = None
-        for g, sim in _best_first(sims, k if by_sim else None):
+        # best row first, ties in row order
+        order = np.argsort(-sims, kind="stable")
+        for g, sim in zip(order.tolist(), sims[order].tolist()):
             if kth is not None and sim < kth:
                 break
             rows = block.plain[g] if sim < floor else block.members[g]
@@ -526,31 +496,6 @@ class MemoryIndex:
             mean=sum(distances) / len(distances),
             per_query=distances,
         )
-
-
-def _best_first(sims: np.ndarray, k: int | None) -> Iterator[tuple[int, float]]:
-    """``(row, value)`` for the rows of ``sims``, highest value first, ties
-    in row order.
-
-    A block of many distinct vectors, with ``k``, comes in slices: the rows
-    at or above the k-th highest value, then down to the 4k-th, and so on,
-    each sorted only when the caller walks into it, so a walk that stops
-    early sorts a few rows instead of the whole block.
-    """
-    n = len(sims)
-    above = np.inf
-    while k is not None and k < n and n > _SORT_ALL_ROWS:
-        bound = np.partition(sims, n - k)[n - k]
-        rows = np.flatnonzero((sims >= bound) & (sims < above))
-        rows = rows[np.argsort(-sims[rows], kind="stable")]
-        yield from zip(rows.tolist(), sims[rows].tolist())
-        above, k = bound, 4 * k
-    if above == np.inf:
-        rows = np.argsort(-sims, kind="stable")
-    else:
-        rows = np.flatnonzero(sims < above)
-        rows = rows[np.argsort(-sims[rows], kind="stable")]
-    yield from zip(rows.tolist(), sims[rows].tolist())
 
 
 def _uniform_tv(set_a: Sequence[int], set_b: Sequence[int]) -> float:

@@ -15,6 +15,12 @@ Crash windows and their recovery, in iteration order:
 
 so resuming always continues from the last committed iteration and the
 finished run is byte-identical to an uninterrupted one.
+
+``meta.json`` records the run format. New runs are format 2. A format-1
+run (its config still holds the retired index refresh gap) loads with the
+config keys format 2 no longer has dropped; any other format is an
+integrity error. ``load_run_config`` is the one place that applies this
+rule, for every verb that reads a run's config.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from .envs import make_env
 from .errors import IntegrityError, ValidationError
 from .graph import KnowledgeGraph
 from .memory import rebuild_index
-from .runstore import RunStore
+from .runstore import META_NAME, RunStore
+
+RUN_FORMAT = 2
 
 
 def init_run(
@@ -37,8 +45,27 @@ def init_run(
 ) -> RunStore:
     config.validate()
     store = RunStore(run_dir)
-    store.initialize(config.to_dict(), {"env": env_name, "format": 1})
+    store.initialize(config.to_dict(), {"env": env_name, "format": RUN_FORMAT})
     return store
+
+
+def load_run_config(store: RunStore) -> tuple[EngineConfig, dict[str, Any]]:
+    """The run's config and meta, read through the run-format step.
+
+    ``init_run`` wrote a format-1 config from a whole ``EngineConfig`` of
+    that format, so it holds every format-1 field; the ones format 2 no
+    longer has are dropped.
+    """
+    meta = store.load_meta()
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    # a JSON true or 1.0 equals 1 in Python, but is not a format number
+    if type(fmt) is not int or fmt not in (1, RUN_FORMAT):
+        raise IntegrityError(f"unsupported run format in {META_NAME}: {fmt!r}")
+    data = store.load_config()
+    if fmt == 1 and isinstance(data, dict):
+        known = EngineConfig.__dataclass_fields__
+        data = {key: value for key, value in data.items() if key in known}
+    return EngineConfig.from_dict(data), meta
 
 
 def committed_iterations(store: RunStore) -> int:
@@ -83,16 +110,17 @@ def load_engine(store: RunStore) -> Engine:
 
 
 def _load_engine(
-    store: RunStore, reports: list[dict[str, Any]], index: bool = True
+    store: RunStore, reports: list[dict[str, Any]], eval_retrieval: bool | None = None
 ) -> Engine:
     """``load_engine`` on the run's reports, already read by the caller.
 
-    Without ``index`` the engine gets no exemplar index, for a frozen eval
-    that retrieves nothing: such an engine must not train or retrieve.
+    For a frozen eval, ``eval_retrieval`` says whether it retrieves. The
+    engine then gets an exemplar index only when the eval reads one: a
+    static pool with retrieval. The sequential explorer retrieves only in
+    training. An engine loaded without an index must not train or retrieve.
     """
     store.require()
-    config = EngineConfig.from_dict(store.load_config())
-    meta = store.load_meta()
+    config, meta = load_run_config(store)
     env = make_env(meta["env"], seed=config.seed, pool_size=config.pool_size)
 
     last_committed = len(reports) - 1
@@ -106,7 +134,7 @@ def _load_engine(
         )
     backends = simulated_backend_set(env.answer_key(), seed=config.seed)
     memory_index = None
-    if index:
+    if eval_retrieval is None or (eval_retrieval and env.mode == "static"):
         memory_index = rebuild_index(
             graph,
             backends.embedder.dimension,
@@ -188,8 +216,7 @@ def run_eval(
         raise ValidationError("run has no training record yet; run training first")
     reports = store.read_reports()
     if engine is None:
-        # neither the learner nor the explorer retrieves in an eval without it
-        engine = _load_engine(store, reports, index=retrieval)
+        engine = _load_engine(store, reports, eval_retrieval=retrieval)
     record = engine.eval_run(pool_name=pool, retrieval=retrieval)
     if record["graph_hash_before"] != record["graph_hash_after"]:
         raise ValidationError("evaluation mutated the graph")

@@ -22,14 +22,14 @@ boundary file's raw bytes, undecoded: the audit compares them byte for byte
 with the replayed graph's encoding.
 
 ``config.json``, ``meta.json`` and the eval records are read whole; one that
-does not decode raises ``IntegrityError`` naming the file. Both JSONL files
-are read line by line through one reused ``json.JSONDecoder``: each
-stripped, non-blank line must hold exactly one JSON value, and a line that
-per-line ``json.loads`` would reject raises ``IntegrityError`` naming the
-file and line, with the decoder's message; bytes that are not UTF-8 raise
-``IntegrityError`` naming the file. ``read_events`` yields each
-record as its line is decoded, so a reader that consumes them one at a
-time holds one decoded record at a time.
+is missing or does not decode raises ``IntegrityError`` naming the file.
+Both JSONL files are read line by line through one reused
+``json.JSONDecoder``: each stripped, non-blank line must hold exactly one
+JSON value, and a line that per-line ``json.loads`` would reject raises
+``IntegrityError`` naming the file and line, with the decoder's message;
+bytes that are not UTF-8 raise ``IntegrityError`` naming the file.
+``read_events`` yields each record as its line is decoded, so a reader
+that consumes them one at a time holds one decoded record at a time.
 Boundary snapshots and eval records are written to a ``.tmp`` name (which
 the ``snap-*.json`` and ``eval-*.json`` globs do not match), fsynced and
 renamed into place, so a kill mid-write leaves either no file or a whole
@@ -208,6 +208,8 @@ def _read_json(path: Path, what: str) -> Any:
     """The JSON value of a whole file; ``IntegrityError`` naming it if corrupt."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise IntegrityError(f"missing {what} {path.name}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise IntegrityError(f"corrupt {what} {path.name}: {exc}") from exc
 

@@ -2,7 +2,6 @@
 
 import json
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +29,6 @@ from evoloop import (
     record_action_recipe,
     render_skill_lattice,
 )
-
-from evoloop import memory
 from evoloop.engine import build_simulated_engine
 from evoloop.memory import normalize
 from oracles import (
@@ -395,24 +392,16 @@ def _index_specs(graph, index, tts, specs, order):
     above=st.booleans(),
     context_length=st.sampled_from((0, 900)),
     use_scorer=st.booleans(),
-    sliced=st.booleans(),
     data=st.data(),
 )
 # more copies of one vector than any k, beside its strategy twin
 @example(
     drawn=[("success", 0, 2, 6), ("specific", 0, 2, 6), ("type_strategy", 0, 0, 6)],
-    shared=2, above=False, context_length=0, use_scorer=False, sliced=False, data=None,
+    shared=2, above=False, context_length=0, use_scorer=False, data=None,
 )
 def test_grouped_retrieval_matches_bruteforce_reference(
-    drawn, shared, above, context_length, use_scorer, sliced, data
+    drawn, shared, above, context_length, use_scorer, data
 ):
-    # ``sliced`` walks even these small blocks the way a block of many
-    # distinct vectors is walked
-    with mock.patch.object(memory, "_SORT_ALL_ROWS", 0 if sliced else memory._SORT_ALL_ROWS):
-        _check_grouped_retrieval(drawn, shared, above, context_length, use_scorer, data)
-
-
-def _check_grouped_retrieval(drawn, shared, above, context_length, use_scorer, data):
     query = GROUP_QUERY
     # the two tied vectors tie in both the reference and the index
     assert float(GROUP_POOL[0] @ query) == float(GROUP_POOL[1] @ query)
@@ -475,20 +464,6 @@ def _check_grouped_retrieval(drawn, shared, above, context_length, use_scorer, d
     assert report.per_query == pytest.approx([tv_reference(retrieved, optimal)], abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.sampled_from((-0.5, 0.0, 0.25, 0.5, 0.75, 1.0)), min_size=1, max_size=40),
-    st.integers(1, 41) | st.none(),
-)
-def test_best_first_walks_rows_in_stable_descending_order(values, k):
-    sims = np.array(values)
-    want = [(row, values[row]) for row in sorted(range(len(values)), key=lambda r: -values[r])]
-    # slicing applies to every block size when the threshold is 0
-    for threshold in (memory._SORT_ALL_ROWS, 0):
-        with mock.patch.object(memory, "_SORT_ALL_ROWS", threshold):
-            assert list(memory._best_first(sims, k)) == want
-
-
 def test_retrieval_over_many_distinct_vectors_matches_reference():
     graph = KnowledgeGraph()
     index = MemoryIndex(graph, dimension=16, type_strategy_min_similarity=0.2)
@@ -503,7 +478,7 @@ def test_retrieval_over_many_distinct_vectors_matches_reference():
         nid = add_failure(graph, index, tt, question=f"q{i}", vector=vector, kind=kind)
         rows.append({"node_id": nid, "task_type_id": tt, "kind": kind, "vector": vector})
     block = index._blocks[("failure_memory", tt)]
-    assert len(block.vectors) == 700 > memory._SORT_ALL_ROWS
+    assert len(block.vectors) == 700
     for query in rng.normal(size=(20, 16)):
         unit = index._unit(query)
         for k in (1, 3, 50, 700):
@@ -523,7 +498,7 @@ def test_scan_scores_each_distinct_vector_once(monkeypatch):
         for i in range(1000)
     ]
     block = index._blocks[("success_memory", tt)]
-    assert len(block.entries) == len(index) == 1000
+    assert sum(len(rows) for rows in block.members) == len(index) == 1000
     assert block.vectors.shape == (3, 64)
     scanned = []
     vecdot = np.vecdot
@@ -672,7 +647,6 @@ def _assert_same_blocks(index, other, embed):
     for key, block in index._blocks.items():
         twin = other._blocks[key]
         assert block.vectors.tobytes() == twin.vectors.tobytes()
-        assert [e.node_id for e in block.entries] == [e.node_id for e in twin.entries]
         for groups in ("members", "plain"):
             assert [[e.node_id for e in rows] for rows in getattr(block, groups)] == [
                 [e.node_id for e in rows] for rows in getattr(twin, groups)
@@ -683,7 +657,8 @@ def _assert_same_blocks(index, other, embed):
             for e in rows:
                 reference[e.node_id] = normalize(embed(e.payload["question"])).tobytes()
                 assert row.tobytes() == reference[e.node_id]
-        assert sorted(reference) == sorted(e.node_id for e in block.entries)
+        # each entry sits in one group only
+        assert sorted(reference) == sorted(e.node_id for rows in block.members for e in rows)
         # and each distinct vector has one row
         assert len(block.vectors) == len(set(reference.values()))
 
@@ -736,23 +711,6 @@ def test_normalisation_memo_gives_the_bits_of_normalize(vectors):
             assert index._unit(list(raw)).tobytes() == expected
 
 
-def test_refresh_reembeds_everything(graph, embedder):
-    index = MemoryIndex(graph, dimension=64)
-    tt = graph.add_task_type("t")
-    for i in range(3):
-        harvest_success(
-            graph,
-            index,
-            embedder.embed,
-            tt,
-            None,
-            SuccessPayload(question=f"q{i}", reasoning_trace="r", answer="a"),
-        )
-    assert index.refresh(embedder.embed) == 3
-    bundle = index.retrieve_bundle(embedder.embed("q1"), tt, context_length=10)
-    assert bundle.success[0].payload["question"] == "q1"
-
-
 def _bundle_key(bundle):
     return [
         [(e.node_id, e.similarity) for e in bundle.success],
@@ -761,44 +719,11 @@ def _bundle_key(bundle):
     ]
 
 
-def test_refresh_with_new_embedder_matches_fresh_rebuild(graph, embedder):
-    index = MemoryIndex(graph, dimension=64)
-    tts = [graph.add_task_type(f"t{i}") for i in range(2)]
-    questions = [f"how many {w} remain" for w in ("apples", "pears", "plums", "figs")]
-    for i, question in enumerate(questions):
-        tt = tts[i % 2]
-        harvest_success(
-            graph, index, embedder.embed, tt, None,
-            SuccessPayload(question=question, reasoning_trace="r", answer="a"),
-        )
-        harvest_failure(
-            graph, index, embedder.embed, tt, None,
-            FailurePayload(
-                question=question,
-                wrong_answer="0",
-                corrective_reasoning="count again",
-                correct_answer="1",
-                kind="type_strategy" if i % 2 else "specific",
-            ),
-        )
-    swapped = HashEmbedder(dimension=64, seed=embedder.seed + 1)
-    assert index.refresh(swapped.embed) == 2 * len(questions)
-    fresh = rebuild_index(graph, 64, swapped.embed)
-    for question in questions:
-        for tt in tts:
-            for context_length in (0, 900):
-                q = swapped.embed(question)
-                assert _bundle_key(
-                    index.retrieve_bundle(q, tt, context_length=context_length)
-                ) == _bundle_key(fresh.retrieve_bundle(q, tt, context_length=context_length))
-
-
 def test_live_index_matches_rebuild_after_training():
     config = EngineConfig(pool_size=36, iterations=6)
     env = make_env("static_qa", seed=config.seed, pool_size=config.pool_size)
     engine = build_simulated_engine(config, env)
     engine.bootstrap()
-    # six iterations include one refresh (every memory_refresh_gap = 5)
     for k in range(config.iterations):
         engine.run_iteration(k)
     embed = engine.backends.embedder.embed
