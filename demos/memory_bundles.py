@@ -41,18 +41,18 @@ def main():
 
     for question, trace, answer in SUCCESSES:
         harvest_success(
-            graph, index, embedder.embed, tt_add, skill,
+            index, embedder.embed, tt_add, skill,
             SuccessPayload(question=question, reasoning_trace=trace, answer=answer),
         )
     for question, wrong, fix, right, kind in FAILURES:
         harvest_failure(
-            graph, index, embedder.embed, tt_add, skill,
+            index, embedder.embed, tt_add, skill,
             FailurePayload(question=question, wrong_answer=wrong,
                            corrective_reasoning=fix, correct_answer=right, kind=kind),
         )
     # a memory filed under a different task type never leaks into the bundle
     harvest_success(
-        graph, index, embedder.embed, tt_other, None,
+        index, embedder.embed, tt_other, None,
         SuccessPayload(question="sort 3 1 2", reasoning_trace="1 < 2 < 3", answer="1 2 3"),
     )
 

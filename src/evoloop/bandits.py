@@ -8,17 +8,59 @@ selection draws one sample per arm from a generator derived from
 ``(rng_seed, draws)``; the draw counter advances by one per Thompson
 selection, so a given state always reproduces the same selection sequence.
 
-State lives in ``graph.BanditSlot`` so the engine can snapshot and roll it
-back alongside the other mutable slots. The functions here never mutate a
-slot except through ``record_draw``/``update_arm``.
+``BanditSlot`` is the state: only ``new_slot`` builds one and only
+``update_arm`` changes its counts, the graph's apply step included. The
+graph keeps its slots as mutable slots that the engine snapshots and rolls
+back, and a logged ``graph.bandit_record_draw`` advances the draw counter.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 import numpy as np
 
 from .errors import NotFoundError, ValidationError
-from .graph import BanditSlot
+
+
+@dataclass
+class BanditSlot:
+    """Serialized Thompson bandit state, stored as a graph mutable slot."""
+
+    context_id: str
+    arm_ids: list[str]
+    successes: dict[str, int]
+    failures: dict[str, int]
+    warmup_pulls: int
+    rng_seed: int
+    draws: int = 0
+
+    def pulls(self, arm_id: str) -> int:
+        return self.successes[arm_id] + self.failures[arm_id]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "context_id": self.context_id,
+            "arm_ids": list(self.arm_ids),
+            "successes": dict(self.successes),
+            "failures": dict(self.failures),
+            "warmup_pulls": self.warmup_pulls,
+            "rng_seed": self.rng_seed,
+            "draws": self.draws,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "BanditSlot":
+        return cls(
+            context_id=data["context_id"],
+            arm_ids=list(data["arm_ids"]),
+            successes=dict(data["successes"]),
+            failures=dict(data["failures"]),
+            warmup_pulls=data["warmup_pulls"],
+            rng_seed=data["rng_seed"],
+            draws=data["draws"],
+        )
 
 
 def new_slot(

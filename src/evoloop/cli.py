@@ -63,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="frozen evaluation")
     p_eval.add_argument("run_dir")
     p_eval.add_argument(
-        "--frozen",
-        action="store_true",
-        default=True,
-        help="evaluate with the graph frozen (always on)",
-    )
-    p_eval.add_argument(
         "--pool", choices=("held_out", "evolution"), default="held_out"
     )
     p_eval.add_argument(

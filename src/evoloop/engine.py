@@ -52,13 +52,7 @@ from .backends import (
     simulated_backend_set,
     stable_hash64,
 )
-from .curriculum import (
-    RatchetParams,
-    SelectorParams,
-    learnable_frontier,
-    mastery_update,
-    round_robin_select,
-)
+from .curriculum import RatchetParams, SelectorParams, mastery_update, round_robin_select
 from .errors import CapError, ValidationError
 from .graph import KnowledgeGraph
 from .memory import (
@@ -73,6 +67,7 @@ from .memory import (
     latest_action_recipe,
     record_action_recipe,
     render_skill_lattice,
+    skill_frontier,
 )
 
 ROTATION = ("principle_extraction", "prompt_refinement", "tool_authoring", "skill_splitting")
@@ -249,10 +244,6 @@ class IterationReport:
         # shallow: the fields are already plain data, and asdict would
         # deep-copy every per-question dict just to have them serialised
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "IterationReport":
-        return cls(**data)
 
 
 class Engine:
@@ -436,13 +427,8 @@ class Engine:
     # PLAN
 
     def _plan(self, k: int) -> list[int]:
-        masteries = {sid: s.mastery for sid, s in self.graph.skills.items()}
-        prereqs: dict[int, set[int]] = {sid: set() for sid in masteries}
-        for a, b in self.graph.prereq_edges():
-            prereqs[b].add(a)
-        frontier = sorted(
-            learnable_frontier(masteries, prereqs, self.config.mastery_threshold)
-        )
+        masteries, frontier = skill_frontier(self.graph, self.config.mastery_threshold)
+        frontier = sorted(frontier)
         reply = self._call_guidance(
             "navigator",
             {
@@ -540,35 +526,46 @@ class Engine:
             return self._evaluate_sequential(k, explore_outcome)
         return self._evaluate_static(k)
 
+    def _draw(self, ctx: str, arms: dict[str, str], queue: list | None) -> str:
+        """Pick bandit ``ctx``'s arm into ``arms`` and return it: its selection,
+        queueing a Thompson draw for UPDATE to log, or without a ``queue``
+        (frozen eval) the posterior-mean pick."""
+        slot = self.graph.bandits[ctx]
+        if queue is None:
+            arm = bandits.exploit_arm(slot)
+        else:
+            arm, thompson = bandits.select_arm(slot)
+            if thompson:
+                queue.append((ctx, arm))
+        arms[ctx] = arm
+        return arm
+
+    def _resolver(self, tt, search_arm: str) -> int:
+        """The skill that answers task type ``tt`` under ``search_arm``: its
+        resolver, which the cascade arm redirects by the curriculum override."""
+        if search_arm == "cascade":
+            return curriculum_override(
+                self.graph, tt.resolver_skill_id, self.config.mastery_threshold
+            )
+        return tt.resolver_skill_id
+
     def _select_arms(self, pool) -> tuple[dict, dict, dict, list]:
         """Commit one search arm per task type and one routing arm per skill.
 
         Selections read current bandit state; the draw-counter advances are
-        queued so EVALUATE itself stays write-free.
+        queued so EVALUATE itself stays write-free. The queue order is
+        logged: every search draw, then the route draws by skill id.
         """
         draw_queue: list[tuple[str, str]] = []
         search_arms: dict[str, str] = {}
         skill_for_tt: dict[int, int] = {}
         tt_ids = sorted({self.graph.task_type_by_name(q.task_type).id for q in pool})
         for tt_id in tt_ids:
-            ctx = f"search/{tt_id}"
-            arm, thompson = bandits.select_arm(self.graph.bandits[ctx])
-            search_arms[ctx] = arm
-            if thompson:
-                draw_queue.append((ctx, arm))
-            resolver = self.graph.task_types[tt_id].resolver_skill_id
-            if arm == "cascade":
-                resolver = curriculum_override(
-                    self.graph, resolver, self.config.mastery_threshold
-                )
-            skill_for_tt[tt_id] = resolver
+            arm = self._draw(f"search/{tt_id}", search_arms, draw_queue)
+            skill_for_tt[tt_id] = self._resolver(self.graph.task_types[tt_id], arm)
         routing_arms: dict[str, str] = {}
         for skill_id in sorted(set(skill_for_tt.values())):
-            ctx = f"route/{skill_id}"
-            arm, thompson = bandits.select_arm(self.graph.bandits[ctx])
-            routing_arms[ctx] = arm
-            if thompson:
-                draw_queue.append((ctx, arm))
+            self._draw(f"route/{skill_id}", routing_arms, draw_queue)
         return search_arms, routing_arms, skill_for_tt, draw_queue
 
     def _oracle_scorer(self, question_text: str):
@@ -723,20 +720,15 @@ class Engine:
         routing_arms: dict[str, str] = {}
         draw_queue: list[tuple[str, str]] = []
         results = []
+        # the queue order is logged: per achievement its search draw, then
+        # its skill's first route draw
         for name in env.ACHIEVEMENTS:
             tt = self.graph.task_type_by_name(name)
-            ctx = f"search/{tt.id}"
-            arm, thompson = bandits.select_arm(self.graph.bandits[ctx])
-            search_arms[ctx] = arm
-            if thompson:
-                draw_queue.append((ctx, arm))
+            arm = self._draw(f"search/{tt.id}", search_arms, draw_queue)
             skill_id = tt.resolver_skill_id
             rctx = f"route/{skill_id}"
             if rctx not in routing_arms:
-                rarm, rthompson = bandits.select_arm(self.graph.bandits[rctx])
-                routing_arms[rctx] = rarm
-                if rthompson:
-                    draw_queue.append((rctx, rarm))
+                self._draw(rctx, routing_arms, draw_queue)
             results.append(
                 QuestionResult(
                     qid=f"ach-{name}",
@@ -789,7 +781,6 @@ class Engine:
                         answer="unlocked",
                     )
                 harvest_success(
-                    self.graph,
                     self.index,
                     self.backends.embedder.embed,
                     result.task_type_id,
@@ -906,7 +897,6 @@ class Engine:
                         kind="specific",
                     )
                     nid = harvest_failure(
-                        self.graph,
                         self.index,
                         self.backends.embedder.embed,
                         tt_id,
@@ -927,7 +917,6 @@ class Engine:
                     kind="type_strategy",
                 )
                 nid = harvest_failure(
-                    self.graph,
                     self.index,
                     self.backends.embedder.embed,
                     tt_id,
@@ -1061,15 +1050,11 @@ class Engine:
         )
         # the frozen graph fixes one route per task type for the whole pass
         routes: dict[str, tuple[int, int, str]] = {}
+        search_arms: dict[str, str] = {}
         for name in sorted({q.task_type for q in pool}):
             tt = self.graph.task_type_by_name(name)
-            search_arm = bandits.exploit_arm(self.graph.bandits[f"search/{tt.id}"])
-            skill_id = tt.resolver_skill_id
-            if search_arm == "cascade":
-                skill_id = curriculum_override(
-                    self.graph, skill_id, self.config.mastery_threshold
-                )
-            routes[name] = (tt.id, skill_id, search_arm)
+            search_arm = self._draw(f"search/{tt.id}", search_arms, None)
+            routes[name] = (tt.id, self._resolver(tt, search_arm), search_arm)
         correct = 0
         for q in pool:
             _raw, predicted, _ns, _nf = self._answer_question(

@@ -57,6 +57,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from .bandits import BanditSlot, new_slot, update_arm
 from .errors import (
     CapError,
     CycleError,
@@ -117,45 +118,6 @@ class EnvNode:
     id: int
     node_class: str
     payload: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class BanditSlot:
-    """Serialized Thompson bandit state, stored as a graph mutable slot."""
-
-    context_id: str
-    arm_ids: list[str]
-    successes: dict[str, int]
-    failures: dict[str, int]
-    warmup_pulls: int
-    rng_seed: int
-    draws: int = 0
-
-    def pulls(self, arm_id: str) -> int:
-        return self.successes[arm_id] + self.failures[arm_id]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "context_id": self.context_id,
-            "arm_ids": list(self.arm_ids),
-            "successes": dict(self.successes),
-            "failures": dict(self.failures),
-            "warmup_pulls": self.warmup_pulls,
-            "rng_seed": self.rng_seed,
-            "draws": self.draws,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "BanditSlot":
-        return cls(
-            context_id=data["context_id"],
-            arm_ids=list(data["arm_ids"]),
-            successes=dict(data["successes"]),
-            failures=dict(data["failures"]),
-            warmup_pulls=data["warmup_pulls"],
-            rng_seed=data["rng_seed"],
-            draws=data["draws"],
-        )
 
 
 # receives each committed event as its log line: the record's canonical JSON,
@@ -480,10 +442,7 @@ class KnowledgeGraph:
     ) -> None:
         with self._lock:
             arms = list(arm_ids)
-            if not arms:
-                raise ValidationError("bandit needs at least one arm")
-            if len(set(arms)) != len(arms):
-                raise ValidationError("duplicate arm ids")
+            new_slot(context_id, arms, warmup_pulls, rng_seed)  # validates; _apply builds it
             if context_id in self.bandits:
                 raise ValidationError(f"bandit context {context_id!r} already exists")
             self._commit(
@@ -496,22 +455,21 @@ class KnowledgeGraph:
                 },
             )
 
+    def _require_arm(self, context_id: str, arm_id: str) -> None:
+        slot = self.bandits.get(context_id)
+        if slot is None:
+            raise NotFoundError(f"bandit context {context_id!r} not found")
+        if arm_id not in slot.arm_ids:
+            raise ValidationError(f"unknown arm {arm_id!r}")
+
     def bandit_record_draw(self, context_id: str, arm_id: str) -> None:
         with self._lock:
-            slot = self.bandits.get(context_id)
-            if slot is None:
-                raise NotFoundError(f"bandit context {context_id!r} not found")
-            if arm_id not in slot.arm_ids:
-                raise ValidationError(f"unknown arm {arm_id!r}")
+            self._require_arm(context_id, arm_id)
             self._commit("bandit_draw", {"context_id": context_id, "arm_id": arm_id})
 
     def bandit_update(self, context_id: str, arm_id: str, reward: int) -> None:
         with self._lock:
-            slot = self.bandits.get(context_id)
-            if slot is None:
-                raise NotFoundError(f"bandit context {context_id!r} not found")
-            if arm_id not in slot.arm_ids:
-                raise ValidationError(f"unknown arm {arm_id!r}")
+            self._require_arm(context_id, arm_id)
             if reward not in (0, 1):
                 raise ValidationError(f"reward must be 0 or 1, got {reward!r}")
             self._commit(
@@ -634,23 +592,16 @@ class KnowledgeGraph:
             )
             self._env_json.discard(payload["id"])
         elif op == "bandit_init":
-            arms = payload["arm_ids"]
-            self.bandits[payload["context_id"]] = BanditSlot(
-                context_id=payload["context_id"],
-                arm_ids=list(arms),
-                successes={a: 0 for a in arms},
-                failures={a: 0 for a in arms},
-                warmup_pulls=payload["warmup_pulls"],
-                rng_seed=payload["rng_seed"],
+            self.bandits[payload["context_id"]] = new_slot(
+                payload["context_id"],
+                payload["arm_ids"],
+                payload["warmup_pulls"],
+                payload["rng_seed"],
             )
         elif op == "bandit_draw":
             self.bandits[payload["context_id"]].draws += 1
         elif op == "bandit_update":
-            slot = self.bandits[payload["context_id"]]
-            if payload["reward"] == 1:
-                slot.successes[payload["arm_id"]] += 1
-            else:
-                slot.failures[payload["arm_id"]] += 1
+            update_arm(self.bandits[payload["context_id"]], payload["arm_id"], payload["reward"])
         elif op == "snapshot":
             sid = payload["snapshot_id"]
             self._claim_id(sid)
@@ -800,9 +751,11 @@ class KnowledgeGraph:
         Records must arrive in strictly increasing seq order starting at 1,
         and their iter never goes backwards. The apply step runs verbatim
         (no write-side validation) so the rebuilt state matches the writer's
-        state bit-exactly. ``on_iteration(graph, it)`` sees the graph each
-        time the log moves on to a later iteration ``it``, before that
-        iteration's first record, and once more with ``it=None`` at the end.
+        state bit-exactly; only a bandit record that ``bandits.new_slot`` or
+        ``update_arm`` refuses fails there. ``on_iteration(graph, it)`` sees
+        the graph each time the log moves on to a later iteration ``it``,
+        before that iteration's first record, and once more with ``it=None``
+        at the end.
         """
         graph = cls(
             event_sink=None,

@@ -1,34 +1,36 @@
 """Dual exemplar memory: embedding stores, bundles, and cascade context.
 
 Success memories and failure memories live in separate stores, and each
-store keeps one block per task type id. The experience subgraph is
-append-only, so a block fills with exemplars that repeat a vector; it
-keeps one row per distinct L2-normalized vector (a contiguous matrix with
-amortised growth), keyed by the vector's bytes, and for each row the
-entries that share it in node id order, plus separately those of them
-whose kind is not ``type_strategy``. Retrieval scores the query against
-its task type's distinct rows in one batched row-dot (an exact
-inner-product scan, no approximate index), so the scan costs one row per
-distinct vector however many copies are stored, and it fills a success
-block and a failure block from the best ``k`` entries of each store. The
-slot split depends on how much context the question already carries:
-short contexts get two success slots and one failure slot, long contexts
-(at or past ``long_context_threshold`` characters) flip to one success
-and two failures. Underfilled slots are backfilled from the other store.
+store keeps one block per task type id: a node is filed under
+``(node.outcome, node.task_type_id)``, and the block holds the graph's own
+``ExperienceNode``, no copy. The experience subgraph is append-only, so a
+block fills with exemplars that repeat a vector; it keeps one row per
+distinct L2-normalized vector (a contiguous matrix with amortised growth),
+keyed by the vector's bytes, and for each row the nodes that share it in
+node id order, plus separately those of them whose kind is not
+``type_strategy``. Retrieval scores the query against its task type's
+distinct rows in one batched row-dot (an exact inner-product scan, no
+approximate index), so the scan costs one row per distinct vector however
+many copies are stored, and it fills a success block and a failure block
+from the best ``k`` nodes of each store. The slot split depends on how
+much context the question already carries: short contexts get two success
+slots and one failure slot, long contexts (at or past
+``long_context_threshold`` characters) flip to one success and two
+failures. Underfilled slots are backfilled from the other store.
 Failure memories of kind ``type_strategy`` are admitted only at or above a
 similarity floor, because a generic strategy pasted onto a dissimilar
 question misleads more than it helps.
 
 The top ``k`` of a store is taken at group level: walking the distinct
 rows best first, a row below the floor offers only its non-strategy
-entries, the k-th best similarity is where the entries offered reach
-``k``, and every row at or above it offers its first ``k`` entries. Those
+nodes, the k-th best similarity is where the nodes offered reach ``k``,
+and every row at or above it offers its first ``k`` nodes. Those
 candidates are ordered on (-similarity, node id), so ties, across rows
 too, break on node id ascending and retrieval is deterministic; the list
-is the one a ranking of every stored entry gives. The walk takes the rows
+is the one a ranking of every stored node gives. The walk takes the rows
 in one stable numpy sort by descending similarity. An external ``scorer``
-(or a request for all entries) takes the same walk without the cut-offs:
-every eligible entry of every row, ranked on (-key, node id).
+(called with each eligible ``ExperienceNode``), or a request for all
+nodes, takes the same walk without the cut-offs, ranked on (-key, node id).
 
 Every vector the index stores or queries with is normalised through a memo
 keyed by its float64 bytes, so each distinct vector is normalised once;
@@ -166,34 +168,9 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return arr / norm
 
 
-@dataclass(slots=True)
-class _Entry:
-    node_id: int
-    task_type_id: int | None
-    outcome: str
-    kind: str | None
-    skill_id: int | None
-    payload: dict[str, Any]
-
-
-def _entry(node: ExperienceNode, task_type_id: int | None) -> _Entry:
-    return _Entry(
-        node_id=node.id,
-        task_type_id=task_type_id,
-        outcome=node.outcome,
-        kind=node.kind,
-        skill_id=node.skill_id,
-        payload=node.payload,
-    )
-
-
-def _node_id(entry: _Entry) -> int:
-    return entry.node_id
-
-
-def _rank(pair: tuple[float, _Entry]) -> tuple[float, int]:
-    """Sort key of a (key, entry) candidate: best key first, then node id."""
-    return -pair[0], pair[1].node_id
+def _rank(pair: tuple[float, ExperienceNode]) -> tuple[float, int]:
+    """Sort key of a (key, node) candidate: best key first, then node id."""
+    return -pair[0], pair[1].id
 
 
 def _grown(array: np.ndarray) -> np.ndarray:
@@ -203,37 +180,38 @@ def _grown(array: np.ndarray) -> np.ndarray:
 
 
 class _Block:
-    """The exemplars of one (outcome store, task type id), with one scored
-    row per distinct vector.
+    """The exemplar nodes filed under one ``(node.outcome, node.task_type_id)``,
+    with one scored row per distinct vector.
 
-    Row ``g`` of ``vectors`` is a distinct normalised vector, found by its
-    bytes in ``_group_of``. ``members[g]`` lists the entries with that
-    vector in node id order, and ``plain[g]`` the ones among them whose kind
-    is not ``type_strategy``. The matrix grows by half its size when full,
-    and ``vectors`` hides the unused capacity.
+    It holds the graph's own nodes, which never change once applied (no
+    prune removes an exemplar). Row ``g`` of ``vectors`` is a distinct
+    normalised vector, found by its bytes in ``_group_of``. ``members[g]``
+    lists the nodes with that vector in node id order, and ``plain[g]`` the
+    ones among them whose kind is not ``type_strategy``. The matrix grows by
+    half its size when full, and ``vectors`` hides the unused capacity.
     """
 
     __slots__ = ("members", "plain", "_group_of", "_vectors")
 
     def __init__(
-        self, dimension: int, entries: Sequence[_Entry] = (), units: Sequence[np.ndarray] = ()
+        self, dimension: int, nodes: Sequence[ExperienceNode] = (), units: Sequence[np.ndarray] = ()
     ):
-        """A block holding ``entries``, with ``units`` as their normalised
+        """A block holding ``nodes``, with ``units`` as their normalised
         vectors; one array build for the matrix."""
-        self.members: list[list[_Entry]] = []
-        self.plain: list[list[_Entry]] = []
+        self.members: list[list[ExperienceNode]] = []
+        self.plain: list[list[ExperienceNode]] = []
         self._group_of: dict[bytes, int] = {}
         distinct: list[np.ndarray] = []
-        for entry, unit in zip(entries, units):
-            if self._file(entry, unit) == len(distinct):
+        for node, unit in zip(nodes, units):
+            if self._file(node, unit) == len(distinct):
                 distinct.append(unit)
         # at least _INITIAL_ROWS, so growth by half always adds rows
         self._vectors = np.empty((max(len(distinct), _INITIAL_ROWS), dimension))
         if distinct:
             np.stack(distinct, out=self._vectors[: len(distinct)])
 
-    def _file(self, entry: _Entry, unit: np.ndarray) -> int:
-        """Add ``entry`` to the group of ``unit``, in node id order, and
+    def _file(self, node: ExperienceNode, unit: np.ndarray) -> int:
+        """Add ``node`` to the group of ``unit``, in node id order, and
         return the group's row; an unseen vector opens a new group."""
         key = unit.tobytes()
         g = self._group_of.get(key)
@@ -242,17 +220,17 @@ class _Block:
             self.members.append([])
             self.plain.append([])
         for rows in (
-            (self.members[g],) if entry.kind == "type_strategy" else (self.members[g], self.plain[g])
+            (self.members[g],) if node.kind == "type_strategy" else (self.members[g], self.plain[g])
         ):
-            if rows and rows[-1].node_id > entry.node_id:
-                bisect.insort(rows, entry, key=_node_id)
+            if rows and rows[-1].id > node.id:
+                bisect.insort(rows, node, key=lambda n: n.id)
             else:
-                rows.append(entry)
+                rows.append(node)
         return g
 
-    def append(self, entry: _Entry, unit: np.ndarray) -> None:
+    def append(self, node: ExperienceNode, unit: np.ndarray) -> None:
         n_groups = len(self.members)
-        g = self._file(entry, unit)
+        g = self._file(node, unit)
         if g == n_groups:
             if g == len(self._vectors):
                 self._vectors = _grown(self._vectors)
@@ -313,7 +291,7 @@ class MemoryIndex:
         called for each exemplar in node id order would give. ``embed`` is
         called once per distinct question text."""
         unit_of: dict[str, np.ndarray] = {}
-        grouped: dict[tuple[str, int | None], tuple[list[_Entry], list[np.ndarray]]] = {}
+        grouped: dict[tuple[str, int | None], tuple[list[ExperienceNode], list[np.ndarray]]] = {}
         experience = self.graph.experience
         for node_id in sorted(experience):
             node = experience[node_id]
@@ -327,14 +305,15 @@ class MemoryIndex:
             unit = unit_of.get(text)
             if unit is None:
                 unit = unit_of[text] = self._unit(self._checked(embed(text)))
-            group[0].append(_entry(node, node.task_type_id))
+            group[0].append(node)
             group[1].append(unit)
-        for key, (entries, units) in grouped.items():
-            self._blocks[key] = _Block(self.dimension, entries, units)
-            self._indexed.update(e.node_id for e in entries)
+        for key, (nodes, units) in grouped.items():
+            self._blocks[key] = _Block(self.dimension, nodes, units)
+            self._indexed.update(node.id for node in nodes)
 
-    def index_memory(self, node_id: int, task_type_id: int | None, vector: np.ndarray) -> None:
-        """Add one protected exemplar to its store by outcome.
+    def index_memory(self, node_id: int, vector: np.ndarray) -> None:
+        """File one protected exemplar under ``(node.outcome,
+        node.task_type_id)``, the key ``_build`` uses.
 
         Only success and failure memories are exemplar-retrievable;
         principles reach prompts through skill references, patterns and
@@ -348,11 +327,11 @@ class MemoryIndex:
         arr = self._checked(vector)
         if node_id in self._indexed:
             raise ValidationError(f"node {node_id} is already indexed")
-        key = (node.outcome, task_type_id)
+        key = (node.outcome, node.task_type_id)
         block = self._blocks.get(key)
         if block is None:
             block = self._blocks[key] = _Block(self.dimension)
-        block.append(_entry(node, task_type_id), self._unit(arr))
+        block.append(node, self._unit(arr))
         self._indexed.add(node_id)
 
     def _candidates(
@@ -360,11 +339,11 @@ class MemoryIndex:
         outcome: str,
         query: np.ndarray,
         task_type_id: int | None,
-        scorer: Callable[[_Entry], float] | None = None,
+        scorer: Callable[[ExperienceNode], float] | None = None,
         k: int | None = None,
-    ) -> list[tuple[float, _Entry]]:
-        """The ``k`` best eligible entries of one store for a query, best
-        first; all of them when ``k`` is None.
+    ) -> list[tuple[float, ExperienceNode]]:
+        """The ``k`` best eligible exemplar nodes of one store for a query,
+        best first; all of them when ``k`` is None.
 
         Eligibility (task filter, type_strategy floor) always uses the
         embedding similarity; ``scorer`` only swaps the ranking key, which
@@ -376,14 +355,14 @@ class MemoryIndex:
             return []
         # vecdot runs the per-row kernel of ``vector @ query``, so a row's
         # similarity does not depend on where the row sits in the matrix and
-        # an entry scores the same bits whichever block layout holds it. A
+        # a node scores the same bits whichever block layout holds it. A
         # BLAS matvec (``M @ query``) rounds by row position.
         sims = np.vecdot(block.vectors, query)
         floor = self.type_strategy_min_similarity
-        # ranked by similarity, a group past the k-th best entry has nothing
-        # to add, and one at or above it adds at most its first k entries
+        # ranked by similarity, a group past the k-th best node has nothing
+        # to add, and one at or above it adds at most its first k nodes
         by_sim = scorer is None and k is not None
-        picked: list[tuple[float, _Entry]] = []
+        picked: list[tuple[float, ExperienceNode]] = []
         seen = 0
         kth = None
         # best row first, ties in row order
@@ -395,9 +374,9 @@ class MemoryIndex:
             if not rows:
                 continue
             if scorer is None:
-                picked.extend([(sim, entry) for entry in rows[:k]])
+                picked.extend([(sim, node) for node in rows[:k]])
             else:
-                picked.extend([(float(scorer(entry)), entry) for entry in rows])
+                picked.extend([(float(scorer(node)), node) for node in rows])
             seen += len(rows)
             if by_sim and kth is None and seen >= k:
                 kth = sim
@@ -411,7 +390,7 @@ class MemoryIndex:
         context_length: int,
         k: int = 3,
         long_context_threshold: int = 500,
-        scorer: Callable[[_Entry], float] | None = None,
+        scorer: Callable[[ExperienceNode], float] | None = None,
     ) -> MemoryBundle:
         query = self._unit(query_vector)
         if query.shape != (self.dimension,):
@@ -432,28 +411,24 @@ class MemoryIndex:
             elif len(take_f) < n_failure:
                 take_s = succ[: n_success + spare]
         return MemoryBundle(
-            success=[self._entry_to_bundle(sim, e) for sim, e in take_s],
-            failure=[self._entry_to_bundle(sim, e) for sim, e in take_f],
+            success=[self._bundle_entry(sim, node) for sim, node in take_s],
+            failure=[self._bundle_entry(sim, node) for sim, node in take_f],
             allocation=(n_success, n_failure),
         )
 
-    def _entry_to_bundle(self, similarity: float, entry: _Entry) -> BundleEntry:
-        tt_name = ""
-        skill_name = ""
-        if entry.task_type_id is not None and entry.task_type_id in self.graph.task_types:
-            tt_name = self.graph.task_types[entry.task_type_id].name
-        if entry.skill_id is not None and entry.skill_id in self.graph.skills:
-            skill_name = self.graph.skills[entry.skill_id].name
+    def _bundle_entry(self, similarity: float, node: ExperienceNode) -> BundleEntry:
+        tt = self.graph.task_types.get(node.task_type_id)
+        skill = self.graph.skills.get(node.skill_id)
         return BundleEntry(
-            node_id=entry.node_id,
+            node_id=node.id,
             similarity=similarity,
-            outcome=entry.outcome,
-            kind=entry.kind,
-            task_type_id=entry.task_type_id,
-            skill_id=entry.skill_id,
-            payload=entry.payload,
-            task_type_name=tt_name,
-            skill_name=skill_name,
+            outcome=node.outcome,
+            kind=node.kind,
+            task_type_id=node.task_type_id,
+            skill_id=node.skill_id,
+            payload=node.payload,
+            task_type_name=tt.name if tt is not None else "",
+            skill_name=skill.name if skill is not None else "",
         )
 
     # ------------------------------------------------------------------
@@ -482,8 +457,8 @@ class MemoryIndex:
             pool = self._candidates("success_memory", qn, task_type_id)
             pool += self._candidates("failure_memory", qn, task_type_id)
             pool.sort(key=_rank)
-            retrieved = [e.node_id for _, e in pool[:k]]
-            entries = [self._entry_to_bundle(sim, e) for sim, e in pool]
+            retrieved = [node.id for _, node in pool[:k]]
+            entries = [self._bundle_entry(sim, node) for sim, node in pool]
             scored = sorted(
                 entries, key=lambda be: (-oracle(query, be), be.node_id)
             )
@@ -513,7 +488,6 @@ def _uniform_tv(set_a: Sequence[int], set_b: Sequence[int]) -> float:
 # harvest
 
 def harvest_success(
-    graph: KnowledgeGraph,
     index: MemoryIndex,
     embed: Callable[[str], np.ndarray],
     task_type_id: int,
@@ -521,39 +495,36 @@ def harvest_success(
     payload: SuccessPayload,
     trace_char_cap: int = 4000,
 ) -> int:
-    """Append a success memory to the graph and index it for retrieval."""
-    trimmed = SuccessPayload(
-        question=payload.question,
-        reasoning_trace=payload.reasoning_trace[:trace_char_cap],
-        answer=payload.answer,
-        decomposition=payload.decomposition,
-    )
-    node_id = graph.append_experience(
+    """Append a success memory to ``index.graph``, its reasoning trace cut
+    to ``trace_char_cap`` characters, and index it for retrieval."""
+    record = payload.to_dict()
+    record["reasoning_trace"] = record["reasoning_trace"][:trace_char_cap]
+    node_id = index.graph.append_experience(
         outcome="success_memory",
-        payload=trimmed.to_dict(),
+        payload=record,
         task_type_id=task_type_id,
         skill_id=skill_id,
     )
-    index.index_memory(node_id, task_type_id, embed(trimmed.question))
+    index.index_memory(node_id, embed(payload.question))
     return node_id
 
 
 def harvest_failure(
-    graph: KnowledgeGraph,
     index: MemoryIndex,
     embed: Callable[[str], np.ndarray],
     task_type_id: int,
     skill_id: int | None,
     payload: FailurePayload,
 ) -> int:
-    node_id = graph.append_experience(
+    """Append a failure memory to ``index.graph`` and index it for retrieval."""
+    node_id = index.graph.append_experience(
         outcome="failure_memory",
         payload=payload.to_dict(),
         task_type_id=task_type_id,
         skill_id=skill_id,
         kind=payload.kind,
     )
-    index.index_memory(node_id, task_type_id, embed(payload.question))
+    index.index_memory(node_id, embed(payload.question))
     return node_id
 
 
@@ -722,6 +693,16 @@ def render_skill_lattice(graph: KnowledgeGraph, task_type_id: int) -> str:
     return "\n".join(lines)
 
 
+def skill_frontier(graph: KnowledgeGraph, threshold: float) -> tuple[dict[int, float], set[int]]:
+    """The masteries of the graph's skills and their learnable frontier: the
+    skills below ``threshold`` whose prerequisites are all at or above it."""
+    masteries = {sid: s.mastery for sid, s in graph.skills.items()}
+    prereqs: dict[int, set[int]] = {sid: set() for sid in masteries}
+    for a, b in graph.prereq_edges():
+        prereqs[b].add(a)
+    return masteries, learnable_frontier(masteries, prereqs, threshold)
+
+
 def curriculum_override(
     graph: KnowledgeGraph, requested_skill_id: int, threshold: float
 ) -> int:
@@ -733,11 +714,7 @@ def curriculum_override(
     requested = graph.skill(requested_skill_id)
     if requested.mastery < threshold:
         return requested_skill_id
-    masteries = {sid: s.mastery for sid, s in graph.skills.items()}
-    prereqs: dict[int, set[int]] = {sid: set() for sid in masteries}
-    for a, b in graph.prereq_edges():
-        prereqs[b].add(a)
-    frontier = learnable_frontier(masteries, prereqs, threshold)
+    masteries, frontier = skill_frontier(graph, threshold)
     if not frontier:
         return requested_skill_id
     return min(frontier, key=lambda sid: (masteries[sid], sid))

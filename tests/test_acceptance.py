@@ -300,7 +300,7 @@ def test_criterion_05_allocation_and_admission_rules():
                     task_type_id=tt,
                     kind=kind,
                 )
-            index.index_memory(nid, tt, embedder.embed(q))
+            index.index_memory(nid, embedder.embed(q))
             questions.append(q)
         for _ in range(200):
             tt = tts[int(rng.integers(0, 3))]
@@ -357,7 +357,7 @@ def _two_by_two_store():
             task_type_id=tt,
             skill_id=skill,
         )
-        index.index_memory(nid, tt, _one_hot(i))
+        index.index_memory(nid, _one_hot(i))
     for i, q in enumerate(["first failure", "second failure"]):
         nid = graph.append_experience(
             "failure_memory",
@@ -368,7 +368,7 @@ def _two_by_two_store():
             skill_id=skill,
             kind="specific",
         )
-        index.index_memory(nid, tt, _one_hot(10 + i))
+        index.index_memory(nid, _one_hot(10 + i))
     return index, tt
 
 

@@ -288,6 +288,18 @@ def test_replay_reproduces_state_bytes():
     assert replayed.graph_hash() == graph.graph_hash()
 
 
+def test_bandit_init_validates_like_new_slot_and_logs_nothing_on_refusal():
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=2, rng_seed=7)
+    seq = graph.last_seq
+    for arms, warmup in ((["direct"], -1), ([], 2), (["a", "a"], 2)):
+        with pytest.raises(ValidationError):
+            graph.bandit_init("route/t", arms, warmup_pulls=warmup, rng_seed=7)
+    assert graph.last_seq == seq and len(lines) == seq
+    assert sorted(graph.bandits) == ["route/s"]
+
+
 def test_replay_rejects_sequence_gap():
     lines = []
     graph = KnowledgeGraph(event_sink=lines.append)

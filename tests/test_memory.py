@@ -62,7 +62,7 @@ def add_success(graph, index, tt, question="q", vector=None, skill_id=None):
         task_type_id=tt,
         skill_id=skill_id,
     )
-    index.index_memory(nid, tt, one_hot(0) if vector is None else vector)
+    index.index_memory(nid, one_hot(0) if vector is None else vector)
     return nid
 
 
@@ -78,7 +78,7 @@ def add_failure(graph, index, tt, question="q", vector=None, kind="specific"):
         task_type_id=tt,
         kind=kind,
     )
-    index.index_memory(nid, tt, one_hot(1) if vector is None else vector)
+    index.index_memory(nid, one_hot(1) if vector is None else vector)
     return nid
 
 
@@ -227,12 +227,28 @@ def test_scorer_swaps_ranking_not_eligibility(indexed):
     floor_blocked = add_failure(graph, index, tt, vector=one_hot(2), kind="type_strategy")
     scores = {near: 0.1, far: 0.9, floor_blocked: 5.0}
     bundle = index.retrieve_bundle(
-        one_hot(0), tt, context_length=10, scorer=lambda e: scores[e.node_id]
+        one_hot(0), tt, context_length=10, scorer=lambda e: scores[e.id]
     )
     # the scorer promotes the dissimilar exemplar but cannot resurrect the
     # below-floor strategy note
     assert [e.node_id for e in bundle.success] == [far, near]
     assert bundle.failure == []
+
+
+def test_scorer_receives_the_graphs_own_nodes(indexed):
+    graph, index, _ = indexed
+    tt = graph.add_task_type("t")
+    ids = [add_success(graph, index, tt, question=f"s{i}", vector=one_hot(i)) for i in range(3)]
+    ids.append(add_failure(graph, index, tt, vector=one_hot(3)))
+    seen = []
+
+    def scorer(entry):
+        assert entry is graph.experience[entry.id]
+        seen.append(entry.id)
+        return 0.0
+
+    index.retrieve_bundle(one_hot(0), tt, context_length=10, scorer=scorer)
+    assert sorted(seen) == ids
 
 
 # a few fixed directions, so drawn entries repeat vectors exactly
@@ -292,7 +308,7 @@ def test_retrieval_matches_bruteforce_reference(
         tt,
         context_length=context_length,
         k=k,
-        scorer=(lambda e: utility[e.node_id]) if use_scorer else None,
+        scorer=(lambda e: utility[e.id]) if use_scorer else None,
     )
     assert bundle.allocation == allocation
     for got, want in ((bundle.success, ranked_s[:take_s]), (bundle.failure, ranked_f[:take_f])):
@@ -424,14 +440,14 @@ def test_grouped_retrieval_matches_bruteforce_reference(
     tied = np.vecdot(np.stack([index._unit(v) for v in GROUP_POOL[:2]]), unit)
     assert tied[0] == tied[1]
     utility = {nid: (nid * 7 % 3) / 2 for nid in graph.experience}
-    scorer = (lambda e: utility[e.node_id]) if use_scorer else None
+    scorer = (lambda e: utility[e.id]) if use_scorer else None
     score = utility.__getitem__ if use_scorer else None
 
     # entries indexed newest first must land in the same groups, in id order
     shuffled = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=floor)
     for nid in sorted(graph.experience, reverse=True):
         node = graph.experience[nid]
-        shuffled.index_memory(nid, node.task_type_id, _embed_pool(node.payload["question"]))
+        shuffled.index_memory(nid, _embed_pool(node.payload["question"]))
     bulk = rebuild_index(graph, 8, _embed_pool, floor)
     _assert_same_blocks(bulk, index, _embed_pool)
 
@@ -440,7 +456,7 @@ def test_grouped_retrieval_matches_bruteforce_reference(
         want = rank_store_reference(stores[outcome], query, tt, floor, score)[:k]
         for candidates in (index, shuffled, bulk):
             got = candidates._candidates(outcome, unit, tt, scorer, k)
-            assert [e.node_id for _, e in got] == [nid for _, nid in want]
+            assert [e.id for _, e in got] == [nid for _, nid in want]
             assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
 
     ranked_s = rank_store_reference(stores["success_memory"], query, tt, floor, score)
@@ -484,7 +500,7 @@ def test_retrieval_over_many_distinct_vectors_matches_reference():
         for k in (1, 3, 50, 700):
             want = rank_store_reference(rows, query, tt, 0.2)[:k]
             got = index._candidates("failure_memory", unit, tt, None, k)
-            assert [e.node_id for _, e in got] == [nid for _, nid in want]
+            assert [e.id for _, e in got] == [nid for _, nid in want]
             assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
 
 
@@ -519,10 +535,10 @@ def test_index_rejects_duplicates_and_wrong_class(indexed):
     tt = graph.add_task_type("t")
     nid = add_success(graph, index, tt)
     with pytest.raises(ValidationError):
-        index.index_memory(nid, tt, one_hot(0))
+        index.index_memory(nid, one_hot(0))
     pattern = graph.append_experience("abstracted_pattern", {"q": 1}, confidence=0.9)
     with pytest.raises(ValidationError):
-        index.index_memory(pattern, tt, one_hot(0))
+        index.index_memory(pattern, one_hot(0))
 
 
 def test_index_rejects_dimension_mismatch(indexed):
@@ -530,7 +546,7 @@ def test_index_rejects_dimension_mismatch(indexed):
     tt = graph.add_task_type("t")
     nid = graph.append_experience("success_memory", {"question": "q"}, task_type_id=tt)
     with pytest.raises(ValidationError):
-        index.index_memory(nid, tt, np.ones(16))
+        index.index_memory(nid, np.ones(16))
     with pytest.raises(ValidationError):
         index.retrieve_bundle(np.ones(16), tt, context_length=10)
 
@@ -551,7 +567,6 @@ def test_first_harvest_retrievable(graph, embedder):
     tt = graph.add_task_type("t")
     assert graph.protected_counts()["success_memory"] == 0
     nid = harvest_success(
-        graph,
         index,
         embedder.embed,
         tt,
@@ -568,7 +583,6 @@ def test_harvest_trims_trace_to_cap(graph, embedder):
     tt = graph.add_task_type("t")
     cap = 200
     nid = harvest_success(
-        graph,
         index,
         embedder.embed,
         tt,
@@ -583,7 +597,6 @@ def test_harvest_failure_kind_and_count(graph, embedder):
     index = MemoryIndex(graph, dimension=64)
     tt = graph.add_task_type("t")
     nid = harvest_failure(
-        graph,
         index,
         embedder.embed,
         tt,
@@ -606,7 +619,6 @@ def test_rebuild_index_matches_incremental(graph, embedder):
     tt = graph.add_task_type("t")
     for i in range(4):
         harvest_success(
-            graph,
             index,
             embedder.embed,
             tt,
@@ -648,17 +660,17 @@ def _assert_same_blocks(index, other, embed):
         twin = other._blocks[key]
         assert block.vectors.tobytes() == twin.vectors.tobytes()
         for groups in ("members", "plain"):
-            assert [[e.node_id for e in rows] for rows in getattr(block, groups)] == [
-                [e.node_id for e in rows] for rows in getattr(twin, groups)
+            assert [[e.id for e in rows] for rows in getattr(block, groups)] == [
+                [e.id for e in rows] for rows in getattr(twin, groups)
             ]
-        # every entry's row is the bits of normalize on the raw embedding
+        # every node's row is the bits of normalize on the raw embedding
         reference = {}
         for row, rows in zip(block.vectors, block.members):
             for e in rows:
-                reference[e.node_id] = normalize(embed(e.payload["question"])).tobytes()
-                assert row.tobytes() == reference[e.node_id]
-        # each entry sits in one group only
-        assert sorted(reference) == sorted(e.node_id for rows in block.members for e in rows)
+                reference[e.id] = normalize(embed(e.payload["question"])).tobytes()
+                assert row.tobytes() == reference[e.id]
+        # each node sits in one group only
+        assert sorted(reference) == sorted(e.id for rows in block.members for e in rows)
         # and each distinct vector has one row
         assert len(block.vectors) == len(set(reference.values()))
 
@@ -678,7 +690,7 @@ def test_bulk_rebuild_matches_incremental_index_bit_for_bit(first, more):
         nid = _append_exemplar(graph, task_types, spec)
         node = graph.experience[nid]
         if node.outcome != "principle":
-            incremental.index_memory(nid, node.task_type_id, embedder.embed(node.payload["question"]))
+            incremental.index_memory(nid, embedder.embed(node.payload["question"]))
         return nid
 
     for spec in first:
@@ -690,7 +702,7 @@ def test_bulk_rebuild_matches_incremental_index_bit_for_bit(first, more):
         nid = append(spec)
         node = graph.experience[nid]
         if node.outcome != "principle":
-            bulk.index_memory(nid, node.task_type_id, embedder.embed(node.payload["question"]))
+            bulk.index_memory(nid, embedder.embed(node.payload["question"]))
     _assert_same_blocks(bulk, incremental, embedder.embed)
 
 
@@ -853,7 +865,7 @@ def test_golden_bundle_bytes(indexed):
             task_type_id=tt,
             skill_id=skill,
         )
-        index.index_memory(nid, tt, one_hot(i))
+        index.index_memory(nid, one_hot(i))
     for i, q in enumerate(["first failure", "second failure"]):
         nid = graph.append_experience(
             "failure_memory",
@@ -867,7 +879,7 @@ def test_golden_bundle_bytes(indexed):
             skill_id=skill,
             kind="specific",
         )
-        index.index_memory(nid, tt, one_hot(10 + i))
+        index.index_memory(nid, one_hot(10 + i))
     query = one_hot(0) + 0.5 * one_hot(1) + 0.3 * one_hot(10) + 0.2 * one_hot(11)
     bundle = index.retrieve_bundle(query, tt, context_length=600)
     assert (len(bundle.success), len(bundle.failure)) == (1, 2)
@@ -890,7 +902,7 @@ def test_golden_bundle_bytes(indexed):
             task_type_id=tt2,
             skill_id=skill2,
         )
-        index2.index_memory(nid, tt2, one_hot(i))
+        index2.index_memory(nid, one_hot(i))
     for i, q in enumerate(["first failure", "second failure"]):
         nid = graph2.append_experience(
             "failure_memory",
@@ -904,7 +916,7 @@ def test_golden_bundle_bytes(indexed):
             skill_id=skill2,
             kind="specific",
         )
-        index2.index_memory(nid, tt2, one_hot(10 + i))
+        index2.index_memory(nid, one_hot(10 + i))
     bundle2 = index2.retrieve_bundle(query, tt2, context_length=600)
     assert format_bundle(bundle2, "the held-out question") == golden
 
