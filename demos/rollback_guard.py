@@ -16,8 +16,8 @@ def inject_drop(engine, drop):
     """Make the next evaluations report accuracy below the committed value."""
     real_eval = engine._evaluate_static
 
-    def forced(k):
-        out = real_eval(k)
+    def forced():
+        out = real_eval()
         out["accuracy"] = engine.prev_accuracy - drop
         return out
 

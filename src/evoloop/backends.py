@@ -81,6 +81,12 @@ class CallTracker:
         with self._lock:
             return dict(self._counts)
 
+    def since(self, before: Mapping[tuple[str, str, str], int]) -> dict[tuple[str, str, str], int]:
+        """Calls recorded after ``before``, a ``counts()`` result: the
+        nonzero per-key deltas, in first-recorded key order."""
+        deltas = {key: count - before.get(key, 0) for key, count in self.counts().items()}
+        return {key: delta for key, delta in deltas.items() if delta}
+
 
 @dataclass
 class BackendSet:

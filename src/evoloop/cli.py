@@ -84,7 +84,10 @@ def _cmd_init(args) -> int:
         path = Path(args.config)
         if not path.is_file():
             raise ValidationError(f"config file not found: {path}")
-        overrides = json.loads(path.read_text())
+        try:
+            overrides = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValidationError(f"config file {path} is not JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ValidationError("config file must hold a JSON object")
     if args.seed is not None:

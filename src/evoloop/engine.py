@@ -11,7 +11,11 @@ One iteration runs five phases against a frozen model tier:
             retrieval
   EVALUATE  the learner answers the evolution pool with retrieved bundles;
             the critic judges one batch per task type; every graph or
-            bandit write this phase produces is queued
+            bandit write this phase produces is queued. On a sequential
+            env the pool is its achievements, scored by the EXPLORE
+            episode. Either way EVALUATE hands UPDATE and EVOLVE one
+            record per answered question: the question itself, its
+            result and its reasoning trace
   UPDATE    queued writes apply serially in question order, then the
             mastery ratchet runs per attempted skill over whole-pool
             success rates, and low-confidence patterns are pruned
@@ -42,6 +46,7 @@ every write advances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Sequence
 
@@ -53,7 +58,7 @@ from .backends import (
     stable_hash64,
 )
 from .curriculum import RatchetParams, SelectorParams, mastery_update, round_robin_select
-from .errors import CapError, ValidationError
+from .errors import BackendError, CapError, ValidationError
 from .graph import KnowledgeGraph
 from .memory import (
     FailurePayload,
@@ -98,6 +103,23 @@ def delta_guard_decision(
     return "none"
 
 
+# the least value of each config field that has only a lower bound
+_CONFIG_LEAST = {
+    "max_evolve_targets": 1,
+    "retrieval_top_k": 1,
+    "long_context_threshold": 0,
+    "principles_per_skill_cap": 1,
+    "skill_growth_cap": 1,
+    "bandit_warmup_pulls": 0,
+    "delta_guard": 0,
+    "pool_size": 1,
+    "iterations": 1,
+    "trace_char_cap": 1,
+    "snapshot_history_limit": 1,
+    "eval_workers": 1,
+}
+
+
 @dataclass
 class EngineConfig:
     mastery_rise_rate: float = 0.6
@@ -128,55 +150,30 @@ class EngineConfig:
     oracle_retrieval: bool = False
 
     def validate(self) -> None:
-        if not 0.0 < self.mastery_rise_rate < 1.0:
-            raise ValidationError("mastery_rise_rate must be in (0, 1)")
-        if not 0.0 < self.mastery_decay_rate < 1.0:
-            raise ValidationError("mastery_decay_rate must be in (0, 1)")
+        for name in ("mastery_rise_rate", "mastery_decay_rate"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must be in (0, 1)")
         if self.mastery_rise_rate <= self.mastery_decay_rate:
             raise ValidationError(
                 "mastery_rise_rate must exceed mastery_decay_rate "
                 f"(got rise={self.mastery_rise_rate}, decay={self.mastery_decay_rate})"
             )
-        if not 0.0 <= self.mastery_threshold <= 1.0:
-            raise ValidationError("mastery_threshold must be in [0, 1]")
+        for name in ("mastery_threshold", "type_strategy_min_similarity", "prune_confidence_threshold"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValidationError(f"{name} must be in [0, 1]")
         if self.recency_weight <= 0:
             raise ValidationError("recency_weight must be positive")
-        if self.max_evolve_targets < 1:
-            raise ValidationError("max_evolve_targets must be >= 1")
-        if self.retrieval_top_k < 1:
-            raise ValidationError("retrieval_top_k must be >= 1")
-        if self.long_context_threshold < 0:
-            raise ValidationError("long_context_threshold must be >= 0")
-        if not 0.0 <= self.type_strategy_min_similarity <= 1.0:
-            raise ValidationError("type_strategy_min_similarity must be in [0, 1]")
-        if self.principles_per_skill_cap < 1:
-            raise ValidationError("principles_per_skill_cap must be >= 1")
-        if self.skill_growth_cap < 1:
-            raise ValidationError("skill_growth_cap must be >= 1")
-        if self.bandit_warmup_pulls < 0:
-            raise ValidationError("bandit_warmup_pulls must be >= 0")
-        if self.delta_guard < 0:
-            raise ValidationError("delta_guard must be >= 0")
+        for name, least in _CONFIG_LEAST.items():
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be >= {least}")
         if self.catastrophic_threshold < self.delta_guard:
             raise ValidationError("catastrophic_threshold must be >= delta_guard")
         if self.eval_temperature < 0 or self.train_temperature < 0:
             raise ValidationError("temperatures must be >= 0")
-        if self.pool_size < 1:
-            raise ValidationError("pool_size must be >= 1")
-        if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
-        if self.trace_char_cap < 1:
-            raise ValidationError("trace_char_cap must be >= 1")
-        if not 0.0 <= self.prune_confidence_threshold <= 1.0:
-            raise ValidationError("prune_confidence_threshold must be in [0, 1]")
-        if self.snapshot_history_limit < 1:
-            raise ValidationError("snapshot_history_limit must be >= 1")
         for name in ("routing_strategies", "search_strategies"):
             arms = getattr(self, name)
             if not arms or len(set(arms)) != len(arms):
                 raise ValidationError(f"{name} must be non-empty and unique")
-        if self.eval_workers < 1:
-            raise ValidationError("eval_workers must be >= 1")
 
     def to_dict(self) -> dict[str, Any]:
         data = asdict(self)
@@ -186,17 +183,42 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """A validated config from a JSON object; a value of the wrong type
+        is refused with a ``ValidationError`` naming its key."""
+        if not isinstance(data, Mapping):
+            raise ValidationError("config must be an object of config keys")
+        fields_by_name = cls.__dataclass_fields__
+        unknown = set(data) - set(fields_by_name)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("routing_strategies", "search_strategies"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        config = cls(**kwargs)
+        config = cls(**{
+            key: _config_value(key, value, fields_by_name[key].default)
+            for key, value in data.items()
+        })
         config.validate()
         return config
+
+
+def _config_value(key: str, value: Any, default: Any) -> Any:
+    """``value`` for the field whose default is ``default``: an int field takes
+    an int, a float field a finite int or float, a bool field only a bool, an arm
+    field a list of strings."""
+    if isinstance(default, tuple):
+        fits = isinstance(value, list) and all(isinstance(arm, str) for arm in value)
+        expected = "a list of strings"
+    elif isinstance(default, bool):
+        fits = isinstance(value, bool)
+        expected = "true or false"
+    elif isinstance(default, int):
+        fits = isinstance(value, int) and not isinstance(value, bool)
+        expected = "an integer"
+    else:
+        # validate's lower bounds let NaN through (a NaN delta_guard turns the guard off)
+        fits = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        expected = "a finite number"
+    if not fits:
+        raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
 
 
 @dataclass
@@ -317,9 +339,15 @@ class Engine:
         return self.backends.guidance.complete(prompt, meta=meta, temperature=0.0)
 
     def _call_judge(self, items: list[tuple[str, str]]) -> list[int]:
+        """One verdict per (predicted, gold) item; a reply that is not one
+        ``0`` or ``1`` per item is a ``BackendError``."""
         self.backends.tracker.record("train", "critic", self.backends.judge.role)
-        verdicts = self.backends.judge.complete("judge", meta={"items": items})
-        return [1 if ch == "1" else 0 for ch in verdicts]
+        verdicts = self.backends.judge.complete("judge", meta={"items": items}).strip()
+        if len(verdicts) != len(items) or not set(verdicts) <= {"0", "1"}:
+            raise BackendError(
+                f"judge reply {verdicts[:80]!r} is not one 0/1 verdict for each of {len(items)} items"
+            )
+        return [int(ch) for ch in verdicts]
 
     def _call_execution(self, agent: str, phase: str, prompt: str, meta: dict, temperature: float) -> str:
         self.backends.tracker.record(phase, agent, self.backends.execution.role)
@@ -335,10 +363,12 @@ class Engine:
         tracker_before = self.backends.tracker.counts()
 
         frontier = self._plan(k)
-        explore_outcome = self._explore(k) if self.env.mode == "sequential" else None
-        evaluation = self._evaluate(k, explore_outcome)
-        self._update(evaluation)
-        selected, task_stats_pre, appended, cap_errors = self._evolve(k, evaluation)
+        if self.env.mode == "sequential":
+            evaluation = self._evaluate_sequential(self._explore(k))
+        else:
+            evaluation = self._evaluate_static()
+        per_skill_evidence, pruned_ids = self._update(evaluation)
+        selected, task_stats_pre, appended, cap_errors = self._evolve(k, evaluation["answered"])
 
         accuracy = evaluation["accuracy"]
         if self.config.remeasure_after_update:
@@ -378,15 +408,15 @@ class Engine:
             selected_frontier=frontier,
             selected_task_types=list(selected),
             task_stats_pre=task_stats_pre,
-            per_question=[r.to_dict() for r in evaluation["results"]],
-            per_skill_evidence=evaluation["per_skill_evidence"],
+            per_question=[result.to_dict() for _q, result, _trace in evaluation["answered"]],
+            per_skill_evidence=per_skill_evidence,
             bandit_selections=dict(
                 sorted(
                     {**evaluation["search_arms"], **evaluation["routing_arms"]}.items()
                 )
             ),
             appended=appended_surviving,
-            pruned_ids=evaluation["pruned_ids"],
+            pruned_ids=pruned_ids,
             cap_errors=cap_errors,
             tier_calls=tier_calls,
             agent_calls=agent_calls,
@@ -411,14 +441,9 @@ class Engine:
         state, which a resumed run rebuilds differently, and the accounting
         contract excludes it anyway.
         """
-        after = self.backends.tracker.counts()
         tier: dict[str, int] = {}
         agents: dict[str, int] = {}
-        for key, count in after.items():
-            delta = count - before.get(key, 0)
-            if delta == 0:
-                continue
-            _phase, agent, role = key
+        for (_phase, agent, role), delta in self.backends.tracker.since(before).items():
             tier[role] = tier.get(role, 0) + delta
             agents[agent] = agents.get(agent, 0) + delta
         return dict(sorted(tier.items())), dict(sorted(agents.items()))
@@ -457,22 +482,14 @@ class Engine:
     # ------------------------------------------------------------------
     # EXPLORE (sequential only)
 
-    def _explore(self, k: int) -> dict[str, Any]:
-        env = self.env
-        state = env.reset()
-        unlock_steps: dict[str, int] = {}
-        for _ in range(env.EPISODE_STEPS):
-            target = env.intended_action(state)
-            if target is None:
-                break
-            unlocked = env.step(state, self._explorer_step(state, target, "train"))
-            if unlocked is not None:
-                unlock_steps[unlocked] = state.step
-                record_action_recipe(
-                    self.graph,
-                    self.graph.skill_by_name(env.RESOLVER[unlocked]).id,
-                    state.actions_taken,
-                )
+    def _explore(self, k: int):
+        """One training episode; returns its final state for EVALUATE."""
+
+        def record_recipe(state, unlocked: str) -> None:
+            skill = self.graph.skill_by_name(self.env.RESOLVER[unlocked])
+            record_action_recipe(self.graph, skill.id, state.actions_taken)
+
+        state = self._episode("train", record_recipe)
         self.graph.add_env_node(
             "observation",
             {"iteration": k, "actions": list(state.actions_taken), "unlocked": list(state.unlocked)},
@@ -480,9 +497,23 @@ class Engine:
         self.graph.append_experience(
             outcome="abstracted_pattern",
             payload={"iteration": k, "actions": list(state.actions_taken)},
-            confidence=len(state.unlocked) / len(env.ACHIEVEMENTS),
+            confidence=len(state.unlocked) / len(self.env.ACHIEVEMENTS),
         )
-        return {"state": state, "unlock_steps": unlock_steps}
+        return state
+
+    def _episode(self, phase: str, on_unlock=None):
+        """Play one bounded episode, each step asked through ``_explorer_step``;
+        ``on_unlock(state, achievement)`` follows every unlocking step."""
+        env = self.env
+        state = env.reset()
+        for _ in range(env.EPISODE_STEPS):
+            target = env.intended_action(state)
+            if target is None:
+                break
+            unlocked = env.step(state, self._explorer_step(state, target, phase))
+            if unlocked is not None and on_unlock is not None:
+                on_unlock(state, unlocked)
+        return state
 
     def _explorer_step(self, state, target: str, phase: str) -> str:
         """Assemble the explorer prompt for one episode step and ask for an action.
@@ -520,11 +551,6 @@ class Engine:
 
     # ------------------------------------------------------------------
     # EVALUATE
-
-    def _evaluate(self, k: int, explore_outcome: dict | None) -> dict[str, Any]:
-        if self.env.mode == "sequential":
-            return self._evaluate_sequential(k, explore_outcome)
-        return self._evaluate_static(k)
 
     def _draw(self, ctx: str, arms: dict[str, str], queue: list | None) -> str:
         """Pick bandit ``ctx``'s arm into ``arms`` and return it: its selection,
@@ -650,11 +676,8 @@ class Engine:
             context = memo[(tt_id, skill_id)] = (lattice, tuple(notes))
         return context
 
-    def _pool_size_cap(self, pool):
-        return pool[: self.config.pool_size]
-
-    def _evaluate_static(self, k: int) -> dict[str, Any]:
-        pool = self._pool_size_cap(self.env.evolution_pool())
+    def _evaluate_static(self) -> dict[str, Any]:
+        pool = self.env.evolution_pool()[: self.config.pool_size]
         search_arms, routing_arms, skill_for_tt, draw_queue = self._select_arms(pool)
 
         def solve(q):
@@ -662,7 +685,18 @@ class Engine:
             skill_id = skill_for_tt[tt_id]
             search_arm = search_arms[f"search/{tt_id}"]
             raw, predicted, n_s, n_f = self._answer_question(q, tt_id, skill_id, search_arm)
-            return q, tt_id, skill_id, search_arm, raw, predicted, n_s, n_f
+            result = QuestionResult(
+                qid=q.qid,
+                task_type_id=tt_id,
+                skill_id=skill_id,
+                reward=0,  # the judge's verdict, below
+                predicted=predicted,
+                search_arm=search_arm,
+                routing_arm=routing_arms[f"route/{skill_id}"],
+                bundle_success=n_s,
+                bundle_failure=n_f,
+            )
+            return q, result, raw
 
         if self.config.eval_workers > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -672,114 +706,78 @@ class Engine:
         else:
             answered = [solve(q) for q in pool]
 
-        # one judge batch per task type, verdicts keyed back by question
-        by_tt: dict[int, list[int]] = {}
-        for idx, (q, tt_id, *_rest) in enumerate(answered):
-            by_tt.setdefault(tt_id, []).append(idx)
-        rewards: dict[int, int] = {}
-        for tt_id in sorted(by_tt):
-            items = [
-                (answered[idx][5], answered[idx][0].answer) for idx in by_tt[tt_id]
-            ]
-            verdicts = self._call_judge(items)
-            for idx, verdict in zip(by_tt[tt_id], verdicts):
-                rewards[idx] = verdict
+        # one judge batch per task type, in task type id order
+        batches: dict[int, list] = {}
+        for q, result, _raw in answered:
+            batches.setdefault(result.task_type_id, []).append((q, result))
+        for tt_id in sorted(batches):
+            batch = batches[tt_id]
+            verdicts = self._call_judge([(result.predicted, q.answer) for q, result in batch])
+            for (_q, result), verdict in zip(batch, verdicts, strict=True):
+                result.reward = verdict
+        return self._evaluation(answered, search_arms, routing_arms, draw_queue)
 
-        results = []
-        for idx, (q, tt_id, skill_id, search_arm, raw, predicted, n_s, n_f) in enumerate(answered):
-            results.append(
-                QuestionResult(
-                    qid=q.qid,
-                    task_type_id=tt_id,
-                    skill_id=skill_id,
-                    reward=rewards[idx],
-                    predicted=predicted,
-                    search_arm=search_arm,
-                    routing_arm=routing_arms[f"route/{skill_id}"],
-                    bundle_success=n_s,
-                    bundle_failure=n_f,
-                )
-            )
-        accuracy = sum(r.reward for r in results) / len(results)
-        return {
-            "pool": pool,
-            "results": results,
-            "accuracy": accuracy,
-            "search_arms": search_arms,
-            "routing_arms": routing_arms,
-            "draw_queue": draw_queue,
-            "raw_by_qid": {entry[0].qid: entry[4] for entry in answered},
-            "per_skill_evidence": {},
-            "pruned_ids": [],
-        }
-
-    def _evaluate_sequential(self, k: int, explore_outcome: dict) -> dict[str, Any]:
-        state = explore_outcome["state"]
-        env = self.env
+    def _evaluate_sequential(self, state) -> dict[str, Any]:
+        """Score each achievement by whether the EXPLORE episode unlocked it."""
         search_arms: dict[str, str] = {}
         routing_arms: dict[str, str] = {}
         draw_queue: list[tuple[str, str]] = []
-        results = []
+        answered = []
         # the queue order is logged: per achievement its search draw, then
         # its skill's first route draw
-        for name in env.ACHIEVEMENTS:
-            tt = self.graph.task_type_by_name(name)
+        for q in self.env.evolution_pool():
+            tt = self.graph.task_type_by_name(q.task_type)
             arm = self._draw(f"search/{tt.id}", search_arms, draw_queue)
             skill_id = tt.resolver_skill_id
             rctx = f"route/{skill_id}"
             if rctx not in routing_arms:
                 self._draw(rctx, routing_arms, draw_queue)
-            results.append(
-                QuestionResult(
-                    qid=f"ach-{name}",
-                    task_type_id=tt.id,
-                    skill_id=skill_id,
-                    reward=1 if name in state.unlocked else 0,
-                    predicted="unlocked" if name in state.unlocked else "locked",
-                    search_arm=arm,
-                    routing_arm=routing_arms[rctx],
-                    bundle_success=0,
-                    bundle_failure=0,
-                )
+            unlocked = q.task_type in state.unlocked
+            result = QuestionResult(
+                qid=q.qid,
+                task_type_id=tt.id,
+                skill_id=skill_id,
+                reward=int(unlocked),
+                predicted=q.answer if unlocked else "locked",
+                search_arm=arm,
+                routing_arm=routing_arms[rctx],
+                bundle_success=0,
+                bundle_failure=0,
             )
-        accuracy = sum(r.reward for r in results) / len(results)
+            answered.append((q, result, "followed the unlocked action chain"))
+        return self._evaluation(answered, search_arms, routing_arms, draw_queue)
+
+    @staticmethod
+    def _evaluation(answered: list, search_arms, routing_arms, draw_queue) -> dict[str, Any]:
+        """What EVALUATE hands on: one (question, result, trace) record per
+        answered question, the pool accuracy, and the arms and queued draws."""
         return {
-            "pool": [],
-            "results": results,
-            "accuracy": accuracy,
+            "answered": answered,
+            "accuracy": sum(result.reward for _q, result, _trace in answered) / len(answered),
             "search_arms": search_arms,
             "routing_arms": routing_arms,
             "draw_queue": draw_queue,
-            "per_skill_evidence": {},
-            "pruned_ids": [],
         }
 
     # ------------------------------------------------------------------
     # UPDATE
 
-    def _update(self, evaluation: dict[str, Any]) -> None:
+    def _update(
+        self, evaluation: dict[str, Any]
+    ) -> tuple[dict[str, dict[str, Any]], list[int]]:
+        """Apply EVALUATE's queued writes; returns the per-skill evidence of
+        the mastery ratchet and the ids of the pruned patterns."""
         # queued bandit draws first, then per-question effects in pool order
         for ctx, arm in evaluation["draw_queue"]:
             self.graph.bandit_record_draw(ctx, arm)
-        pool_by_qid = {q.qid: q for q in evaluation["pool"]}
-        raw_by_qid = evaluation.get("raw_by_qid", {})
-        for result in evaluation["results"]:
-            q = pool_by_qid.get(result.qid)
+        for q, result, trace in evaluation["answered"]:
             if result.reward == 1:
-                if q is not None:
-                    payload = SuccessPayload(
-                        question=q.text,
-                        reasoning_trace=raw_by_qid.get(result.qid) or self._trace_for(q),
-                        answer=q.answer,
-                        decomposition=[tuple(step) for step in q.decomposition],
-                    )
-                else:
-                    # sequential achievements: short synthetic exemplar
-                    payload = SuccessPayload(
-                        question=result.qid.replace("ach-", "achieve "),
-                        reasoning_trace="followed the unlocked action chain",
-                        answer="unlocked",
-                    )
+                payload = SuccessPayload(
+                    question=q.text,
+                    reasoning_trace=trace or self._trace_for(q),
+                    answer=q.answer,
+                    decomposition=[tuple(step) for step in q.decomposition],
+                )
                 harvest_success(
                     self.index,
                     self.backends.embedder.embed,
@@ -799,7 +797,7 @@ class Engine:
 
         # mastery ratchet: whole-pool success rate per attempted skill
         attempts: dict[int, list[int]] = {}
-        for result in evaluation["results"]:
+        for _q, result, _trace in evaluation["answered"]:
             attempts.setdefault(result.skill_id, []).append(result.reward)
         params = RatchetParams(
             rise_rate=self.config.mastery_rise_rate,
@@ -819,7 +817,6 @@ class Engine:
                 "mastery_before": before,
                 "mastery_after": after,
             }
-        evaluation["per_skill_evidence"] = evidence_out
 
         # strategy slot follows the routing arm the skill just used
         for ctx, arm in sorted(evaluation["routing_arms"].items()):
@@ -827,9 +824,8 @@ class Engine:
             if self.graph.skills[skill_id].strategy != arm:
                 self.graph.set_strategy(skill_id, arm)
 
-        evaluation["pruned_ids"] = self.graph.prune_low_confidence(
-            self.config.prune_confidence_threshold
-        )
+        pruned_ids = self.graph.prune_low_confidence(self.config.prune_confidence_threshold)
+        return evidence_out, pruned_ids
 
     def _trace_for(self, q) -> str:
         lines = [f"Step {i}: {text}" for i, (_s, text) in enumerate(q.decomposition, start=1)]
@@ -840,7 +836,7 @@ class Engine:
     # EVOLVE
 
     def _evolve(
-        self, k: int, evaluation: dict[str, Any]
+        self, k: int, answered: list
     ) -> tuple[list[int], list[dict[str, Any]], dict[str, list[int]], list[str]]:
         task_stats_pre = [
             {
@@ -861,11 +857,10 @@ class Engine:
             k,
             selector,
         )
-        errors_by_tt: dict[int, list[QuestionResult]] = {}
-        pool_by_qid = {q.qid: q for q in evaluation["pool"]}
-        for result in evaluation["results"]:
+        errors_by_tt: dict[int, list] = {}
+        for q, result, _trace in answered:
             if result.reward == 0:
-                errors_by_tt.setdefault(result.task_type_id, []).append(result)
+                errors_by_tt.setdefault(result.task_type_id, []).append((q, result))
 
         appended: dict[str, list[int]] = {"principle": [], "failure_memory": [], "retrieval_recipe": []}
         cap_errors: list[str] = []
@@ -877,59 +872,47 @@ class Engine:
             skill_name = self.graph.skills[resolver_id].name if resolver_id else ""
             errors = errors_by_tt.get(tt_id, [])
             if errors:
+                first_q, first = errors[0]
                 correction = self._call_guidance(
                     "skill_discovery",
                     {
                         "kind": "correction",
                         "task_type": tt.name,
-                        "wrong_answer": errors[0].predicted,
-                        "correct_answer": self._gold_for(errors[0], pool_by_qid),
+                        "wrong_answer": first.predicted,
+                        "correct_answer": first_q.answer,
                     },
                     prompt="write corrections",
                 )
-                for err in errors:
-                    q = pool_by_qid.get(err.qid)
-                    payload = FailurePayload(
-                        question=q.text if q else err.qid,
-                        wrong_answer=err.predicted,
-                        corrective_reasoning=correction,
-                        correct_answer=self._gold_for(err, pool_by_qid),
-                        kind="specific",
-                    )
-                    nid = harvest_failure(
-                        self.index,
-                        self.backends.embedder.embed,
-                        tt_id,
-                        resolver_id,
-                        payload,
-                    )
-                    appended["failure_memory"].append(nid)
                 strategy_text = self._call_guidance(
                     "skill_discovery",
                     {"kind": "type_strategy", "task_type": tt.name, "skill": skill_name},
                     prompt="write type strategy",
                 )
-                payload = FailurePayload(
-                    question=f"{tt.name} questions in general",
-                    wrong_answer="recurring errors",
-                    corrective_reasoning=strategy_text,
-                    correct_answer="follow the pattern strategy",
-                    kind="type_strategy",
+                payloads = [
+                    FailurePayload(
+                        question=q.text,
+                        wrong_answer=err.predicted,
+                        corrective_reasoning=correction,
+                        correct_answer=q.answer,
+                        kind="specific",
+                    )
+                    for q, err in errors
+                ]
+                payloads.append(
+                    FailurePayload(
+                        question=f"{tt.name} questions in general",
+                        wrong_answer="recurring errors",
+                        corrective_reasoning=strategy_text,
+                        correct_answer="follow the pattern strategy",
+                        kind="type_strategy",
+                    )
                 )
-                nid = harvest_failure(
-                    self.index,
-                    self.backends.embedder.embed,
-                    tt_id,
-                    resolver_id,
-                    payload,
-                )
-                appended["failure_memory"].append(nid)
+                embed = self.backends.embedder.embed
+                for payload in payloads:
+                    nid = harvest_failure(self.index, embed, tt_id, resolver_id, payload)
+                    appended["failure_memory"].append(nid)
             self._apply_rotation(action, tt, resolver_id, skill_name, appended, cap_errors)
         return selected, task_stats_pre, appended, cap_errors
-
-    def _gold_for(self, result: QuestionResult, pool_by_qid: dict) -> str:
-        q = pool_by_qid.get(result.qid)
-        return q.answer if q is not None else "unlocked"
 
     def _apply_rotation(
         self,
@@ -1000,7 +983,7 @@ class Engine:
         """Score the pool again, read-only, against the post-UPDATE graph."""
         if self.env.mode == "sequential":
             return self.prev_accuracy if self.prev_accuracy is not None else 0.0
-        pool = self._pool_size_cap(self.env.evolution_pool())
+        pool = self.env.evolution_pool()[: self.config.pool_size]
         correct = 0
         for q in pool:
             tt = self.graph.task_type_by_name(q.task_type)
@@ -1020,26 +1003,22 @@ class Engine:
         tracker_before = self.backends.tracker.counts()
         try:
             if self.env.mode == "sequential":
-                accuracy, n = self._eval_sequential_frozen()
+                n = len(self.env.ACHIEVEMENTS)
+                accuracy = len(self._episode("infer").unlocked) / n
             else:
                 accuracy, n = self._eval_static_frozen(pool_name, retrieval)
         finally:
             if not was_frozen:
                 self.graph.unfreeze()
         hash_after = self.graph.graph_hash()
-        after = self.backends.tracker.counts()
-        calls: dict[str, int] = {}
-        for key, count in after.items():
-            delta = count - tracker_before.get(key, 0)
-            if delta:
-                calls["/".join(key)] = delta
+        calls = self.backends.tracker.since(tracker_before)
         return {
             "pool": pool_name,
             "frozen": True,
             "retrieval_enabled": retrieval,
             "accuracy": accuracy,
             "questions": n,
-            "calls": dict(sorted(calls.items())),
+            "calls": dict(sorted(("/".join(key), delta) for key, delta in calls.items())),
             "graph_hash_before": hash_before,
             "graph_hash_after": hash_after,
         }
@@ -1063,16 +1042,6 @@ class Engine:
             if predicted.strip() == q.answer.strip():
                 correct += 1
         return correct / len(pool), len(pool)
-
-    def _eval_sequential_frozen(self) -> tuple[float, int]:
-        env = self.env
-        state = env.reset()
-        for _ in range(env.EPISODE_STEPS):
-            target = env.intended_action(state)
-            if target is None:
-                break
-            env.step(state, self._explorer_step(state, target, "infer"))
-        return len(state.unlocked) / len(env.ACHIEVEMENTS), len(env.ACHIEVEMENTS)
 
 
 def extract_answer(raw: str) -> str:

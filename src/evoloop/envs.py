@@ -10,7 +10,9 @@ exercise the long-context retrieval split.
 ``SequentialChainEnv`` is a five-achievement progression world. An episode
 is a bounded action sequence; each achievement unlocks when its action is
 taken after its predecessor is already unlocked. Achievements double as
-task types so the curriculum, memory, and bandit plumbing run unchanged.
+task types, and as the questions of its evolution pool ("achieve <name>",
+answered "unlocked"), so the curriculum, memory, and bandit plumbing run
+unchanged.
 """
 
 from __future__ import annotations
@@ -286,6 +288,13 @@ class SequentialChainEnv:
         self.seed = seed
         self.pool_size = pool_size
 
+    def evolution_pool(self) -> list[Question]:
+        """One question per achievement, in unlock order."""
+        return [
+            Question(qid=f"ach-{name}", task_type=name, text=f"achieve {name}", context="", answer="unlocked")
+            for name in self.ACHIEVEMENTS
+        ]
+
     def actions(self) -> list[str]:
         return list(self.ACHIEVEMENTS) + list(self.EXTRA_ACTIONS)
 
@@ -311,11 +320,7 @@ class SequentialChainEnv:
         return unlocked
 
     def answer_key(self) -> dict[str, dict[str, Any]]:
-        # achievements double as question ids at evaluation time
-        return {
-            f"ach-{name}": {"answer": "unlocked", "decomposition": []}
-            for name in self.ACHIEVEMENTS
-        }
+        return {q.qid: {"answer": q.answer, "decomposition": []} for q in self.evolution_pool()}
 
 
 ENVS = {

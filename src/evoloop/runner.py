@@ -19,8 +19,10 @@ finished run is byte-identical to an uninterrupted one.
 ``meta.json`` records the run format. New runs are format 2. A format-1
 run (its config still holds the retired index refresh gap) loads with the
 config keys format 2 no longer has dropped; any other format is an
-integrity error. ``load_run_config`` is the one place that applies this
-rule, for every verb that reads a run's config.
+integrity error, and so is a ``config.json`` that ``EngineConfig`` refuses
+(not an object, an unknown key, a value of the wrong type or out of
+range). ``load_run_config`` is the one place that applies these rules,
+for every verb that reads a run's config.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .envs import make_env
 from .errors import IntegrityError, ValidationError
 from .graph import KnowledgeGraph
 from .memory import rebuild_index
-from .runstore import META_NAME, RunStore
+from .runstore import CONFIG_NAME, META_NAME, RunStore
 
 RUN_FORMAT = 2
 
@@ -65,7 +67,10 @@ def load_run_config(store: RunStore) -> tuple[EngineConfig, dict[str, Any]]:
     if fmt == 1 and isinstance(data, dict):
         known = EngineConfig.__dataclass_fields__
         data = {key: value for key, value in data.items() if key in known}
-    return EngineConfig.from_dict(data), meta
+    try:
+        return EngineConfig.from_dict(data), meta
+    except ValidationError as exc:
+        raise IntegrityError(f"refused config {CONFIG_NAME}: {exc}") from exc
 
 
 def committed_iterations(store: RunStore) -> int:

@@ -552,8 +552,8 @@ def _bootstrapped_engine(pool=36):
 def _force_drop(engine, drop):
     real_eval = engine._evaluate_static
 
-    def forced(k):
-        out = real_eval(k)
+    def forced():
+        out = real_eval()
         out["accuracy"] = engine.prev_accuracy - drop
         return out
 

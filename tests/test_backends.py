@@ -251,6 +251,21 @@ def test_tracker_counts_by_phase_agent_role():
     assert t.counts()[("train", "critic", "judge")] == 1
 
 
+def test_tracker_since_returns_only_nonzero_deltas():
+    t = CallTracker()
+    t.record("train", "learner", "execution")
+    t.record("train", "critic", "judge")
+    before = t.counts()
+    t.record("train", "critic", "judge", attempts=2)
+    t.record("infer", "learner", "execution")
+    assert t.since(before) == {
+        ("train", "critic", "judge"): 2,
+        ("infer", "learner", "execution"): 1,
+    }
+    assert t.since(t.counts()) == {}
+    assert t.since({}) == t.counts()
+
+
 def test_simulated_backend_set_roles():
     bs = simulated_backend_set(KEY, seed=5)
     assert bs.guidance.role == "guidance"

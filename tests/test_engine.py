@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from evoloop import (
+    BackendError,
     CapError,
     EngineConfig,
     ValidationError,
@@ -106,6 +107,39 @@ def test_config_bounds():
         EngineConfig(pool_size=0).validate()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("iterations", "3"),
+        ("iterations", True),
+        ("iterations", 3.0),
+        ("delta_guard", "0.1"),
+        ("delta_guard", False),
+        ("delta_guard", float("nan")),
+        ("catastrophic_threshold", float("inf")),
+        ("oracle_retrieval", 1),
+        ("routing_strategies", 5),
+        ("routing_strategies", "direct"),
+        ("search_strategies", ["base", 2]),
+    ],
+)
+def test_config_refuses_a_value_of_the_wrong_type(key, value):
+    with pytest.raises(ValidationError, match=f"config key '{key}' must be"):
+        EngineConfig.from_dict({key: value})
+
+
+def test_config_takes_an_int_for_a_float_field_and_a_list_for_arms():
+    config = EngineConfig.from_dict({"delta_guard": 0, "routing_strategies": ["direct", "chain"]})
+    assert config.delta_guard == 0
+    assert config.routing_strategies == ("direct", "chain")
+
+
+@pytest.mark.parametrize("data", [[1, 2], "iterations", 3, None])
+def test_config_from_something_not_an_object_is_refused(data):
+    with pytest.raises(ValidationError, match="must be an object"):
+        EngineConfig.from_dict(data)
+
+
 # ----------------------------------------------------------------------
 # bootstrap
 
@@ -197,8 +231,8 @@ def force_drop(engine, drop):
     """Patch static evaluation to report a fixed accuracy drop."""
     real_eval = engine._evaluate_static
 
-    def forced(k):
-        out = real_eval(k)
+    def forced():
+        out = real_eval()
         out["accuracy"] = engine.prev_accuracy - drop
         return out
 
@@ -382,8 +416,10 @@ def test_cascade_context_is_computed_once_per_pair_in_a_pass(monkeypatch):
     monkeypatch.setattr(
         engine_module, "cascade_principles", counting("principles", engine_module.cascade_principles)
     )
-    evaluation = engine._evaluate_static(1)
-    pairs = [(r.task_type_id, r.skill_id) for r in evaluation["results"] if r.search_arm == "cascade"]
+    evaluation = engine._evaluate_static()
+    pairs = [
+        (r.task_type_id, r.skill_id) for _q, r, _t in evaluation["answered"] if r.search_arm == "cascade"
+    ]
     assert len(pairs) > len(set(pairs)) > 0
     assert sorted(calls["lattice"]) == sorted(tt for tt, _ in set(pairs))
     assert sorted(calls["principles"]) == sorted(skill for _, skill in set(pairs))
@@ -411,9 +447,48 @@ def test_cascade_context_follows_a_graph_write():
     assert f"- {skill.name} (mastery 0.75)" in prompts[2]
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param(lambda n: "1" * (n - 1), id="one-short"),
+        pytest.param(lambda n: "1" * (n + 1), id="one-long"),
+        pytest.param(lambda n: "1" * (n - 1) + "x", id="not-a-verdict"),
+    ],
+)
+def test_judge_reply_that_does_not_fit_its_batch_is_a_backend_error(reply):
+    engine = make_engine(pool_size=12)
+
+    def judge(prompt, meta=None, temperature=0.0):
+        return reply(len(meta["items"]))
+
+    engine.backends.judge.complete = judge
+    with pytest.raises(BackendError, match="judge reply"):
+        engine.run_iteration(0)
+
+
+def test_sequential_corrections_are_filed_under_the_achievement_question():
+    engine = make_engine("sequential", seed=42, iterations=3)
+    for k in range(3):
+        engine.run_iteration(k)
+    graph = engine.graph
+    specific = [
+        node for node in graph.experience.values()
+        if node.outcome == "failure_memory" and node.payload["kind"] == "specific"
+    ]
+    assert specific
+    for node in specific:
+        assert node.payload["question"] == f"achieve {graph.task_types[node.task_type_id].name}"
+    # the success memories of the same achievements use the same text
+    successes = {
+        node.payload["question"] for node in graph.experience.values()
+        if node.outcome == "success_memory"
+    }
+    assert successes <= {q.text for q in engine.env.evolution_pool()}
+
+
 def test_question_result_dict_equals_asdict():
     engine = make_engine(pool_size=12)
-    result = engine._evaluate_static(0)["results"][0]
+    _q, result, _trace = engine._evaluate_static()["answered"][0]
     assert result.to_dict() == dataclasses.asdict(result)
 
 

@@ -799,6 +799,46 @@ def test_init_run_rejects_bad_config_object(tmp_path):
                  "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"{not json", id="not-json"),
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b'{"iterations": "3"}', id="string-for-int"),
+        pytest.param(b'{"routing_strategies": 5}', id="int-for-arms"),
+        pytest.param(b'{"oracle_retrieval": 1}', id="int-for-bool"),
+    ],
+)
+def test_init_refuses_a_damaged_config_file(tmp_path, capsys, content):
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(content)
+    assert main(["init", str(tmp_path / "r"), "--env", "static_qa", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda c: {**c, "learning_rate": 0.1}, "unknown config keys", id="unknown-key"),
+        pytest.param(lambda c: {**c, "iterations": "3"}, "config key 'iterations'", id="wrong-type"),
+        pytest.param(lambda c: [c], "must be an object", id="not-an-object"),
+    ],
+)
+def test_refused_run_config_is_an_integrity_error(tmp_path, capsys, change, message):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    config_path = run_dir / "config.json"
+    config_path.write_text(json.dumps(change(json.loads(config_path.read_text()))))
+    before = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    capsys.readouterr()
+    for verb in (["run", "--resume", "--iterations", "3"], ["eval"], ["audit"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "refused config config.json" in err and message in err
+    assert {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())} == before
+
+
 def test_eval_tag_is_sanitized(tmp_path):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=2)
