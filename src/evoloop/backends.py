@@ -14,7 +14,8 @@ model server:
     0.98. Both the draw and the base difficulty derive from the backend
     seed and the question id alone, so the learner is a pure function of
     (question, rendered prompt): more exemplars never flip a correct
-    answer to wrong, which is what the retrieval-error bound needs.
+    answer to wrong, which is what the retrieval-error bound needs. The
+    backend hashes the two once per question id and keeps them.
   * guidance: template-fills corrections, principles, refined prompts and
     tool notes from structured metadata.
   * judge: exact string match per item.
@@ -112,13 +113,23 @@ class SimulatedExecutionBackend(Backend):
     def __init__(self, answer_key: Mapping[str, Mapping[str, Any]], seed: int):
         self.answer_key = dict(answer_key)
         self.seed = seed
+        # (base difficulty, roll) by question id; pure functions of (seed, id)
+        self._draws: dict[str, tuple[float, float]] = {}
 
     def exemplar_blocks(self, prompt: str) -> int:
         return prompt.count("[SUCCESS ") + prompt.count("[CORRECTION ")
 
+    def _question_draws(self, question_id: str) -> tuple[float, float]:
+        draws = self._draws.get(question_id)
+        if draws is None:
+            # latent per-question solvability in [0.35, 0.75), and the roll
+            # that the success probability is compared with
+            base = 0.35 + 0.40 * unit_draw(self.seed, "base", question_id)
+            draws = self._draws[question_id] = (base, unit_draw(self.seed, "roll", question_id))
+        return draws
+
     def base_difficulty(self, question_id: str) -> float:
-        # latent per-question solvability in [0.35, 0.75)
-        return 0.35 + 0.40 * unit_draw(self.seed, "base", question_id)
+        return self._question_draws(question_id)[0]
 
     def success_probability(self, question_id: str, prompt: str) -> float:
         """Chance this learner answers correctly given the rendered prompt.
@@ -147,7 +158,7 @@ class SimulatedExecutionBackend(Backend):
         if entry is None:
             raise ValidationError(f"unknown question id {qid!r}")
         threshold = self.success_probability(qid, prompt)
-        correct = unit_draw(self.seed, "roll", qid) < threshold
+        correct = self._question_draws(qid)[1] < threshold
         steps = entry.get("decomposition", [])
         trace_lines = [f"Step {i}: {text}" for i, (_skill, text) in enumerate(steps, start=1)]
         if correct:

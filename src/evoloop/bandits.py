@@ -107,11 +107,17 @@ def select_arm(slot: BanditSlot) -> tuple[str, bool]:
     return ordered[best], True
 
 
+def check_reward(reward: int) -> None:
+    """Refuse any reward but the int 0 or 1 (``True`` equals 1 in Python,
+    but the log would record it as ``true``)."""
+    if type(reward) is not int or reward not in (0, 1):
+        raise ValidationError(f"reward must be the int 0 or 1, got {reward!r}")
+
+
 def update_arm(slot: BanditSlot, arm_id: str, reward: int) -> None:
     if arm_id not in slot.arm_ids:
         raise NotFoundError(f"unknown arm {arm_id!r}")
-    if reward not in (0, 1):
-        raise ValidationError(f"reward must be 0 or 1, got {reward!r}")
+    check_reward(reward)
     if reward == 1:
         slot.successes[arm_id] += 1
     else:

@@ -38,10 +38,15 @@ leaves the graph hash unchanged.
 
 An answering pass (training EVALUATE, the re-measure pass, frozen eval)
 reads a graph that does not change under it: EVALUATE queues its writes
-and frozen eval freezes the graph. So the cascade context of a question
-(skill lattice, principle notes, action recipe) is computed once per
-(task type, skill) and graph version, the graph's ``last_seq``, which
-every write advances.
+and frozen eval freezes the graph. So what a prompt is assembled from is
+computed once per graph version, the graph's ``last_seq``, which every
+write advances (a harvest too, so the exemplar index cannot change while
+it stands): the cascade context (skill lattice, principle notes, action
+recipe) once per (task type, skill), and the exemplar bundle, one
+retrieval, once per distinct question. A bundle depends only on the task
+type, the question text (the oracle scorer too) and which side of
+``long_context_threshold`` the context length falls, and a pool of 200
+questions holds about 130 such keys.
 """
 
 from __future__ import annotations
@@ -235,7 +240,11 @@ class QuestionResult:
 
     def to_dict(self) -> dict[str, Any]:
         # shallow, as IterationReport.to_dict: every field is a scalar
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _RESULT_FIELDS}
+
+
+# one per answered question, so the field names are looked up once
+_RESULT_FIELDS = tuple(f.name for f in fields(QuestionResult))
 
 
 @dataclass
@@ -291,8 +300,10 @@ class Engine:
         self.prev_accuracy: float | None = None
         self.prev_boundary_snapshot: int | None = None
         self.selected_ever: set[int] = set()
-        # (graph version, {(task type id, skill id): (lattice, notes)})
-        self._cascade_memo: tuple[int, dict] = (-1, {})
+        # (graph version, index, {key: value}): cascade contexts keyed
+        # ("cascade", task type id, skill id) and bundles keyed ("bundle",
+        # task type id, question text, long context)
+        self._pass_memo: tuple[int, MemoryIndex | None, dict] = (-1, None, {})
 
     # ------------------------------------------------------------------
     # phase 0
@@ -575,8 +586,9 @@ class Engine:
             )
         return tt.resolver_skill_id
 
-    def _select_arms(self, pool) -> tuple[dict, dict, dict, list]:
-        """Commit one search arm per task type and one routing arm per skill.
+    def _select_arms(self, tt_ids: list[int]) -> tuple[dict, dict, dict, list]:
+        """Commit one search arm per task type of ``tt_ids`` (ascending) and
+        one routing arm per skill.
 
         Selections read current bandit state; the draw-counter advances are
         queued so EVALUATE itself stays write-free. The queue order is
@@ -585,7 +597,6 @@ class Engine:
         draw_queue: list[tuple[str, str]] = []
         search_arms: dict[str, str] = {}
         skill_for_tt: dict[int, int] = {}
-        tt_ids = sorted({self.graph.task_type_by_name(q.task_type).id for q in pool})
         for tt_id in tt_ids:
             arm = self._draw(f"search/{tt_id}", search_arms, draw_queue)
             skill_for_tt[tt_id] = self._resolver(self.graph.task_types[tt_id], arm)
@@ -627,14 +638,7 @@ class Engine:
         lattice = None
         notes: tuple[str, ...] = ()
         if retrieval:
-            bundle = self.index.retrieve_bundle(
-                self.backends.embedder.embed(q.text),
-                tt_id,
-                context_length=len(q.context),
-                k=self.config.retrieval_top_k,
-                long_context_threshold=self.config.long_context_threshold,
-                scorer=self._oracle_scorer(q.text),
-            )
+            bundle = self._bundle(q, tt_id)
             if search_arm == "cascade":
                 lattice, notes = self._cascade_context(tt_id, skill_id)
         else:
@@ -652,18 +656,40 @@ class Engine:
         raw = self._call_execution("learner", phase, prompt, {"question_id": q.qid}, temperature)
         return raw, extract_answer(raw), len(bundle.success), len(bundle.failure)
 
-    def _cascade_context(self, tt_id: int, skill_id: int) -> tuple[str | None, tuple[str, ...]]:
-        """Skill lattice and guidance notes of a cascade prompt.
-
-        Memoized per (task type, skill) while the graph version stands; the
-        memo is swapped whole, so worker threads of one pass share it safely.
-        """
+    def _version_memo(self) -> dict:
+        """The memo of the current graph version and index: a fresh one once
+        a write advanced the version. It is swapped whole, so worker threads
+        of one pass share it safely."""
         version = self.graph.last_seq
-        memo_version, memo = self._cascade_memo
-        if memo_version != version:
+        memo_version, memo_index, memo = self._pass_memo
+        if memo_version != version or memo_index is not self.index:
             memo = {}
-            self._cascade_memo = (version, memo)
-        context = memo.get((tt_id, skill_id))
+            self._pass_memo = (version, self.index, memo)
+        return memo
+
+    def _bundle(self, q, tt_id: int) -> memory.MemoryBundle:
+        """The exemplar bundle of question ``q`` under task type ``tt_id``,
+        retrieved once per distinct key while the graph version stands."""
+        threshold = self.config.long_context_threshold
+        key = ("bundle", tt_id, q.text, len(q.context) >= threshold)
+        memo = self._version_memo()
+        bundle = memo.get(key)
+        if bundle is None:
+            bundle = memo[key] = self.index.retrieve_bundle(
+                self.backends.embedder.embed(q.text),
+                tt_id,
+                context_length=len(q.context),
+                k=self.config.retrieval_top_k,
+                long_context_threshold=threshold,
+                scorer=self._oracle_scorer(q.text),
+            )
+        return bundle
+
+    def _cascade_context(self, tt_id: int, skill_id: int) -> tuple[str | None, tuple[str, ...]]:
+        """Skill lattice and guidance notes of a cascade prompt, computed
+        once per (task type, skill) while the graph version stands."""
+        memo = self._version_memo()
+        context = memo.get(("cascade", tt_id, skill_id))
         if context is None:
             lattice = render_skill_lattice(self.graph, tt_id) or None
             notes = [
@@ -673,15 +699,24 @@ class Engine:
             recipe = latest_action_recipe(self.graph, skill_id)
             if recipe:
                 notes.append("recipe: " + " -> ".join(recipe))
-            context = memo[(tt_id, skill_id)] = (lattice, tuple(notes))
+            context = memo[("cascade", tt_id, skill_id)] = (lattice, tuple(notes))
         return context
+
+    def _task_types_of(self, pool) -> dict[str, Any]:
+        """The task type node of each task type name in ``pool``, resolved
+        once per pass, in name order."""
+        names = sorted({q.task_type for q in pool})
+        return {name: self.graph.task_type_by_name(name) for name in names}
 
     def _evaluate_static(self) -> dict[str, Any]:
         pool = self.env.evolution_pool()[: self.config.pool_size]
-        search_arms, routing_arms, skill_for_tt, draw_queue = self._select_arms(pool)
+        tt_id_of = {name: tt.id for name, tt in self._task_types_of(pool).items()}
+        search_arms, routing_arms, skill_for_tt, draw_queue = self._select_arms(
+            sorted(set(tt_id_of.values()))
+        )
 
         def solve(q):
-            tt_id = self.graph.task_type_by_name(q.task_type).id
+            tt_id = tt_id_of[q.task_type]
             skill_id = skill_for_tt[tt_id]
             search_arm = search_arms[f"search/{tt_id}"]
             raw, predicted, n_s, n_f = self._answer_question(q, tt_id, skill_id, search_arm)
@@ -984,9 +1019,10 @@ class Engine:
         if self.env.mode == "sequential":
             return self.prev_accuracy if self.prev_accuracy is not None else 0.0
         pool = self.env.evolution_pool()[: self.config.pool_size]
+        tt_of = self._task_types_of(pool)
         correct = 0
         for q in pool:
-            tt = self.graph.task_type_by_name(q.task_type)
+            tt = tt_of[q.task_type]
             skill_id = tt.resolver_skill_id
             _raw, predicted, _ns, _nf = self._answer_question(q, tt.id, skill_id, "base")
             correct += self._call_judge([(predicted, q.answer)])[0]
@@ -1030,8 +1066,7 @@ class Engine:
         # the frozen graph fixes one route per task type for the whole pass
         routes: dict[str, tuple[int, int, str]] = {}
         search_arms: dict[str, str] = {}
-        for name in sorted({q.task_type for q in pool}):
-            tt = self.graph.task_type_by_name(name)
+        for name, tt in self._task_types_of(pool).items():
             search_arm = self._draw(f"search/{tt.id}", search_arms, None)
             routes[name] = (tt.id, self._resolver(tt, search_arm), search_arm)
         correct = 0

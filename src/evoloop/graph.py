@@ -16,10 +16,14 @@ transition and, when an event sink is attached, hands it the record
 whitespace, encoded here through one reused encoder. An
 ``append_experience`` payload holds exactly the node's record, so its body
 is encoded once and serves as both the middle of the line and the node's
-canonical fragment (below). Replaying a log into an empty graph reproduces
-the final state bit-exactly: ids are allocated by the writer and embedded
-in payloads, the apply step is a pure function of (state, payload), and
-records carry no timestamps.
+canonical fragment (below). UPDATE writes one to three small records per
+answered question (``bandit_update``, ``bandit_draw``, ``task_failure``);
+their lines are filled into fixed templates, each string through the
+function the encoder itself escapes strings with and each int with
+``%d``, which is byte for byte what the encoder writes. Replaying a log
+into an empty graph reproduces the final state bit-exactly: ids are
+allocated by the writer and embedded in payloads, the apply step is a
+pure function of (state, payload), and records carry no timestamps.
 
 Snapshots capture only the mutable slots (masteries, prompt templates,
 strategies, task counters, bandit states). Rolling back restores those slots
@@ -57,7 +61,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .bandits import BanditSlot, new_slot, update_arm
+from .bandits import BanditSlot, check_reward, new_slot, update_arm
 from .errors import (
     CapError,
     CycleError,
@@ -188,17 +192,20 @@ class KnowledgeGraph:
         self._apply(op, payload)
         if self._sink is None:
             return
-        if op == "append_experience":
+        it = self.current_iter
+        if type(it) is not int:
+            line = _ENCODE({"seq": self._seq, "iter": it, "op": op, "payload": payload})
+        elif op == "append_experience":
             # the payload is the node's record, so its encoding is the node's
             # canonical fragment as well as the middle of its log line, whose
             # sorted keys put it between "op" and "seq"
             body = _ENCODE(payload)
             self._experience_json.put(payload["id"], body.encode())
-            line = '{"iter":%s,"op":"append_experience","payload":%s,"seq":%d}' % (
-                _ENCODE(self.current_iter), body, self._seq,
-            )
+            line = '{"iter":%d,"op":"append_experience","payload":%s,"seq":%d}' % (it, body, self._seq)
         else:
-            line = _ENCODE({"seq": self._seq, "iter": self.current_iter, "op": op, "payload": payload})
+            line = _template_line(op, payload, it, self._seq) or _ENCODE(
+                {"seq": self._seq, "iter": it, "op": op, "payload": payload}
+            )
         self._sink(line)
 
     def _claim_id(self, node_id: int) -> None:
@@ -470,8 +477,7 @@ class KnowledgeGraph:
     def bandit_update(self, context_id: str, arm_id: str, reward: int) -> None:
         with self._lock:
             self._require_arm(context_id, arm_id)
-            if reward not in (0, 1):
-                raise ValidationError(f"reward must be 0 or 1, got {reward!r}")
+            check_reward(reward)
             self._commit(
                 "bandit_update",
                 {"context_id": context_id, "arm_id": arm_id, "reward": reward},
@@ -801,10 +807,17 @@ def _json_copy(value: Any) -> Any:
     """A copy of ``value`` as JSON holds it: dicts and lists are copied,
     tuples become lists, and every other value is shared."""
     if isinstance(value, dict):
-        return {key: _json_copy(item) for key, item in value.items()}
+        return {
+            key: item if type(item) in _SHARED else _json_copy(item)
+            for key, item in value.items()
+        }
     if isinstance(value, (list, tuple)):
-        return [_json_copy(item) for item in value]
+        return [item if type(item) in _SHARED else _json_copy(item) for item in value]
     return value
+
+
+# the leaf types of a payload, shared without a call per leaf
+_SHARED = frozenset({str, int, float, bool, type(None)})
 
 
 # one encoder for every log line and canonical fragment; json.dumps would
@@ -814,6 +827,39 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def _dumps(value: Any) -> bytes:
     return _ENCODE(value).encode()
+
+
+# json.dumps writes a str through this function (ensure_ascii is on)
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _template_line(op: str, payload: dict[str, Any], it: int, seq: int) -> str | None:
+    """The log line of a ``bandit_update``, ``bandit_draw`` or ``task_failure``
+    record (UPDATE writes one to three per question), filled into a fixed
+    template: byte for byte what ``_ENCODE`` writes for the record, whose
+    sorted keys fix the order. None for any other op, or for a value of a
+    type its slot does not write exactly (an id that is not a str or int)."""
+    if op == "task_failure":
+        task_type_id = payload["task_type_id"]
+        if type(task_type_id) is not int:
+            return None
+        return '{"iter":%d,"op":"task_failure","payload":{"task_type_id":%d},"seq":%d}' % (
+            it, task_type_id, seq,
+        )
+    if op != "bandit_update" and op != "bandit_draw":
+        return None
+    context_id, arm_id = payload["context_id"], payload["arm_id"]
+    if not (isinstance(context_id, str) and isinstance(arm_id, str)):
+        return None
+    if op == "bandit_draw":
+        return '{"iter":%d,"op":"bandit_draw","payload":{"arm_id":%s,"context_id":%s},"seq":%d}' % (
+            it, _STR(arm_id), _STR(context_id), seq,
+        )
+    # bandit_update refuses any reward but the int 0 or 1
+    return (
+        '{"iter":%d,"op":"bandit_update","payload":{"arm_id":%s,"context_id":%s,"reward":%d},"seq":%d}'
+        % (it, _STR(arm_id), _STR(context_id), payload["reward"], seq)
+    )
 
 
 def _member(record_id: int, body: bytes) -> bytes:
@@ -857,8 +903,9 @@ class _FragmentCache:
         self._section = None
 
     def put(self, record_id: int, body: bytes) -> None:
-        """Cache the canonical JSON ``body`` of the record now under ``record_id``."""
-        self._fragments[record_id] = _member(record_id, body)
+        """Cache the canonical JSON ``body`` of the record now under the int
+        ``record_id``, as ``_member`` would join it."""
+        self._fragments[record_id] = b'"%d":%s' % (record_id, body)
         self._section = None
 
     def section(self, records: dict[int, Any]) -> bytes:

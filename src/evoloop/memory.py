@@ -9,14 +9,19 @@ distinct L2-normalized vector (a contiguous matrix with amortised growth),
 keyed by the vector's bytes, and for each row the nodes that share it in
 node id order, plus separately those of them whose kind is not
 ``type_strategy``. Retrieval scores the query against its task type's
-distinct rows in one batched row-dot (an exact inner-product scan, no
-approximate index), so the scan costs one row per distinct vector however
-many copies are stored, and it fills a success block and a failure block
-from the best ``k`` nodes of each store. The slot split depends on how
-much context the question already carries: short contexts get two success
-slots and one failure slot, long contexts (at or past
-``long_context_threshold`` characters) flip to one success and two
-failures. Underfilled slots are backfilled from the other store.
+distinct rows with an exact per-row dot product (no approximate index), so
+the scan costs one row per distinct vector however many copies are stored,
+and it fills a success block and a failure block from the best ``k`` nodes
+of each store. A block scores each (row, query) pair once: per query
+vector it keeps the similarities, the rows best first and their sorted
+similarities while its row count stands. Rows are only appended and never
+change, so a new distinct row extends that memo by the new rows' dot
+products alone, then sorts again; a row's dot product does not depend on
+the rows scored with it, so the memo holds the bits a fresh scan gives.
+The slot split depends on how much context the question already carries:
+short contexts get two success slots and one failure slot, long contexts
+(at or past ``long_context_threshold`` characters) flip to one success
+and two failures. Underfilled slots are backfilled from the other store.
 Failure memories of kind ``type_strategy`` are admitted only at or above a
 similarity floor, because a generic strategy pasted onto a dissimilar
 question misleads more than it helps.
@@ -28,9 +33,10 @@ and every row at or above it offers its first ``k`` nodes. Those
 candidates are ordered on (-similarity, node id), so ties, across rows
 too, break on node id ascending and retrieval is deterministic; the list
 is the one a ranking of every stored node gives. The walk takes the rows
-in one stable numpy sort by descending similarity. An external ``scorer``
-(called with each eligible ``ExperienceNode``), or a request for all
-nodes, takes the same walk without the cut-offs, ranked on (-key, node id).
+in one stable numpy sort by descending similarity (the memoised order
+above). An external ``scorer`` (called with each eligible
+``ExperienceNode``), or a request for all nodes, takes the same walk
+without the cut-offs, ranked on (-key, node id).
 
 Every vector the index stores or queries with is normalised through a memo
 keyed by its float64 bytes, so each distinct vector is normalised once;
@@ -189,9 +195,14 @@ class _Block:
     lists the nodes with that vector in node id order, and ``plain[g]`` the
     ones among them whose kind is not ``type_strategy``. The matrix grows by
     half its size when full, and ``vectors`` hides the unused capacity.
+
+    ``scores`` memoises, by the bytes of each query vector, what a scan of
+    the rows gives for it. An entry stands while the row count does. A new
+    row is the only change a block sees (a written row keeps its bits), so
+    a stale entry is extended by the new rows' dot products, not rescanned.
     """
 
-    __slots__ = ("members", "plain", "_group_of", "_vectors")
+    __slots__ = ("members", "plain", "_group_of", "_vectors", "_scored")
 
     def __init__(
         self, dimension: int, nodes: Sequence[ExperienceNode] = (), units: Sequence[np.ndarray] = ()
@@ -201,6 +212,8 @@ class _Block:
         self.members: list[list[ExperienceNode]] = []
         self.plain: list[list[ExperienceNode]] = []
         self._group_of: dict[bytes, int] = {}
+        # (similarities, rows best first, their similarities) by query bytes
+        self._scored: dict[bytes, tuple[np.ndarray, list[int], list[float]]] = {}
         distinct: list[np.ndarray] = []
         for node, unit in zip(nodes, units):
             if self._file(node, unit) == len(distinct):
@@ -239,6 +252,31 @@ class _Block:
     @property
     def vectors(self) -> np.ndarray:
         return self._vectors[: len(self.members)]
+
+    def scores(self, query: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
+        """The similarity of each row to the normalised ``query``, the rows
+        best first (ties in row order), and their similarities in that order.
+
+        Each (row, query) pair is scored once. An entry is swapped in whole,
+        so the worker threads of one pass share the memo safely.
+        """
+        key = query.tobytes()
+        scored = self._scored.get(key)
+        n_rows = len(self.members)
+        if scored is not None and len(scored[0]) == n_rows:
+            return scored
+        # vecdot runs the per-row kernel of ``vector @ query``, so a row's
+        # similarity does not depend on where the row sits in the matrix or
+        # on the rows scored with it: the new rows alone extend an entry. A
+        # BLAS matvec (``M @ query``) rounds by row position.
+        if scored is None:
+            sims = np.vecdot(self.vectors, query)
+        else:
+            new_rows = self._vectors[len(scored[0]) : n_rows]
+            sims = np.concatenate([scored[0], np.vecdot(new_rows, query)])
+        order = np.argsort(-sims, kind="stable")
+        scored = self._scored[key] = (sims, order.tolist(), sims[order].tolist())
+        return scored
 
 
 class MemoryIndex:
@@ -353,11 +391,7 @@ class MemoryIndex:
         block = self._blocks.get((outcome, task_type_id))
         if block is None:
             return []
-        # vecdot runs the per-row kernel of ``vector @ query``, so a row's
-        # similarity does not depend on where the row sits in the matrix and
-        # a node scores the same bits whichever block layout holds it. A
-        # BLAS matvec (``M @ query``) rounds by row position.
-        sims = np.vecdot(block.vectors, query)
+        _sims, order, ranked = block.scores(query)
         floor = self.type_strategy_min_similarity
         # ranked by similarity, a group past the k-th best node has nothing
         # to add, and one at or above it adds at most its first k nodes
@@ -366,8 +400,7 @@ class MemoryIndex:
         seen = 0
         kth = None
         # best row first, ties in row order
-        order = np.argsort(-sims, kind="stable")
-        for g, sim in zip(order.tolist(), sims[order].tolist()):
+        for g, sim in zip(order, ranked):
             if kth is not None and sim < kth:
                 break
             rows = block.plain[g] if sim < floor else block.members[g]

@@ -16,10 +16,11 @@ Crash windows and their recovery, in iteration order:
 so resuming always continues from the last committed iteration and the
 finished run is byte-identical to an uninterrupted one.
 
-``meta.json`` records the run format. New runs are format 2. A format-1
-run (its config still holds the retired index refresh gap) loads with the
-config keys format 2 no longer has dropped; any other format is an
-integrity error, and so is a ``config.json`` that ``EngineConfig`` refuses
+``meta.json`` records the run format and the environment. New runs are
+format 2. A format-1 run (its config still holds the retired index refresh
+gap) loads with the config keys format 2 no longer has dropped; any other
+format is an integrity error, and so are a missing or unknown environment
+name and a ``config.json`` that ``EngineConfig`` refuses
 (not an object, an unknown key, a value of the wrong type or out of
 range). ``load_run_config`` is the one place that applies these rules,
 for every verb that reads a run's config.
@@ -33,7 +34,7 @@ from typing import Any, Iterator
 
 from .backends import simulated_backend_set
 from .engine import Engine, EngineConfig, IterationReport
-from .envs import make_env
+from .envs import ENVS, make_env
 from .errors import IntegrityError, ValidationError
 from .graph import KnowledgeGraph
 from .memory import rebuild_index
@@ -63,6 +64,9 @@ def load_run_config(store: RunStore) -> tuple[EngineConfig, dict[str, Any]]:
     # a JSON true or 1.0 equals 1 in Python, but is not a format number
     if type(fmt) is not int or fmt not in (1, RUN_FORMAT):
         raise IntegrityError(f"unsupported run format in {META_NAME}: {fmt!r}")
+    env_name = meta.get("env")
+    if not isinstance(env_name, str) or env_name not in ENVS:
+        raise IntegrityError(f"unknown env in {META_NAME}: {env_name!r}")
     data = store.load_config()
     if fmt == 1 and isinstance(data, dict):
         known = EngineConfig.__dataclass_fields__

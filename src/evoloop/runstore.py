@@ -22,7 +22,10 @@ boundary file's raw bytes, undecoded: the audit compares them byte for byte
 with the replayed graph's encoding.
 
 ``config.json``, ``meta.json`` and the eval records are read whole; one that
-is missing or does not decode raises ``IntegrityError`` naming the file.
+is missing or does not decode, or an eval record that is not an object,
+raises ``IntegrityError`` naming the file. A report line that is not an
+object holding every ``IterationReport`` field raises it naming the line,
+so no verb reads a field a report lacks.
 Both JSONL files are read line by line through one reused
 ``json.JSONDecoder``: each stripped, non-blank line must hold exactly one
 JSON value, and a line that per-line ``json.loads`` would reject raises
@@ -41,9 +44,11 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from .engine import IterationReport
 from .errors import IntegrityError, ValidationError
 
 CONFIG_NAME = "config.json"
@@ -57,6 +62,7 @@ _DECODER = json.JSONDecoder()
 _REPORT_ENCODE = json.JSONEncoder(sort_keys=True).encode
 # the whitespace json.loads skips after a value, as json.decoder defines it
 _JSON_WS = re.compile(r"[ \t\n\r]*")
+_REPORT_FIELDS = frozenset(field.name for field in fields(IterationReport))
 
 
 class RunStore:
@@ -149,7 +155,9 @@ class RunStore:
             os.fsync(fh.fileno())
 
     def read_reports(self) -> list[dict[str, Any]]:
-        return list(_read_jsonl(self.root / REPORTS_NAME, "report"))
+        """Every report; a line that is not an object holding each
+        ``IterationReport`` field raises ``IntegrityError`` naming it."""
+        return list(_read_jsonl(self.root / REPORTS_NAME, "report", _REPORT_FIELDS))
 
     # ------------------------------------------------------------------
     # boundary snapshots and eval records
@@ -183,7 +191,13 @@ class RunStore:
             path.unlink()
 
     def read_evals(self) -> list[dict[str, Any]]:
-        return [_read_json(path, "eval record") for path in sorted(self.root.glob("eval-*.json"))]
+        records = []
+        for path in sorted(self.root.glob("eval-*.json")):
+            record = _read_json(path, "eval record")
+            if not isinstance(record, dict):
+                raise IntegrityError(f"corrupt eval record {path.name}: not an object")
+            records.append(record)
+        return records
 
     @staticmethod
     def _write_json(path: Path, data: Mapping[str, Any]) -> None:
@@ -214,13 +228,15 @@ def _read_json(path: Path, what: str) -> Any:
         raise IntegrityError(f"corrupt {what} {path.name}: {exc}") from exc
 
 
-def _read_jsonl(path: Path, what: str) -> Iterator[Any]:
+def _read_jsonl(path: Path, what: str, keys: frozenset[str] | None = None) -> Iterator[Any]:
     """The value of each non-blank line of a JSONL file, read line by line.
 
     Returns what per-line ``json.loads`` would, and for a line it rejects
     raises ``IntegrityError`` with the same message, from one reused
     decoder: ``raw_decode`` stops after the first value, so anything but
     whitespace after it is "Extra data", as ``json.loads`` reports it.
+    With ``keys``, a value that is not an object holding each of them
+    raises ``IntegrityError`` naming its line.
     """
     if not path.is_file():
         return
@@ -243,6 +259,10 @@ def _read_jsonl(path: Path, what: str) -> Iterator[Any]:
                             raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
                     raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {exc}") from exc
+                if keys is not None and not (isinstance(value, dict) and keys <= value.keys()):
+                    raise IntegrityError(
+                        f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
+                    )
                 yield value
     except UnicodeDecodeError as exc:
         # the file decodes a block at a time, so the failing line is unknown

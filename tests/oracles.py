@@ -289,11 +289,12 @@ def protected_counts_reference(graph) -> dict:
 # run files
 
 
-def read_jsonl_reference(path, what: str) -> tuple:
+def read_jsonl_reference(path, what: str, keys=None) -> tuple:
     """A JSONL file read with one ``json.loads`` per stripped, non-blank line.
 
     Returns ``(records, None)``, or ``(None, message)`` with the error text
-    for the first line ``json.loads`` rejects.
+    for the first line ``json.loads`` rejects or, with ``keys``, whose value
+    is not an object holding every one of them.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -302,7 +303,12 @@ def read_jsonl_reference(path, what: str) -> tuple:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 return None, f"corrupt {what} at {path.name}:{lineno}: {exc}"
+            if keys is not None and not (
+                isinstance(record, dict) and all(key in record for key in keys)
+            ):
+                return None, f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
+            records.append(record)
     return records, None

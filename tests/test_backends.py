@@ -70,6 +70,35 @@ def test_learner_requires_known_question():
         backend.complete("p", meta={"question_id": "nope"})
 
 
+def test_learner_that_kept_its_draws_answers_as_a_fresh_one():
+    key = evoloop.make_env("static_qa", seed=3, pool_size=20).answer_key()
+    qids = sorted(key)
+    other = "[SUCCESS 1]\nQ: other\nReasoning: r\nA: 1\n\n"
+    prompts = {
+        qid: [f"[QUESTION]\nQ: {key[qid]['question']}"]
+        + [other * n + f"[QUESTION]\nQ: {key[qid]['question']}" for n in (1, 2, 4)]
+        + [f"[SUCCESS 1]\nQ: {key[qid]['question']}\nReasoning: r\nA: x\n\n[QUESTION]\nQ: x"]
+        for qid in qids
+    }
+    kept = SimulatedExecutionBackend(key, seed=11)
+    # every question asked several times, with different prompts, interleaved
+    for round_ in range(3):
+        for i, qid in enumerate(qids):
+            for prompt in prompts[qid][(i + round_) % 5 :] + prompts[qid][: (i + round_) % 5]:
+                fresh = SimulatedExecutionBackend(key, seed=11)
+                meta = {"question_id": qid}
+                reply = kept.complete(prompt, meta=meta)
+                assert reply == fresh.complete(prompt, meta=meta)
+                probability = kept.success_probability(qid, prompt)
+                assert probability == fresh.success_probability(qid, prompt)
+                # the roll is the hash of (seed, "roll", id)
+                solved = unit_draw(11, "roll", qid) < probability
+                assert reply.endswith(f"Answer: {key[qid]['answer']}") == solved
+        assert [kept.base_difficulty(qid) for qid in qids] == [
+            0.35 + 0.40 * unit_draw(11, "base", qid) for qid in qids
+        ]
+
+
 def test_learner_base_difficulty_band():
     backend = SimulatedExecutionBackend(KEY, seed=1)
     values = [backend.base_difficulty(f"q{i}") for i in range(300)]

@@ -256,12 +256,21 @@ json_trees = st.recursive(
 )
 line_payloads = st.dictionaries(json_keys, json_trees, max_size=4)
 LINE_OUTCOMES = [("success_memory", None), ("failure_memory", "specific"), ("principle", None)]
+# a bandit context, its arms, the arm drawn and updated, and the reward
+bandit_steps = st.tuples(
+    json_text, st.lists(json_text, min_size=1, max_size=3, unique=True), st.integers(0, 2), st.integers(0, 1)
+)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["experience", "env", "template"]), line_payloads, st.integers(0, 3)),
+        st.tuples(
+            st.sampled_from(["experience", "env", "template", "bandit", "task_failure"]),
+            line_payloads,
+            st.integers(0, 3),
+            bandit_steps,
+        ),
         min_size=1,
         max_size=6,
     )
@@ -283,7 +292,9 @@ def test_every_flushed_line_is_the_canonical_dump_of_its_record(steps):
                              "prompt_template": "{question}", "strategy": "direct"})
         tt = graph.add_task_type("t")
         commit("add_task_type", {"id": tt, "name": "t", "observed_iter": 0})
-        for n, (kind, payload, step) in enumerate(steps):
+        arms_of: dict[str, list[str]] = {}
+        # the first step's records carry iter -1 when it adds 0
+        for n, (kind, payload, step, (context_id, arms, pick, reward)) in enumerate(steps):
             graph.current_iter += step
             if kind == "experience":
                 outcome, failure_kind = LINE_OUTCOMES[n % len(LINE_OUTCOMES)]
@@ -296,6 +307,21 @@ def test_every_flushed_line_is_the_canonical_dump_of_its_record(steps):
             elif kind == "env":
                 nid = graph.add_env_node("entity", payload)
                 commit("add_env_node", {"id": nid, "node_class": "entity", "payload": payload})
+            elif kind == "bandit":
+                if context_id not in arms_of:
+                    arms_of[context_id] = arms
+                    graph.bandit_init(context_id, arms, 1, 7)
+                    commit("bandit_init", {
+                        "context_id": context_id, "arm_ids": arms, "warmup_pulls": 1, "rng_seed": 7,
+                    })
+                arm = arms_of[context_id][pick % len(arms_of[context_id])]
+                graph.bandit_record_draw(context_id, arm)
+                commit("bandit_draw", {"context_id": context_id, "arm_id": arm})
+                graph.bandit_update(context_id, arm, reward)
+                commit("bandit_update", {"context_id": context_id, "arm_id": arm, "reward": reward})
+            elif kind == "task_failure":
+                graph.record_task_failure(tt)
+                commit("task_failure", {"task_type_id": tt})
             else:
                 template = "{question} " + json.dumps(payload, ensure_ascii=False)
                 graph.set_prompt_template(sid, template)

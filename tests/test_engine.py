@@ -18,6 +18,7 @@ from evoloop import (
     rotation_action,
 )
 from evoloop import engine as engine_module
+from evoloop import memory
 from evoloop.engine import build_simulated_engine
 
 
@@ -346,6 +347,78 @@ def test_explorer_step_retrieves_in_training_only(monkeypatch):
     engine.run_iteration(2)
     assert actions
     assert len(retrievals) == len(actions)
+
+
+def _bundle_keys(engine, pool):
+    """The distinct (task type, question text, long context) keys of a pool."""
+    threshold = engine.config.long_context_threshold
+    return {(q.task_type, q.text, len(q.context) >= threshold) for q in pool}
+
+
+def _counting_retrievals(monkeypatch, engine):
+    """Record the (task type id, long context) of each retrieval."""
+    calls = []
+    retrieve = engine.index.retrieve_bundle
+    threshold = engine.config.long_context_threshold
+
+    def wrapper(query_vector, task_type_id, context_length, **kwargs):
+        calls.append((task_type_id, context_length >= threshold, query_vector.tobytes()))
+        return retrieve(query_vector, task_type_id, context_length, **kwargs)
+
+    monkeypatch.setattr(engine.index, "retrieve_bundle", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("pass_name", ["evaluate", "held_out", "remeasure"])
+def test_a_pass_retrieves_once_per_distinct_question(monkeypatch, pass_name):
+    engine = make_engine(pool_size=200, iterations=4)
+    for k in range(2):
+        engine.run_iteration(k)
+    calls = _counting_retrievals(monkeypatch, engine)
+    if pass_name == "held_out":
+        pool = engine.env.heldout_pool()
+        engine.eval_run(retrieval=True)
+    else:
+        pool = engine.env.evolution_pool()[: engine.config.pool_size]
+        if pass_name == "evaluate":
+            # the learner answers in EVALUATE only; the rest of the
+            # iteration retrieves nothing
+            engine.run_iteration(2)
+        else:
+            engine._remeasure(2)
+    keys = _bundle_keys(engine, pool)
+    # the pool repeats questions, so a retrieval per question would show
+    assert len(keys) < len(pool)
+    assert len(calls) == len(keys)
+    assert len(set(calls)) == len(calls)
+
+
+def test_a_graph_write_between_two_answers_retrieves_again(monkeypatch):
+    engine = make_engine(pool_size=24)
+    engine.run_iteration(0)
+    q = engine.env.evolution_pool()[0]
+    tt = engine.graph.task_type_by_name(q.task_type)
+    calls = _counting_retrievals(monkeypatch, engine)
+    first = engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
+    assert engine._answer_question(q, tt.id, tt.resolver_skill_id, "base") == first
+    assert len(calls) == 1
+    # the question's own solved exemplar: a harvest is a graph write
+    memory.harvest_success(
+        engine.index,
+        engine.backends.embedder.embed,
+        tt.id,
+        tt.resolver_skill_id,
+        memory.SuccessPayload(question=q.text, reasoning_trace="worked", answer=q.answer),
+    )
+    raw, predicted, n_success, _n_failure = engine._answer_question(
+        q, tt.id, tt.resolver_skill_id, "base"
+    )
+    assert len(calls) == 2
+    assert n_success >= 1 and predicted == q.answer
+    # any write advances the graph version, whether or not it touches the index
+    engine.graph.set_mastery(tt.resolver_skill_id, 0.5)
+    engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
+    assert len(calls) == 3
 
 
 def test_eval_retrieval_never_hurts():

@@ -300,6 +300,34 @@ def test_bandit_init_validates_like_new_slot_and_logs_nothing_on_refusal():
     assert sorted(graph.bandits) == ["route/s"]
 
 
+@pytest.mark.parametrize("reward", [True, False, 1.0, 0.0, 2, -1, "1", None])
+def test_bandit_update_takes_only_the_int_0_or_1_and_logs_nothing_else(reward):
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=2, rng_seed=7)
+    seq = graph.last_seq
+    # True == 1 and 1.0 == 1 in Python, but the log would read true or 1.0
+    with pytest.raises(ValidationError, match="reward must be the int 0 or 1"):
+        graph.bandit_update("route/s", "chain", reward)
+    assert graph.last_seq == seq and len(lines) == seq
+    assert graph.bandits["route/s"].successes == {"direct": 0, "chain": 0}
+    assert graph.bandits["route/s"].failures == {"direct": 0, "chain": 0}
+
+
+@pytest.mark.parametrize("reward", [True, False, 1.0])
+def test_replay_refuses_a_reward_the_writer_refuses(reward):
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=2, rng_seed=7)
+    graph.bandit_update("route/s", "chain", 1)
+    events = [json.loads(line) for line in lines]
+    assert KnowledgeGraph.replay(events).canonical_bytes() == graph.canonical_bytes()
+    forged = json.loads(json.dumps(events[1]))
+    forged["payload"]["reward"] = reward
+    with pytest.raises(IntegrityError, match=r"replay failed at seq 2 \(bandit_update\)"):
+        KnowledgeGraph.replay([events[0], forged])
+
+
 def test_replay_rejects_sequence_gap():
     lines = []
     graph = KnowledgeGraph(event_sink=lines.append)

@@ -528,6 +528,82 @@ def test_scan_scores_each_distinct_vector_once(monkeypatch):
     # one scan of the success block's three rows; the failure store is empty
     assert scanned == [3]
     assert [e.node_id for e in bundle.success] == ids[1:10:3]
+    # the same query scores nothing again while the rows stand, and a new
+    # copy of a stored vector adds no row
+    add_success(graph, index, tt, question="s0", vector=vectors[0])
+    assert index.retrieve_bundle(vectors[1], tt, context_length=10, k=3) == bundle
+    assert scanned == [3]
+    # a new distinct row is the only one scored
+    add_success(graph, index, tt, question="s3", vector=seeded_unit(403))
+    index.retrieve_bundle(vectors[1], tt, context_length=10, k=3)
+    assert scanned == [3, 1]
+
+
+# a query, or the exemplar of one kind and task type with one of the vectors
+MEMO_VECTORS = [seeded_unit(500 + i, dimension=8) for i in range(10)] + GROUP_POOL[:3]
+MEMO_QUERIES = [GROUP_QUERY] + [seeded_unit(600 + i, dimension=8) for i in range(3)]
+memo_steps = st.one_of(
+    st.tuples(
+        st.just("append"),
+        st.sampled_from(("success", "specific", "type_strategy")),
+        st.integers(0, 1),
+        st.integers(0, len(MEMO_VECTORS) - 1),
+    ),
+    st.tuples(st.just("query"), st.integers(0, len(MEMO_QUERIES) - 1), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    steps=st.lists(memo_steps, min_size=1, max_size=40),
+    near=st.integers(0, len(MEMO_VECTORS) - 1),
+    above=st.booleans(),
+)
+def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
+    # the floor sits just below or just above the first query's similarity
+    # to one vector, so type_strategy rows fall on both sides of it
+    near_sim = float(normalize(MEMO_VECTORS[near]) @ normalize(MEMO_QUERIES[0]))
+    floor = near_sim - 0.01 if above else near_sim + 0.01
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=floor)
+    tts = [graph.add_task_type("t0"), graph.add_task_type("t1")]
+    stores = {"success_memory": [], "failure_memory": []}
+    for step in steps:
+        if step[0] == "append":
+            _, kind, t, v = step
+            vector = MEMO_VECTORS[v]
+            if kind == "success":
+                nid = add_success(graph, index, tts[t], question=f"v{v}", vector=vector)
+            else:
+                nid = add_failure(graph, index, tts[t], question=f"v{v}", vector=vector, kind=kind)
+            stores[STORE_OF[kind]].append(
+                {"node_id": nid, "task_type_id": tts[t],
+                 "kind": None if kind == "success" else kind, "vector": vector}
+            )
+            continue
+        _, qi, k = step
+        query = MEMO_QUERIES[qi]
+        unit = index._unit(query)
+        for tt in tts:
+            for outcome in ("success_memory", "failure_memory"):
+                want = rank_store_reference(stores[outcome], query, tt, floor)[:k]
+                got = index._candidates(outcome, unit, tt, None, k)
+                assert [e.id for _, e in got] == [nid for _, nid in want]
+                assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
+        for block in index._blocks.values():
+            for key, (sims, order, ranked) in block._scored.items():
+                q = np.frombuffer(key)
+                fresh = np.vecdot(block.vectors, q)
+                if len(sims) == len(fresh):
+                    assert sims.tobytes() == fresh.tobytes()
+                    expected_order = np.argsort(-fresh, kind="stable")
+                    assert order == expected_order.tolist()
+                    assert ranked == fresh[expected_order].tolist()
+                else:
+                    # a stale entry covers a prefix of the rows, and
+                    # scores() extends it before it is read
+                    assert len(sims) < len(fresh)
+                    assert sims.tobytes() == fresh[: len(sims)].tobytes()
 
 
 def test_index_rejects_duplicates_and_wrong_class(indexed):

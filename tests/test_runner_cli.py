@@ -590,6 +590,81 @@ def test_missing_meta_is_an_integrity_error(tmp_path, capsys):
         assert "missing meta meta.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda m: m.pop("env"), id="missing"),
+        pytest.param(lambda m: m.update(env="atari"), id="unknown"),
+        pytest.param(lambda m: m.update(env=["static_qa"]), id="list"),
+    ],
+)
+def test_missing_or_unknown_env_in_meta_is_an_integrity_error(tmp_path, capsys, change):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    _rewrite_json(run_dir / "meta.json", change)
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    for verb in (["run", "--resume", "--iterations", "3"], ["eval"], ["audit"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "unknown env in meta.json" in captured.err
+        assert "Traceback" not in captured.err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param('{"x": 1}', id="other-object"),
+        pytest.param("[1, 2]", id="list"),
+        pytest.param("7", id="number"),
+        pytest.param(None, id="report-without-rollback"),
+    ],
+)
+def test_report_line_of_the_wrong_shape_is_an_integrity_error(tmp_path, capsys, line):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=3)
+    lines = (run_dir / "reports.jsonl").read_text().splitlines()
+    if line is None:
+        report = json.loads(lines[1])
+        del report["rollback"]
+        line = json.dumps(report, sort_keys=True)
+    lines[1] = line
+    (run_dir / "reports.jsonl").write_text("\n".join(lines) + "\n")
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    with pytest.raises(IntegrityError, match="corrupt report at reports.jsonl:2: "):
+        RunStore(run_dir).read_reports()
+    capsys.readouterr()
+    for verb in (["audit"], ["stats"], ["eval"], ["run", "--resume", "--iterations", "4"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "corrupt report at reports.jsonl:2: not an object holding every report field" in (
+            captured.out + captured.err
+        )
+        assert "Traceback" not in captured.err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_eval_record_that_is_not_an_object_fails_tier_separation_only(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    run_eval(store)
+    (run_dir / "eval-held_out-ret-00002.json").write_text("[1, 2]\n")
+    with pytest.raises(IntegrityError, match="corrupt eval record eval-held_out-ret-00002.json"):
+        store.read_evals()
+
+    result = audit_run(RunStore(run_dir))
+    assert [c.name for c in result.checks if not c.passed] == ["tier_separation"]
+    assert result.checks[3].detail == (
+        "corrupt eval record eval-held_out-ret-00002.json: not an object"
+    )
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] tier_separation: corrupt eval record" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_init_rejects_the_retired_refresh_gap(tmp_path, capsys):
     overrides = tmp_path / "cfg.json"
     overrides.write_text(json.dumps({"memory_refresh_gap": 5}))

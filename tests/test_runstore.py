@@ -3,13 +3,14 @@
 import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoloop import IntegrityError, RunStore
+from evoloop import IntegrityError, IterationReport, RunStore
 from evoloop.runstore import EVENTS_NAME, REPORTS_NAME
 
 from oracles import read_jsonl_reference
@@ -25,6 +26,11 @@ record = st.dictionaries(st.text(max_size=3), values, max_size=3).map(
     lambda r: json.dumps(r, sort_keys=True)
 )
 pad = st.sampled_from(["", " ", "\t", "  "])
+REPORT_FIELDS = [f.name for f in fields(IterationReport)]
+# an object holding every report field, or all but one of them
+report = st.tuples(st.integers(-1, len(REPORT_FIELDS) - 1), values).map(
+    lambda t: json.dumps({name: t[1] for i, name in enumerate(REPORT_FIELDS) if i != t[0]})
+)
 
 
 def split_in_two(text, at):
@@ -43,6 +49,8 @@ chunks = st.one_of(
     st.tuples(record, pad, record).map(lambda t: ["".join(t)]),
     st.tuples(record, st.integers(0, 40)).map(lambda t: split_in_two(*t)),
     st.sampled_from(["\ufeff{}", "{} x", "{}  ]", '{"a": 1}}', "{", "}"]).map(lambda v: [v]),
+    report.map(lambda r: [r]),
+    report.map(lambda r: [r]),
 )
 
 
@@ -52,13 +60,14 @@ def test_jsonl_reader_matches_per_line_json_loads(lines):
     text = "\n".join(lines) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         store = RunStore(tmp)
-        for name, what, read in (
-            (EVENTS_NAME, "event", lambda s: list(s.read_events())),
-            (REPORTS_NAME, "report", RunStore.read_reports),
+        for name, what, read, keys in (
+            (EVENTS_NAME, "event", lambda s: list(s.read_events()), None),
+            # a report line must also be an object holding every report field
+            (REPORTS_NAME, "report", RunStore.read_reports, REPORT_FIELDS),
         ):
             path = Path(tmp) / name
             path.write_bytes(text.encode("utf-8"))
-            expected, error = read_jsonl_reference(path, what)
+            expected, error = read_jsonl_reference(path, what, keys)
             if error is None:
                 # dumps compares NaN and tells 1 from 1.0 and True
                 assert json.dumps(read(store)) == json.dumps(expected)
