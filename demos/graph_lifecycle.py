@@ -2,14 +2,15 @@
 
 Builds a small graph by hand: a few skills with prerequisites, two task
 types, then experience nodes of every class. Shows which nodes are
-protected (append-only, undeletable), prunes a low-confidence pattern,
+protected (append-only: no writer removes one, and even a prune at the
+highest threshold leaves them in place), prunes a low-confidence pattern,
 takes a snapshot, damages the mutable state, rolls back, and finally
 replays the event log into a second graph and compares canonical bytes.
 """
 
 import json
 
-from evoloop import KnowledgeGraph, ProtectedNodeError
+from evoloop import KnowledgeGraph
 
 
 def main():
@@ -59,17 +60,18 @@ def main():
 
     print("protected counts:", graph.protected_counts())
 
-    # protected classes refuse deletion outright
-    for nid, label in ((principle, "principle"), (failure, "failure"), (success, "success")):
-        try:
-            graph.delete_experience(nid)
-        except ProtectedNodeError:
-            print(f"delete refused for {label} node {nid}")
-
     # pruning only ever touches unprotected low-confidence patterns
     removed = graph.prune_low_confidence(0.5)
     print(f"pruned {removed} (shaky pattern was {shaky}), "
           f"solid pattern {solid} still present: {solid in graph.experience}")
+
+    # no writer deletes a protected node: even the highest threshold prunes
+    # only the patterns below it
+    removed = graph.prune_low_confidence(1.0)
+    kept = all(nid in graph.experience for nid in (principle, failure, success))
+    print(f"prune at 1.0 removed {removed} (solid pattern was {solid}), "
+          f"every protected node still present: {kept}")
+    print("protected counts:", graph.protected_counts())
 
     # snapshot, wreck the mutable slots, roll back
     snap = graph.snapshot()

@@ -9,9 +9,13 @@ selection draws one sample per arm from a generator derived from
 selection, so a given state always reproduces the same selection sequence.
 
 ``BanditSlot`` is the state: only ``new_slot`` builds one and only
-``update_arm`` changes its counts, the graph's apply step included. The
-graph keeps its slots as mutable slots that the engine snapshots and rolls
-back, and a logged ``graph.bandit_record_draw`` advances the draw counter.
+``update_arm`` changes its counts, the graph's apply step included. There
+is no standalone bandit: a slot lives in a ``KnowledgeGraph``, which the
+engine snapshots and rolls back, and is driven the way the engine drives
+it: ``graph.bandit_init``, ``select_arm`` on ``graph.bandits[context]``, a
+logged ``graph.bandit_record_draw`` after each Thompson pick (the only
+thing that advances the draw counter), and ``graph.bandit_update``.
+Context and arm ids are strings, so a slot always encodes and sorts.
 """
 
 from __future__ import annotations
@@ -69,8 +73,13 @@ def new_slot(
     warmup_pulls: int = 20,
     rng_seed: int = 0,
 ) -> BanditSlot:
+    if not isinstance(context_id, str):
+        raise ValidationError(f"bandit context id must be a str, got {context_id!r}")
     if not arm_ids:
         raise ValidationError("bandit needs at least one arm")
+    for arm_id in arm_ids:
+        if not isinstance(arm_id, str):
+            raise ValidationError(f"arm id must be a str, got {arm_id!r}")
     if len(set(arm_ids)) != len(arm_ids):
         raise ValidationError("duplicate arm ids")
     if warmup_pulls < 0:
@@ -135,27 +144,3 @@ def exploit_arm(slot: BanditSlot) -> str:
     """Deterministic frozen-mode pick: highest posterior mean, ties by id."""
     return min(sorted(slot.arm_ids), key=lambda a: (-posterior_mean(slot, a), a))
 
-
-class ThompsonBandit:
-    """Standalone wrapper that owns its slot and draw counter."""
-
-    def __init__(
-        self,
-        arm_ids: list[str],
-        warmup_pulls: int = 20,
-        rng_seed: int = 0,
-        context_id: str = "bandit",
-    ):
-        self.slot = new_slot(context_id, arm_ids, warmup_pulls, rng_seed)
-
-    def select(self) -> str:
-        arm, thompson = select_arm(self.slot)
-        if thompson:
-            self.slot.draws += 1
-        return arm
-
-    def update(self, arm_id: str, reward: int) -> None:
-        update_arm(self.slot, arm_id, reward)
-
-    def pulls(self, arm_id: str) -> int:
-        return self.slot.pulls(arm_id)

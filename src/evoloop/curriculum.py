@@ -168,7 +168,6 @@ def _require_acyclic(prereq_map: Mapping) -> None:
 def check_ratchet_trace(
     trace: Sequence[float],
     params: RatchetParams,
-    rises: Sequence[bool] | None = None,
     tol: float = 1e-12,
 ) -> tuple[int, str] | None:
     """Verify a mastery trajectory against the structural ratchet bounds.
@@ -182,9 +181,7 @@ def check_ratchet_trace(
         peak. Unrolled, this is m_k >= (1 - decay_rate)^(k - k') * m_{k'}
         for every k' < k, the iterated per-step bound.
 
-    ``rises`` optionally marks steps whose evidence met or beat the old
-    value; such steps must not decrease. Returns None when clean, else
-    (step index, reason).
+    Returns None when clean, else (step index, reason).
     """
     if not trace:
         return None
@@ -198,7 +195,5 @@ def check_ratchet_trace(
             return k, f"per-step upper bound: {cur} > {prev} + rise * (1 - {prev})"
         if cur < keep * peak - tol:
             return k, f"decayed peak bound: {cur} < {keep} * peak {peak}"
-        if rises is not None and rises[k] and cur < prev - tol:
-            return k, f"rise step decreased: {cur} < {prev}"
         peak = max(cur, keep * peak)
     return None

@@ -28,10 +28,6 @@ class CapError(EvoloopError):
     """Structural growth cap reached (skill count)."""
 
 
-class ProtectedNodeError(EvoloopError):
-    """Attempted mutation or deletion of a protected experience node."""
-
-
 class FrozenGraphError(EvoloopError):
     """Write attempted while the graph is frozen for inference."""
 

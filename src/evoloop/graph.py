@@ -7,7 +7,9 @@ The graph is the single mutable aggregate of the engine. It holds:
   * task-type nodes (cumulative failure count, last-selected iteration,
     resolver skill edge),
   * experience nodes (five outcome classes; principle, failure_memory and
-    success_memory are protected: append-only and immutable),
+    success_memory are protected: append-only and immutable, since the
+    only writer that removes nodes, ``prune_low_confidence``, takes
+    abstracted patterns alone),
   * environment nodes (thin payload store).
 
 Every mutation goes through ``_commit``, which applies the state
@@ -68,7 +70,6 @@ from .errors import (
     FrozenGraphError,
     IntegrityError,
     NotFoundError,
-    ProtectedNodeError,
     ValidationError,
 )
 
@@ -406,18 +407,6 @@ class KnowledgeGraph:
             self._commit("prune", {"threshold": threshold, "removed_ids": removed})
             return removed
 
-    def delete_experience(self, node_id: int) -> None:
-        """Hard delete; exists to make the protection rule explicit."""
-        with self._lock:
-            node = self.experience.get(node_id)
-            if node is None:
-                raise NotFoundError(f"experience node {node_id} not found")
-            if node.protected:
-                raise ProtectedNodeError(
-                    f"node {node_id} has protected outcome {node.outcome!r}"
-                )
-            self._commit("prune", {"threshold": None, "removed_ids": [node_id]})
-
     def recipe_ids(self, skill_id: int) -> list[int]:
         """Ids of the skill's retrieval_recipe nodes, oldest first."""
         with self._lock:
@@ -580,7 +569,8 @@ class KnowledgeGraph:
             if payload["outcome"] == "retrieval_recipe" and payload["skill_id"] is not None:
                 self._recipe_ids.setdefault(payload["skill_id"], []).append(payload["id"])
         elif op == "prune":
-            # removed ids applied verbatim; the writer already validated them
+            # removed ids applied verbatim: the writer already validated them,
+            # and replay applies whatever ids a record names, recipes included
             for nid in payload["removed_ids"]:
                 node = self.experience.pop(nid, None)
                 self._experience_json.discard(nid)
@@ -837,8 +827,10 @@ def _template_line(op: str, payload: dict[str, Any], it: int, seq: int) -> str |
     """The log line of a ``bandit_update``, ``bandit_draw`` or ``task_failure``
     record (UPDATE writes one to three per question), filled into a fixed
     template: byte for byte what ``_ENCODE`` writes for the record, whose
-    sorted keys fix the order. None for any other op, or for a value of a
-    type its slot does not write exactly (an id that is not a str or int)."""
+    sorted keys fix the order (every context and arm id is a str, since
+    ``bandits.new_slot`` refuses any other). None for any other op, or for a
+    ``task_failure`` whose task type id is not an int (``True`` passes the
+    writer's lookup, as ``True == 1``)."""
     if op == "task_failure":
         task_type_id = payload["task_type_id"]
         if type(task_type_id) is not int:
@@ -849,8 +841,6 @@ def _template_line(op: str, payload: dict[str, Any], it: int, seq: int) -> str |
     if op != "bandit_update" and op != "bandit_draw":
         return None
     context_id, arm_id = payload["context_id"], payload["arm_id"]
-    if not (isinstance(context_id, str) and isinstance(arm_id, str)):
-        return None
     if op == "bandit_draw":
         return '{"iter":%d,"op":"bandit_draw","payload":{"arm_id":%s,"context_id":%s},"seq":%d}' % (
             it, _STR(arm_id), _STR(context_id), seq,

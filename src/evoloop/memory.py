@@ -35,8 +35,8 @@ too, break on node id ascending and retrieval is deterministic; the list
 is the one a ranking of every stored node gives. The walk takes the rows
 in one stable numpy sort by descending similarity (the memoised order
 above). An external ``scorer`` (called with each eligible
-``ExperienceNode``), or a request for all nodes, takes the same walk
-without the cut-offs, ranked on (-key, node id).
+``ExperienceNode``) takes the same walk without the cut-offs, ranked on
+(-key, node id), and keeps the best ``k``.
 
 Every vector the index stores or queries with is normalised through a memo
 keyed by its float64 bytes, so each distinct vector is normalised once;
@@ -139,15 +139,6 @@ class MemoryBundle:
 
     def __len__(self) -> int:
         return len(self.success) + len(self.failure)
-
-
-@dataclass
-class RetrievalErrorReport:
-    """Total-variation gap between retrieved and oracle-optimal top-K sets."""
-
-    max: float
-    mean: float
-    per_query: list[float]
 
 
 def allocation_for(context_length: int, k: int, long_context_threshold: int = 500) -> tuple[int, int]:
@@ -377,11 +368,11 @@ class MemoryIndex:
         outcome: str,
         query: np.ndarray,
         task_type_id: int | None,
-        scorer: Callable[[ExperienceNode], float] | None = None,
-        k: int | None = None,
+        scorer: Callable[[ExperienceNode], float] | None,
+        k: int,
     ) -> list[tuple[float, ExperienceNode]]:
         """The ``k`` best eligible exemplar nodes of one store for a query,
-        best first; all of them when ``k`` is None.
+        best first.
 
         Eligibility (task filter, type_strategy floor) always uses the
         embedding similarity; ``scorer`` only swaps the ranking key, which
@@ -395,7 +386,6 @@ class MemoryIndex:
         floor = self.type_strategy_min_similarity
         # ranked by similarity, a group past the k-th best node has nothing
         # to add, and one at or above it adds at most its first k nodes
-        by_sim = scorer is None and k is not None
         picked: list[tuple[float, ExperienceNode]] = []
         seen = 0
         kth = None
@@ -411,7 +401,7 @@ class MemoryIndex:
             else:
                 picked.extend([(float(scorer(node)), node) for node in rows])
             seen += len(rows)
-            if by_sim and kth is None and seen >= k:
+            if scorer is None and kth is None and seen >= k:
                 kth = sim
         picked.sort(key=_rank)
         return picked[:k]
@@ -463,58 +453,6 @@ class MemoryIndex:
             task_type_name=tt.name if tt is not None else "",
             skill_name=skill.name if skill is not None else "",
         )
-
-    # ------------------------------------------------------------------
-    # retrieval error measurement
-
-    def measure_retrieval_error(
-        self,
-        queries: Sequence[tuple[np.ndarray, int | None]],
-        k: int,
-        oracle: Callable[[tuple[np.ndarray, int | None], BundleEntry], float],
-    ) -> RetrievalErrorReport:
-        """Compare cosine top-K with brute-force oracle-optimal top-K.
-
-        Both sides see the same candidate set (task filter plus the
-        type_strategy floor); the oracle ranks by its utility, ties by node
-        id. The per-query distance is the total variation between uniform
-        selections over the two sets: 1 - |intersection| / K for equal-size
-        sets, and 1.0 when the sets are disjoint.
-        """
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        distances = []
-        for query in queries:
-            qvec, task_type_id = query
-            qn = normalize(qvec)
-            pool = self._candidates("success_memory", qn, task_type_id)
-            pool += self._candidates("failure_memory", qn, task_type_id)
-            pool.sort(key=_rank)
-            retrieved = [node.id for _, node in pool[:k]]
-            entries = [self._bundle_entry(sim, node) for sim, node in pool]
-            scored = sorted(
-                entries, key=lambda be: (-oracle(query, be), be.node_id)
-            )
-            optimal = [be.node_id for be in scored[:k]]
-            distances.append(_uniform_tv(retrieved, optimal))
-        if not distances:
-            return RetrievalErrorReport(max=0.0, mean=0.0, per_query=[])
-        return RetrievalErrorReport(
-            max=max(distances),
-            mean=sum(distances) / len(distances),
-            per_query=distances,
-        )
-
-
-def _uniform_tv(set_a: Sequence[int], set_b: Sequence[int]) -> float:
-    a, b = set(set_a), set(set_b)
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return 1.0
-    # TV(U_A, U_B) = 1 - sum over the overlap of min(1/|A|, 1/|B|)
-    overlap = len(a & b)
-    return 1.0 - overlap * min(1.0 / len(a), 1.0 / len(b))
 
 
 # ----------------------------------------------------------------------

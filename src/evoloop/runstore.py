@@ -24,8 +24,11 @@ with the replayed graph's encoding.
 ``config.json``, ``meta.json`` and the eval records are read whole; one that
 is missing or does not decode, or an eval record that is not an object,
 raises ``IntegrityError`` naming the file. A report line that is not an
-object holding every ``IterationReport`` field raises it naming the line,
-so no verb reads a field a report lacks.
+object holding every ``IterationReport`` field, each of the JSON type its
+annotation names (an array for a list, an object for a dict, an integer
+for an int, any number for a float, a string for a str; a boolean is
+neither an integer nor a number), raises it naming the line, so no verb
+reads a field a report lacks or holds in another shape.
 Both JSONL files are read line by line through one reused
 ``json.JSONDecoder``: each stripped, non-blank line must hold exactly one
 JSON value, and a line that per-line ``json.loads`` would reject raises
@@ -37,6 +40,9 @@ Boundary snapshots and eval records are written to a ``.tmp`` name (which
 the ``snap-*.json`` and ``eval-*.json`` globs do not match), fsynced and
 renamed into place, so a kill mid-write leaves either no file or a whole
 one; ``discard_partial_writes`` removes a temp file such a kill left.
+``snapshot_iterations`` reads only the names the writer makes
+(``snap-<iteration>.json``, zero-padded to five digits); any other
+``snap-*.json`` name raises ``IntegrityError`` naming the file.
 """
 
 from __future__ import annotations
@@ -44,9 +50,8 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import fields
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, get_origin, get_type_hints
 
 from .engine import IterationReport
 from .errors import IntegrityError, ValidationError
@@ -62,7 +67,21 @@ _DECODER = json.JSONDecoder()
 _REPORT_ENCODE = json.JSONEncoder(sort_keys=True).encode
 # the whitespace json.loads skips after a value, as json.decoder defines it
 _JSON_WS = re.compile(r"[ \t\n\r]*")
-_REPORT_FIELDS = frozenset(field.name for field in fields(IterationReport))
+# the JSON types a field of each annotated type accepts, and their name
+_JSON_TYPES = {
+    list: ((list,), "an array"),
+    dict: ((dict,), "an object"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+# field name -> (accepted types, name), in field order; the types are
+# matched exactly, so a bool is neither an int nor a number
+_REPORT_TYPES = {
+    name: _JSON_TYPES[get_origin(hint) or hint]
+    for name, hint in get_type_hints(IterationReport).items()
+}
+_SNAPSHOT_NAME = re.compile(r"snap-([0-9]+)\.json")
 
 
 class RunStore:
@@ -156,8 +175,9 @@ class RunStore:
 
     def read_reports(self) -> list[dict[str, Any]]:
         """Every report; a line that is not an object holding each
-        ``IterationReport`` field raises ``IntegrityError`` naming it."""
-        return list(_read_jsonl(self.root / REPORTS_NAME, "report", _REPORT_FIELDS))
+        ``IterationReport`` field, of its JSON type, raises
+        ``IntegrityError`` naming it."""
+        return list(_read_jsonl(self.root / REPORTS_NAME, "report", _REPORT_TYPES))
 
     # ------------------------------------------------------------------
     # boundary snapshots and eval records
@@ -175,9 +195,15 @@ class RunStore:
         return path.read_bytes()
 
     def snapshot_iterations(self) -> list[int]:
-        return sorted(
-            int(p.stem.split("-", 1)[1]) for p in self.root.glob("snap-*.json")
-        )
+        """The iteration of each boundary snapshot; a ``snap-*.json`` name
+        the writer does not make raises ``IntegrityError`` naming it."""
+        iterations = []
+        for path in self.root.glob("snap-*.json"):
+            match = _SNAPSHOT_NAME.fullmatch(path.name)
+            if match is None or self.snapshot_path(int(match[1])).name != path.name:
+                raise IntegrityError(f"stray snapshot file {path.name}: not snap-<iteration>.json")
+            iterations.append(int(match[1]))
+        return sorted(iterations)
 
     def write_eval(self, tag: str, record: Mapping[str, Any]) -> Path:
         safe = "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in tag)
@@ -228,15 +254,18 @@ def _read_json(path: Path, what: str) -> Any:
         raise IntegrityError(f"corrupt {what} {path.name}: {exc}") from exc
 
 
-def _read_jsonl(path: Path, what: str, keys: frozenset[str] | None = None) -> Iterator[Any]:
+def _read_jsonl(
+    path: Path, what: str, types: Mapping[str, tuple[tuple[type, ...], str]] | None = None
+) -> Iterator[Any]:
     """The value of each non-blank line of a JSONL file, read line by line.
 
     Returns what per-line ``json.loads`` would, and for a line it rejects
     raises ``IntegrityError`` with the same message, from one reused
     decoder: ``raw_decode`` stops after the first value, so anything but
     whitespace after it is "Extra data", as ``json.loads`` reports it.
-    With ``keys``, a value that is not an object holding each of them
-    raises ``IntegrityError`` naming its line.
+    With ``types``, a value that is not an object holding each of its
+    keys, with a value of one of the key's accepted types, raises
+    ``IntegrityError`` naming its line.
     """
     if not path.is_file():
         return
@@ -259,10 +288,16 @@ def _read_jsonl(path: Path, what: str, keys: frozenset[str] | None = None) -> It
                             raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
                     raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {exc}") from exc
-                if keys is not None and not (isinstance(value, dict) and keys <= value.keys()):
-                    raise IntegrityError(
-                        f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
-                    )
+                if types is not None:
+                    if not (isinstance(value, dict) and types.keys() <= value.keys()):
+                        raise IntegrityError(
+                            f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
+                        )
+                    for name, (accepted, expected) in types.items():
+                        if type(value[name]) not in accepted:
+                            raise IntegrityError(
+                                f"corrupt {what} at {path.name}:{lineno}: field {name!r} is not {expected}"
+                            )
                 yield value
     except UnicodeDecodeError as exc:
         # the file decodes a block at a time, so the failing line is unknown

@@ -289,12 +289,54 @@ def protected_counts_reference(graph) -> dict:
 # run files
 
 
-def read_jsonl_reference(path, what: str, keys=None) -> tuple:
+# the JSON type of each IterationReport field, in field order, kept by hand
+# so the reader's table (derived from the annotations) meets an independent one
+REPORT_FIELD_TYPES = {
+    "iteration": "integer",
+    "accuracy": "number",
+    "committed_accuracy": "number",
+    "rollback": "string",
+    "selected_frontier": "array",
+    "selected_task_types": "array",
+    "task_stats_pre": "array",
+    "per_question": "array",
+    "per_skill_evidence": "object",
+    "bandit_selections": "object",
+    "appended": "object",
+    "pruned_ids": "array",
+    "cap_errors": "array",
+    "tier_calls": "object",
+    "agent_calls": "object",
+    "masteries_post": "object",
+    "protected_counts_post": "object",
+    "skills_count": "integer",
+    "coverage": "object",
+    "snapshot_id": "integer",
+    "boundary_snapshot_id": "integer",
+}
+
+
+def json_type_holds(json_type: str, value) -> bool:
+    """Whether a decoded JSON value is of ``json_type``; a boolean is
+    neither an integer nor a number."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, {
+        "integer": int,
+        "number": (int, float),
+        "string": str,
+        "array": list,
+        "object": dict,
+    }[json_type])
+
+
+def read_jsonl_reference(path, what: str, field_types=None) -> tuple:
     """A JSONL file read with one ``json.loads`` per stripped, non-blank line.
 
     Returns ``(records, None)``, or ``(None, message)`` with the error text
-    for the first line ``json.loads`` rejects or, with ``keys``, whose value
-    is not an object holding every one of them.
+    for the first line ``json.loads`` rejects or, with ``field_types`` (field
+    name -> JSON type), whose value is not an object holding every field,
+    or whose first field in that order is not of its JSON type.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -306,9 +348,15 @@ def read_jsonl_reference(path, what: str, keys=None) -> tuple:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 return None, f"corrupt {what} at {path.name}:{lineno}: {exc}"
-            if keys is not None and not (
-                isinstance(record, dict) and all(key in record for key in keys)
-            ):
-                return None, f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
+            if field_types is not None:
+                if not (isinstance(record, dict) and all(key in record for key in field_types)):
+                    return None, f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
+                for name, json_type in field_types.items():
+                    if not json_type_holds(json_type, record[name]):
+                        article = "an" if json_type[0] in "aeiou" else "a"
+                        return None, (
+                            f"corrupt {what} at {path.name}:{lineno}: "
+                            f"field {name!r} is not {article} {json_type}"
+                        )
             records.append(record)
     return records, None

@@ -11,7 +11,6 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from evoloop import (
     EXECUTION_AGENTS,
@@ -20,11 +19,9 @@ from evoloop import (
     HashEmbedder,
     KnowledgeGraph,
     MemoryIndex,
-    ProtectedNodeError,
     RatchetParams,
     RunStore,
     SelectorParams,
-    ThompsonBandit,
     audit_run,
     call_audit,
     format_bundle,
@@ -46,7 +43,10 @@ from evoloop.runner import bootstrap_run
 from oracles import (
     allocation_reference,
     gap_bound_reference,
+    rank_store_reference,
     ratchet_ok_fast,
+    topk_reference,
+    tv_reference,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,8 +207,9 @@ def test_criterion_03_protected_classes_never_shrink():
             elif roll == 4:
                 nid = graph.append_experience("retrieval_recipe", {"steps": "s"})
                 shadow[nid] = ("retrieval_recipe", 1.0)
-            elif roll == 5:
-                threshold = float(rng.random())
+            elif roll in (5, 8):
+                # 1.0 prunes every pattern short of full confidence
+                threshold = 1.0 if roll == 8 else float(rng.random())
                 removed = set(graph.prune_low_confidence(threshold))
                 prunes += 1
                 for nid, (outcome, conf) in list(shadow.items()):
@@ -222,14 +223,6 @@ def test_criterion_03_protected_classes_never_shrink():
             elif roll == 7:
                 graph.rollback_mutable(int(rng.choice(graph.snapshot_ids())))
                 rollbacks += 1
-            elif shadow:
-                nid = int(rng.choice(sorted(shadow)))
-                if shadow[nid][0] in PROTECTED_CLASSES:
-                    with pytest.raises(ProtectedNodeError):
-                        graph.delete_experience(nid)
-                else:
-                    graph.delete_experience(nid)
-                    shadow.pop(nid)
             ops_run += 1
             counts = graph.protected_counts()
             for cls, floor in prev.items():
@@ -401,6 +394,41 @@ def _per_task_rates(report):
     return {tt: sum(v) / len(v) for tt, v in by_tt.items()}
 
 
+def _retrieval_error(engine, queries, k):
+    """Per query, the total variation between uniform picks from the cosine
+    top-k and from the value-optimal top-k of the same eligible exemplars
+    (the query's task type, the type_strategy floor), ranked by brute force.
+    An exemplar of the query's own question is worth 1.0, any other 0.15.
+    """
+    embed = engine.backends.embedder.embed
+    floor = engine.config.type_strategy_min_similarity
+    stores = {"success_memory": [], "failure_memory": []}
+    question_of = {}
+    for nid, node in engine.graph.experience.items():
+        if node.outcome in stores:
+            question_of[nid] = node.payload.get("question", "")
+            stores[node.outcome].append({
+                "node_id": nid,
+                "task_type_id": node.task_type_id,
+                "kind": node.kind,
+                "vector": embed(question_of[nid]),
+            })
+    distances = []
+    for text, task_type_id in queries:
+        query = embed(text)
+        pool = sorted(
+            rank_store_reference(stores["success_memory"], query, task_type_id, floor)
+            + rank_store_reference(stores["failure_memory"], query, task_type_id, floor),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        retrieved = [nid for _, nid in pool[:k]]
+        optimal = topk_reference(
+            [(nid, 1.0 if question_of[nid] == text else 0.15) for _, nid in pool], k
+        )
+        distances.append(tv_reference(retrieved, optimal))
+    return distances
+
+
 def test_criterion_07_improvement_monotone_or_bounded_by_retrieval_error():
     start = time.monotonic()
     env = make_env("static_qa", seed=11, pool_size=96)
@@ -425,26 +453,18 @@ def test_criterion_07_improvement_monotone_or_bounded_by_retrieval_error():
             EngineConfig(pool_size=96, iterations=20, seed=seed), env
         )
         engine.bootstrap()
-        pool = env.evolution_pool()[:96]
-        embed = engine.backends.embedder.embed
-        queries = [
-            (embed(q.text), engine.graph.task_type_by_name(q.task_type).id)
-            for q in pool
-        ]
-        text_of = {id(query): q.text for query, q in zip(queries, pool)}
-
-        def exemplar_value(query, entry):
-            return 1.0 if entry.payload.get("question") == text_of[id(query)] else 0.15
-
+        # distinct (question text, task type id) pairs: equal pairs measure
+        # the same
+        queries = sorted({
+            (q.text, engine.graph.task_type_by_name(q.task_type).id)
+            for q in env.evolution_pool()[:96]
+        })
         eps = 0.0
         max_drop = 0.0
         prev = None
         for k in range(20):
             report = engine.run_iteration(k)
-            measured = engine.index.measure_retrieval_error(
-                queries, k=3, oracle=exemplar_value
-            )
-            eps = max(eps, measured.max)
+            eps = max(eps, max(_retrieval_error(engine, queries, 3)))
             rates = _per_task_rates(report)
             if prev is not None:
                 for tt, rate in rates.items():
@@ -605,15 +625,17 @@ def test_criterion_11_bandit_warmup_then_convergence():
     probs = {"arm-hi": 0.8, "arm-mid": 0.5, "arm-lo": 0.2}
     shares = []
     for seed in range(10):
-        bandit = ThompsonBandit(sorted(probs), warmup_pulls=20, rng_seed=seed)
+        # driven as the engine drives a slot: a Thompson pick logs its draw
+        graph = KnowledgeGraph()
+        graph.bandit_init("route", sorted(probs), warmup_pulls=20, rng_seed=seed)
         rewards = np.random.default_rng(9000 + seed)
         picks = []
         for t in range(2000):
-            arm, thompson = select_arm(bandit.slot)
+            arm, thompson = select_arm(graph.bandits["route"])
             assert thompson == (t >= 60), (seed, t)
             if thompson:
-                bandit.slot.draws += 1
-            bandit.update(arm, 1 if rewards.random() < probs[arm] else 0)
+                graph.bandit_record_draw("route", arm)
+            graph.bandit_update("route", arm, 1 if rewards.random() < probs[arm] else 0)
             picks.append(arm)
         assert Counter(picks[:60]) == {"arm-hi": 20, "arm-lo": 20, "arm-mid": 20}
         share = sum(p == "arm-hi" for p in picks[60:]) / len(picks[60:])

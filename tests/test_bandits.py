@@ -1,12 +1,16 @@
-"""Thompson sampling: warm-up discipline, posterior updates, determinism."""
+"""Thompson sampling: warm-up discipline, posterior updates, determinism.
+
+A slot is driven the way the engine drives it, through a graph: a Thompson
+pick is followed by its logged ``bandit_record_draw``, and every reward
+goes through ``bandit_update``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evoloop import (
+    KnowledgeGraph,
     NotFoundError,
-    ThompsonBandit,
     ValidationError,
     exploit_arm,
     new_slot,
@@ -26,6 +30,21 @@ def _slot_with(counts, warmup=0, seed=0):
     return slot
 
 
+def _bandit_graph(arm_ids, warmup, seed):
+    graph = KnowledgeGraph()
+    graph.bandit_init("ctx", arm_ids, warmup_pulls=warmup, rng_seed=seed)
+    return graph
+
+
+def _pick(graph):
+    """Select an arm of the graph's slot and log the draw a Thompson pick
+    consumes, as the engine does."""
+    arm, thompson = select_arm(graph.bandits["ctx"])
+    if thompson:
+        graph.bandit_record_draw("ctx", arm)
+    return arm
+
+
 def test_underwarmed_arm_is_forced():
     slot = _slot_with({"arm1": (15, 5), "arm2": (3, 2)}, warmup=20)
     arm, thompson = select_arm(slot)
@@ -39,22 +58,22 @@ def test_single_arm():
 
 
 def test_warmup_walks_arms_round_robin_by_id():
-    bandit = ThompsonBandit(["c", "a", "b"], warmup_pulls=2, rng_seed=1)
+    graph = _bandit_graph(["c", "a", "b"], warmup=2, seed=1)
     order = []
     for _ in range(6):
-        arm = bandit.select()
+        arm = _pick(graph)
         order.append(arm)
-        bandit.update(arm, 1)
+        graph.bandit_update("ctx", arm, 1)
     assert order == ["a", "b", "c", "a", "b", "c"]
 
 
 def test_no_thompson_draw_before_full_warmup():
-    bandit = ThompsonBandit(["a", "b"], warmup_pulls=3, rng_seed=1)
+    graph = _bandit_graph(["a", "b"], warmup=3, seed=1)
     for i in range(6):
-        arm, thompson = select_arm(bandit.slot)
+        arm, thompson = select_arm(graph.bandits["ctx"])
         assert thompson is False, f"thompson draw at pull {i} during warm-up"
-        bandit.update(arm, i % 2)
-    assert select_arm(bandit.slot)[1] is True
+        graph.bandit_update("ctx", arm, i % 2)
+    assert select_arm(graph.bandits["ctx"])[1] is True
 
 
 def test_update_counts():
@@ -83,6 +102,12 @@ def test_new_slot_validation():
         new_slot("ctx", ["a", "a"])
     with pytest.raises(ValidationError):
         new_slot("ctx", ["a"], warmup_pulls=-1)
+    # context and arm ids are strings
+    for context_id, arm_ids in (
+        (5, ["a"]), (None, ["a"]), ("ctx", [1, 2]), ("ctx", ["a", 1.0]), ("ctx", [("a",)])
+    ):
+        with pytest.raises(ValidationError, match="must be a str"):
+            new_slot(context_id, arm_ids)
 
 
 def test_posterior_mean_is_laplace_smoothed():
@@ -111,11 +136,11 @@ def test_lopsided_posteriors_dominate():
 
 def test_selection_sequence_is_deterministic():
     def run(seed):
-        bandit = ThompsonBandit(["a", "b", "c"], warmup_pulls=1, rng_seed=seed)
+        graph = _bandit_graph(["a", "b", "c"], warmup=1, seed=seed)
         picks = []
         for i in range(30):
-            arm = bandit.select()
-            bandit.update(arm, 1 if (i * 7 + hash(arm)) % 3 else 0)
+            arm = _pick(graph)
+            graph.bandit_update("ctx", arm, 1 if (i * 7 + hash(arm)) % 3 else 0)
             picks.append(arm)
         return picks
 
@@ -141,10 +166,9 @@ def test_same_state_same_draw_until_counter_moves():
     st.integers(0, 2**31 - 1),
 )
 def test_pull_accounting_invariant(rewards, warmup, seed):
-    bandit = ThompsonBandit(["x", "y"], warmup_pulls=warmup, rng_seed=seed)
+    graph = _bandit_graph(["x", "y"], warmup=warmup, seed=seed)
     for r in rewards:
-        arm = bandit.select()
-        bandit.update(arm, r)
-    total = sum(bandit.pulls(a) for a in ("x", "y"))
-    assert total == len(rewards)
-    assert bandit.slot.draws == max(0, len(rewards) - 2 * warmup)
+        graph.bandit_update("ctx", _pick(graph), r)
+    slot = graph.bandits["ctx"]
+    assert sum(slot.pulls(a) for a in ("x", "y")) == len(rewards)
+    assert slot.draws == max(0, len(rewards) - 2 * warmup)

@@ -245,14 +245,6 @@ def test_checker_flags_window_erosion():
     assert ratchet_violations_bruteforce(trace, 0.6, 0.1, 1e-12)
 
 
-def test_checker_rises_flag():
-    assert check_ratchet_trace([0.5, 0.45], R_DEFAULT, rises=[False, True]) == (
-        1,
-        "rise step decreased: 0.45 < 0.5",
-    )
-    assert check_ratchet_trace([0.5, 0.45], R_DEFAULT, rises=[False, False]) is None
-
-
 # ----------------------------------------------------------------------
 # learnable frontier
 

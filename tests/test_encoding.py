@@ -41,12 +41,14 @@ appends = st.tuples(
     st.booleans(),
     payloads,
 )
+# prunes are the only op that removes a node, so they are drawn twice as often
+prunes = st.tuples(st.just("prune"), st.sampled_from(CONFIDENCES + [0.6]))
 ops = st.one_of(
     appends,
     appends,
     appends,
-    st.tuples(st.just("prune"), st.sampled_from(CONFIDENCES + [0.6])),
-    st.tuples(st.just("delete"), st.integers(0, 50)),
+    prunes,
+    prunes,
     st.tuples(st.just("env"), st.sampled_from(sorted(ENV_CLASSES)), payloads),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("rollback"), st.integers(0, 3)),
@@ -72,10 +74,6 @@ def apply_op(graph, skills, task_type, op):
         )
     elif kind == "prune":
         graph.prune_low_confidence(op[1])
-    elif kind == "delete":
-        unprotected = sorted(nid for nid, n in graph.experience.items() if not n.protected)
-        if unprotected:
-            graph.delete_experience(unprotected[op[1] % len(unprotected)])
     elif kind == "env":
         graph.add_env_node(op[1], op[2])
     elif kind == "snapshot":

@@ -13,7 +13,6 @@ from evoloop import (
     IntegrityError,
     KnowledgeGraph,
     NotFoundError,
-    ProtectedNodeError,
     ValidationError,
 )
 
@@ -73,23 +72,6 @@ def test_prune_never_touches_protected_nodes(graph):
     )
     graph.append_experience("success_memory", {"question": "q"}, confidence=0.0)
     assert graph.prune_low_confidence(1.0) == []
-
-
-def test_delete_refuses_protected_classes(graph):
-    tt = graph.add_task_type("t")
-    protected = [
-        graph.append_experience("principle", {"text": "p"}),
-        graph.append_experience(
-            "failure_memory", {"q": 1}, task_type_id=tt, kind="type_strategy"
-        ),
-        graph.append_experience("success_memory", {"q": 1}),
-    ]
-    for nid in protected:
-        with pytest.raises(ProtectedNodeError):
-            graph.delete_experience(nid)
-    pattern = graph.append_experience("abstracted_pattern", {"q": 1}, confidence=0.9)
-    graph.delete_experience(pattern)
-    assert pattern not in graph.experience
 
 
 def test_failure_memory_requires_kind(graph):
@@ -293,11 +275,36 @@ def test_bandit_init_validates_like_new_slot_and_logs_nothing_on_refusal():
     graph = KnowledgeGraph(event_sink=lines.append)
     graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=2, rng_seed=7)
     seq = graph.last_seq
-    for arms, warmup in ((["direct"], -1), ([], 2), (["a", "a"], 2)):
+    for context_id, arms, warmup in (
+        ("route/t", ["direct"], -1),
+        ("route/t", [], 2),
+        ("route/t", ["a", "a"], 2),
+        # ids are strings: another type would not sort beside them
+        (5, ["a"], 2),
+        (None, ["a"], 2),
+        (b"route/t", ["a"], 2),
+        ("route/t", [1, 2], 2),
+        ("route/t", ["a", None], 2),
+    ):
         with pytest.raises(ValidationError):
-            graph.bandit_init("route/t", arms, warmup_pulls=warmup, rng_seed=7)
+            graph.bandit_init(context_id, arms, warmup_pulls=warmup, rng_seed=7)
     assert graph.last_seq == seq and len(lines) == seq
     assert sorted(graph.bandits) == ["route/s"]
+    replayed = KnowledgeGraph.replay(json.loads(line) for line in lines)
+    assert replayed.canonical_bytes() == graph.canonical_bytes()
+
+
+@pytest.mark.parametrize("field, value", [("context_id", 5), ("arm_ids", [1, 2])])
+def test_replay_refuses_a_bandit_init_the_writer_refuses(field, value):
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    graph.add_skill("s")
+    graph.bandit_init("route/s", ["a", "b"], warmup_pulls=1, rng_seed=1)
+    events = [json.loads(line) for line in lines]
+    forged = json.loads(json.dumps(events[1]))
+    forged["payload"][field] = value
+    with pytest.raises(IntegrityError, match=r"replay failed at seq 2 \(bandit_init\)"):
+        KnowledgeGraph.replay([events[0], forged])
 
 
 @pytest.mark.parametrize("reward", [True, False, 1.0, 0.0, 2, -1, "1", None])

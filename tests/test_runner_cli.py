@@ -645,6 +645,57 @@ def test_report_line_of_the_wrong_shape_is_an_integrity_error(tmp_path, capsys, 
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("coverage", [], "an object"),
+        ("protected_counts_post", [], "an object"),
+        ("masteries_post", [], "an object"),
+        ("agent_calls", [], "an object"),
+        ("selected_task_types", 5, "an array"),
+        ("task_stats_pre", {}, "an array"),
+        # a boolean is neither an integer nor a number
+        ("iteration", True, "an integer"),
+        ("accuracy", False, "a number"),
+    ],
+)
+def test_report_field_of_the_wrong_json_type_is_an_integrity_error(
+    tmp_path, capsys, field, value, expected
+):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=3)
+    lines = (run_dir / "reports.jsonl").read_text().splitlines()
+    report = json.loads(lines[1])
+    report[field] = value
+    lines[1] = json.dumps(report, sort_keys=True)
+    (run_dir / "reports.jsonl").write_text("\n".join(lines) + "\n")
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    message = f"corrupt report at reports.jsonl:2: field {field!r} is not {expected}"
+    capsys.readouterr()
+    for verb in (["audit"], ["stats"], ["eval"], ["run", "--resume", "--iterations", "4"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2, verb
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err, verb
+        assert "Traceback" not in captured.err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["snap-abc.json", "snap-.json", "snap-1.json", "snap-00001x.json"])
+def test_stray_snapshot_name_fails_log_replay(tmp_path, capsys, name):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    (run_dir / name).write_text("")
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    with pytest.raises(IntegrityError, match=f"stray snapshot file {name}"):
+        RunStore(run_dir).snapshot_iterations()
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 2
+    captured = capsys.readouterr()
+    assert f"[FAIL] log_replay: stray snapshot file {name}" in captured.out
+    assert "Traceback" not in captured.err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
 def test_eval_record_that_is_not_an_object_fails_tier_separation_only(tmp_path, capsys):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=2)

@@ -7,13 +7,13 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evoloop import IntegrityError, IterationReport, RunStore
 from evoloop.runstore import EVENTS_NAME, REPORTS_NAME
 
-from oracles import read_jsonl_reference
+from oracles import REPORT_FIELD_TYPES, read_jsonl_reference
 
 values = st.one_of(
     st.integers(-5, 5),
@@ -27,9 +27,24 @@ record = st.dictionaries(st.text(max_size=3), values, max_size=3).map(
 )
 pad = st.sampled_from(["", " ", "\t", "  "])
 REPORT_FIELDS = [f.name for f in fields(IterationReport)]
-# an object holding every report field, or all but one of them
-report = st.tuples(st.integers(-1, len(REPORT_FIELDS) - 1), values).map(
-    lambda t: json.dumps({name: t[1] for i, name in enumerate(REPORT_FIELDS) if i != t[0]})
+# a value of each JSON type a report field holds
+TYPED = {"integer": 3, "number": 0.5, "string": "none", "array": [1], "object": {"a": 1}}
+
+
+def _report_line(drop, swap, value):
+    """A report with every field of its JSON type, then field ``drop``
+    left out and field ``swap`` set to ``value`` (-1 for neither)."""
+    report = {name: TYPED[json_type] for name, json_type in REPORT_FIELD_TYPES.items()}
+    if swap >= 0:
+        report[REPORT_FIELDS[swap]] = value
+    if drop >= 0:
+        del report[REPORT_FIELDS[drop]]
+    return json.dumps(report)
+
+
+field_index = st.integers(-1, len(REPORT_FIELDS) - 1)
+report = st.tuples(field_index, field_index, st.one_of(values, st.booleans())).map(
+    lambda t: _report_line(*t)
 )
 
 
@@ -56,14 +71,18 @@ chunks = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(chunks, max_size=8).map(lambda cs: [line for c in cs for line in c]))
+# a well-typed report, then one whose integer field holds a boolean
+@example([_report_line(-1, -1, None), _report_line(-1, 0, True)])
 def test_jsonl_reader_matches_per_line_json_loads(lines):
+    assert list(REPORT_FIELD_TYPES) == REPORT_FIELDS
     text = "\n".join(lines) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         store = RunStore(tmp)
         for name, what, read, keys in (
             (EVENTS_NAME, "event", lambda s: list(s.read_events()), None),
-            # a report line must also be an object holding every report field
-            (REPORTS_NAME, "report", RunStore.read_reports, REPORT_FIELDS),
+            # a report line must also be an object holding every report
+            # field, each of its JSON type
+            (REPORTS_NAME, "report", RunStore.read_reports, REPORT_FIELD_TYPES),
         ):
             path = Path(tmp) / name
             path.write_bytes(text.encode("utf-8"))
