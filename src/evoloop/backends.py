@@ -37,7 +37,6 @@ simulated backends never loads the HTTP stack.
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
@@ -67,20 +66,18 @@ def unit_draw(*parts: Any) -> float:
 
 
 class CallTracker:
-    """Thread-safe per-(phase, agent, role) call counter."""
+    """Per-(phase, agent, role) call counter. It takes no lock: one engine
+    records its calls from one thread."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._counts: dict[tuple[str, str, str], int] = {}
 
     def record(self, phase: str, agent: str, role: str, attempts: int = 1) -> None:
-        with self._lock:
-            key = (phase, agent, role)
-            self._counts[key] = self._counts.get(key, 0) + attempts
+        key = (phase, agent, role)
+        self._counts[key] = self._counts.get(key, 0) + attempts
 
     def counts(self) -> dict[tuple[str, str, str], int]:
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def since(self, before: Mapping[tuple[str, str, str], int]) -> dict[tuple[str, str, str], int]:
         """Calls recorded after ``before``, a ``counts()`` result: the

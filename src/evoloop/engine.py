@@ -150,6 +150,8 @@ class EngineConfig:
     snapshot_history_limit: int = 64
     routing_strategies: tuple[str, ...] = ("direct", "chain", "decompose")
     search_strategies: tuple[str, ...] = ("base", "cascade")
+    # retired: accepted and ignored, as format-2 configs hold it; EVALUATE
+    # answers serially
     eval_workers: int = 1
     remeasure_after_update: bool = False
     oracle_retrieval: bool = False
@@ -563,17 +565,12 @@ class Engine:
     # ------------------------------------------------------------------
     # EVALUATE
 
-    def _draw(self, ctx: str, arms: dict[str, str], queue: list | None) -> str:
-        """Pick bandit ``ctx``'s arm into ``arms`` and return it: its selection,
-        queueing a Thompson draw for UPDATE to log, or without a ``queue``
-        (frozen eval) the posterior-mean pick."""
-        slot = self.graph.bandits[ctx]
-        if queue is None:
-            arm = bandits.exploit_arm(slot)
-        else:
-            arm, thompson = bandits.select_arm(slot)
-            if thompson:
-                queue.append((ctx, arm))
+    def _draw(self, ctx: str, arms: dict[str, str], queue: list) -> str:
+        """Select bandit ``ctx``'s arm into ``arms`` and return it, queueing a
+        Thompson draw for UPDATE to log."""
+        arm, thompson = bandits.select_arm(self.graph.bandits[ctx])
+        if thompson:
+            queue.append((ctx, arm))
         arms[ctx] = arm
         return arm
 
@@ -586,24 +583,16 @@ class Engine:
             )
         return tt.resolver_skill_id
 
-    def _select_arms(self, tt_ids: list[int]) -> tuple[dict, dict, dict, list]:
-        """Commit one search arm per task type of ``tt_ids`` (ascending) and
-        one routing arm per skill.
-
-        Selections read current bandit state; the draw-counter advances are
-        queued so EVALUATE itself stays write-free. The queue order is
-        logged: every search draw, then the route draws by skill id.
-        """
-        draw_queue: list[tuple[str, str]] = []
-        search_arms: dict[str, str] = {}
-        skill_for_tt: dict[int, int] = {}
-        for tt_id in tt_ids:
-            arm = self._draw(f"search/{tt_id}", search_arms, draw_queue)
-            skill_for_tt[tt_id] = self._resolver(self.graph.task_types[tt_id], arm)
-        routing_arms: dict[str, str] = {}
-        for skill_id in sorted(set(skill_for_tt.values())):
-            self._draw(f"route/{skill_id}", routing_arms, draw_queue)
-        return search_arms, routing_arms, skill_for_tt, draw_queue
+    def _routes(self, pool, pick) -> dict[str, tuple[int, int, str]]:
+        """The route of each task type in ``pool``, by name: its id, the
+        skill that answers it, and its search arm ``pick(tt)``. ``pick`` is
+        called in task type id order, so the draws it queues are too."""
+        tts = [self.graph.task_type_by_name(name) for name in {q.task_type for q in pool}]
+        routes = {}
+        for tt in sorted(tts, key=lambda tt: tt.id):
+            search_arm = pick(tt)
+            routes[tt.name] = (tt.id, self._resolver(tt, search_arm), search_arm)
+        return routes
 
     def _oracle_scorer(self, question_text: str):
         """Rank candidates by their value to the learner, not by embedding.
@@ -658,8 +647,7 @@ class Engine:
 
     def _version_memo(self) -> dict:
         """The memo of the current graph version and index: a fresh one once
-        a write advanced the version. It is swapped whole, so worker threads
-        of one pass share it safely."""
+        a write advanced the version."""
         version = self.graph.last_seq
         memo_version, memo_index, memo = self._pass_memo
         if memo_version != version or memo_index is not self.index:
@@ -702,23 +690,20 @@ class Engine:
             context = memo[("cascade", tt_id, skill_id)] = (lattice, tuple(notes))
         return context
 
-    def _task_types_of(self, pool) -> dict[str, Any]:
-        """The task type node of each task type name in ``pool``, resolved
-        once per pass, in name order."""
-        names = sorted({q.task_type for q in pool})
-        return {name: self.graph.task_type_by_name(name) for name in names}
-
     def _evaluate_static(self) -> dict[str, Any]:
         pool = self.env.evolution_pool()[: self.config.pool_size]
-        tt_id_of = {name: tt.id for name, tt in self._task_types_of(pool).items()}
-        search_arms, routing_arms, skill_for_tt, draw_queue = self._select_arms(
-            sorted(set(tt_id_of.values()))
-        )
-
-        def solve(q):
-            tt_id = tt_id_of[q.task_type]
-            skill_id = skill_for_tt[tt_id]
-            search_arm = search_arms[f"search/{tt_id}"]
+        # selections read current bandit state; the draw-counter advances are
+        # queued so EVALUATE itself stays write-free. The queue order is
+        # logged: every search draw, then the route draws by skill id
+        draw_queue: list[tuple[str, str]] = []
+        search_arms: dict[str, str] = {}
+        routes = self._routes(pool, lambda tt: self._draw(f"search/{tt.id}", search_arms, draw_queue))
+        routing_arms: dict[str, str] = {}
+        for skill_id in sorted({skill_id for _tt_id, skill_id, _arm in routes.values()}):
+            self._draw(f"route/{skill_id}", routing_arms, draw_queue)
+        answered = []
+        for q in pool:
+            tt_id, skill_id, search_arm = routes[q.task_type]
             raw, predicted, n_s, n_f = self._answer_question(q, tt_id, skill_id, search_arm)
             result = QuestionResult(
                 qid=q.qid,
@@ -731,15 +716,7 @@ class Engine:
                 bundle_success=n_s,
                 bundle_failure=n_f,
             )
-            return q, result, raw
-
-        if self.config.eval_workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.config.eval_workers) as pool_exec:
-                answered = list(pool_exec.map(solve, pool))
-        else:
-            answered = [solve(q) for q in pool]
+            answered.append((q, result, raw))
 
         # one judge batch per task type, in task type id order
         batches: dict[int, list] = {}
@@ -1019,12 +996,10 @@ class Engine:
         if self.env.mode == "sequential":
             return self.prev_accuracy if self.prev_accuracy is not None else 0.0
         pool = self.env.evolution_pool()[: self.config.pool_size]
-        tt_of = self._task_types_of(pool)
+        routes = self._routes(pool, lambda tt: "base")
         correct = 0
         for q in pool:
-            tt = tt_of[q.task_type]
-            skill_id = tt.resolver_skill_id
-            _raw, predicted, _ns, _nf = self._answer_question(q, tt.id, skill_id, "base")
+            _raw, predicted, _ns, _nf = self._answer_question(q, *routes[q.task_type])
             correct += self._call_judge([(predicted, q.answer)])[0]
         return correct / len(pool)
 
@@ -1063,12 +1038,11 @@ class Engine:
         pool = (
             self.env.heldout_pool() if pool_name == "held_out" else self.env.evolution_pool()
         )
-        # the frozen graph fixes one route per task type for the whole pass
-        routes: dict[str, tuple[int, int, str]] = {}
-        search_arms: dict[str, str] = {}
-        for name, tt in self._task_types_of(pool).items():
-            search_arm = self._draw(f"search/{tt.id}", search_arms, None)
-            routes[name] = (tt.id, self._resolver(tt, search_arm), search_arm)
+        # the frozen graph fixes one route per task type for the whole pass,
+        # on the search arm of highest posterior mean
+        routes = self._routes(
+            pool, lambda tt: bandits.exploit_arm(self.graph.bandits[f"search/{tt.id}"])
+        )
         correct = 0
         for q in pool:
             _raw, predicted, _ns, _nf = self._answer_question(

@@ -46,8 +46,9 @@ sections (skills, task types, bandits, prerequisite edges, counters) and
 joins them with the cached fragments, byte for byte what a single
 ``json.dumps(sort_keys=True)`` of the whole state would write.
 
-Writes are serialized behind a single lock; readers copy under the same
-lock so they never observe a torn record.
+One engine drives a graph from one thread. The graph takes no lock and is
+not thread-safe: a caller that shares one across threads must serialise
+every call itself.
 
 The per-outcome counts of protected nodes are kept up to date by the apply
 step (an append adds one, a prune or a replayed append that replaces a node
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -138,7 +138,6 @@ class KnowledgeGraph:
         skill_growth_cap: int = 30,
         snapshot_history_limit: int = 64,
     ):
-        self._lock = threading.RLock()
         self._sink = event_sink
         self.principles_per_skill_cap = principles_per_skill_cap
         self.skill_growth_cap = skill_growth_cap
@@ -229,71 +228,65 @@ class KnowledgeGraph:
         prompt_template: str = DEFAULT_PROMPT_TEMPLATE,
         strategy: str = DEFAULT_STRATEGY,
     ) -> int:
-        with self._lock:
-            if not name:
-                raise ValidationError("skill name must be non-empty")
-            _check_unit_interval("mastery", mastery)
-            if len(self.skills) >= self.skill_growth_cap:
-                raise CapError(
-                    f"skill cap reached ({self.skill_growth_cap}), refused {name!r}"
-                )
-            nid = self.allocate_id()
-            self._commit(
-                "add_skill",
-                {
-                    "id": nid,
-                    "name": name,
-                    "mastery": mastery,
-                    "prompt_template": prompt_template,
-                    "strategy": strategy,
-                },
+        if not name:
+            raise ValidationError("skill name must be non-empty")
+        _check_unit_interval("mastery", mastery)
+        if len(self.skills) >= self.skill_growth_cap:
+            raise CapError(
+                f"skill cap reached ({self.skill_growth_cap}), refused {name!r}"
             )
-            return nid
+        nid = self.allocate_id()
+        self._commit(
+            "add_skill",
+            {
+                "id": nid,
+                "name": name,
+                "mastery": mastery,
+                "prompt_template": prompt_template,
+                "strategy": strategy,
+            },
+        )
+        return nid
 
     def set_mastery(self, skill_id: int, value: float) -> None:
-        with self._lock:
-            self._require_skill(skill_id)
-            _check_unit_interval("mastery", value)
-            self._commit("set_mastery", {"skill_id": skill_id, "value": value})
+        self.skill(skill_id)
+        _check_unit_interval("mastery", value)
+        self._commit("set_mastery", {"skill_id": skill_id, "value": value})
 
     def set_prompt_template(self, skill_id: int, template: str) -> None:
-        with self._lock:
-            self._require_skill(skill_id)
-            if "{question}" not in template:
-                raise ValidationError("prompt template must contain {question}")
-            self._commit("set_prompt_template", {"skill_id": skill_id, "value": template})
+        self.skill(skill_id)
+        if "{question}" not in template:
+            raise ValidationError("prompt template must contain {question}")
+        self._commit("set_prompt_template", {"skill_id": skill_id, "value": template})
 
     def set_strategy(self, skill_id: int, strategy: str) -> None:
-        with self._lock:
-            self._require_skill(skill_id)
-            self._commit("set_strategy", {"skill_id": skill_id, "value": strategy})
+        self.skill(skill_id)
+        self._commit("set_strategy", {"skill_id": skill_id, "value": strategy})
 
     def add_principle_ref(self, skill_id: int, principle_id: int) -> None:
         """Reference a principle from a skill; oldest ref is dropped at the cap."""
-        with self._lock:
-            self._require_skill(skill_id)
-            node = self.experience.get(principle_id)
-            if node is None or node.outcome != "principle":
-                raise ValidationError(f"node {principle_id} is not a principle")
-            self._commit(
-                "add_principle_ref", {"skill_id": skill_id, "principle_id": principle_id}
-            )
+        self.skill(skill_id)
+        node = self.experience.get(principle_id)
+        if node is None or node.outcome != "principle":
+            raise ValidationError(f"node {principle_id} is not a principle")
+        self._commit(
+            "add_principle_ref", {"skill_id": skill_id, "principle_id": principle_id}
+        )
 
     def add_prerequisite(self, prereq_skill_id: int, skill_id: int) -> None:
-        with self._lock:
-            self._require_skill(prereq_skill_id)
-            self._require_skill(skill_id)
-            if prereq_skill_id == skill_id:
-                raise CycleError("skill cannot be its own prerequisite")
-            if (prereq_skill_id, skill_id) in self._prereq_edges:
-                return
-            if self._reaches(skill_id, prereq_skill_id):
-                raise CycleError(
-                    f"edge {prereq_skill_id}->{skill_id} would close a prerequisite cycle"
-                )
-            self._commit(
-                "add_prerequisite", {"from_id": prereq_skill_id, "to_id": skill_id}
+        self.skill(prereq_skill_id)
+        self.skill(skill_id)
+        if prereq_skill_id == skill_id:
+            raise CycleError("skill cannot be its own prerequisite")
+        if (prereq_skill_id, skill_id) in self._prereq_edges:
+            return
+        if self._reaches(skill_id, prereq_skill_id):
+            raise CycleError(
+                f"edge {prereq_skill_id}->{skill_id} would close a prerequisite cycle"
             )
+        self._commit(
+            "add_prerequisite", {"from_id": prereq_skill_id, "to_id": skill_id}
+        )
 
     def _reaches(self, start: int, target: int) -> bool:
         stack = [start]
@@ -309,44 +302,39 @@ class KnowledgeGraph:
         return False
 
     def prereq_edges(self) -> set[tuple[int, int]]:
-        with self._lock:
-            return set(self._prereq_edges)
+        return set(self._prereq_edges)
 
     # ------------------------------------------------------------------
     # task subgraph
 
     def add_task_type(self, name: str) -> int:
-        with self._lock:
-            if not name:
-                raise ValidationError("task type name must be non-empty")
-            nid = self.allocate_id()
-            self._commit(
-                "add_task_type",
-                {"id": nid, "name": name, "observed_iter": max(self.current_iter, 0)},
-            )
-            return nid
+        if not name:
+            raise ValidationError("task type name must be non-empty")
+        nid = self.allocate_id()
+        self._commit(
+            "add_task_type",
+            {"id": nid, "name": name, "observed_iter": max(self.current_iter, 0)},
+        )
+        return nid
 
     def set_resolver(self, task_type_id: int, skill_id: int) -> None:
-        with self._lock:
-            self._require_task_type(task_type_id)
-            self._require_skill(skill_id)
-            self._commit(
-                "set_resolver", {"task_type_id": task_type_id, "skill_id": skill_id}
-            )
+        self.task_type(task_type_id)
+        self.skill(skill_id)
+        self._commit(
+            "set_resolver", {"task_type_id": task_type_id, "skill_id": skill_id}
+        )
 
     def record_task_failure(self, task_type_id: int) -> None:
-        with self._lock:
-            self._require_task_type(task_type_id)
-            self._commit("task_failure", {"task_type_id": task_type_id})
+        self.task_type(task_type_id)
+        self._commit("task_failure", {"task_type_id": task_type_id})
 
     def mark_selected(self, task_type_id: int, k: int) -> None:
-        with self._lock:
-            tt = self._require_task_type(task_type_id)
-            if k < tt.k_last:
-                raise ValidationError(
-                    f"selection iteration {k} precedes k_last={tt.k_last}"
-                )
-            self._commit("mark_selected", {"task_type_id": task_type_id, "k": k})
+        tt = self.task_type(task_type_id)
+        if k < tt.k_last:
+            raise ValidationError(
+                f"selection iteration {k} precedes k_last={tt.k_last}"
+            )
+        self._commit("mark_selected", {"task_type_id": task_type_id, "k": k})
 
     # ------------------------------------------------------------------
     # experience subgraph
@@ -360,36 +348,35 @@ class KnowledgeGraph:
         kind: str | None = None,
         confidence: float = 1.0,
     ) -> int:
-        with self._lock:
-            if outcome not in EXPERIENCE_OUTCOMES:
-                raise ValidationError(f"unknown outcome class {outcome!r}")
-            if outcome == "failure_memory":
-                if kind not in FAILURE_KINDS:
-                    raise ValidationError(
-                        f"failure_memory requires kind in {sorted(FAILURE_KINDS)}"
-                    )
-            elif kind is not None:
-                raise ValidationError(f"kind is only valid for failure_memory, got {outcome!r}")
-            _check_unit_interval("confidence", confidence)
-            if task_type_id is not None:
-                self._require_task_type(task_type_id)
-            if skill_id is not None:
-                self._require_skill(skill_id)
-            nid = self.allocate_id()
-            self._commit(
-                "append_experience",
-                {
-                    "id": nid,
-                    "outcome": outcome,
-                    "task_type_id": task_type_id,
-                    "skill_id": skill_id,
-                    "kind": kind,
-                    "confidence": confidence,
-                    "payload": _json_copy(payload),
-                    "created_iter": self.current_iter,
-                },
-            )
-            return nid
+        if outcome not in EXPERIENCE_OUTCOMES:
+            raise ValidationError(f"unknown outcome class {outcome!r}")
+        if outcome == "failure_memory":
+            if kind not in FAILURE_KINDS:
+                raise ValidationError(
+                    f"failure_memory requires kind in {sorted(FAILURE_KINDS)}"
+                )
+        elif kind is not None:
+            raise ValidationError(f"kind is only valid for failure_memory, got {outcome!r}")
+        _check_unit_interval("confidence", confidence)
+        if task_type_id is not None:
+            self.task_type(task_type_id)
+        if skill_id is not None:
+            self.skill(skill_id)
+        nid = self.allocate_id()
+        self._commit(
+            "append_experience",
+            {
+                "id": nid,
+                "outcome": outcome,
+                "task_type_id": task_type_id,
+                "skill_id": skill_id,
+                "kind": kind,
+                "confidence": confidence,
+                "payload": _json_copy(payload),
+                "created_iter": self.current_iter,
+            },
+        )
+        return nid
 
     def prune_low_confidence(self, threshold: float) -> list[int]:
         """Drop abstracted_pattern nodes below the confidence threshold.
@@ -397,38 +384,34 @@ class KnowledgeGraph:
         Protected nodes and retrieval recipes are never eligible, whatever
         their confidence.
         """
-        with self._lock:
-            _check_unit_interval("threshold", threshold)
-            removed = sorted(
-                nid
-                for nid, node in self.experience.items()
-                if node.outcome == "abstracted_pattern" and node.confidence < threshold
-            )
-            self._commit("prune", {"threshold": threshold, "removed_ids": removed})
-            return removed
+        _check_unit_interval("threshold", threshold)
+        removed = sorted(
+            nid
+            for nid, node in self.experience.items()
+            if node.outcome == "abstracted_pattern" and node.confidence < threshold
+        )
+        self._commit("prune", {"threshold": threshold, "removed_ids": removed})
+        return removed
 
     def recipe_ids(self, skill_id: int) -> list[int]:
         """Ids of the skill's retrieval_recipe nodes, oldest first."""
-        with self._lock:
-            return list(self._recipe_ids.get(skill_id, ()))
+        return list(self._recipe_ids.get(skill_id, ()))
 
     def protected_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._protected)
+        return dict(self._protected)
 
     # ------------------------------------------------------------------
     # environment subgraph
 
     def add_env_node(self, node_class: str, payload: dict[str, Any]) -> int:
-        with self._lock:
-            if node_class not in ENV_CLASSES:
-                raise ValidationError(f"unknown env node class {node_class!r}")
-            nid = self.allocate_id()
-            self._commit(
-                "add_env_node",
-                {"id": nid, "node_class": node_class, "payload": _json_copy(payload)},
-            )
-            return nid
+        if node_class not in ENV_CLASSES:
+            raise ValidationError(f"unknown env node class {node_class!r}")
+        nid = self.allocate_id()
+        self._commit(
+            "add_env_node",
+            {"id": nid, "node_class": node_class, "payload": _json_copy(payload)},
+        )
+        return nid
 
     # ------------------------------------------------------------------
     # bandit slots
@@ -436,20 +419,19 @@ class KnowledgeGraph:
     def bandit_init(
         self, context_id: str, arm_ids: Iterable[str], warmup_pulls: int, rng_seed: int
     ) -> None:
-        with self._lock:
-            arms = list(arm_ids)
-            new_slot(context_id, arms, warmup_pulls, rng_seed)  # validates; _apply builds it
-            if context_id in self.bandits:
-                raise ValidationError(f"bandit context {context_id!r} already exists")
-            self._commit(
-                "bandit_init",
-                {
-                    "context_id": context_id,
-                    "arm_ids": arms,
-                    "warmup_pulls": warmup_pulls,
-                    "rng_seed": rng_seed,
-                },
-            )
+        arms = list(arm_ids)
+        new_slot(context_id, arms, warmup_pulls, rng_seed)  # validates; _apply builds it
+        if context_id in self.bandits:
+            raise ValidationError(f"bandit context {context_id!r} already exists")
+        self._commit(
+            "bandit_init",
+            {
+                "context_id": context_id,
+                "arm_ids": arms,
+                "warmup_pulls": warmup_pulls,
+                "rng_seed": rng_seed,
+            },
+        )
 
     def _require_arm(self, context_id: str, arm_id: str) -> None:
         slot = self.bandits.get(context_id)
@@ -459,37 +441,32 @@ class KnowledgeGraph:
             raise ValidationError(f"unknown arm {arm_id!r}")
 
     def bandit_record_draw(self, context_id: str, arm_id: str) -> None:
-        with self._lock:
-            self._require_arm(context_id, arm_id)
-            self._commit("bandit_draw", {"context_id": context_id, "arm_id": arm_id})
+        self._require_arm(context_id, arm_id)
+        self._commit("bandit_draw", {"context_id": context_id, "arm_id": arm_id})
 
     def bandit_update(self, context_id: str, arm_id: str, reward: int) -> None:
-        with self._lock:
-            self._require_arm(context_id, arm_id)
-            check_reward(reward)
-            self._commit(
-                "bandit_update",
-                {"context_id": context_id, "arm_id": arm_id, "reward": reward},
-            )
+        self._require_arm(context_id, arm_id)
+        check_reward(reward)
+        self._commit(
+            "bandit_update",
+            {"context_id": context_id, "arm_id": arm_id, "reward": reward},
+        )
 
     # ------------------------------------------------------------------
     # snapshots
 
     def snapshot(self) -> int:
-        with self._lock:
-            sid = self.allocate_id()
-            self._commit("snapshot", {"snapshot_id": sid})
-            return sid
+        sid = self.allocate_id()
+        self._commit("snapshot", {"snapshot_id": sid})
+        return sid
 
     def rollback_mutable(self, snapshot_id: int) -> None:
-        with self._lock:
-            if snapshot_id not in self._snapshots:
-                raise NotFoundError(f"snapshot {snapshot_id} not found")
-            self._commit("rollback", {"snapshot_id": snapshot_id})
+        if snapshot_id not in self._snapshots:
+            raise NotFoundError(f"snapshot {snapshot_id} not found")
+        self._commit("rollback", {"snapshot_id": snapshot_id})
 
     def snapshot_ids(self) -> list[int]:
-        with self._lock:
-            return sorted(self._snapshots)
+        return sorted(self._snapshots)
 
     def _capture_mutable_state(self) -> dict[str, Any]:
         return {
@@ -638,46 +615,35 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # lookups
 
-    def _require_skill(self, skill_id: int) -> SkillNode:
+    def skill(self, skill_id: int) -> SkillNode:
         node = self.skills.get(skill_id)
         if node is None:
             raise NotFoundError(f"skill {skill_id} not found")
         return node
 
-    def _require_task_type(self, task_type_id: int) -> TaskTypeNode:
+    def task_type(self, task_type_id: int) -> TaskTypeNode:
         node = self.task_types.get(task_type_id)
         if node is None:
             raise NotFoundError(f"task type {task_type_id} not found")
         return node
 
-    def skill(self, skill_id: int) -> SkillNode:
-        with self._lock:
-            return self._require_skill(skill_id)
-
-    def task_type(self, task_type_id: int) -> TaskTypeNode:
-        with self._lock:
-            return self._require_task_type(task_type_id)
-
     def experience_node(self, node_id: int) -> ExperienceNode:
-        with self._lock:
-            node = self.experience.get(node_id)
-            if node is None:
-                raise NotFoundError(f"experience node {node_id} not found")
-            return node
+        node = self.experience.get(node_id)
+        if node is None:
+            raise NotFoundError(f"experience node {node_id} not found")
+        return node
 
     def skill_by_name(self, name: str) -> SkillNode:
-        with self._lock:
-            for node in self.skills.values():
-                if node.name == name:
-                    return node
-            raise NotFoundError(f"skill named {name!r} not found")
+        for node in self.skills.values():
+            if node.name == name:
+                return node
+        raise NotFoundError(f"skill named {name!r} not found")
 
     def task_type_by_name(self, name: str) -> TaskTypeNode:
-        with self._lock:
-            for node in self.task_types.values():
-                if node.name == name:
-                    return node
-            raise NotFoundError(f"task type named {name!r} not found")
+        for node in self.task_types.values():
+            if node.name == name:
+                return node
+        raise NotFoundError(f"task type named {name!r} not found")
 
     # ------------------------------------------------------------------
     # serialization
@@ -688,42 +654,41 @@ class KnowledgeGraph:
 
     def canonical_bytes(self) -> bytes:
         """The whole state as JSON with sorted keys and no whitespace."""
-        with self._lock:
-            sections = {
-                "bandits": _dumps({cid: slot.to_dict() for cid, slot in self.bandits.items()}),
-                "env_nodes": self._env_json.section(self.env_nodes),
-                "experience": self._experience_json.section(self.experience),
-                "last_seq": _dumps(self._seq),
-                "next_id": _dumps(self._next_id),
-                "prereq_edges": _dumps(sorted([list(e) for e in self._prereq_edges])),
-                "skills": _dumps(
-                    {
-                        str(s.id): {
-                            "id": s.id,
-                            "name": s.name,
-                            "mastery": s.mastery,
-                            "prompt_template": s.prompt_template,
-                            "strategy": s.strategy,
-                            "principle_ids": s.principle_ids,
-                        }
-                        for s in self.skills.values()
+        sections = {
+            "bandits": _dumps({cid: slot.to_dict() for cid, slot in self.bandits.items()}),
+            "env_nodes": self._env_json.section(self.env_nodes),
+            "experience": self._experience_json.section(self.experience),
+            "last_seq": _dumps(self._seq),
+            "next_id": _dumps(self._next_id),
+            "prereq_edges": _dumps(sorted([list(e) for e in self._prereq_edges])),
+            "skills": _dumps(
+                {
+                    str(s.id): {
+                        "id": s.id,
+                        "name": s.name,
+                        "mastery": s.mastery,
+                        "prompt_template": s.prompt_template,
+                        "strategy": s.strategy,
+                        "principle_ids": s.principle_ids,
                     }
-                ),
-                "snapshots": self._snapshot_json.section(self._snapshots),
-                "task_types": _dumps(
-                    {
-                        str(t.id): {
-                            "id": t.id,
-                            "name": t.name,
-                            "n_fail": t.n_fail,
-                            "k_last": t.k_last,
-                            "resolver_skill_id": t.resolver_skill_id,
-                            "observed_iter": t.observed_iter,
-                        }
-                        for t in self.task_types.values()
+                    for s in self.skills.values()
+                }
+            ),
+            "snapshots": self._snapshot_json.section(self._snapshots),
+            "task_types": _dumps(
+                {
+                    str(t.id): {
+                        "id": t.id,
+                        "name": t.name,
+                        "n_fail": t.n_fail,
+                        "k_last": t.k_last,
+                        "resolver_skill_id": t.resolver_skill_id,
+                        "observed_iter": t.observed_iter,
                     }
-                ),
-            }
+                    for t in self.task_types.values()
+                }
+            ),
+        }
         members = (b'"%s":%s' % (name.encode(), body) for name, body in sorted(sections.items()))
         return b"{" + b",".join(members) + b"}"
 

@@ -248,8 +248,7 @@ class _Block:
         """The similarity of each row to the normalised ``query``, the rows
         best first (ties in row order), and their similarities in that order.
 
-        Each (row, query) pair is scored once. An entry is swapped in whole,
-        so the worker threads of one pass share the memo safely.
+        Each (row, query) pair is scored once.
         """
         key = query.tobytes()
         scored = self._scored.get(key)

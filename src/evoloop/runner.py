@@ -187,8 +187,20 @@ def run_training(
     engine: Engine | None = None,
     on_iteration=None,
 ) -> list[IterationReport]:
-    """Run (or continue) training until ``iterations`` are committed."""
+    """Run (or continue) training until ``iterations`` are committed.
+
+    An ``engine`` given must log into ``store``: the one ``load_engine`` or
+    ``bootstrap_run`` built it on. Its events would otherwise wait in another
+    store's buffer, and the run would hold reports and boundary snapshots
+    that no event in its log backs.
+    """
     store.require()
+    # bound methods are equal only when bound to the same store
+    if engine is not None and engine.graph._sink != store.event_sink:
+        raise ValidationError(
+            "the engine's graph does not log into this run store; "
+            "load the engine with load_engine(store)"
+        )
     committed = store.read_reports()
     if engine is None:
         if not committed and not store.has_events():

@@ -27,8 +27,11 @@ raises ``IntegrityError`` naming the file. A report line that is not an
 object holding every ``IterationReport`` field, each of the JSON type its
 annotation names (an array for a list, an object for a dict, an integer
 for an int, any number for a float, a string for a str; a boolean is
-neither an integer nor a number), raises it naming the line, so no verb
-reads a field a report lacks or holds in another shape.
+neither an integer nor a number), as is each member of an array or object
+field whose annotation names a member type, raises it naming the line. So
+does a ``coverage`` without ``selected`` and ``observed``, or a
+``task_stats_pre`` row without integer ``task_type_id`` and ``n_fail``. No
+verb then reads a field or member a report lacks or holds in another shape.
 Both JSONL files are read line by line through one reused
 ``json.JSONDecoder``: each stripped, non-blank line must hold exactly one
 JSON value, and a line that per-line ``json.loads`` would reject raises
@@ -51,7 +54,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Iterator, Mapping, get_origin, get_type_hints
+from typing import Any, Callable, Iterator, Mapping, get_args, get_origin, get_type_hints
 
 from .engine import IterationReport
 from .errors import IntegrityError, ValidationError
@@ -75,10 +78,20 @@ _JSON_TYPES = {
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
 }
-# field name -> (accepted types, name), in field order; the types are
-# matched exactly, so a bool is neither an int nor a number
+
+
+def _json_type(hint: Any) -> tuple[tuple[type, ...], str] | None:
+    """The JSON types a value annotated ``hint`` accepts, and their name;
+    None for ``Any``."""
+    return _JSON_TYPES.get(get_origin(hint) or hint)
+
+
+# field name -> (its accepted types and their name, and those of each member
+# of the array or object it holds, None when any member goes), in field
+# order; the types are matched exactly, so a bool is neither an int nor a
+# number
 _REPORT_TYPES = {
-    name: _JSON_TYPES[get_origin(hint) or hint]
+    name: (_json_type(hint), _json_type(get_args(hint)[-1]) if get_args(hint) else None)
     for name, hint in get_type_hints(IterationReport).items()
 }
 _SNAPSHOT_NAME = re.compile(r"snap-([0-9]+)\.json")
@@ -174,10 +187,9 @@ class RunStore:
             os.fsync(fh.fileno())
 
     def read_reports(self) -> list[dict[str, Any]]:
-        """Every report; a line that is not an object holding each
-        ``IterationReport`` field, of its JSON type, raises
-        ``IntegrityError`` naming it."""
-        return list(_read_jsonl(self.root / REPORTS_NAME, "report", _REPORT_TYPES))
+        """Every report; a line of another shape (see ``_report_fault``)
+        raises ``IntegrityError`` naming it."""
+        return list(_read_jsonl(self.root / REPORTS_NAME, "report", _report_fault))
 
     # ------------------------------------------------------------------
     # boundary snapshots and eval records
@@ -254,8 +266,36 @@ def _read_json(path: Path, what: str) -> Any:
         raise IntegrityError(f"corrupt {what} {path.name}: {exc}") from exc
 
 
+def _report_fault(report: Any) -> str | None:
+    """Why a decoded report line is not one every verb can read, or None.
+
+    Each ``IterationReport`` field must hold the JSON type its annotation
+    names, and so must each member of an array or object field whose
+    annotation names a member type. ``coverage`` must hold ``selected`` and
+    ``observed``, and each ``task_stats_pre`` row an integer
+    ``task_type_id`` and ``n_fail``: the stats table and the audit compute
+    with them.
+    """
+    if not (isinstance(report, dict) and _REPORT_TYPES.keys() <= report.keys()):
+        return "not an object holding every report field"
+    for name, ((accepted, expected), member) in _REPORT_TYPES.items():
+        value = report[name]
+        if type(value) not in accepted:
+            return f"field {name!r} is not {expected}"
+        if member is not None:
+            members = value.values() if type(value) is dict else value
+            if any(type(item) not in member[0] for item in members):
+                return f"field {name!r} holds a member that is not {member[1]}"
+    if not {"selected", "observed"} <= report["coverage"].keys():
+        return "field 'coverage' lacks 'selected' or 'observed'"
+    for row in report["task_stats_pre"]:
+        if type(row.get("task_type_id")) is not int or type(row.get("n_fail")) is not int:
+            return "field 'task_stats_pre' holds a row without integer 'task_type_id' and 'n_fail'"
+    return None
+
+
 def _read_jsonl(
-    path: Path, what: str, types: Mapping[str, tuple[tuple[type, ...], str]] | None = None
+    path: Path, what: str, fault: Callable[[Any], str | None] | None = None
 ) -> Iterator[Any]:
     """The value of each non-blank line of a JSONL file, read line by line.
 
@@ -263,9 +303,8 @@ def _read_jsonl(
     raises ``IntegrityError`` with the same message, from one reused
     decoder: ``raw_decode`` stops after the first value, so anything but
     whitespace after it is "Extra data", as ``json.loads`` reports it.
-    With ``types``, a value that is not an object holding each of its
-    keys, with a value of one of the key's accepted types, raises
-    ``IntegrityError`` naming its line.
+    With ``fault``, a value for which it names a fault raises
+    ``IntegrityError`` naming its line and the fault.
     """
     if not path.is_file():
         return
@@ -288,16 +327,9 @@ def _read_jsonl(
                             raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
                     raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {exc}") from exc
-                if types is not None:
-                    if not (isinstance(value, dict) and types.keys() <= value.keys()):
-                        raise IntegrityError(
-                            f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
-                        )
-                    for name, (accepted, expected) in types.items():
-                        if type(value[name]) not in accepted:
-                            raise IntegrityError(
-                                f"corrupt {what} at {path.name}:{lineno}: field {name!r} is not {expected}"
-                            )
+                reason = fault(value) if fault is not None else None
+                if reason is not None:
+                    raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {reason}")
                 yield value
     except UnicodeDecodeError as exc:
         # the file decodes a block at a time, so the failing line is unknown

@@ -289,30 +289,32 @@ def protected_counts_reference(graph) -> dict:
 # run files
 
 
-# the JSON type of each IterationReport field, in field order, kept by hand
-# so the reader's table (derived from the annotations) meets an independent one
+# the JSON type of each IterationReport field, in field order, and the JSON
+# type of each member of its array or object (None when any member goes),
+# kept by hand so the reader's table (derived from the annotations) meets an
+# independent one
 REPORT_FIELD_TYPES = {
-    "iteration": "integer",
-    "accuracy": "number",
-    "committed_accuracy": "number",
-    "rollback": "string",
-    "selected_frontier": "array",
-    "selected_task_types": "array",
-    "task_stats_pre": "array",
-    "per_question": "array",
-    "per_skill_evidence": "object",
-    "bandit_selections": "object",
-    "appended": "object",
-    "pruned_ids": "array",
-    "cap_errors": "array",
-    "tier_calls": "object",
-    "agent_calls": "object",
-    "masteries_post": "object",
-    "protected_counts_post": "object",
-    "skills_count": "integer",
-    "coverage": "object",
-    "snapshot_id": "integer",
-    "boundary_snapshot_id": "integer",
+    "iteration": ("integer", None),
+    "accuracy": ("number", None),
+    "committed_accuracy": ("number", None),
+    "rollback": ("string", None),
+    "selected_frontier": ("array", "integer"),
+    "selected_task_types": ("array", "integer"),
+    "task_stats_pre": ("array", "object"),
+    "per_question": ("array", "object"),
+    "per_skill_evidence": ("object", "object"),
+    "bandit_selections": ("object", "string"),
+    "appended": ("object", "array"),
+    "pruned_ids": ("array", "integer"),
+    "cap_errors": ("array", "string"),
+    "tier_calls": ("object", "integer"),
+    "agent_calls": ("object", "integer"),
+    "masteries_post": ("object", "number"),
+    "protected_counts_post": ("object", "integer"),
+    "skills_count": ("integer", None),
+    "coverage": ("object", "integer"),
+    "snapshot_id": ("integer", None),
+    "boundary_snapshot_id": ("integer", None),
 }
 
 
@@ -334,9 +336,8 @@ def read_jsonl_reference(path, what: str, field_types=None) -> tuple:
     """A JSONL file read with one ``json.loads`` per stripped, non-blank line.
 
     Returns ``(records, None)``, or ``(None, message)`` with the error text
-    for the first line ``json.loads`` rejects or, with ``field_types`` (field
-    name -> JSON type), whose value is not an object holding every field,
-    or whose first field in that order is not of its JSON type.
+    for the first line ``json.loads`` rejects or, with ``field_types`` (as
+    ``REPORT_FIELD_TYPES``), whose value ``report_fault_reference`` faults.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -349,14 +350,36 @@ def read_jsonl_reference(path, what: str, field_types=None) -> tuple:
             except json.JSONDecodeError as exc:
                 return None, f"corrupt {what} at {path.name}:{lineno}: {exc}"
             if field_types is not None:
-                if not (isinstance(record, dict) and all(key in record for key in field_types)):
-                    return None, f"corrupt {what} at {path.name}:{lineno}: not an object holding every {what} field"
-                for name, json_type in field_types.items():
-                    if not json_type_holds(json_type, record[name]):
-                        article = "an" if json_type[0] in "aeiou" else "a"
-                        return None, (
-                            f"corrupt {what} at {path.name}:{lineno}: "
-                            f"field {name!r} is not {article} {json_type}"
-                        )
+                fault = report_fault_reference(record, field_types, what)
+                if fault is not None:
+                    return None, f"corrupt {what} at {path.name}:{lineno}: {fault}"
             records.append(record)
     return records, None
+
+
+def report_fault_reference(record, field_types, what: str = "report"):
+    """The first fault of a decoded report, or None: not an object holding
+    every field; then, field by field in order, a field not of its JSON type
+    or a member of it not of its member type; then a ``coverage`` without
+    ``selected`` or ``observed``; then a ``task_stats_pre`` row without
+    integer ``task_type_id`` and ``n_fail``."""
+
+    def a(json_type):
+        return ("an " if json_type[0] in "aeiou" else "a ") + json_type
+
+    if not (isinstance(record, dict) and all(key in record for key in field_types)):
+        return f"not an object holding every {what} field"
+    for name, (json_type, member_type) in field_types.items():
+        value = record[name]
+        if not json_type_holds(json_type, value):
+            return f"field {name!r} is not {a(json_type)}"
+        if member_type is not None:
+            members = value.values() if isinstance(value, dict) else value
+            if not all(json_type_holds(member_type, member) for member in members):
+                return f"field {name!r} holds a member that is not {a(member_type)}"
+    if "selected" not in record["coverage"] or "observed" not in record["coverage"]:
+        return "field 'coverage' lacks 'selected' or 'observed'"
+    for row in record["task_stats_pre"]:
+        if not all(json_type_holds("integer", row.get(key)) for key in ("task_type_id", "n_fail")):
+            return "field 'task_stats_pre' holds a row without integer 'task_type_id' and 'n_fail'"
+    return None

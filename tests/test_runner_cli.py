@@ -373,6 +373,22 @@ def test_kill_before_a_rename_resumes_to_the_uninterrupted_run(tmp_path, monkeyp
     assert not list(store.root.glob("*.tmp"))
 
 
+def test_run_training_refuses_an_engine_that_logs_into_another_store(tmp_path):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    engine = load_engine(RunStore(run_dir))
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    with pytest.raises(ValidationError, match="does not log into this run store"):
+        run_training(RunStore(run_dir), iterations=3, engine=engine)
+    assert engine.graph.current_iter == 1  # no iteration ran
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    # the store the engine was loaded on trains it, and the run audits clean
+    store = RunStore(run_dir)
+    run_training(store, iterations=3, engine=load_engine(store))
+    assert audit_run(RunStore(run_dir)).passed
+
+
 def test_resume_after_eval_records_exist(tmp_path):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=2)
@@ -676,6 +692,73 @@ def test_report_field_of_the_wrong_json_type_is_an_integrity_error(
         assert main([verb[0], str(run_dir), *verb[1:]]) == 2, verb
         captured = capsys.readouterr()
         assert message in captured.out + captured.err, verb
+        assert "Traceback" not in captured.err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+_ROW_FAULT = "field 'task_stats_pre' holds a row without integer 'task_type_id' and 'n_fail'"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("coverage", {}, "field 'coverage' lacks 'selected' or 'observed'", id="coverage-empty"),
+        pytest.param(
+            "coverage", {"selected": 1}, "field 'coverage' lacks 'selected' or 'observed'", id="coverage-no-observed"
+        ),
+        pytest.param(
+            "coverage",
+            {"selected": "1", "observed": 3},
+            "field 'coverage' holds a member that is not an integer",
+            id="coverage-string",
+        ),
+        pytest.param("task_stats_pre", [{}], _ROW_FAULT, id="task-stats-empty-row"),
+        pytest.param("task_stats_pre", [{"task_type_id": 1, "n_fail": "2"}], _ROW_FAULT, id="task-stats-string"),
+        pytest.param(
+            "task_stats_pre", [5], "field 'task_stats_pre' holds a member that is not an object", id="task-stats-number"
+        ),
+        pytest.param(
+            "masteries_post", {"1": "x"}, "field 'masteries_post' holds a member that is not a number", id="mastery-string"
+        ),
+        pytest.param(
+            "masteries_post", {"1": True}, "field 'masteries_post' holds a member that is not a number", id="mastery-bool"
+        ),
+        pytest.param(
+            "protected_counts_post",
+            {"failure_memory": "x"},
+            "field 'protected_counts_post' holds a member that is not an integer",
+            id="protected-count-string",
+        ),
+        pytest.param(
+            "selected_task_types",
+            [{}],
+            "field 'selected_task_types' holds a member that is not an integer",
+            id="selected-object",
+        ),
+        pytest.param(
+            "agent_calls", {"critic": "x"}, "field 'agent_calls' holds a member that is not an integer", id="agent-calls-string"
+        ),
+        pytest.param(
+            "tier_calls", {"judge": 1.5}, "field 'tier_calls' holds a member that is not an integer", id="tier-calls-float"
+        ),
+    ],
+)
+def test_report_member_of_the_wrong_shape_is_an_integrity_error(
+    tmp_path, capsys, field, value, message
+):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=3)
+    lines = (run_dir / "reports.jsonl").read_text().splitlines()
+    report = json.loads(lines[1])
+    report[field] = value
+    lines[1] = json.dumps(report, sort_keys=True)
+    (run_dir / "reports.jsonl").write_text("\n".join(lines) + "\n")
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    for verb in (["audit"], ["stats"], ["eval"], ["run", "--resume", "--iterations", "4"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2, verb
+        captured = capsys.readouterr()
+        assert f"corrupt report at reports.jsonl:2: {message}" in captured.out + captured.err, verb
         assert "Traceback" not in captured.err
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 

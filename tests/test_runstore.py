@@ -27,14 +27,25 @@ record = st.dictionaries(st.text(max_size=3), values, max_size=3).map(
 )
 pad = st.sampled_from(["", " ", "\t", "  "])
 REPORT_FIELDS = [f.name for f in fields(IterationReport)]
-# a value of each JSON type a report field holds
+# a value of each JSON type a report field or member holds
 TYPED = {"integer": 3, "number": 0.5, "string": "none", "array": [1], "object": {"a": 1}}
 
 
+def _typed(name, json_type, member_type):
+    """A value of report field ``name`` that the reader takes."""
+    if name == "coverage":
+        return {"selected": 1, "observed": 2}
+    if name == "task_stats_pre":
+        return [{"task_type_id": 1, "n_fail": 0}]
+    if member_type is None:
+        return TYPED[json_type]
+    return [TYPED[member_type]] if json_type == "array" else {"a": TYPED[member_type]}
+
+
 def _report_line(drop, swap, value):
-    """A report with every field of its JSON type, then field ``drop``
-    left out and field ``swap`` set to ``value`` (-1 for neither)."""
-    report = {name: TYPED[json_type] for name, json_type in REPORT_FIELD_TYPES.items()}
+    """A report the reader takes, then field ``drop`` left out and field
+    ``swap`` set to ``value`` (-1 for neither)."""
+    report = {name: _typed(name, *types) for name, types in REPORT_FIELD_TYPES.items()}
     if swap >= 0:
         report[REPORT_FIELDS[swap]] = value
     if drop >= 0:
@@ -73,6 +84,9 @@ chunks = st.one_of(
 @given(st.lists(chunks, max_size=8).map(lambda cs: [line for c in cs for line in c]))
 # a well-typed report, then one whose integer field holds a boolean
 @example([_report_line(-1, -1, None), _report_line(-1, 0, True)])
+# a coverage without its members, then a task_stats_pre row without its integers
+@example([_report_line(-1, REPORT_FIELDS.index("coverage"), {})])
+@example([_report_line(-1, REPORT_FIELDS.index("task_stats_pre"), [{"n_fail": 1}])])
 def test_jsonl_reader_matches_per_line_json_loads(lines):
     assert list(REPORT_FIELD_TYPES) == REPORT_FIELDS
     text = "\n".join(lines) + "\n"
@@ -81,7 +95,7 @@ def test_jsonl_reader_matches_per_line_json_loads(lines):
         for name, what, read, keys in (
             (EVENTS_NAME, "event", lambda s: list(s.read_events()), None),
             # a report line must also be an object holding every report
-            # field, each of its JSON type
+            # field, each of its JSON type, with members of theirs
             (REPORTS_NAME, "report", RunStore.read_reports, REPORT_FIELD_TYPES),
         ):
             path = Path(tmp) / name
