@@ -9,7 +9,7 @@ injected by hand so both the small-drop and the catastrophic paths fire.
 """
 
 from evoloop import EngineConfig, make_env
-from evoloop.engine import build_simulated_engine
+from evoloop.runner import build_simulated_engine
 
 
 def inject_drop(engine, drop):

@@ -56,12 +56,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from . import bandits, memory
-from .backends import (
-    BackendSet,
-    GUIDANCE_AGENTS,
-    simulated_backend_set,
-    stable_hash64,
-)
+from .backends import BackendSet, GUIDANCE_AGENTS, stable_hash64
 from .curriculum import RatchetParams, SelectorParams, mastery_update, round_robin_select
 from .errors import BackendError, CapError, ValidationError
 from .graph import KnowledgeGraph
@@ -120,7 +115,8 @@ _CONFIG_LEAST = {
     "pool_size": 1,
     "iterations": 1,
     "trace_char_cap": 1,
-    "snapshot_history_limit": 1,
+    # an iteration's own snapshot must not evict the boundary it may roll back to
+    "snapshot_history_limit": 2,
     "eval_workers": 1,
 }
 
@@ -282,7 +278,12 @@ class IterationReport:
 class Engine:
     """Owns one graph, one memory index, one backend set, one environment.
 
-    A frozen eval without retrieval runs with no index (``index`` None).
+    Every fact that outlives an iteration is in the graph: the previous
+    boundary is its latest snapshot, and selection coverage counts the task
+    types with a committed selection (``k_last >= 0``; a rollback restores
+    it). The engine itself adds only ``prev_accuracy``, the last committed
+    accuracy the delta guard compares with. A frozen eval without retrieval
+    runs with no index (``index`` None).
     """
 
     def __init__(
@@ -300,12 +301,10 @@ class Engine:
         self.config = config
         self.env = env
         self.prev_accuracy: float | None = None
-        self.prev_boundary_snapshot: int | None = None
-        self.selected_ever: set[int] = set()
-        # (graph version, index, {key: value}): cascade contexts keyed
-        # ("cascade", task type id, skill id) and bundles keyed ("bundle",
-        # task type id, question text, long context)
-        self._pass_memo: tuple[int, MemoryIndex | None, dict] = (-1, None, {})
+        # (graph version, {key: value}): cascade contexts keyed ("cascade",
+        # task type id, skill id) and bundles keyed ("bundle", task type id,
+        # question text, long context)
+        self._pass_memo: tuple[int, dict] = (-1, {})
 
     # ------------------------------------------------------------------
     # phase 0
@@ -334,7 +333,7 @@ class Engine:
             )
         for name, sid in skill_ids.items():
             self._init_routing_bandit(sid, name)
-        self.prev_boundary_snapshot = self.graph.snapshot()
+        self.graph.snapshot()
 
     def _init_routing_bandit(self, skill_id: int, skill_name: str) -> None:
         self.graph.bandit_init(
@@ -370,8 +369,12 @@ class Engine:
     # one full iteration
 
     def run_iteration(self, k: int) -> IterationReport:
-        if self.prev_boundary_snapshot is None:
+        snapshot_ids = self.graph.snapshot_ids()
+        if not snapshot_ids:
             raise ValidationError("bootstrap must run before iterations")
+        # bootstrap and every iteration end on a snapshot: the boundary a
+        # rollback restores
+        prev_boundary = snapshot_ids[-1]
         self.graph.current_iter = k
         tracker_before = self.backends.tracker.counts()
 
@@ -385,7 +388,7 @@ class Engine:
 
         accuracy = evaluation["accuracy"]
         if self.config.remeasure_after_update:
-            accuracy = self._remeasure(k)
+            accuracy = self._remeasure()
         snapshot_id = self.graph.snapshot()
         decision = delta_guard_decision(
             self.prev_accuracy,
@@ -400,18 +403,11 @@ class Engine:
             # restores every mutable slot, selection history included; the
             # audit's waiting clock skips rolled-back iterations for the
             # same reason
-            self.graph.rollback_mutable(self.prev_boundary_snapshot)
+            self.graph.rollback_mutable(prev_boundary)
             boundary_id = self.graph.snapshot()
             committed = self.prev_accuracy if self.prev_accuracy is not None else accuracy
-        self.prev_boundary_snapshot = boundary_id
         self.prev_accuracy = committed
-        if decision == "none":
-            self.selected_ever.update(selected)
 
-        appended_surviving = {
-            outcome: [nid for nid in ids if nid in self.graph.experience]
-            for outcome, ids in appended.items()
-        }
         tier_calls, agent_calls = self._call_deltas(tracker_before)
         report = IterationReport(
             iteration=k,
@@ -428,7 +424,7 @@ class Engine:
                     {**evaluation["search_arms"], **evaluation["routing_arms"]}.items()
                 )
             ),
-            appended=appended_surviving,
+            appended=appended,
             pruned_ids=pruned_ids,
             cap_errors=cap_errors,
             tier_calls=tier_calls,
@@ -439,7 +435,7 @@ class Engine:
             protected_counts_post=self.graph.protected_counts(),
             skills_count=len(self.graph.skills),
             coverage={
-                "selected": len(self.selected_ever),
+                "selected": sum(tt.k_last >= 0 for tt in self.graph.task_types.values()),
                 "observed": len(self.graph.task_types),
             },
             snapshot_id=snapshot_id,
@@ -646,13 +642,13 @@ class Engine:
         return raw, extract_answer(raw), len(bundle.success), len(bundle.failure)
 
     def _version_memo(self) -> dict:
-        """The memo of the current graph version and index: a fresh one once
-        a write advanced the version."""
+        """The memo of the current graph version: a fresh one once a write
+        advanced the version."""
         version = self.graph.last_seq
-        memo_version, memo_index, memo = self._pass_memo
-        if memo_version != version or memo_index is not self.index:
+        memo_version, memo = self._pass_memo
+        if memo_version != version:
             memo = {}
-            self._pass_memo = (version, self.index, memo)
+            self._pass_memo = (version, memo)
         return memo
 
     def _bundle(self, q, tt_id: int) -> memory.MemoryBundle:
@@ -991,7 +987,7 @@ class Engine:
     # ------------------------------------------------------------------
     # re-measure mode for the delta guard
 
-    def _remeasure(self, k: int) -> float:
+    def _remeasure(self) -> float:
         """Score the pool again, read-only, against the post-UPDATE graph."""
         if self.env.mode == "sequential":
             return self.prev_accuracy if self.prev_accuracy is not None else 0.0
@@ -1101,23 +1097,3 @@ def call_audit(
         "infer_total_calls": infer_total,
         "infer_guidance_fraction": (infer_guidance / infer_total) if infer_total else 0.0,
     }
-
-
-def build_simulated_engine(
-    config: EngineConfig, env, event_sink=None
-) -> Engine:
-    """Wire a fresh graph, index, and simulated backends for one run."""
-    graph = KnowledgeGraph(
-        event_sink=event_sink,
-        principles_per_skill_cap=config.principles_per_skill_cap,
-        skill_growth_cap=config.skill_growth_cap,
-        snapshot_history_limit=config.snapshot_history_limit,
-    )
-    backend_set = simulated_backend_set(env.answer_key(), seed=config.seed)
-    index = MemoryIndex(
-        graph,
-        backend_set.embedder.dimension,
-        type_strategy_min_similarity=config.type_strategy_min_similarity,
-    )
-    return Engine(graph, index, backend_set, config, env)
-

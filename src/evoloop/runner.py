@@ -10,11 +10,13 @@ Crash windows and their recovery, in iteration order:
                                  after the committed records, and cuts it
                                  only then: never when the committed
                                  records fail replay or the tail is refused
-  3. killed after the report,    the boundary snapshot file is rebuilt
-     before the snapshot file    from the replayed graph
 
-so resuming always continues from the last committed iteration and the
-finished run is byte-identical to an uninterrupted one.
+The report is the commit record: an iteration writes its boundary snapshot
+file before it appends its report, so every report has its snapshot. A
+snapshot file with no report (a kill in window 2) is one the audit does not
+read, and running that iteration again rewrites the same bytes. So resuming
+always continues from the last committed iteration and the finished run is
+byte-identical to an uninterrupted one.
 
 ``meta.json`` records the run format and the environment. New runs are
 format 2. A format-1 run (its config still holds the retired index refresh
@@ -113,6 +115,29 @@ def _committed_events(store: RunStore, last_committed: int) -> Iterator[dict[str
         store.truncate_events(kept)
 
 
+def build_simulated_engine(
+    config: EngineConfig, env, graph: KnowledgeGraph | None = None, index: bool = True
+) -> Engine:
+    """Wire simulated backends and, when ``index``, an exemplar index built
+    from ``graph`` into one engine; ``graph`` None is a fresh empty graph."""
+    if graph is None:
+        graph = KnowledgeGraph(
+            principles_per_skill_cap=config.principles_per_skill_cap,
+            skill_growth_cap=config.skill_growth_cap,
+            snapshot_history_limit=config.snapshot_history_limit,
+        )
+    backends = simulated_backend_set(env.answer_key(), seed=config.seed)
+    memory_index = None
+    if index:
+        memory_index = rebuild_index(
+            graph,
+            backends.embedder.dimension,
+            backends.embedder.embed,
+            config.type_strategy_min_similarity,
+        )
+    return Engine(graph, memory_index, backends, config, env)
+
+
 def load_engine(store: RunStore) -> Engine:
     """Rebuild the engine for a run directory by replaying its event log."""
     return _load_engine(store, store.read_reports())
@@ -123,50 +148,32 @@ def _load_engine(
 ) -> Engine:
     """``load_engine`` on the run's reports, already read by the caller.
 
-    For a frozen eval, ``eval_retrieval`` says whether it retrieves. The
-    engine then gets an exemplar index only when the eval reads one: a
-    static pool with retrieval. The sequential explorer retrieves only in
-    training. An engine loaded without an index must not train or retrieve.
+    Of the reports it reads only their count and the last committed
+    accuracy; everything else is in the replayed graph. For a frozen eval,
+    ``eval_retrieval`` says whether it retrieves. The engine then gets an
+    exemplar index only when the eval reads one: a static pool with
+    retrieval. The sequential explorer retrieves only in training. An
+    engine loaded without an index must not train or retrieve.
     """
     store.require()
     config, meta = load_run_config(store)
     env = make_env(meta["env"], seed=config.seed, pool_size=config.pool_size)
 
-    last_committed = len(reports) - 1
     # closing: a replay refused part way leaves the log open in the stream
-    with closing(_committed_events(store, last_committed)) as events:
+    with closing(_committed_events(store, len(reports) - 1)) as events:
         graph = KnowledgeGraph.replay(
             events,
             principles_per_skill_cap=config.principles_per_skill_cap,
             skill_growth_cap=config.skill_growth_cap,
             snapshot_history_limit=config.snapshot_history_limit,
         )
-    backends = simulated_backend_set(env.answer_key(), seed=config.seed)
-    memory_index = None
-    if eval_retrieval is None or (eval_retrieval and env.mode == "static"):
-        memory_index = rebuild_index(
-            graph,
-            backends.embedder.dimension,
-            backends.embedder.embed,
-            config.type_strategy_min_similarity,
-        )
-    engine = Engine(graph, memory_index, backends, config, env)
+    index = eval_retrieval is None or (eval_retrieval and env.mode == "static")
+    engine = build_simulated_engine(config, env, graph, index)
     if reports:
-        last = reports[-1]
-        engine.prev_accuracy = last["committed_accuracy"]
-        engine.prev_boundary_snapshot = last["boundary_snapshot_id"]
-        for report in reports:
-            if report["rollback"] == "none":
-                engine.selected_ever.update(report["selected_task_types"])
-    else:
-        snapshot_ids = graph.snapshot_ids()
-        engine.prev_boundary_snapshot = snapshot_ids[-1] if snapshot_ids else None
+        engine.prev_accuracy = reports[-1]["committed_accuracy"]
     graph.set_event_sink(store.event_sink)
     # a write killed before its rename leaves only a temp file
     store.discard_partial_writes()
-    # crash window 3: boundary snapshot file missing for the last report
-    if reports and not store.snapshot_path(last_committed).is_file():
-        store.write_snapshot(last_committed, graph.canonical_bytes())
     return engine
 
 
@@ -217,8 +224,8 @@ def run_training(
     for k in range(start, total):
         report = engine.run_iteration(k)
         store.flush_events()
-        store.append_report(report.to_dict())
         store.write_snapshot(k, engine.graph.canonical_bytes())
+        store.append_report(report.to_dict())
         reports.append(report)
         if on_iteration is not None:
             on_iteration(report)

@@ -36,9 +36,8 @@ from evoloop import (
     stats_rows,
 )
 from evoloop.cli import main
-from evoloop.engine import build_simulated_engine
 from evoloop.memory import normalize
-from evoloop.runner import bootstrap_run
+from evoloop.runner import bootstrap_run, build_simulated_engine
 
 from oracles import (
     allocation_reference,
@@ -569,6 +568,11 @@ def _bootstrapped_engine(pool=36):
     return engine
 
 
+def _selected(graph):
+    """The task types with a committed selection."""
+    return {tid for tid, tt in graph.task_types.items() if tt.k_last >= 0}
+
+
 def _force_drop(engine, drop):
     real_eval = engine._evaluate_static
 
@@ -584,11 +588,10 @@ def test_criterion_10_delta_guard_rolls_back_exactly():
     engine = _bootstrapped_engine()
     for k in range(3):
         engine.run_iteration(k)
-    snap_state = engine.graph.state_dict()["snapshots"][str(engine.prev_boundary_snapshot)][
-        "mutable_state"
-    ]
+    boundary = engine.graph.snapshot_ids()[-1]
+    snap_state = engine.graph.state_dict()["snapshots"][str(boundary)]["mutable_state"]
     pre_counts = engine.graph.protected_counts()
-    pre_selected = set(engine.selected_ever)
+    pre_selected = _selected(engine.graph)
     _force_drop(engine, 0.04)
     report = engine.run_iteration(3)
     assert report.rollback == "delta"
@@ -604,7 +607,7 @@ def test_criterion_10_delta_guard_rolls_back_exactly():
             for nid in ids:
                 assert nid in engine.graph.experience
     assert post_counts["success_memory"] > pre_counts["success_memory"]
-    assert set(engine.selected_ever) == pre_selected
+    assert _selected(engine.graph) == pre_selected
 
     engine2 = _bootstrapped_engine()
     for k in range(3):

@@ -18,7 +18,7 @@ from evoloop import (
 )
 from evoloop import engine as engine_module
 from evoloop import memory
-from evoloop.engine import build_simulated_engine
+from evoloop.runner import build_simulated_engine
 
 
 def make_engine(env_name="static_qa", **overrides):
@@ -105,6 +105,9 @@ def test_config_bounds():
         EngineConfig(eval_workers=0).validate()
     with pytest.raises(ValidationError):
         EngineConfig(pool_size=0).validate()
+    # the iteration's own snapshot would evict the boundary it rolls back to
+    with pytest.raises(ValidationError, match="snapshot_history_limit must be >= 2"):
+        EngineConfig(snapshot_history_limit=1).validate()
 
 
 @pytest.mark.parametrize(
@@ -153,7 +156,7 @@ def test_bootstrap_seeds_ontology():
     contexts = set(g.bandits)
     assert len([c for c in contexts if c.startswith("search/")]) == 6
     assert len([c for c in contexts if c.startswith("route/")]) == 8
-    assert engine.prev_boundary_snapshot is not None
+    assert engine.graph.snapshot_ids()
     assert engine.backends.tracker.counts()[("train", "skill_discovery", "guidance")] == 1
 
 
@@ -240,39 +243,46 @@ def force_drop(engine, drop):
     return real_eval
 
 
+def selected_task_types(graph):
+    """The task types with a committed selection."""
+    return {tid for tid, tt in graph.task_types.items() if tt.k_last >= 0}
+
+
 def test_forced_drop_rolls_back_mutable_state_exactly():
-    engine = make_engine(pool_size=30, iterations=8)
-    for k in range(3):
-        engine.run_iteration(k)
-    boundary = engine.prev_boundary_snapshot
-    snap_state = engine.graph.state_dict()["snapshots"][str(boundary)]["mutable_state"]
-    committed_before = engine.prev_accuracy
-    selected_before = set(engine.selected_ever)
-    success_before = engine.graph.protected_counts()["success_memory"]
+    # the least snapshot history keeps the boundary the rollback restores
+    for limit in (64, 2):
+        engine = make_engine(pool_size=30, iterations=8, snapshot_history_limit=limit)
+        for k in range(3):
+            engine.run_iteration(k)
+        boundary = engine.graph.snapshot_ids()[-1]
+        snap_state = engine.graph.state_dict()["snapshots"][str(boundary)]["mutable_state"]
+        committed_before = engine.prev_accuracy
+        selected_before = selected_task_types(engine.graph)
+        success_before = engine.graph.protected_counts()["success_memory"]
 
-    force_drop(engine, 0.04)
-    report = engine.run_iteration(3)
+        force_drop(engine, 0.04)
+        report = engine.run_iteration(3)
 
-    assert report.rollback == "delta"
-    assert report.committed_accuracy == committed_before
-    assert engine.prev_accuracy == committed_before
-    g = engine.graph
-    for sid_str, slots in snap_state["skills"].items():
-        skill = g.skills[int(sid_str)]
-        assert skill.mastery == slots["mastery"]
-        assert skill.prompt_template == slots["prompt_template"]
-        assert skill.strategy == slots["strategy"]
-    for tid_str, slots in snap_state["task_types"].items():
-        tt = g.task_types[int(tid_str)]
-        assert tt.n_fail == slots["n_fail"]
-        assert tt.k_last == slots["k_last"]
-    for cid, slot_dict in snap_state["bandits"].items():
-        assert g.bandits[cid].to_dict() == slot_dict
-    # protected appends from the rolled-back iteration survive
-    assert g.protected_counts()["success_memory"] > success_before
-    # undone selections never count toward coverage
-    assert engine.selected_ever == selected_before
-    assert report.coverage["selected"] == len(selected_before)
+        assert report.rollback == "delta"
+        assert report.committed_accuracy == committed_before
+        assert engine.prev_accuracy == committed_before
+        g = engine.graph
+        for sid_str, slots in snap_state["skills"].items():
+            skill = g.skills[int(sid_str)]
+            assert skill.mastery == slots["mastery"]
+            assert skill.prompt_template == slots["prompt_template"]
+            assert skill.strategy == slots["strategy"]
+        for tid_str, slots in snap_state["task_types"].items():
+            tt = g.task_types[int(tid_str)]
+            assert tt.n_fail == slots["n_fail"]
+            assert tt.k_last == slots["k_last"]
+        for cid, slot_dict in snap_state["bandits"].items():
+            assert g.bandits[cid].to_dict() == slot_dict
+        # protected appends from the rolled-back iteration survive
+        assert g.protected_counts()["success_memory"] > success_before
+        # undone selections never count toward coverage
+        assert selected_task_types(g) == selected_before
+        assert report.coverage["selected"] == len(selected_before)
 
 
 def test_small_drop_does_not_trigger():
@@ -384,7 +394,7 @@ def test_a_pass_retrieves_once_per_distinct_question(monkeypatch, pass_name):
             # iteration retrieves nothing
             engine.run_iteration(2)
         else:
-            engine._remeasure(2)
+            engine._remeasure()
     keys = _bundle_keys(engine, pool)
     # the pool repeats questions, so a retrieval per question would show
     assert len(keys) < len(pool)

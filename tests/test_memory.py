@@ -29,8 +29,8 @@ from evoloop import (
     record_action_recipe,
     render_skill_lattice,
 )
-from evoloop.engine import build_simulated_engine
 from evoloop.memory import normalize
+from evoloop.runner import build_simulated_engine
 from oracles import (
     allocation_reference,
     bundle_sizes_reference,

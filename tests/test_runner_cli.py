@@ -328,14 +328,37 @@ def test_audit_holds_one_decoded_record_at_a_time(tmp_path, monkeypatch):
     assert seen == {"yielded": total, "applied": total, "most_live": 1}
 
 
-def test_missing_boundary_snapshot_is_rebuilt(tmp_path):
-    run_dir = tmp_path / "r"
-    store = init_and_run(run_dir, iterations=3)
-    snap_path = store.snapshot_path(2)
-    original = snap_path.read_bytes()
-    snap_path.unlink()
-    load_engine(RunStore(run_dir))
-    assert snap_path.read_bytes() == original
+def test_kill_between_the_snapshot_and_the_report_resumes_to_the_uninterrupted_run(
+    tmp_path, monkeypatch
+):
+    whole = tmp_path / "whole"
+    init_and_run(whole, iterations=3)
+    run_dir = tmp_path / "cut"
+    assert main(["init", str(run_dir), "--env", "static_qa", "--pool", "24",
+                 "--iterations", "3"]) == 0
+    append_report = RunStore.append_report
+
+    def killed_at_report_1(self, report):
+        # stands in for a kill after snap-00001.json is renamed into place
+        if report["iteration"] == 1:
+            raise OSError("killed")
+        append_report(self, report)
+
+    monkeypatch.setattr(RunStore, "append_report", killed_at_report_1)
+    with pytest.raises(OSError):
+        run_training(RunStore(run_dir))
+    monkeypatch.undo()
+    store = RunStore(run_dir)
+    assert len(store.read_reports()) == 1
+    assert store.snapshot_path(1).is_file()
+    # the snapshot has no report, so the audit does not read it
+    assert audit_run(store).passed
+    assert main(["run", str(run_dir), "--resume"]) == 0
+
+    def files(root):
+        return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+    assert files(run_dir) == files(whole)
 
 
 def test_kill_before_a_rename_resumes_to_the_uninterrupted_run(tmp_path, monkeypatch):
