@@ -42,9 +42,12 @@ log). So each such record is encoded once, at commit or on the first
 ``canonical_bytes``, and the fragment stays in a derived cache that is
 never serialised; a prune or a ring eviction drops the fragment with its
 record. Each ``canonical_bytes`` call encodes only the small mutable
-sections (skills, task types, bandits, prerequisite edges, counters) and
-joins them with the cached fragments, byte for byte what a single
-``json.dumps(sort_keys=True)`` of the whole state would write.
+sections (skills, task types, bandits, prerequisite edges, counters), lays
+them and the cached fragments with their braces and commas out in one list,
+and joins that list once: byte for byte what a single
+``json.dumps(sort_keys=True)`` of the whole state would write, in one
+state-sized allocation. No joined section is cached, so a graph holds each
+record's canonical bytes once, as its fragment.
 
 One engine drives a graph from one thread. The graph takes no lock and is
 not thread-safe: a caller that shares one across threads must serialise
@@ -653,15 +656,30 @@ class KnowledgeGraph:
         return json.loads(self.canonical_bytes())
 
     def canonical_bytes(self) -> bytes:
-        """The whole state as JSON with sorted keys and no whitespace."""
-        sections = {
-            "bandits": _dumps({cid: slot.to_dict() for cid, slot in self.bandits.items()}),
-            "env_nodes": self._env_json.section(self.env_nodes),
-            "experience": self._experience_json.section(self.experience),
-            "last_seq": _dumps(self._seq),
-            "next_id": _dumps(self._next_id),
-            "prereq_edges": _dumps(sorted([list(e) for e in self._prereq_edges])),
-            "skills": _dumps(
+        """The whole state as JSON with sorted keys and no whitespace.
+
+        The sections go into one list of pieces in their sorted key order:
+        each small mutable section encoded whole, and each record section as
+        its cached fragments between their separators. One join then
+        allocates the state once.
+        """
+        pieces = [
+            b'{"bandits":',
+            _dumps({cid: slot.to_dict() for cid, slot in self.bandits.items()}),
+            b',"env_nodes":{',
+        ]
+        self._env_json.extend(pieces, self.env_nodes)
+        pieces.append(b'},"experience":{')
+        self._experience_json.extend(pieces, self.experience)
+        pieces += (
+            b'},"last_seq":',
+            _dumps(self._seq),
+            b',"next_id":',
+            _dumps(self._next_id),
+            b',"prereq_edges":',
+            _dumps(sorted([list(e) for e in self._prereq_edges])),
+            b',"skills":',
+            _dumps(
                 {
                     str(s.id): {
                         "id": s.id,
@@ -674,8 +692,12 @@ class KnowledgeGraph:
                     for s in self.skills.values()
                 }
             ),
-            "snapshots": self._snapshot_json.section(self._snapshots),
-            "task_types": _dumps(
+            b',"snapshots":{',
+        )
+        self._snapshot_json.extend(pieces, self._snapshots)
+        pieces += (
+            b'},"task_types":',
+            _dumps(
                 {
                     str(t.id): {
                         "id": t.id,
@@ -688,9 +710,9 @@ class KnowledgeGraph:
                     for t in self.task_types.values()
                 }
             ),
-        }
-        members = (b'"%s":%s' % (name.encode(), body) for name, body in sorted(sections.items()))
-        return b"{" + b",".join(members) + b"}"
+            b"}",
+        )
+        return b"".join(pieces)
 
     def graph_hash(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -844,38 +866,36 @@ class _FragmentCache:
 
     A fragment is ``"<id>":{...}`` exactly as ``json.dumps(sort_keys=True)``
     writes that member inside its section. It is encoded on first use and
-    must be discarded whenever the record under its id leaves or is replaced,
-    or arrives: the joined section is kept until the next discard.
+    must be discarded whenever the record under its id leaves or is
+    replaced. The fragments are the only copy of the section kept: no
+    joined section is cached, so each ``canonical_bytes`` call sorts the ids
+    again and its one join copies the fragments into the state.
     """
 
     def __init__(self, to_plain: Callable[[Any], Any]):
         self._to_plain = to_plain
         self._fragments: dict[int, bytes] = {}
-        self._section: bytes | None = None
 
     def discard(self, record_id: int) -> None:
         self._fragments.pop(record_id, None)
-        self._section = None
 
     def put(self, record_id: int, body: bytes) -> None:
         """Cache the canonical JSON ``body`` of the record now under the int
         ``record_id``, as ``_member`` would join it."""
         self._fragments[record_id] = b'"%d":%s' % (record_id, body)
-        self._section = None
 
-    def section(self, records: dict[int, Any]) -> bytes:
-        if self._section is not None:
-            return self._section
+    def extend(self, pieces: list[bytes], records: dict[int, Any]) -> None:
+        """Append the members of the section holding ``records`` to
+        ``pieces``, comma-separated, without the enclosing braces."""
         fragments = self._fragments
-        members = []
         # sort_keys orders the members by their string keys
         for rid in sorted(records, key=str):
             fragment = fragments.get(rid)
             if fragment is None:
                 fragment = fragments[rid] = _member(rid, _dumps(self._to_plain(records[rid])))
-            members.append(fragment)
-        self._section = b"{" + b",".join(members) + b"}"
-        return self._section
+            pieces += (fragment, b",")
+        if records:
+            pieces.pop()
 
 
 def _check_unit_interval(name: str, value: float) -> None:

@@ -83,6 +83,14 @@ def committed_iterations(store: RunStore) -> int:
     return len(store.read_reports())
 
 
+def _committed(store: RunStore) -> tuple[int, float | None]:
+    """The number of committed iterations and the last one's committed
+    accuracy (None before the first). The decoded reports are dropped here,
+    so no caller holds them while it replays, trains or evaluates."""
+    reports = store.read_reports()
+    return len(reports), reports[-1]["committed_accuracy"] if reports else None
+
+
 def _committed_events(store: RunStore, last_committed: int) -> Iterator[dict[str, Any]]:
     """Stream events.log up to the last committed iteration, then cut the rest.
 
@@ -140,19 +148,22 @@ def build_simulated_engine(
 
 def load_engine(store: RunStore) -> Engine:
     """Rebuild the engine for a run directory by replaying its event log."""
-    return _load_engine(store, store.read_reports())
+    return _load_engine(store, *_committed(store))
 
 
 def _load_engine(
-    store: RunStore, reports: list[dict[str, Any]], eval_retrieval: bool | None = None
+    store: RunStore,
+    committed: int,
+    last_accuracy: float | None,
+    eval_retrieval: bool | None = None,
 ) -> Engine:
-    """``load_engine`` on the run's reports, already read by the caller.
+    """``load_engine`` on what ``_committed`` read from the run's reports.
 
-    Of the reports it reads only their count and the last committed
-    accuracy; everything else is in the replayed graph. For a frozen eval,
-    ``eval_retrieval`` says whether it retrieves. The engine then gets an
-    exemplar index only when the eval reads one: a static pool with
-    retrieval. The sequential explorer retrieves only in training. An
+    Of the reports it needs only their count ``committed`` and the last
+    committed accuracy; everything else is in the replayed graph. For a
+    frozen eval, ``eval_retrieval`` says whether it retrieves. The engine
+    then gets an exemplar index only when the eval reads one: a static pool
+    with retrieval. The sequential explorer retrieves only in training. An
     engine loaded without an index must not train or retrieve.
     """
     store.require()
@@ -160,7 +171,7 @@ def _load_engine(
     env = make_env(meta["env"], seed=config.seed, pool_size=config.pool_size)
 
     # closing: a replay refused part way leaves the log open in the stream
-    with closing(_committed_events(store, len(reports) - 1)) as events:
+    with closing(_committed_events(store, committed - 1)) as events:
         graph = KnowledgeGraph.replay(
             events,
             principles_per_skill_cap=config.principles_per_skill_cap,
@@ -169,8 +180,7 @@ def _load_engine(
         )
     index = eval_retrieval is None or (eval_retrieval and env.mode == "static")
     engine = build_simulated_engine(config, env, graph, index)
-    if reports:
-        engine.prev_accuracy = reports[-1]["committed_accuracy"]
+    engine.prev_accuracy = last_accuracy
     graph.set_event_sink(store.event_sink)
     # a write killed before its rename leaves only a temp file
     store.discard_partial_writes()
@@ -208,14 +218,13 @@ def run_training(
             "the engine's graph does not log into this run store; "
             "load the engine with load_engine(store)"
         )
-    committed = store.read_reports()
+    start, last_accuracy = _committed(store)
     if engine is None:
-        if not committed and not store.has_events():
+        if not start and not store.has_events():
             engine = bootstrap_run(store)
         else:
-            engine = _load_engine(store, committed)
+            engine = _load_engine(store, start, last_accuracy)
     total = iterations if iterations is not None else engine.config.iterations
-    start = len(committed)
     if total < start:
         raise ValidationError(
             f"run already has {start} committed iterations, cannot target {total}"
@@ -239,16 +248,20 @@ def run_eval(
     tag: str | None = None,
     engine: Engine | None = None,
 ) -> dict[str, Any]:
-    """Frozen evaluation against the committed graph; writes eval-<tag>.json."""
+    """Frozen evaluation against the committed graph; writes eval-<tag>.json.
+
+    The run's reports are read once, for their count and the last committed
+    accuracy, and none of them is held through the eval.
+    """
     if engine is None and not store.has_events():
         raise ValidationError("run has no training record yet; run training first")
-    reports = store.read_reports()
+    committed, last_accuracy = _committed(store)
     if engine is None:
-        engine = _load_engine(store, reports, eval_retrieval=retrieval)
+        engine = _load_engine(store, committed, last_accuracy, eval_retrieval=retrieval)
     record = engine.eval_run(pool_name=pool, retrieval=retrieval)
     if record["graph_hash_before"] != record["graph_hash_after"]:
         raise ValidationError("evaluation mutated the graph")
-    record["committed_iterations"] = len(reports)
+    record["committed_iterations"] = committed
     label = tag or f"{pool}-{'ret' if retrieval else 'noret'}-{record['committed_iterations']:05d}"
     store.write_eval(label, record)
     return record

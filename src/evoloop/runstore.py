@@ -39,10 +39,14 @@ JSON value, and a line that per-line ``json.loads`` would reject raises
 bytes that are not UTF-8 raise ``IntegrityError`` naming the file.
 ``read_events`` yields each record as its line is decoded, so a reader
 that consumes them one at a time holds one decoded record at a time.
-Boundary snapshots and eval records are written to a ``.tmp`` name (which
-the ``snap-*.json`` and ``eval-*.json`` globs do not match), fsynced and
-renamed into place, so a kill mid-write leaves either no file or a whole
-one; ``discard_partial_writes`` removes a temp file such a kill left.
+``config.json``, ``meta.json``, boundary snapshots and eval records are
+written to a ``.tmp`` name (which the ``snap-*.json`` and ``eval-*.json``
+globs do not match), fsynced and renamed into place, and the run directory
+is fsynced after each rename, so a kill or a power loss mid-write leaves
+either no file or a whole one, and a renamed file stays when a later
+report append survives; ``discard_partial_writes`` removes a temp file a
+kill left. ``config.json`` is written last, since its presence marks the
+directory as a run.
 ``snapshot_iterations`` reads only the names the writer makes
 (``snap-<iteration>.json``, zero-padded to five digits); any other
 ``snap-*.json`` name raises ``IntegrityError`` naming the file.
@@ -109,10 +113,11 @@ class RunStore:
         if self.exists():
             raise ValidationError(f"run directory already initialized: {self.root}")
         self.root.mkdir(parents=True, exist_ok=True)
-        self._write_json(self.root / CONFIG_NAME, config)
-        self._write_json(self.root / META_NAME, meta)
         (self.root / EVENTS_NAME).touch()
         (self.root / REPORTS_NAME).touch()
+        _write_atomic(self.root / META_NAME, _json_bytes(meta))
+        # last: a directory is a run once its config is in place
+        _write_atomic(self.root / CONFIG_NAME, _json_bytes(config))
 
     def exists(self) -> bool:
         return (self.root / CONFIG_NAME).is_file()
@@ -220,7 +225,7 @@ class RunStore:
     def write_eval(self, tag: str, record: Mapping[str, Any]) -> Path:
         safe = "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in tag)
         path = self.root / f"eval-{safe}.json"
-        _write_atomic(path, _json_text(record).encode())
+        _write_atomic(path, _json_bytes(record))
         return path
 
     def discard_partial_writes(self) -> None:
@@ -237,23 +242,25 @@ class RunStore:
             records.append(record)
         return records
 
-    @staticmethod
-    def _write_json(path: Path, data: Mapping[str, Any]) -> None:
-        path.write_text(_json_text(data))
 
-
-def _json_text(data: Mapping[str, Any]) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _json_bytes(data: Mapping[str, Any]) -> bytes:
+    return (json.dumps(data, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``path`` through a fsynced temp file renamed over it."""
+    """Write ``path`` through a fsynced temp file renamed over it, then fsync
+    the directory so that the rename itself survives a power loss."""
     tmp = path.with_name(path.name + TMP_SUFFIX)
     with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _read_json(path: Path, what: str) -> Any:

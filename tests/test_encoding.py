@@ -1,8 +1,10 @@
 """Canonical graph encoding: the cached encoder against a one-dump reference,
-and the running protected counts against a scan."""
+its memory against the size of the state, and the running protected counts
+against a scan."""
 
 import json
 import tempfile
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,3 +373,26 @@ def test_static_qa_run_and_its_replay_match_reference(tmp_path):
 
 def test_sequential_run_and_its_replay_match_reference(tmp_path):
     check_run_against_reference(tmp_path, EngineConfig(iterations=6, seed=2), "sequential")
+
+
+def test_encoding_keeps_one_copy_of_each_record_and_builds_the_state_once(tmp_path):
+    # the multiples of the state read the same at 12x200 as at 6x60
+    store = init_run(tmp_path / "run", EngineConfig(iterations=6, pool_size=60, seed=1), "static_qa")
+    run_training(store)
+    graph = KnowledgeGraph.replay(RunStore(store.root).read_events())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph.canonical_bytes()
+        # the record fragments the first call encoded, and nothing else
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        state = graph.canonical_bytes()
+        # the state itself, and what building it takes on the way
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert state == canonical_bytes_reference(graph)
+    assert retained / len(state) <= 1.5
+    assert peak / len(state) <= 1.7

@@ -11,7 +11,9 @@ before/after numbers, and update the digests in the same commit.
 
 The third run covers what the first two skip: it stops half way and resumes
 through ``load_engine`` in a fresh ``RunStore``, re-measures after UPDATE,
-and ranks exemplars with the oracle scorer.
+and ranks exemplars with the oracle scorer. The fourth rolls back: its
+evaluation reports a 0.2 drop on every odd iteration, so half its
+iterations restore the boundary snapshot from a ring of two.
 
 Each run's audit lines are pinned too, as the audit printed them when it
 still decoded the whole log into a list before checking it: every event
@@ -24,6 +26,7 @@ import hashlib
 import pytest
 
 from evoloop import EngineConfig, RunStore, audit_run, init_run, run_eval, run_training
+from evoloop.runner import bootstrap_run
 
 GOLDEN = {
     "static_qa": (
@@ -74,6 +77,14 @@ AUDIT_LINES = {
         "[PASS] log_replay: 1290 events replay cleanly, 6 boundary snapshots match, final hash 4702d6ccd217",
         "[PASS] bandit_consistency: 17 contexts match an independent event recount",
     ],
+    "rollback": [
+        "[PASS] protected_conservation: 485 protected nodes, none deleted across 1763 events",
+        "[PASS] selection_gap: max observed wait 6 within running bound over 6 committed iterations",
+        "[PASS] mastery_ratchet: 17 skill trajectories obey the rise/decay law",
+        "[PASS] tier_separation: guidance calls: train 128/608 (21.05%), inference 0",
+        "[PASS] log_replay: 1763 events replay cleanly, 12 boundary snapshots match, final hash 0ce7d41ab2dc",
+        "[PASS] bandit_consistency: 23 contexts match an independent event recount",
+    ],
 }
 
 
@@ -116,3 +127,35 @@ def test_resumed_remeasure_oracle_run_matches_golden_digests(tmp_path):
     }
     assert digests == expected
     assert audit_run(RunStore(store.root)).lines() == AUDIT_LINES["resumed"]
+
+
+ROLLBACK = (
+    dict(iterations=12, pool_size=40, seed=1, snapshot_history_limit=2),
+    {
+        "events.log": "16f3e138f7fdcc0c14588c24e613a49de59182a9254b5642a8910ce96c3dd575",
+        "reports.jsonl": "101b10a443f59eaff831df18f4cf0a48214f1e23000e746470a681f178cd6635",
+        "snap-00011.json": "0ce7d41ab2dc5dc85c3aa8358d0d3477bbf067b83bfb12d621eee6bec1059006",
+    },
+)
+
+
+def test_forced_rollback_run_matches_golden_digests(tmp_path):
+    overrides, expected = ROLLBACK
+    store = init_run(tmp_path / "run", EngineConfig(**overrides), "static_qa")
+    engine = bootstrap_run(store)
+    real_eval = engine._evaluate_static
+
+    def drop_on_odd_iterations():
+        out = real_eval()
+        if engine.graph.current_iter % 2 == 1:
+            out["accuracy"] = engine.prev_accuracy - 0.2
+        return out
+
+    engine._evaluate_static = drop_on_odd_iterations
+    reports = run_training(store, engine=engine)
+    assert any(report.rollback != "none" for report in reports)
+    digests = {
+        name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
+    }
+    assert digests == expected
+    assert audit_run(RunStore(store.root)).lines() == AUDIT_LINES["rollback"]

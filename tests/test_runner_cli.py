@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -256,6 +257,34 @@ def test_truncation_keeps_committed_bytes_and_fsyncs(tmp_path, monkeypatch):
     assert log.read_text() == spaced
     assert log.stat().st_ino in synced
     assert engine.graph.last_seq == seq
+
+
+def test_every_rename_is_followed_by_a_directory_fsync(tmp_path, monkeypatch):
+    run_dir = tmp_path / "r"
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_ino, stat.S_ISDIR(st.st_mode)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    store = init_run(run_dir, EngineConfig(iterations=1, pool_size=24), "static_qa")
+    directory = (run_dir.stat().st_ino, True)
+
+    def file(name):
+        return (run_dir / name).stat().st_ino, False
+
+    # each file through a fsynced temp file, each rename made durable
+    assert synced == [file("meta.json"), directory, file("config.json"), directory]
+    run_training(store)
+    synced.clear()
+    store.write_snapshot(7, b"{}")
+    assert synced == [file("snap-00007.json"), directory]
+    synced.clear()
+    path = store.write_eval("t", {"accuracy": 1.0})
+    assert synced == [file(path.name), directory]
 
 
 def test_committed_records_that_fail_replay_keep_the_tail_untouched(tmp_path):
