@@ -1,6 +1,6 @@
 """Post-hoc consistency audit over a finished (or interrupted) run.
 
-Six checks, each independent and reported separately:
+Seven checks, each independent and reported separately:
 
   protected_conservation   no principle, failure memory, or success memory
                            is ever deleted or pruned, and their committed
@@ -20,6 +20,10 @@ Six checks, each independent and reported separately:
                            the log moves past its iteration
   bandit_consistency       replayed bandit slots equal an independent
                            recount of draw and update events
+  eval_boundary            each eval record's graph_hash_before and
+                           graph_hash_after are the sha256 of the replayed
+                           state after the committed_iterations it names
+                           (the bootstrap state at 0)
 
 The three log checks share one streamed pass over events.log: each record
 is decoded once and handed to replay, and once replay has applied it, to
@@ -33,11 +37,20 @@ does not replay fails both replay checks. A line of events.log or
 reports.jsonl that does not decode is the single log_replay failure; an
 eval record that does not decode fails tier_separation.
 
+The eval records are read before the log, so the pass knows which
+boundaries they name. It hashes the encoding the boundary compare already
+built there, and encodes the replayed graph again only at a named boundary
+with no file to compare. eval_boundary is judged, as the last check, on a
+log that replays and eval records that decode; otherwise log_replay or
+tier_separation fails already, and the check is left out. It does not
+re-run an eval, so a record's accuracy and calls are not checked.
+
 The audit reads the run directory only; it never mutates it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -86,10 +99,17 @@ def audit_run(store: RunStore) -> AuditResult:
     store.require()
     config, _meta = load_run_config(store)
     result = AuditResult()
+    try:
+        evals: list[tuple[str, dict[str, Any]]] | IntegrityError = store.read_evals()
+    except IntegrityError as exc:
+        evals = exc
 
     try:
         reports = store.read_reports()
-        protected, replay_check, bandit_check = _check_event_log(store, reports, config)
+        boundaries = {} if isinstance(evals, IntegrityError) else _eval_boundaries(evals, reports)
+        protected, replay_check, bandit_check, replayed = _check_event_log(
+            store, reports, config, boundaries
+        )
     except IntegrityError as exc:
         # a line of events.log or reports.jsonl that does not decode
         result.checks.append(CheckResult("log_replay", False, str(exc)))
@@ -98,25 +118,29 @@ def audit_run(store: RunStore) -> AuditResult:
     result.checks.append(protected)
     result.checks.append(_check_selection_gap(reports, config))
     result.checks.append(_check_mastery_ratchet(reports, config))
-    tier_check, summary = _check_tier_separation(store, reports)
+    tier_check, summary = _check_tier_separation(evals, reports)
     result.checks.append(tier_check)
     result.call_summary = summary
     result.checks.append(replay_check)
     result.checks.append(bandit_check)
+    if not isinstance(evals, IntegrityError) and replayed:
+        result.checks.append(_check_eval_boundary(evals, reports, boundaries))
     return result
 
 
 def _check_event_log(
-    store: RunStore, reports, config: EngineConfig
-) -> tuple[CheckResult, CheckResult, CheckResult]:
-    """protected_conservation, log_replay and bandit_consistency in one pass.
+    store: RunStore, reports, config: EngineConfig, boundaries: dict[int, str | None]
+) -> tuple[CheckResult, CheckResult, CheckResult, bool]:
+    """protected_conservation, log_replay and bandit_consistency in one pass,
+    and whether the log replayed. ``boundaries`` gets the sha256 of the
+    replayed state at each of its iterations.
 
     A line of events.log that does not decode raises its ``IntegrityError``.
     """
     protected = _ProtectedConservation()
     bandits = _BanditRecount(config.snapshot_history_limit)
     records = _EventStream(store, [protected.step, bandits.step])
-    replay_check, replayed = _check_log_replay(store, records, reports, config)
+    replay_check, replayed = _check_log_replay(store, records, reports, config, boundaries)
     if isinstance(replayed, IntegrityError):
         if replayed is records.decode_error:
             raise replayed
@@ -129,6 +153,7 @@ def _check_event_log(
         protected.result(reports, records.count),
         replay_check,
         bandits.result(replayed),
+        not isinstance(replayed, IntegrityError),
     )
 
 
@@ -280,12 +305,10 @@ def _check_mastery_ratchet(reports, config: EngineConfig) -> CheckResult:
     )
 
 
-def _check_tier_separation(store: RunStore, reports) -> tuple[CheckResult, dict]:
-    try:
-        eval_records = store.read_evals()
-    except IntegrityError as exc:
-        return CheckResult("tier_separation", False, str(exc)), {}
-    summary = call_audit(reports, eval_records)
+def _check_tier_separation(evals, reports) -> tuple[CheckResult, dict]:
+    if isinstance(evals, IntegrityError):
+        return CheckResult("tier_separation", False, str(evals)), {}
+    summary = call_audit(reports, [record for _name, record in evals])
     known = GUIDANCE_AGENTS | EXECUTION_AGENTS
     for report in reports:
         unknown = set(report.get("agent_calls", {})) - known
@@ -316,25 +339,39 @@ def _check_tier_separation(store: RunStore, reports) -> tuple[CheckResult, dict]
 
 
 def _check_log_replay(
-    store: RunStore, records: _EventStream, reports, config: EngineConfig
+    store: RunStore,
+    records: _EventStream,
+    reports,
+    config: EngineConfig,
+    boundaries: dict[int, str | None],
 ) -> tuple[CheckResult, KnowledgeGraph | IntegrityError]:
     """Replay the log once, comparing each boundary as the log moves past it.
 
     Returns the check and the replayed graph, or the error that stopped the
-    replay, for the bandit recount.
+    replay, for the bandit recount. Each iteration in ``boundaries`` gets the
+    sha256 of the state there: of the encoding the compare built, or of a
+    fresh one where there is no file to compare (or the log diverged).
     """
-    pending = deque(it for it in store.snapshot_iterations() if it < len(reports))
+    files = {it for it in store.snapshot_iterations() if it < len(reports)}
+    pending = deque(sorted(files | boundaries.keys()))
     checked = 0
     diverged: int | None = None
 
     def compare(graph: KnowledgeGraph, next_iter: int | None) -> None:
         nonlocal checked, diverged
-        while diverged is None and pending and (next_iter is None or pending[0] < next_iter):
+        while pending and (next_iter is None or pending[0] < next_iter):
             iteration = pending.popleft()
-            if store.read_snapshot(iteration) != graph.canonical_bytes():
-                diverged = iteration
-            else:
-                checked += 1
+            state = None
+            if diverged is None and iteration in files:
+                state = graph.canonical_bytes()
+                if store.read_snapshot(iteration) != state:
+                    diverged = iteration
+                else:
+                    checked += 1
+            if iteration in boundaries:
+                boundaries[iteration] = hashlib.sha256(
+                    state if state is not None else graph.canonical_bytes()
+                ).hexdigest()
 
     try:
         graph = KnowledgeGraph.replay(
@@ -354,6 +391,55 @@ def _check_log_replay(
         f"final hash {graph.graph_hash()[:12]}"
     )
     return CheckResult("log_replay", True, detail), graph
+
+
+def _eval_boundaries(evals, reports) -> dict[int, str | None]:
+    """The boundary iteration each eval record names, to be filled with the
+    replayed state's sha256: ``committed_iterations`` minus one, so -1 is
+    the bootstrap state. A count that is not one the run committed names
+    none."""
+    return {
+        record["committed_iterations"] - 1: None
+        for _name, record in evals
+        if _committed_count(record, reports) is not None
+    }
+
+
+def _committed_count(record, reports) -> int | None:
+    count = record.get("committed_iterations")
+    if type(count) is int and 0 <= count <= len(reports):
+        return count
+    return None
+
+
+def _check_eval_boundary(evals, reports, boundaries: dict[int, str | None]) -> CheckResult:
+    """eval_boundary: each eval record's two graph hashes are the sha256 of
+    the replayed state after the iterations it says were committed."""
+    for name, record in evals:
+        count = _committed_count(record, reports)
+        if count is None:
+            value = record.get("committed_iterations")
+            return CheckResult(
+                "eval_boundary",
+                False,
+                f"{name}: committed_iterations {value!r} is not a count of the "
+                f"{len(reports)} committed iterations",
+            )
+        for key in ("graph_hash_before", "graph_hash_after"):
+            value = record.get(key)
+            if not isinstance(value, str):
+                return CheckResult("eval_boundary", False, f"{name}: {key} is not a string")
+            if value != boundaries[count - 1]:
+                return CheckResult(
+                    "eval_boundary",
+                    False,
+                    f"{name}: {key} is not the replayed state after {count} committed iterations",
+                )
+    return CheckResult(
+        "eval_boundary",
+        True,
+        f"{len(evals)} eval records hash the replayed state at their boundary",
+    )
 
 
 class _BanditRecount:

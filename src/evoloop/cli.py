@@ -24,13 +24,7 @@ from .audit import audit_run
 from .engine import EngineConfig
 from .envs import ENVS
 from .errors import BackendError, EvoloopError, IntegrityError, ValidationError
-from .runner import (
-    committed_iterations,
-    init_run,
-    run_eval,
-    run_training,
-    stats_rows,
-)
+from .runner import init_run, read_committed, run_eval, run_training, stats_rows
 from .runstore import RunStore
 
 STATS_HEADER = "iter\tskills\tfailure_memories\tsuccess_memories\tcoverage"
@@ -105,7 +99,8 @@ def _cmd_init(args) -> int:
 def _cmd_run(args) -> int:
     store = RunStore(args.run_dir)
     store.require()
-    done = committed_iterations(store)
+    committed = read_committed(store)
+    done = committed[0]
     if done > 0 and not args.resume:
         raise ValidationError(
             f"{args.run_dir} already has {done} committed iterations; pass --resume"
@@ -118,9 +113,11 @@ def _cmd_run(args) -> int:
             f"skills {report.skills_count}  rollback {report.rollback}"
         )
 
-    reports = run_training(store, iterations=args.iterations, on_iteration=progress)
-    total = committed_iterations(store)
-    if reports:
+    written = run_training(
+        store, iterations=args.iterations, on_iteration=progress, committed=committed
+    )
+    total = done + written
+    if written:
         print(f"done: {total} committed iterations")
     else:
         print(f"nothing to do: {total} committed iterations already present")

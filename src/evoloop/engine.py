@@ -1002,9 +1002,23 @@ class Engine:
     # ------------------------------------------------------------------
     # frozen inference
 
-    def eval_run(self, pool_name: str = "held_out", retrieval: bool = True) -> dict[str, Any]:
-        """Frozen evaluation; zero guidance calls, zero graph writes."""
-        hash_before = self.graph.graph_hash()
+    def eval_run(
+        self,
+        pool_name: str = "held_out",
+        retrieval: bool = True,
+        graph_hash_before: str | None = None,
+    ) -> dict[str, Any]:
+        """Frozen evaluation; zero guidance calls, zero graph writes.
+
+        ``graph_hash_before`` is the caller's sha256 of the graph's
+        ``canonical_bytes``, such as the digest of the boundary file it was
+        replayed to; None hashes the graph. ``graph_hash_after`` is that same
+        digest when the graph's ``state_mark`` did not move through the eval,
+        and a full ``graph_hash`` otherwise, so a record whose two hashes
+        differ names an eval that changed the graph.
+        """
+        hash_before = graph_hash_before or self.graph.graph_hash()
+        mark = self.graph.state_mark()
         was_frozen = self.graph.frozen
         self.graph.freeze()
         tracker_before = self.backends.tracker.counts()
@@ -1017,7 +1031,7 @@ class Engine:
         finally:
             if not was_frozen:
                 self.graph.unfreeze()
-        hash_after = self.graph.graph_hash()
+        hash_after = hash_before if self.graph.state_mark() == mark else self.graph.graph_hash()
         calls = self.backends.tracker.since(tracker_before)
         return {
             "pool": pool_name,

@@ -47,7 +47,10 @@ them and the cached fragments with their braces and commas out in one list,
 and joins that list once: byte for byte what a single
 ``json.dumps(sort_keys=True)`` of the whole state would write, in one
 state-sized allocation. No joined section is cached, so a graph holds each
-record's canonical bytes once, as its fragment.
+record's canonical bytes once, as its fragment. ``state_mark`` takes what
+such a call reads anew (the small sections and the record sections' id
+sets), so a frozen eval tells that the state did not move without encoding
+it a second time.
 
 One engine drives a graph from one thread. The graph takes no lock and is
 not thread-safe: a caller that shares one across threads must serialise
@@ -663,22 +666,35 @@ class KnowledgeGraph:
         its cached fragments between their separators. One join then
         allocates the state once.
         """
-        pieces = [
-            b'{"bandits":',
-            _dumps({cid: slot.to_dict() for cid, slot in self.bandits.items()}),
-            b',"env_nodes":{',
-        ]
+        bandits, last_seq, next_id, edges, skills, task_types = self._small_sections()
+        pieces = [b'{"bandits":', bandits, b',"env_nodes":{']
         self._env_json.extend(pieces, self.env_nodes)
         pieces.append(b'},"experience":{')
         self._experience_json.extend(pieces, self.experience)
         pieces += (
             b'},"last_seq":',
-            _dumps(self._seq),
+            last_seq,
             b',"next_id":',
-            _dumps(self._next_id),
+            next_id,
             b',"prereq_edges":',
-            _dumps(sorted([list(e) for e in self._prereq_edges])),
+            edges,
             b',"skills":',
+            skills,
+            b',"snapshots":{',
+        )
+        self._snapshot_json.extend(pieces, self._snapshots)
+        pieces += (b'},"task_types":', task_types, b"}")
+        return b"".join(pieces)
+
+    def _small_sections(self) -> tuple[bytes, ...]:
+        """What ``canonical_bytes`` encodes afresh on every call, in key
+        order: the bandits, ``last_seq``, ``next_id``, the prerequisite
+        edges, the skills and the task types."""
+        return (
+            _dumps({cid: slot.to_dict() for cid, slot in self.bandits.items()}),
+            _dumps(self._seq),
+            _dumps(self._next_id),
+            _dumps(sorted([list(e) for e in self._prereq_edges])),
             _dumps(
                 {
                     str(s.id): {
@@ -692,11 +708,6 @@ class KnowledgeGraph:
                     for s in self.skills.values()
                 }
             ),
-            b',"snapshots":{',
-        )
-        self._snapshot_json.extend(pieces, self._snapshots)
-        pieces += (
-            b'},"task_types":',
             _dumps(
                 {
                     str(t.id): {
@@ -710,9 +721,25 @@ class KnowledgeGraph:
                     for t in self.task_types.values()
                 }
             ),
-            b"}",
         )
-        return b"".join(pieces)
+
+    def state_mark(self) -> tuple[Any, ...]:
+        """What a repeated ``canonical_bytes`` call reads anew: the small
+        sections, encoded, and the id sets of the experience, env-node and
+        snapshot sections, whose members it takes from cached fragments.
+
+        Two equal marks of one graph mean ``canonical_bytes`` returns the
+        same bytes at both times, short of a record replaced or edited in
+        place under its id without a commit, which its cached fragment hides
+        from ``canonical_bytes`` too. A mark costs the small sections'
+        encode and three id sets, not the state's.
+        """
+        return (
+            self._small_sections(),
+            set(self.experience),
+            set(self.env_nodes),
+            set(self._snapshots),
+        )
 
     def graph_hash(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()

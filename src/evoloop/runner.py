@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .backends import simulated_backend_set
-from .engine import Engine, EngineConfig, IterationReport
+from .engine import Engine, EngineConfig
 from .envs import ENVS, make_env
 from .errors import IntegrityError, ValidationError
 from .graph import KnowledgeGraph
@@ -83,7 +83,7 @@ def committed_iterations(store: RunStore) -> int:
     return len(store.read_reports())
 
 
-def _committed(store: RunStore) -> tuple[int, float | None]:
+def read_committed(store: RunStore) -> tuple[int, float | None]:
     """The number of committed iterations and the last one's committed
     accuracy (None before the first). The decoded reports are dropped here,
     so no caller holds them while it replays, trains or evaluates."""
@@ -148,7 +148,7 @@ def build_simulated_engine(
 
 def load_engine(store: RunStore) -> Engine:
     """Rebuild the engine for a run directory by replaying its event log."""
-    return _load_engine(store, *_committed(store))
+    return _load_engine(store, *read_committed(store))
 
 
 def _load_engine(
@@ -157,7 +157,7 @@ def _load_engine(
     last_accuracy: float | None,
     eval_retrieval: bool | None = None,
 ) -> Engine:
-    """``load_engine`` on what ``_committed`` read from the run's reports.
+    """``load_engine`` on what ``read_committed`` read from the run's reports.
 
     Of the reports it needs only their count ``committed`` and the last
     committed accuracy; everything else is in the replayed graph. For a
@@ -203,13 +203,17 @@ def run_training(
     iterations: int | None = None,
     engine: Engine | None = None,
     on_iteration=None,
-) -> list[IterationReport]:
-    """Run (or continue) training until ``iterations`` are committed.
+    committed: tuple[int, float | None] | None = None,
+) -> int:
+    """Run (or continue) training until ``iterations`` are committed, and
+    return the number of iterations this call committed.
 
     An ``engine`` given must log into ``store``: the one ``load_engine`` or
     ``bootstrap_run`` built it on. Its events would otherwise wait in another
     store's buffer, and the run would hold reports and boundary snapshots
-    that no event in its log backs.
+    that no event in its log backs. A caller that has read the reports
+    already passes what ``read_committed`` returned as ``committed``, and
+    they are not read again.
     """
     store.require()
     # bound methods are equal only when bound to the same store
@@ -218,27 +222,26 @@ def run_training(
             "the engine's graph does not log into this run store; "
             "load the engine with load_engine(store)"
         )
-    start, last_accuracy = _committed(store)
+    start, last_accuracy = committed if committed is not None else read_committed(store)
     if engine is None:
-        if not start and not store.has_events():
-            engine = bootstrap_run(store)
-        else:
-            engine = _load_engine(store, start, last_accuracy)
+        fresh = not start and not store.has_events()
+        engine = _load_engine(store, start, last_accuracy)
+        if fresh:
+            engine.bootstrap()
+            store.flush_events()
     total = iterations if iterations is not None else engine.config.iterations
     if total < start:
         raise ValidationError(
             f"run already has {start} committed iterations, cannot target {total}"
         )
-    reports: list[IterationReport] = []
     for k in range(start, total):
         report = engine.run_iteration(k)
         store.flush_events()
         store.write_snapshot(k, engine.graph.canonical_bytes())
         store.append_report(report.to_dict())
-        reports.append(report)
         if on_iteration is not None:
             on_iteration(report)
-    return reports
+    return total - start
 
 
 def run_eval(
@@ -251,14 +254,25 @@ def run_eval(
     """Frozen evaluation against the committed graph; writes eval-<tag>.json.
 
     The run's reports are read once, for their count and the last committed
-    accuracy, and none of them is held through the eval.
+    accuracy, and none of them is held through the eval. The record's
+    ``graph_hash_before`` names the committed state: when this call loads
+    the engine and the last committed boundary file is there, it is that
+    file's sha256, the hash of the ``canonical_bytes`` the commit wrote, and
+    the replayed graph is not encoded. An ``engine`` handed in, a run with
+    no committed iteration, or a missing file hashes the graph instead.
+    ``graph_hash_after`` is the same digest unless the graph's
+    ``state_mark`` moved during the eval, and then an eval that changed the
+    graph raises.
     """
     if engine is None and not store.has_events():
         raise ValidationError("run has no training record yet; run training first")
-    committed, last_accuracy = _committed(store)
+    committed, last_accuracy = read_committed(store)
+    digest = None
     if engine is None:
         engine = _load_engine(store, committed, last_accuracy, eval_retrieval=retrieval)
-    record = engine.eval_run(pool_name=pool, retrieval=retrieval)
+        if committed:
+            digest = store.snapshot_digest(committed - 1)
+    record = engine.eval_run(pool_name=pool, retrieval=retrieval, graph_hash_before=digest)
     if record["graph_hash_before"] != record["graph_hash_after"]:
         raise ValidationError("evaluation mutated the graph")
     record["committed_iterations"] = committed

@@ -17,9 +17,12 @@ only joins and writes the buffered lines. ``append_report`` writes each
 report as ``json.dumps(report, sort_keys=True)`` would, through one reused
 encoder.
 Replay of config + events reproduces the graph bit-exactly; resume counts
-committed reports and continues from there. ``read_snapshot`` returns a
-boundary file's raw bytes, undecoded: the audit compares them byte for byte
-with the replayed graph's encoding.
+committed reports and continues from there. Two readers take the boundary
+files. ``read_snapshot`` returns a file's raw bytes, undecoded: the audit
+compares them byte for byte with the replayed graph's encoding.
+``snapshot_digest`` returns the sha256 of a file's bytes, or None when there
+is none: ``run_eval`` names the committed state it evaluates by the last
+boundary's digest instead of encoding the replayed graph again.
 
 ``config.json``, ``meta.json`` and the eval records are read whole; one that
 is missing or does not decode, or an eval record that is not an object,
@@ -54,6 +57,7 @@ directory as a run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -211,6 +215,13 @@ class RunStore:
             raise ValidationError(f"missing snapshot {path.name}")
         return path.read_bytes()
 
+    def snapshot_digest(self, iteration: int) -> str | None:
+        """sha256 of a boundary file's bytes; None when there is no file."""
+        try:
+            return hashlib.sha256(self.snapshot_path(iteration).read_bytes()).hexdigest()
+        except FileNotFoundError:
+            return None
+
     def snapshot_iterations(self) -> list[int]:
         """The iteration of each boundary snapshot; a ``snap-*.json`` name
         the writer does not make raises ``IntegrityError`` naming it."""
@@ -233,13 +244,14 @@ class RunStore:
         for path in self.root.glob("*" + TMP_SUFFIX):
             path.unlink()
 
-    def read_evals(self) -> list[dict[str, Any]]:
+    def read_evals(self) -> list[tuple[str, dict[str, Any]]]:
+        """Each eval record with its file name, in name order."""
         records = []
         for path in sorted(self.root.glob("eval-*.json")):
             record = _read_json(path, "eval record")
             if not isinstance(record, dict):
                 raise IntegrityError(f"corrupt eval record {path.name}: not an object")
-            records.append(record)
+            records.append((path.name, record))
         return records
 
 

@@ -18,7 +18,8 @@ iterations restore the boundary snapshot from a ring of two.
 Each run's audit lines are pinned too, as the audit printed them when it
 still decoded the whole log into a list before checking it: every event
 count, boundary count and final hash must come out of the streamed pass
-unchanged.
+unchanged. The last line, eval_boundary, came with the check that ties each
+eval record's graph hashes to the replayed boundary it names.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ import hashlib
 import pytest
 
 from evoloop import EngineConfig, RunStore, audit_run, init_run, run_eval, run_training
-from evoloop.runner import bootstrap_run
+from evoloop.runner import bootstrap_run, load_engine
 
 GOLDEN = {
     "static_qa": (
@@ -60,6 +61,7 @@ AUDIT_LINES = {
         "[PASS] tier_separation: guidance calls: train 48/288 (16.67%), inference 0",
         "[PASS] log_replay: 879 events replay cleanly, 4 boundary snapshots match, final hash 61d7d4258e94",
         "[PASS] bandit_consistency: 17 contexts match an independent event recount",
+        "[PASS] eval_boundary: 2 eval records hash the replayed state at their boundary",
     ],
     "sequential": [
         "[PASS] protected_conservation: 36 protected nodes, none deleted across 290 events",
@@ -68,6 +70,7 @@ AUDIT_LINES = {
         "[PASS] tier_separation: guidance calls: train 24/56 (42.86%), inference 0",
         "[PASS] log_replay: 290 events replay cleanly, 6 boundary snapshots match, final hash 74820e192564",
         "[PASS] bandit_consistency: 13 contexts match an independent event recount",
+        "[PASS] eval_boundary: 2 eval records hash the replayed state at their boundary",
     ],
     "resumed": [
         "[PASS] protected_conservation: 357 protected nodes, none deleted across 1290 events",
@@ -76,6 +79,7 @@ AUDIT_LINES = {
         "[PASS] tier_separation: guidance calls: train 432/1152 (37.50%), inference 0",
         "[PASS] log_replay: 1290 events replay cleanly, 6 boundary snapshots match, final hash 4702d6ccd217",
         "[PASS] bandit_consistency: 17 contexts match an independent event recount",
+        "[PASS] eval_boundary: 2 eval records hash the replayed state at their boundary",
     ],
     "rollback": [
         "[PASS] protected_conservation: 485 protected nodes, none deleted across 1763 events",
@@ -84,6 +88,7 @@ AUDIT_LINES = {
         "[PASS] tier_separation: guidance calls: train 128/608 (21.05%), inference 0",
         "[PASS] log_replay: 1763 events replay cleanly, 12 boundary snapshots match, final hash 0ce7d41ab2dc",
         "[PASS] bandit_consistency: 23 contexts match an independent event recount",
+        "[PASS] eval_boundary: 0 eval records hash the replayed state at their boundary",
     ],
 }
 
@@ -152,10 +157,46 @@ def test_forced_rollback_run_matches_golden_digests(tmp_path):
         return out
 
     engine._evaluate_static = drop_on_odd_iterations
-    reports = run_training(store, engine=engine)
-    assert any(report.rollback != "none" for report in reports)
+    run_training(store, engine=engine)
+    assert any(report["rollback"] != "none" for report in store.read_reports())
     digests = {
         name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
     }
     assert digests == expected
     assert audit_run(RunStore(store.root)).lines() == AUDIT_LINES["rollback"]
+
+
+# each eval record the static_qa case pins, and those of an eval of its run
+# before the first iteration, when only the bootstrap is committed
+STATIC_QA_EVALS = {name: digest for name, digest in GOLDEN["static_qa"][1].items() if name.startswith("eval-")}
+BOOTSTRAP_EVALS = {
+    "eval-held_out-ret-00000.json": "d64b2f0788fd7bdb49edc9a849b2cb67a0e6c6c196847938a76732d66c2e40ca",
+    "eval-held_out-noret-00000.json": "f1acebed7e0fc27a4d5c2a63d6088da51c05dbf24062c0af92c8155da9108d7f",
+}
+
+
+@pytest.mark.parametrize("source", ["boundary_file_missing", "engine_handed_in", "bootstrap_only"])
+def test_eval_records_that_hash_the_graph_match_golden_digests(tmp_path, source):
+    # run_eval names a committed state by its boundary file; without that
+    # file, with an engine handed in, or before the first commit it hashes
+    # the graph, and must write the same record
+    overrides, _expected = GOLDEN["static_qa"]
+    store = init_run(tmp_path / "run", EngineConfig(**overrides), "static_qa")
+    engine = None
+    if source == "bootstrap_only":
+        bootstrap_run(store)
+        expected = BOOTSTRAP_EVALS
+    else:
+        run_training(store)
+        expected = STATIC_QA_EVALS
+        if source == "boundary_file_missing":
+            store.snapshot_path(overrides["iterations"] - 1).unlink()
+        else:
+            engine = load_engine(store)
+    for retrieval in (True, False):
+        run_eval(store, retrieval=retrieval, engine=engine)
+    digests = {
+        name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
+    }
+    assert digests == expected
+    assert audit_run(RunStore(store.root)).passed

@@ -270,6 +270,28 @@ def test_replay_reproduces_state_bytes():
     assert replayed.graph_hash() == graph.graph_hash()
 
 
+def test_state_mark_moves_with_every_committed_write():
+    graph = KnowledgeGraph()
+    sid = graph.add_skill("s", mastery=0.2)
+    tt = graph.add_task_type("t")
+    graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=2, rng_seed=7)
+    writes = [
+        lambda: graph.set_mastery(sid, 0.8),
+        lambda: graph.add_prerequisite(graph.add_skill("u"), sid),
+        lambda: graph.record_task_failure(tt),
+        lambda: graph.bandit_update("route/s", "chain", 1),
+        lambda: graph.append_experience("success_memory", {"question": "q"}, task_type_id=tt),
+        lambda: graph.add_env_node("entity", {"name": "e"}),
+        graph.snapshot,
+    ]
+    for write in writes:
+        state, mark = graph.canonical_bytes(), graph.state_mark()
+        assert graph.state_mark() == mark
+        write()
+        assert graph.state_mark() != mark
+        assert graph.canonical_bytes() != state
+
+
 def test_bandit_init_validates_like_new_slot_and_logs_nothing_on_refusal():
     lines = []
     graph = KnowledgeGraph(event_sink=lines.append)

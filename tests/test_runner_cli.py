@@ -1,5 +1,6 @@
 """Run directories end to end: CLI verbs, resume, crash recovery, audit."""
 
+import hashlib
 import json
 import os
 import stat
@@ -9,7 +10,9 @@ import pytest
 import evoloop.runner
 from evoloop import (
     BackendError,
+    Engine,
     EngineConfig,
+    ExperienceNode,
     IntegrityError,
     KnowledgeGraph,
     RunStore,
@@ -80,7 +83,7 @@ def test_run_then_eval_then_audit_then_stats(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", str(run_dir)]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 6
+    assert out.count("[PASS]") == 7
     assert "audit passed" in out
 
     capsys.readouterr()
@@ -860,6 +863,84 @@ def test_init_rejects_the_retired_refresh_gap(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+_DROP = object()
+
+
+def _rewrite_eval(path, **fields):
+    """Set each field of an eval record, or remove it when given ``_DROP``."""
+    record = json.loads(path.read_text())
+    record.update(fields)
+    record = {key: value for key, value in record.items() if value is not _DROP}
+    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        (dict(graph_hash_before="0" * 64, graph_hash_after="0" * 64),
+         "graph_hash_before is not the replayed state after 2 committed iterations"),
+        (dict(graph_hash_after="0" * 64),
+         "graph_hash_after is not the replayed state after 2 committed iterations"),
+        (dict(graph_hash_before=None), "graph_hash_before is not a string"),
+        (dict(graph_hash_after=_DROP), "graph_hash_after is not a string"),
+        (dict(committed_iterations=1),
+         "graph_hash_before is not the replayed state after 1 committed iterations"),
+        (dict(committed_iterations=3), "committed_iterations 3 is not a count of the 2 committed iterations"),
+        (dict(committed_iterations=-1), "committed_iterations -1 is not a count of the 2 committed iterations"),
+        (dict(committed_iterations=True), "committed_iterations True is not a count of the 2 committed iterations"),
+        (dict(committed_iterations="2"), "committed_iterations '2' is not a count of the 2 committed iterations"),
+    ],
+    ids=["both-hashes", "after-hash", "hash-not-str", "hash-missing", "other-boundary",
+         "past-commits", "negative", "bool", "str"],
+)
+def test_forged_eval_record_fails_eval_boundary(tmp_path, capsys, fields, reason):
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    run_eval(store, retrieval=False)
+    _rewrite_eval(run_dir / "eval-held_out-noret-00002.json", **fields)
+    result = audit_run(RunStore(run_dir))
+    assert [c.name for c in result.checks if not c.passed] == ["eval_boundary"]
+    assert result.checks[-1].detail == f"eval-held_out-noret-00002.json: {reason}"
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 2
+    assert f"[FAIL] eval_boundary: eval-held_out-noret-00002.json: {reason}" in capsys.readouterr().out
+
+
+def test_forged_accuracy_with_intact_hashes_passes_the_audit(tmp_path):
+    # re-running the eval inside the audit would catch this; it does not yet
+    run_dir = tmp_path / "r"
+    store = init_and_run(run_dir, iterations=2)
+    run_eval(store)
+    _rewrite_eval(run_dir / "eval-held_out-ret-00002.json", accuracy=0.123)
+    assert audit_run(RunStore(run_dir)).passed
+
+
+def test_eval_boundary_checks_records_at_every_boundary(tmp_path):
+    # a record at 0 committed iterations names the bootstrap state, one at 1
+    # a boundary whose file is gone, one at 3 the last boundary
+    run_dir = tmp_path / "r"
+    store = init_run(run_dir, EngineConfig(iterations=3, pool_size=24, seed=3), "static_qa")
+    evoloop.runner.bootstrap_run(store)
+    run_eval(RunStore(run_dir), tag="zero")
+    store = RunStore(run_dir)
+    run_training(store, iterations=1)
+    run_eval(store, tag="one")
+    run_training(RunStore(run_dir), iterations=3)
+    run_eval(RunStore(run_dir), tag="three")
+    store.snapshot_path(0).unlink()
+    result = audit_run(RunStore(run_dir))
+    assert result.passed
+    assert result.lines()[-1] == (
+        "[PASS] eval_boundary: 3 eval records hash the replayed state at their boundary"
+    )
+    hashes = [
+        json.loads(read_bytes(run_dir, f"eval-{tag}.json"))["graph_hash_before"]
+        for tag in ("zero", "one", "three")
+    ]
+    assert len(set(hashes)) == 3
+    assert hashes[2] == hashlib.sha256(store.read_snapshot(2)).hexdigest()
+
+
 def test_tampered_boundary_snapshot_fails_replay_check(tmp_path):
     run_dir = tmp_path / "r"
     store = init_and_run(run_dir, iterations=3)
@@ -1025,6 +1106,77 @@ def test_run_eval_reads_the_reports_once(tmp_path, monkeypatch):
     record = run_eval(RunStore(store.root), tag="t")
     assert reads == [1]
     assert record["committed_iterations"] == 2
+
+
+def test_run_resume_reads_the_reports_once(tmp_path, monkeypatch, capsys):
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=4, extra=("--seed", "3"))
+    (run_dir / "reports.jsonl").write_text(
+        "".join(read_bytes(run_dir, "reports.jsonl").decode().splitlines(keepends=True)[:2])
+    )
+    read_reports = RunStore.read_reports
+    reads = []
+
+    def counting(self):
+        reads.append(1)
+        return read_reports(self)
+
+    monkeypatch.setattr(RunStore, "read_reports", counting)
+    capsys.readouterr()
+    assert main(["run", str(run_dir), "--resume"]) == 0
+    assert reads == [1]
+    assert "done: 4 committed iterations" in capsys.readouterr().out
+    assert main(["run", str(run_dir), "--resume"]) == 0
+    assert reads == [1, 1]
+    assert "nothing to do: 4 committed iterations already present" in capsys.readouterr().out
+
+
+def test_run_training_returns_the_count_it_committed(tmp_path):
+    store = init_run(tmp_path / "r", EngineConfig(iterations=3, pool_size=24, seed=3), "static_qa")
+    assert run_training(store, iterations=2) == 2
+    assert run_training(RunStore(store.root)) == 1
+    assert run_training(RunStore(store.root)) == 0
+
+
+def test_run_eval_names_a_committed_state_by_its_boundary_file(tmp_path, monkeypatch):
+    store = init_and_run(tmp_path / "r", iterations=2)
+    encodes = []
+    canonical_bytes = KnowledgeGraph.canonical_bytes
+
+    def counting(self):
+        encodes.append(1)
+        return canonical_bytes(self)
+
+    monkeypatch.setattr(KnowledgeGraph, "canonical_bytes", counting)
+    record = run_eval(RunStore(store.root))
+    # the replayed graph is not encoded: the last boundary file names it
+    assert encodes == []
+    digest = hashlib.sha256(store.read_snapshot(1)).hexdigest()
+    assert record["graph_hash_before"] == record["graph_hash_after"] == digest
+
+
+@pytest.mark.parametrize("change", ["skill_mastery", "experience_node"])
+def test_run_eval_refuses_an_eval_that_changes_the_graph_in_place(tmp_path, monkeypatch, change):
+    # both edits bypass the freeze guard, which refuses every committed write
+    store = init_and_run(tmp_path / "r", iterations=2)
+    answer = Engine._answer_question
+
+    def changing(self, *args, **kwargs):
+        graph = self.graph
+        if change == "skill_mastery":
+            next(iter(graph.skills.values())).mastery += 0.5
+        elif not any(node.payload.get("planted") for node in graph.experience.values()):
+            nid = max(graph.experience) + 1
+            graph.experience[nid] = ExperienceNode(
+                id=nid, outcome="abstracted_pattern", payload={"planted": True}
+            )
+        return answer(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "_answer_question", changing)
+    for retrieval in (True, False):
+        with pytest.raises(ValidationError, match="evaluation mutated the graph"):
+            run_eval(RunStore(store.root), retrieval=retrieval)
+    assert not list(store.root.glob("eval-*.json"))
 
 
 @pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
