@@ -40,7 +40,9 @@ eval record that does not decode fails tier_separation.
 The eval records are read before the log, so the pass knows which
 boundaries they name. It hashes the encoding the boundary compare already
 built there, and encodes the replayed graph again only at a named boundary
-with no file to compare. eval_boundary is judged, as the last check, on a
+with no file to compare. The final hash log_replay prints is that of the
+encoding made at the end of the log, so a clean run's graph is encoded once
+per boundary file. eval_boundary is judged, as the last check, on a
 log that replays and eval records that decode; otherwise log_replay or
 tier_separation fails already, and the check is left out. It does not
 re-run an eval, so a record's accuracy and calls are not checked.
@@ -348,30 +350,35 @@ def _check_log_replay(
     """Replay the log once, comparing each boundary as the log moves past it.
 
     Returns the check and the replayed graph, or the error that stopped the
-    replay, for the bandit recount. Each iteration in ``boundaries`` gets the
-    sha256 of the state there: of the encoding the compare built, or of a
-    fresh one where there is no file to compare (or the log diverged).
+    replay, for the bandit recount. The graph is encoded at most once each
+    time the log moves on: for the boundaries it passes there, and each
+    iteration in ``boundaries`` gets the sha256 of that encoding. The final
+    hash reuses the encoding made at the end of the log; only a log that
+    passes no boundary there (one with an uncommitted tail) is encoded again.
     """
     files = {it for it in store.snapshot_iterations() if it < len(reports)}
     pending = deque(sorted(files | boundaries.keys()))
     checked = 0
     diverged: int | None = None
+    final: bytes | None = None
 
     def compare(graph: KnowledgeGraph, next_iter: int | None) -> None:
-        nonlocal checked, diverged
+        nonlocal checked, diverged, final
+        state = None
         while pending and (next_iter is None or pending[0] < next_iter):
             iteration = pending.popleft()
-            state = None
-            if diverged is None and iteration in files:
+            compared = diverged is None and iteration in files
+            if state is None and (compared or iteration in boundaries):
                 state = graph.canonical_bytes()
+            if compared:
                 if store.read_snapshot(iteration) != state:
                     diverged = iteration
                 else:
                     checked += 1
             if iteration in boundaries:
-                boundaries[iteration] = hashlib.sha256(
-                    state if state is not None else graph.canonical_bytes()
-                ).hexdigest()
+                boundaries[iteration] = hashlib.sha256(state).hexdigest()
+        if next_iter is None:
+            final = state
 
     try:
         graph = KnowledgeGraph.replay(
@@ -386,9 +393,10 @@ def _check_log_replay(
     if diverged is not None:
         detail = f"boundary snapshot {diverged} diverges from replay"
         return CheckResult("log_replay", False, detail), graph
+    final_hash = hashlib.sha256(final).hexdigest() if final is not None else graph.graph_hash()
     detail = (
         f"{records.count} events replay cleanly, {checked} boundary snapshots match, "
-        f"final hash {graph.graph_hash()[:12]}"
+        f"final hash {final_hash[:12]}"
     )
     return CheckResult("log_replay", True, detail), graph
 

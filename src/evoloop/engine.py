@@ -44,9 +44,9 @@ write advances (a harvest too, so the exemplar index cannot change while
 it stands): the cascade context (skill lattice, principle notes, action
 recipe) once per (task type, skill), and the exemplar bundle, one
 retrieval, once per distinct question. A bundle depends only on the task
-type, the question text (the oracle scorer too) and which side of
-``long_context_threshold`` the context length falls, and a pool of 200
-questions holds about 130 such keys.
+type, the question text and which side of ``long_context_threshold`` the
+context length falls, and a pool of 200 questions holds about 130 such keys.
+``_bundle`` is where every learner prompt gets its bundle.
 """
 
 from __future__ import annotations
@@ -150,7 +150,6 @@ class EngineConfig:
     # answers serially
     eval_workers: int = 1
     remeasure_after_update: bool = False
-    oracle_retrieval: bool = False
 
     def validate(self) -> None:
         for name in ("mastery_rise_rate", "mastery_decay_rate"):
@@ -590,20 +589,6 @@ class Engine:
             routes[tt.name] = (tt.id, self._resolver(tt, search_arm), search_arm)
         return routes
 
-    def _oracle_scorer(self, question_text: str):
-        """Rank candidates by their value to the learner, not by embedding.
-
-        The question's own exemplar guarantees a correct answer; any other
-        block contributes the same fixed boost.
-        """
-        if not self.config.oracle_retrieval:
-            return None
-
-        def score(entry) -> float:
-            return 1.0 if entry.payload.get("question") == question_text else 0.15
-
-        return score
-
     def _answer_question(
         self,
         q,
@@ -665,7 +650,6 @@ class Engine:
                 context_length=len(q.context),
                 k=self.config.retrieval_top_k,
                 long_context_threshold=threshold,
-                scorer=self._oracle_scorer(q.text),
             )
         return bundle
 

@@ -119,10 +119,6 @@ class ExperienceNode:
     payload: dict[str, Any] = field(default_factory=dict)
     created_iter: int = 0
 
-    @property
-    def protected(self) -> bool:
-        return self.outcome in PROTECTED_OUTCOMES
-
 
 @dataclass
 class EnvNode:

@@ -34,9 +34,7 @@ candidates are ordered on (-similarity, node id), so ties, across rows
 too, break on node id ascending and retrieval is deterministic; the list
 is the one a ranking of every stored node gives. The walk takes the rows
 in one stable numpy sort by descending similarity (the memoised order
-above). An external ``scorer`` (called with each eligible
-``ExperienceNode``) takes the same walk without the cut-offs, ranked on
-(-key, node id), and keeps the best ``k``.
+above).
 
 Every vector the index stores or queries with is normalised through a memo
 keyed by its float64 bytes, so each distinct vector is normalised once;
@@ -166,7 +164,8 @@ def normalize(vector: np.ndarray) -> np.ndarray:
 
 
 def _rank(pair: tuple[float, ExperienceNode]) -> tuple[float, int]:
-    """Sort key of a (key, node) candidate: best key first, then node id."""
+    """Sort key of a (similarity, node) candidate: most similar first, then
+    node id."""
     return -pair[0], pair[1].id
 
 
@@ -367,16 +366,14 @@ class MemoryIndex:
         outcome: str,
         query: np.ndarray,
         task_type_id: int | None,
-        scorer: Callable[[ExperienceNode], float] | None,
         k: int,
     ) -> list[tuple[float, ExperienceNode]]:
         """The ``k`` best eligible exemplar nodes of one store for a query,
-        best first.
+        with their similarities, best first.
 
-        Eligibility (task filter, type_strategy floor) always uses the
-        embedding similarity; ``scorer`` only swaps the ranking key, which
-        is how an external accuracy oracle retrieves over the same
-        candidate set. Ties on the key break on node id ascending.
+        Eligible are the nodes of the query's task type, a ``type_strategy``
+        node only at or above the similarity floor. Ties on similarity break
+        on node id ascending.
         """
         block = self._blocks.get((outcome, task_type_id))
         if block is None:
@@ -395,12 +392,9 @@ class MemoryIndex:
             rows = block.plain[g] if sim < floor else block.members[g]
             if not rows:
                 continue
-            if scorer is None:
-                picked.extend([(sim, node) for node in rows[:k]])
-            else:
-                picked.extend([(float(scorer(node)), node) for node in rows])
+            picked.extend([(sim, node) for node in rows[:k]])
             seen += len(rows)
-            if scorer is None and kth is None and seen >= k:
+            if kth is None and seen >= k:
                 kth = sim
         picked.sort(key=_rank)
         return picked[:k]
@@ -412,7 +406,6 @@ class MemoryIndex:
         context_length: int,
         k: int = 3,
         long_context_threshold: int = 500,
-        scorer: Callable[[ExperienceNode], float] | None = None,
     ) -> MemoryBundle:
         query = self._unit(query_vector)
         if query.shape != (self.dimension,):
@@ -421,8 +414,8 @@ class MemoryIndex:
             )
         n_success, n_failure = allocation_for(context_length, k, long_context_threshold)
         # no store contributes more than k, backfill included
-        succ = self._candidates("success_memory", query, task_type_id, scorer, k)
-        fail = self._candidates("failure_memory", query, task_type_id, scorer, k)
+        succ = self._candidates("success_memory", query, task_type_id, k)
+        fail = self._candidates("failure_memory", query, task_type_id, k)
         take_s = succ[:n_success]
         take_f = fail[:n_failure]
         # leftover budget backfills from the other store

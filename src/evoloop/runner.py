@@ -19,13 +19,14 @@ always continues from the last committed iteration and the finished run is
 byte-identical to an uninterrupted one.
 
 ``meta.json`` records the run format and the environment. New runs are
-format 2. A format-1 run (its config still holds the retired index refresh
-gap) loads with the config keys format 2 no longer has dropped; any other
-format is an integrity error, and so are a missing or unknown environment
-name and a ``config.json`` that ``EngineConfig`` refuses
-(not an object, an unknown key, a value of the wrong type or out of
-range). ``load_run_config`` is the one place that applies these rules,
-for every verb that reads a run's config.
+format 3. A format-1 or format-2 run loads with the config keys later
+formats retired dropped, but one that set ``oracle_retrieval`` ranked its
+bundles by an oracle no format-3 engine has, and its config is refused.
+Any other format is an integrity error, and so are a missing or unknown
+environment name and a ``config.json`` that ``EngineConfig`` refuses (not
+an object, an unknown key, a value of the wrong type or out of range).
+``load_run_config`` is the one place that applies these rules, for every
+verb that reads a run's config.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ from .graph import KnowledgeGraph
 from .memory import rebuild_index
 from .runstore import CONFIG_NAME, META_NAME, RunStore
 
-RUN_FORMAT = 2
+RUN_FORMAT = 3
+
+# the config keys of each older format that a later one retired
+_RETIRED_KEYS = {
+    1: ("memory_refresh_gap", "oracle_retrieval"),
+    2: ("oracle_retrieval",),
+}
 
 
 def init_run(
@@ -57,22 +64,27 @@ def init_run(
 def load_run_config(store: RunStore) -> tuple[EngineConfig, dict[str, Any]]:
     """The run's config and meta, read through the run-format step.
 
-    ``init_run`` wrote a format-1 config from a whole ``EngineConfig`` of
-    that format, so it holds every format-1 field; the ones format 2 no
-    longer has are dropped.
+    ``init_run`` wrote an older format's config from a whole
+    ``EngineConfig`` of that format, so it holds every field of it; the
+    ones a later format retired are dropped.
     """
     meta = store.load_meta()
     fmt = meta.get("format") if isinstance(meta, dict) else None
     # a JSON true or 1.0 equals 1 in Python, but is not a format number
-    if type(fmt) is not int or fmt not in (1, RUN_FORMAT):
+    if type(fmt) is not int or fmt not in {*_RETIRED_KEYS, RUN_FORMAT}:
         raise IntegrityError(f"unsupported run format in {META_NAME}: {fmt!r}")
     env_name = meta.get("env")
     if not isinstance(env_name, str) or env_name not in ENVS:
         raise IntegrityError(f"unknown env in {META_NAME}: {env_name!r}")
     data = store.load_config()
-    if fmt == 1 and isinstance(data, dict):
-        known = EngineConfig.__dataclass_fields__
-        data = {key: value for key, value in data.items() if key in known}
+    if fmt in _RETIRED_KEYS and isinstance(data, dict):
+        if data.get("oracle_retrieval", False) is not False:
+            raise IntegrityError(
+                f"refused config {CONFIG_NAME}: the run set oracle_retrieval, "
+                f"which run format {RUN_FORMAT} no longer has"
+            )
+        retired = _RETIRED_KEYS[fmt]
+        data = {key: value for key, value in data.items() if key not in retired}
     try:
         return EngineConfig.from_dict(data), meta
     except ValidationError as exc:
@@ -249,29 +261,25 @@ def run_eval(
     pool: str = "held_out",
     retrieval: bool = True,
     tag: str | None = None,
-    engine: Engine | None = None,
 ) -> dict[str, Any]:
     """Frozen evaluation against the committed graph; writes eval-<tag>.json.
 
-    The run's reports are read once, for their count and the last committed
-    accuracy, and none of them is held through the eval. The record's
-    ``graph_hash_before`` names the committed state: when this call loads
-    the engine and the last committed boundary file is there, it is that
-    file's sha256, the hash of the ``canonical_bytes`` the commit wrote, and
-    the replayed graph is not encoded. An ``engine`` handed in, a run with
-    no committed iteration, or a missing file hashes the graph instead.
+    The engine is replayed from the run's log, and the run's reports are
+    read once, for their count and the last committed accuracy; none of them
+    is held through the eval. The record's ``graph_hash_before`` names the
+    committed state: when the last committed boundary file is there, it is
+    that file's sha256, the hash of the ``canonical_bytes`` the commit
+    wrote, and the replayed graph is not encoded. A run with no committed
+    iteration, or a missing file, hashes the graph instead.
     ``graph_hash_after`` is the same digest unless the graph's
     ``state_mark`` moved during the eval, and then an eval that changed the
     graph raises.
     """
-    if engine is None and not store.has_events():
+    if not store.has_events():
         raise ValidationError("run has no training record yet; run training first")
     committed, last_accuracy = read_committed(store)
-    digest = None
-    if engine is None:
-        engine = _load_engine(store, committed, last_accuracy, eval_retrieval=retrieval)
-        if committed:
-            digest = store.snapshot_digest(committed - 1)
+    engine = _load_engine(store, committed, last_accuracy, eval_retrieval=retrieval)
+    digest = store.snapshot_digest(committed - 1) if committed else None
     record = engine.eval_run(pool_name=pool, retrieval=retrieval, graph_hash_before=digest)
     if record["graph_hash_before"] != record["graph_hash_after"]:
         raise ValidationError("evaluation mutated the graph")

@@ -2,9 +2,14 @@
 
 Every quantity checked against the package is re-derived here by the most
 direct route available: exact rational arithmetic, exhaustive enumeration,
-or a textbook algorithm (networkx for graph questions). Nothing here
-imports from evoloop, so a defect in the package cannot leak into the
-values the tests compare against.
+or a textbook algorithm (networkx for graph questions). No reference
+calls into evoloop, so a defect in the package cannot leak into the values
+the tests compare against.
+
+One function here is not a reference but a fixture: ``oracle_bundle``, the
+bundle an ideal retriever would hand the learner, which tests patch over
+``Engine._bundle``. It drives the engine, so it builds the package's own
+bundle type.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from fractions import Fraction
 
 import networkx as nx
 import numpy as np
+
+from evoloop.memory import MemoryBundle
 
 # ----------------------------------------------------------------------
 # curriculum selector
@@ -159,14 +166,13 @@ def topk_reference(scored_ids, k: int) -> list:
     return [nid for nid, _ in ranked[:k]]
 
 
-def rank_store_reference(entries, query, task_type_id, floor: float, score=None) -> list:
+def rank_store_reference(entries, query, task_type_id, floor: float) -> list:
     """Brute-force ranking of one exemplar store for one query.
 
     entries: iterable of dicts with node_id, task_type_id, kind and vector.
     Keeps the query's task type, drops ``type_strategy`` entries whose
-    cosine similarity is below ``floor``, and returns (key, node_id) pairs
-    best first: key is the similarity, or ``score(node_id)`` when given;
-    ties go to the smaller node id.
+    cosine similarity is below ``floor``, and returns (similarity, node_id)
+    pairs best first; ties go to the smaller node id.
     """
     q = np.asarray(query, dtype=float)
     q = q / np.linalg.norm(q)
@@ -178,8 +184,7 @@ def rank_store_reference(entries, query, task_type_id, floor: float, score=None)
         sim = float(np.dot(v / np.linalg.norm(v), q))
         if entry["kind"] == "type_strategy" and sim < floor:
             continue
-        key = sim if score is None else float(score(entry["node_id"]))
-        ranked.append((key, entry["node_id"]))
+        ranked.append((sim, entry["node_id"]))
     ranked.sort(key=lambda pair: (-pair[0], pair[1]))
     return ranked
 
@@ -190,6 +195,41 @@ def bundle_sizes_reference(n_success_ranked: int, n_failure_ranked: int, allocat
     take_s = min(n_success_ranked, want_s + max(0, want_f - n_failure_ranked))
     take_f = min(n_failure_ranked, want_f + max(0, want_s - n_success_ranked))
     return take_s, take_f
+
+
+def oracle_bundle(engine, q, tt_id: int) -> MemoryBundle:
+    """The bundle of question ``q`` under task type ``tt_id`` as an ideal
+    retriever picks it: tests patch this over ``Engine._bundle``.
+
+    The candidates of each store are the ones the similarity walk admits:
+    the task type's exemplars, a ``type_strategy`` correction only at or
+    above the similarity floor. They rank on their value to the simulated
+    learner, 1.0 for an exemplar of the question's own text and 0.15 for any
+    other, then on node id; the slots and their backfill are the package's.
+    """
+    index, config = engine.index, engine.config
+    query = index._unit(engine.backends.embedder.embed(q.text))
+    ranked = []
+    for outcome in ("success_memory", "failure_memory"):
+        block = index._blocks.get((outcome, tt_id))
+        candidates = []
+        if block is not None:
+            for g, sim in enumerate(block.scores(query)[0]):
+                rows = block.plain[g] if sim < index.type_strategy_min_similarity else block.members[g]
+                candidates += [
+                    (1.0 if node.payload.get("question") == q.text else 0.15, node) for node in rows
+                ]
+        candidates.sort(key=lambda pair: (-pair[0], pair[1].id))
+        ranked.append(candidates)
+    allocation = allocation_reference(
+        len(q.context), config.retrieval_top_k, config.long_context_threshold
+    )
+    take_s, take_f = bundle_sizes_reference(len(ranked[0]), len(ranked[1]), allocation)
+    return MemoryBundle(
+        success=[index._bundle_entry(key, node) for key, node in ranked[0][:take_s]],
+        failure=[index._bundle_entry(key, node) for key, node in ranked[1][:take_f]],
+        allocation=allocation,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from evoloop import (
     EXECUTION_AGENTS,
     GUIDANCE_AGENTS,
+    Engine,
     EngineConfig,
     HashEmbedder,
     KnowledgeGraph,
@@ -42,6 +43,7 @@ from evoloop.runner import bootstrap_run, build_simulated_engine
 from oracles import (
     allocation_reference,
     gap_bound_reference,
+    oracle_bundle,
     rank_store_reference,
     ratchet_ok_fast,
     topk_reference,
@@ -428,22 +430,23 @@ def _retrieval_error(engine, queries, k):
     return distances
 
 
-def test_criterion_07_improvement_monotone_or_bounded_by_retrieval_error():
+def test_criterion_07_improvement_monotone_or_bounded_by_retrieval_error(monkeypatch):
     start = time.monotonic()
-    env = make_env("static_qa", seed=11, pool_size=96)
-    engine = build_simulated_engine(
-        EngineConfig(pool_size=96, iterations=20, seed=11, oracle_retrieval=True), env
-    )
-    engine.bootstrap()
-    prev = None
-    for k in range(20):
-        report = engine.run_iteration(k)
-        assert report.rollback == "none"
-        rates = _per_task_rates(report)
-        if prev is not None:
-            for tt, rate in rates.items():
-                assert rate >= prev[tt] - 1e-12, (k, tt, rate, prev[tt])
-        prev = rates
+    with monkeypatch.context() as patch:
+        # every bundle from an ideal retriever
+        patch.setattr(Engine, "_bundle", oracle_bundle)
+        env = make_env("static_qa", seed=11, pool_size=96)
+        engine = build_simulated_engine(EngineConfig(pool_size=96, iterations=20, seed=11), env)
+        engine.bootstrap()
+        prev = None
+        for k in range(20):
+            report = engine.run_iteration(k)
+            assert report.rollback == "none"
+            rates = _per_task_rates(report)
+            if prev is not None:
+                for tt, rate in rates.items():
+                    assert rate >= prev[tt] - 1e-12, (k, tt, rate, prev[tt])
+            prev = rates
 
     drops = []
     for seed in (101, 102, 103, 104, 105):
@@ -519,7 +522,10 @@ def test_criterion_09_tier_separation(tmp_path):
     )
     engine = bootstrap_run(store)
     run_training(store, engine=engine)
-    record = run_eval(store, engine=engine)
+    record = run_eval(store)
+    # the same frozen eval on the training engine, so its tracker holds the
+    # infer-phase calls too
+    assert engine.eval_run()["calls"] == record["calls"]
     reports = store.read_reports()
     summary = call_audit(reports, [record])
     assert summary["infer_guidance_calls"] == 0

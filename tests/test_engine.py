@@ -20,6 +20,8 @@ from evoloop import engine as engine_module
 from evoloop import memory
 from evoloop.runner import build_simulated_engine
 
+from oracles import oracle_bundle
+
 
 def make_engine(env_name="static_qa", **overrides):
     config = EngineConfig(**{**dict(pool_size=36, iterations=4), **overrides})
@@ -120,7 +122,7 @@ def test_config_bounds():
         ("delta_guard", False),
         ("delta_guard", float("nan")),
         ("catastrophic_threshold", float("inf")),
-        ("oracle_retrieval", 1),
+        ("remeasure_after_update", 1),
         ("routing_strategies", 5),
         ("routing_strategies", "direct"),
         ("search_strategies", ["base", 2]),
@@ -565,8 +567,9 @@ def test_question_result_dict_equals_asdict():
     assert result.to_dict() == dataclasses.asdict(result)
 
 
-def test_oracle_retrieval_accuracy_never_drops():
-    engine = make_engine(pool_size=30, oracle_retrieval=True, iterations=6)
+def test_oracle_retrieval_accuracy_never_drops(monkeypatch):
+    monkeypatch.setattr(engine_module.Engine, "_bundle", oracle_bundle)
+    engine = make_engine(pool_size=30, iterations=6)
     per_task_last: dict[int, float] = {}
     for k in range(5):
         report = engine.run_iteration(k)

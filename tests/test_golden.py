@@ -10,8 +10,10 @@ them changes what a run records; it must name that behaviour change and its
 before/after numbers, and update the digests in the same commit.
 
 The third run covers what the first two skip: it stops half way and resumes
-through ``load_engine`` in a fresh ``RunStore``, re-measures after UPDATE,
-and ranks exemplars with the oracle scorer. The fourth rolls back: its
+in a fresh ``RunStore``, re-measures after UPDATE, and takes every bundle
+from the oracle fixture patched over ``Engine._bundle``; its digests were
+taken when that oracle was a run-format option, and the fixture writes the
+same bytes. The fourth rolls back: its
 evaluation reports a 0.2 drop on every odd iteration, so half its
 iterations restore the boundary snapshot from a ring of two.
 
@@ -26,8 +28,10 @@ import hashlib
 
 import pytest
 
-from evoloop import EngineConfig, RunStore, audit_run, init_run, run_eval, run_training
-from evoloop.runner import bootstrap_run, load_engine
+from evoloop import Engine, EngineConfig, RunStore, audit_run, init_run, run_eval, run_training
+from evoloop.runner import bootstrap_run
+
+from oracles import oracle_bundle
 
 GOLDEN = {
     "static_qa": (
@@ -108,7 +112,7 @@ def test_run_files_match_golden_digests(tmp_path, env_name):
 
 
 RESUMED = (
-    dict(iterations=6, pool_size=60, seed=3, remeasure_after_update=True, oracle_retrieval=True),
+    dict(iterations=6, pool_size=60, seed=3, remeasure_after_update=True),
     {
         "events.log": "f422cebd0a4c4e4512deecebe07c98d5b32ef79c107ec9db7dd305f7bc9f4f1b",
         "reports.jsonl": "6d9f1be1b094d14ae769cf711d159a387c2ad92860fb149d7773158f909e6a74",
@@ -119,7 +123,8 @@ RESUMED = (
 )
 
 
-def test_resumed_remeasure_oracle_run_matches_golden_digests(tmp_path):
+def test_resumed_remeasure_oracle_run_matches_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(Engine, "_bundle", oracle_bundle)
     overrides, expected = RESUMED
     store = init_run(tmp_path / "run", EngineConfig(**overrides), "static_qa")
     run_training(store, iterations=3)
@@ -175,26 +180,22 @@ BOOTSTRAP_EVALS = {
 }
 
 
-@pytest.mark.parametrize("source", ["boundary_file_missing", "engine_handed_in", "bootstrap_only"])
+@pytest.mark.parametrize("source", ["boundary_file_missing", "bootstrap_only"])
 def test_eval_records_that_hash_the_graph_match_golden_digests(tmp_path, source):
     # run_eval names a committed state by its boundary file; without that
-    # file, with an engine handed in, or before the first commit it hashes
-    # the graph, and must write the same record
+    # file, or before the first commit, it hashes the graph, and must write
+    # the same record
     overrides, _expected = GOLDEN["static_qa"]
     store = init_run(tmp_path / "run", EngineConfig(**overrides), "static_qa")
-    engine = None
     if source == "bootstrap_only":
         bootstrap_run(store)
         expected = BOOTSTRAP_EVALS
     else:
         run_training(store)
         expected = STATIC_QA_EVALS
-        if source == "boundary_file_missing":
-            store.snapshot_path(overrides["iterations"] - 1).unlink()
-        else:
-            engine = load_engine(store)
+        store.snapshot_path(overrides["iterations"] - 1).unlink()
     for retrieval in (True, False):
-        run_eval(store, retrieval=retrieval, engine=engine)
+        run_eval(store, retrieval=retrieval)
     digests = {
         name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
     }

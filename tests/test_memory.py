@@ -217,38 +217,6 @@ def test_bundle_total_is_min_of_k_and_eligible(n_succ, n_fail, ctx, n_other):
     assert all(e.task_type_id == tt for e in bundle.success + bundle.failure)
 
 
-def test_scorer_swaps_ranking_not_eligibility(indexed):
-    graph, index, _ = indexed
-    tt = graph.add_task_type("t")
-    near = add_success(graph, index, tt, question="near", vector=one_hot(0))
-    far = add_success(graph, index, tt, question="far", vector=one_hot(1))
-    floor_blocked = add_failure(graph, index, tt, vector=one_hot(2), kind="type_strategy")
-    scores = {near: 0.1, far: 0.9, floor_blocked: 5.0}
-    bundle = index.retrieve_bundle(
-        one_hot(0), tt, context_length=10, scorer=lambda e: scores[e.id]
-    )
-    # the scorer promotes the dissimilar exemplar but cannot resurrect the
-    # below-floor strategy note
-    assert [e.node_id for e in bundle.success] == [far, near]
-    assert bundle.failure == []
-
-
-def test_scorer_receives_the_graphs_own_nodes(indexed):
-    graph, index, _ = indexed
-    tt = graph.add_task_type("t")
-    ids = [add_success(graph, index, tt, question=f"s{i}", vector=one_hot(i)) for i in range(3)]
-    ids.append(add_failure(graph, index, tt, vector=one_hot(3)))
-    seen = []
-
-    def scorer(entry):
-        assert entry is graph.experience[entry.id]
-        seen.append(entry.id)
-        return 0.0
-
-    index.retrieve_bundle(one_hot(0), tt, context_length=10, scorer=scorer)
-    assert sorted(seen) == ids
-
-
 # a few fixed directions, so drawn entries repeat vectors exactly
 POOL_VECTORS = [seeded_unit(200 + i) for i in range(6)]
 QUERY_VECTORS = POOL_VECTORS + [seeded_unit(300)]
@@ -269,11 +237,9 @@ QUERY_VECTORS = POOL_VECTORS + [seeded_unit(300)]
     floor=st.sampled_from((0.0, 0.55)),
     k=st.integers(1, 5),
     context_length=st.sampled_from((0, 900)),
-    utilities=st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=24, max_size=24),
-    use_scorer=st.booleans(),
 )
 def test_retrieval_matches_bruteforce_reference(
-    entries, query_tt, query_vec, floor, k, context_length, utilities, use_scorer
+    entries, query_tt, query_vec, floor, k, context_length
 ):
     query = QUERY_VECTORS[query_vec]
     # no similarity sits on the floor, so rounding cannot decide admission
@@ -282,32 +248,23 @@ def test_retrieval_matches_bruteforce_reference(
     index = MemoryIndex(graph, dimension=64, type_strategy_min_similarity=floor)
     tts = [graph.add_task_type(f"t{i}") for i in range(3)]
     stores = {"success": [], "failure": []}
-    utility = {}
-    for (store, t, v), u in zip(entries, utilities):
+    for store, t, v in entries:
         if store == "success":
             nid = add_success(graph, index, tts[t], question=f"s{v}", vector=POOL_VECTORS[v])
             kind = None
         else:
             nid = add_failure(graph, index, tts[t], question=f"f{v}", vector=POOL_VECTORS[v], kind=store)
             kind = store
-        utility[nid] = u
         stores["success" if kind is None else "failure"].append(
             {"node_id": nid, "task_type_id": tts[t], "kind": kind, "vector": POOL_VECTORS[v]}
         )
     tt = tts[query_tt]
-    score = utility.__getitem__ if use_scorer else None
 
-    ranked_s = rank_store_reference(stores["success"], query, tt, floor, score)
-    ranked_f = rank_store_reference(stores["failure"], query, tt, floor, score)
+    ranked_s = rank_store_reference(stores["success"], query, tt, floor)
+    ranked_f = rank_store_reference(stores["failure"], query, tt, floor)
     allocation = allocation_reference(context_length, k, 500)
     take_s, take_f = bundle_sizes_reference(len(ranked_s), len(ranked_f), allocation)
-    bundle = index.retrieve_bundle(
-        query,
-        tt,
-        context_length=context_length,
-        k=k,
-        scorer=(lambda e: utility[e.id]) if use_scorer else None,
-    )
+    bundle = index.retrieve_bundle(query, tt, context_length=context_length, k=k)
     assert bundle.allocation == allocation
     for got, want in ((bundle.success, ranked_s[:take_s]), (bundle.failure, ranked_f[:take_f])):
         assert [e.node_id for e in got] == [nid for _, nid in want]
@@ -393,16 +350,15 @@ def _index_specs(graph, index, tts, specs, order):
     shared=st.integers(0, len(GROUP_POOL) - 1),
     above=st.booleans(),
     context_length=st.sampled_from((0, 900)),
-    use_scorer=st.booleans(),
     data=st.data(),
 )
 # more copies of one vector than any k, beside its strategy twin
 @example(
     drawn=[("success", 0, 2, 6), ("specific", 0, 2, 6), ("type_strategy", 0, 0, 6)],
-    shared=2, above=False, context_length=0, use_scorer=False, data=None,
+    shared=2, above=False, context_length=0, data=None,
 )
 def test_grouped_retrieval_matches_bruteforce_reference(
-    drawn, shared, above, context_length, use_scorer, data
+    drawn, shared, above, context_length, data
 ):
     query = GROUP_QUERY
     # the two tied vectors tie in both the reference and the index
@@ -425,9 +381,6 @@ def test_grouped_retrieval_matches_bruteforce_reference(
     unit = index._unit(query)
     tied = np.vecdot(np.stack([index._unit(v) for v in GROUP_POOL[:2]]), unit)
     assert tied[0] == tied[1]
-    utility = {nid: (nid * 7 % 3) / 2 for nid in graph.experience}
-    scorer = (lambda e: utility[e.id]) if use_scorer else None
-    score = utility.__getitem__ if use_scorer else None
 
     # entries indexed newest first must land in the same groups, in id order
     shuffled = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=floor)
@@ -439,17 +392,17 @@ def test_grouped_retrieval_matches_bruteforce_reference(
 
     tt = tts[0]
     for outcome in ("success_memory", "failure_memory"):
-        want = rank_store_reference(stores[outcome], query, tt, floor, score)[:k]
+        want = rank_store_reference(stores[outcome], query, tt, floor)[:k]
         for candidates in (index, shuffled, bulk):
-            got = candidates._candidates(outcome, unit, tt, scorer, k)
+            got = candidates._candidates(outcome, unit, tt, k)
             assert [e.id for _, e in got] == [nid for _, nid in want]
             assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
 
-    ranked_s = rank_store_reference(stores["success_memory"], query, tt, floor, score)
-    ranked_f = rank_store_reference(stores["failure_memory"], query, tt, floor, score)
+    ranked_s = rank_store_reference(stores["success_memory"], query, tt, floor)
+    ranked_f = rank_store_reference(stores["failure_memory"], query, tt, floor)
     allocation = allocation_reference(context_length, k, 500)
     take_s, take_f = bundle_sizes_reference(len(ranked_s), len(ranked_f), allocation)
-    bundle = index.retrieve_bundle(query, tt, context_length=context_length, k=k, scorer=scorer)
+    bundle = index.retrieve_bundle(query, tt, context_length=context_length, k=k)
     assert [e.node_id for e in bundle.success] == [nid for _, nid in ranked_s[:take_s]]
     assert [e.node_id for e in bundle.failure] == [nid for _, nid in ranked_f[:take_f]]
 
@@ -473,7 +426,7 @@ def test_retrieval_over_many_distinct_vectors_matches_reference():
         unit = index._unit(query)
         for k in (1, 3, 50, 700):
             want = rank_store_reference(rows, query, tt, 0.2)[:k]
-            got = index._candidates("failure_memory", unit, tt, None, k)
+            got = index._candidates("failure_memory", unit, tt, k)
             assert [e.id for _, e in got] == [nid for _, nid in want]
             assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
 
@@ -561,7 +514,7 @@ def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
         for tt in tts:
             for outcome in ("success_memory", "failure_memory"):
                 want = rank_store_reference(stores[outcome], query, tt, floor)[:k]
-                got = index._candidates(outcome, unit, tt, None, k)
+                got = index._candidates(outcome, unit, tt, k)
                 assert [e.id for _, e in got] == [nid for _, nid in want]
                 assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
         for block in index._blocks.values():

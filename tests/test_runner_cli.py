@@ -47,8 +47,9 @@ def test_init_writes_config_with_default_seed(tmp_path):
     config = json.loads((run_dir / "config.json").read_text())
     assert config["seed"] == 42
     assert "memory_refresh_gap" not in config
+    assert "oracle_retrieval" not in config
     meta = json.loads((run_dir / "meta.json").read_text())
-    assert meta == {"env": "static_qa", "format": 2}
+    assert meta == {"env": "static_qa", "format": 3}
 
 
 def test_init_refuses_existing_run(tmp_path, capsys):
@@ -594,10 +595,18 @@ def _rewrite_json(path, change):
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _as_format_1(run_dir):
+def _as_format_1(run_dir, oracle=False):
     """Rewrite config.json and meta.json as a format-1 run wrote them."""
-    _rewrite_json(run_dir / "config.json", lambda c: c.update(memory_refresh_gap=5))
+    _rewrite_json(
+        run_dir / "config.json", lambda c: c.update(memory_refresh_gap=5, oracle_retrieval=oracle)
+    )
     _rewrite_json(run_dir / "meta.json", lambda m: m.update(format=1))
+
+
+def _as_format_2(run_dir, oracle=False):
+    """Rewrite config.json and meta.json as a format-2 run wrote them."""
+    _rewrite_json(run_dir / "config.json", lambda c: c.update(oracle_retrieval=oracle))
+    _rewrite_json(run_dir / "meta.json", lambda m: m.update(format=2))
 
 
 def _run_files(run_dir):
@@ -608,33 +617,65 @@ def _run_files(run_dir):
     }
 
 
-@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
-def test_format_1_run_resumes_evaluates_and_audits_as_format_2(tmp_path, capsys, env_name):
-    audits = {}
-    for name in ("format1", "format2"):
+def _resumes_as_a_new_run(tmp_path, capsys, env_name, as_old):
+    """Train two runs of one config half way, rewrite the first with
+    ``as_old``, then resume, evaluate (with and without retrieval) and audit
+    both. Their run files and audit outputs must be equal; returns the
+    rewritten run's directory."""
+    audits = []
+    for name in ("old", "new"):
         run_dir = tmp_path / name
         assert main(["init", str(run_dir), "--env", env_name, "--pool", "24",
                      "--iterations", "4", "--seed", "5"]) == 0
         assert main(["run", str(run_dir), "--iterations", "2"]) == 0
-        if name == "format1":
-            _as_format_1(run_dir)
+        if name == "old":
+            as_old(run_dir)
         for verb in (["run", "--resume"], ["eval"], ["eval", "--no-retrieval"]):
             assert main([verb[0], str(run_dir), *verb[1:]]) == 0
         capsys.readouterr()
         assert main(["audit", str(run_dir)]) == 0
-        audits[name] = capsys.readouterr().out
-    old, new = tmp_path / "format1", tmp_path / "format2"
+        audits.append(capsys.readouterr().out)
+    old, new = tmp_path / "old", tmp_path / "new"
     assert _run_files(old) == _run_files(new)
-    assert audits["format1"] == audits["format2"]
+    assert audits[0] == audits[1]
+    return old
+
+
+@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
+def test_format_1_run_resumes_evaluates_and_audits_as_format_2(tmp_path, capsys, env_name):
+    # against a run of the current format, 3
+    old = _resumes_as_a_new_run(tmp_path, capsys, env_name, _as_format_1)
     # loading reads the format; it never rewrites the run's own record
     assert json.loads((old / "meta.json").read_text())["format"] == 1
     assert json.loads((old / "config.json").read_text())["memory_refresh_gap"] == 5
 
 
+@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
+def test_format_2_run_resumes_evaluates_and_audits_as_format_3(tmp_path, capsys, env_name):
+    old = _resumes_as_a_new_run(tmp_path, capsys, env_name, _as_format_2)
+    assert json.loads((old / "meta.json").read_text())["format"] == 2
+    assert json.loads((old / "config.json").read_text())["oracle_retrieval"] is False
+
+
+@pytest.mark.parametrize("as_old", [_as_format_1, _as_format_2], ids=["format1", "format2"])
+def test_oracle_run_is_an_integrity_error(tmp_path, capsys, as_old):
+    # nothing can rank its bundles as it did, so no verb reads it
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    as_old(run_dir, oracle=True)
+    before = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    capsys.readouterr()
+    for verb in (["run", "--resume", "--iterations", "3"], ["eval"], ["audit"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "refused config config.json" in err and "oracle_retrieval" in err
+    assert {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())} == before
+
+
 @pytest.mark.parametrize(
     "change",
     [
-        pytest.param(lambda m: m.update(format=3), id="3"),
+        pytest.param(lambda m: m.update(format=99), id="99"),
         pytest.param(lambda m: m.pop("format"), id="missing"),
         pytest.param(lambda m: m.update(format="1"), id="string"),
     ],
@@ -863,6 +904,15 @@ def test_init_rejects_the_retired_refresh_gap(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_init_rejects_the_retired_oracle_retrieval(tmp_path, capsys):
+    overrides = tmp_path / "cfg.json"
+    overrides.write_text(json.dumps({"oracle_retrieval": True}))
+    code = main(["init", str(tmp_path / "r"), "--env", "static_qa", "--config", str(overrides)])
+    assert code == 1
+    assert "unknown config keys: ['oracle_retrieval']" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 _DROP = object()
 
 
@@ -993,6 +1043,41 @@ def test_audit_replays_once_and_reads_each_snapshot_once(tmp_path, monkeypatch):
     assert result.passed
     assert len(replays) == 1
     assert reads == [0, 1, 2]
+
+
+def test_audit_encodes_the_graph_once_per_boundary_file(tmp_path, monkeypatch):
+    store = init_and_run(tmp_path / "r", iterations=3)
+    run_eval(store)
+    run_eval(store, retrieval=False)
+    canonical_bytes = KnowledgeGraph.canonical_bytes
+    encodes = []
+
+    def counting(self):
+        encodes.append(1)
+        return canonical_bytes(self)
+
+    monkeypatch.setattr(KnowledgeGraph, "canonical_bytes", counting)
+    result = audit_run(RunStore(store.root))
+    assert result.passed
+    # the eval records' boundary and the final hash reuse the last compare's bytes
+    assert len(encodes) == 3
+    digest = hashlib.sha256(store.read_snapshot(2)).hexdigest()
+    replay_check = next(c for c in result.checks if c.name == "log_replay")
+    assert replay_check.detail.endswith(f"final hash {digest[:12]}")
+
+
+def test_audit_of_a_run_killed_after_the_flush_hashes_the_final_replayed_graph(tmp_path):
+    store = init_and_run(tmp_path / "r", iterations=2)
+    engine = load_engine(store)
+    engine.run_iteration(2)
+    # killed after the event flush, before the boundary file and the report
+    store.flush_events()
+    result = audit_run(RunStore(store.root))
+    replay_check = next(c for c in result.checks if c.name == "log_replay")
+    assert replay_check.passed
+    final = engine.graph.graph_hash()
+    assert final != hashlib.sha256(store.read_snapshot(1)).hexdigest()
+    assert replay_check.detail.endswith(f"final hash {final[:12]}")
 
 
 def test_audit_skips_a_deleted_middle_snapshot(tmp_path):
@@ -1219,7 +1304,7 @@ def test_init_run_rejects_bad_config_object(tmp_path):
         pytest.param(b"\xff\xfe{}", id="not-utf8"),
         pytest.param(b'{"iterations": "3"}', id="string-for-int"),
         pytest.param(b'{"routing_strategies": 5}', id="int-for-arms"),
-        pytest.param(b'{"oracle_retrieval": 1}', id="int-for-bool"),
+        pytest.param(b'{"remeasure_after_update": 1}', id="int-for-bool"),
     ],
 )
 def test_init_refuses_a_damaged_config_file(tmp_path, capsys, content):
