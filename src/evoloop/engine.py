@@ -29,7 +29,11 @@ then the iteration snapshots the graph and the delta guard compares the
 measured accuracy with the previous committed accuracy: a drop past
 ``delta_guard`` rolls mutable slots back to the previous boundary snapshot
 (past ``catastrophic_threshold`` it is additionally flagged), while
-protected nodes appended during the iteration always survive.
+protected nodes appended during the iteration always survive. Unless
+``remeasure_after_update`` scores the static pool again after EVOLVE, the
+measured accuracy is EVALUATE's, taken before UPDATE and EVOLVE write: a
+score of the graph iteration k-1 committed. So a rollback at k undoes k's
+writes on evidence about the graph they were written to, not about them.
 
 Guidance-tier agents (skill_discovery, navigator, critic, curator) never
 run during inference: ``eval_run`` freezes the graph, selects bandit arms

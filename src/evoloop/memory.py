@@ -5,19 +5,19 @@ store keeps one block per task type id: a node is filed under
 ``(node.outcome, node.task_type_id)``, and the block holds the graph's own
 ``ExperienceNode``, no copy. The experience subgraph is append-only, so a
 block fills with exemplars that repeat a vector; it keeps one row per
-distinct L2-normalized vector (a contiguous matrix with amortised growth),
+distinct L2-normalized vector, in the order the vectors first arrive,
 keyed by the vector's bytes, and for each row the nodes that share it in
 node id order, plus separately those of them whose kind is not
 ``type_strategy``. Retrieval scores the query against its task type's
 distinct rows with an exact per-row dot product (no approximate index), so
 the scan costs one row per distinct vector however many copies are stored,
 and it fills a success block and a failure block from the best ``k`` nodes
-of each store. A block scores each (row, query) pair once: per query
-vector it keeps the similarities, the rows best first and their sorted
-similarities while its row count stands. Rows are only appended and never
-change, so a new distinct row extends that memo by the new rows' dot
-products alone, then sorts again; a row's dot product does not depend on
-the rows scored with it, so the memo holds the bits a fresh scan gives.
+of each store. A block scores each query vector once while its row count
+stands: it keeps the similarities, the rows best first and their sorted
+similarities, and a new distinct row makes it stack and scan its rows
+whole again. The rows are few (a static_qa 14x200 run, seed 42, files
+2,765 exemplars under 163 rows in 12 blocks), and a training run stops
+adding rows once its pool saturates, so its scans stop too.
 The slot split depends on how much context the question already carries:
 short contexts get two success slots and one failure slot, long contexts
 (at or past ``long_context_threshold`` characters) flip to one success
@@ -39,12 +39,11 @@ above).
 Every vector the index stores or queries with is normalised through a memo
 keyed by its float64 bytes, so each distinct vector is normalised once;
 ``normalize`` is a pure function of those bytes, so the rows are the same
-bits either way. ``rebuild_index`` builds each block once from the graph's
-exemplars in node id order, with one array build for its matrix, embedding
-each distinct question text once, and a block built that way grows like
-any other when a resumed run appends to it. The index is derived state: a
-run's embedder is fixed, so the blocks are a function of the graph, and
-only ``rebuild_index`` (after replay, or to swap the embedder) builds them
+bits either way. ``rebuild_index`` files the graph's exemplars one by one
+in node id order, as ``index_memory`` would, embedding each distinct
+question text once. The index is derived state: a run's embedder is
+fixed, so the blocks are a function of the graph, and only
+``rebuild_index`` (after replay, or to swap the embedder) builds them
 again.
 
 ``format_bundle`` renders the byte-stable prompt contract:
@@ -79,7 +78,6 @@ from .graph import ExperienceNode, KnowledgeGraph
 
 EXEMPLAR_OUTCOMES = ("success_memory", "failure_memory")
 LATTICE_DEPTH_CAP = 8
-_INITIAL_ROWS = 16
 
 
 @dataclass
@@ -169,102 +167,66 @@ def _rank(pair: tuple[float, ExperienceNode]) -> tuple[float, int]:
     return -pair[0], pair[1].id
 
 
-def _grown(array: np.ndarray) -> np.ndarray:
-    """``array`` with half its length again of unused capacity (less slack
-    than doubling, for peak memory)."""
-    return np.concatenate([array, np.empty_like(array[: len(array) // 2])])
-
-
 class _Block:
     """The exemplar nodes filed under one ``(node.outcome, node.task_type_id)``,
     with one scored row per distinct vector.
 
     It holds the graph's own nodes, which never change once applied (no
-    prune removes an exemplar). Row ``g`` of ``vectors`` is a distinct
-    normalised vector, found by its bytes in ``_group_of``. ``members[g]``
-    lists the nodes with that vector in node id order, and ``plain[g]`` the
-    ones among them whose kind is not ``type_strategy``. The matrix grows by
-    half its size when full, and ``vectors`` hides the unused capacity.
+    prune removes an exemplar). ``rows[g]`` is a distinct normalised vector,
+    found by its bytes in ``_group_of``. ``members[g]`` lists the nodes with
+    that vector in node id order, and ``plain[g]`` the ones among them whose
+    kind is not ``type_strategy``.
 
-    ``scores`` memoises, by the bytes of each query vector, what a scan of
-    the rows gives for it. An entry stands while the row count does. A new
-    row is the only change a block sees (a written row keeps its bits), so
-    a stale entry is extended by the new rows' dot products, not rescanned.
+    ``_scored`` memoises, by the bytes of each query vector, what a scan of
+    the rows gives for it. An entry stands while the row count does; a
+    stale one is rescanned whole.
     """
 
-    __slots__ = ("members", "plain", "_group_of", "_vectors", "_scored")
+    __slots__ = ("rows", "members", "plain", "_group_of", "_scored")
 
-    def __init__(
-        self, dimension: int, nodes: Sequence[ExperienceNode] = (), units: Sequence[np.ndarray] = ()
-    ):
-        """A block holding ``nodes``, with ``units`` as their normalised
-        vectors; one array build for the matrix."""
+    def __init__(self):
+        self.rows: list[np.ndarray] = []
         self.members: list[list[ExperienceNode]] = []
         self.plain: list[list[ExperienceNode]] = []
         self._group_of: dict[bytes, int] = {}
         # (similarities, rows best first, their similarities) by query bytes
         self._scored: dict[bytes, tuple[np.ndarray, list[int], list[float]]] = {}
-        distinct: list[np.ndarray] = []
-        for node, unit in zip(nodes, units):
-            if self._file(node, unit) == len(distinct):
-                distinct.append(unit)
-        # at least _INITIAL_ROWS, so growth by half always adds rows
-        self._vectors = np.empty((max(len(distinct), _INITIAL_ROWS), dimension))
-        if distinct:
-            np.stack(distinct, out=self._vectors[: len(distinct)])
 
-    def _file(self, node: ExperienceNode, unit: np.ndarray) -> int:
-        """Add ``node`` to the group of ``unit``, in node id order, and
-        return the group's row; an unseen vector opens a new group."""
+    def append(self, node: ExperienceNode, unit: np.ndarray) -> None:
+        """Add ``node`` to the group of its normalised vector ``unit``, in
+        node id order; an unseen vector opens a new group and adds its row."""
         key = unit.tobytes()
         g = self._group_of.get(key)
         if g is None:
-            g = self._group_of[key] = len(self.members)
+            g = self._group_of[key] = len(self.rows)
+            self.rows.append(unit)
             self.members.append([])
             self.plain.append([])
-        for rows in (
+        for group in (
             (self.members[g],) if node.kind == "type_strategy" else (self.members[g], self.plain[g])
         ):
-            if rows and rows[-1].id > node.id:
-                bisect.insort(rows, node, key=lambda n: n.id)
+            if group and group[-1].id > node.id:
+                bisect.insort(group, node, key=lambda n: n.id)
             else:
-                rows.append(node)
-        return g
-
-    def append(self, node: ExperienceNode, unit: np.ndarray) -> None:
-        n_groups = len(self.members)
-        g = self._file(node, unit)
-        if g == n_groups:
-            if g == len(self._vectors):
-                self._vectors = _grown(self._vectors)
-            self._vectors[g] = unit
+                group.append(node)
 
     @property
     def vectors(self) -> np.ndarray:
-        return self._vectors[: len(self.members)]
+        return np.stack(self.rows)
 
     def scores(self, query: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
         """The similarity of each row to the normalised ``query``, the rows
         best first (ties in row order), and their similarities in that order.
-
-        Each (row, query) pair is scored once.
         """
         key = query.tobytes()
         scored = self._scored.get(key)
-        n_rows = len(self.members)
-        if scored is not None and len(scored[0]) == n_rows:
-            return scored
-        # vecdot runs the per-row kernel of ``vector @ query``, so a row's
-        # similarity does not depend on where the row sits in the matrix or
-        # on the rows scored with it: the new rows alone extend an entry. A
-        # BLAS matvec (``M @ query``) rounds by row position.
-        if scored is None:
+        if scored is None or len(scored[0]) != len(self.rows):
+            # vecdot runs the per-row kernel of ``vector @ query``, so a
+            # row's similarity does not depend on the rows scanned with it;
+            # a BLAS matvec (``M @ query``) rounds by row position
             sims = np.vecdot(self.vectors, query)
-        else:
-            new_rows = self._vectors[len(scored[0]) : n_rows]
-            sims = np.concatenate([scored[0], np.vecdot(new_rows, query)])
-        order = np.argsort(-sims, kind="stable")
-        scored = self._scored[key] = (sims, order.tolist(), sims[order].tolist())
+            order = np.argsort(-sims, kind="stable")
+            scored = self._scored[key] = (sims, order.tolist(), sims[order].tolist())
         return scored
 
 
@@ -312,35 +274,9 @@ class MemoryIndex:
             )
         return arr
 
-    def _build(self, embed: Callable[[str], np.ndarray]) -> None:
-        """Index every exemplar of the graph into this empty index, one
-        block build per (store, task type): the blocks that ``index_memory``
-        called for each exemplar in node id order would give. ``embed`` is
-        called once per distinct question text."""
-        unit_of: dict[str, np.ndarray] = {}
-        grouped: dict[tuple[str, int | None], tuple[list[ExperienceNode], list[np.ndarray]]] = {}
-        experience = self.graph.experience
-        for node_id in sorted(experience):
-            node = experience[node_id]
-            if node.outcome not in EXEMPLAR_OUTCOMES:
-                continue
-            key = (node.outcome, node.task_type_id)
-            group = grouped.get(key)
-            if group is None:
-                group = grouped[key] = ([], [])
-            text = node.payload.get("question", "")
-            unit = unit_of.get(text)
-            if unit is None:
-                unit = unit_of[text] = self._unit(self._checked(embed(text)))
-            group[0].append(node)
-            group[1].append(unit)
-        for key, (nodes, units) in grouped.items():
-            self._blocks[key] = _Block(self.dimension, nodes, units)
-            self._indexed.update(node.id for node in nodes)
-
     def index_memory(self, node_id: int, vector: np.ndarray) -> None:
         """File one protected exemplar under ``(node.outcome,
-        node.task_type_id)``, the key ``_build`` uses.
+        node.task_type_id)``.
 
         Only success and failure memories are exemplar-retrievable;
         principles reach prompts through skill references, patterns and
@@ -354,12 +290,15 @@ class MemoryIndex:
         arr = self._checked(vector)
         if node_id in self._indexed:
             raise ValidationError(f"node {node_id} is already indexed")
+        self._file(node, self._unit(arr))
+
+    def _file(self, node: ExperienceNode, unit: np.ndarray) -> None:
         key = (node.outcome, node.task_type_id)
         block = self._blocks.get(key)
         if block is None:
-            block = self._blocks[key] = _Block(self.dimension)
-        block.append(node, self._unit(arr))
-        self._indexed.add(node_id)
+            block = self._blocks[key] = _Block()
+        block.append(node, unit)
+        self._indexed.add(node.id)
 
     def _candidates(
         self,
@@ -497,9 +436,21 @@ def rebuild_index(
     embed: Callable[[str], np.ndarray],
     type_strategy_min_similarity: float = 0.55,
 ) -> MemoryIndex:
-    """Derive the index from graph contents (used after event-log replay)."""
+    """Derive the index from graph contents (used after event-log replay):
+    the blocks ``index_memory`` gives for each exemplar in node id order,
+    with ``embed`` called once per distinct question text."""
     index = MemoryIndex(graph, dimension, type_strategy_min_similarity)
-    index._build(embed)
+    unit_of: dict[str, np.ndarray] = {}
+    experience = graph.experience
+    for node_id in sorted(experience):
+        node = experience[node_id]
+        if node.outcome not in EXEMPLAR_OUTCOMES:
+            continue
+        text = node.payload.get("question", "")
+        unit = unit_of.get(text)
+        if unit is None:
+            unit = unit_of[text] = index._unit(index._checked(embed(text)))
+        index._file(node, unit)
     return index
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import threading
 
+import numpy as np
 import pytest
 
 from evoloop import (
@@ -307,6 +308,18 @@ def test_catastrophic_drop_is_flagged():
     assert report.committed_accuracy == engine.prev_accuracy
 
 
+@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
+def test_guard_reads_evaluate_score_of_the_graph_the_iteration_started_from(env_name):
+    # without remeasure_after_update the guard's accuracy is EVALUATE's,
+    # taken before UPDATE and EVOLVE write: the mean of the pool's rewards
+    engine = make_engine(env_name)
+    assert not engine.config.remeasure_after_update
+    for k in range(4):
+        report = engine.run_iteration(k)
+        rewards = [result["reward"] for result in report.per_question]
+        assert report.accuracy == sum(rewards) / len(rewards)
+
+
 # ----------------------------------------------------------------------
 # frozen inference
 
@@ -430,6 +443,37 @@ def test_a_graph_write_between_two_answers_retrieves_again(monkeypatch):
     engine.graph.set_mastery(tt.resolver_skill_id, 0.5)
     engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
     assert len(calls) == 3
+
+
+def test_an_iteration_scans_the_index_only_after_new_rows(monkeypatch):
+    # an index block rescans a query only when it has gained a distinct row
+    # since the query's last scan, so once the pool saturates and stores no
+    # new vector, an iteration answers every question without a scan
+    engine = make_engine(pool_size=40, seed=3, iterations=10)
+    scans = []
+    vecdot = np.vecdot
+
+    def counting(rows, query):
+        scans.append(len(rows))
+        return vecdot(rows, query)
+
+    monkeypatch.setattr(np, "vecdot", counting)
+
+    def n_rows():
+        return sum(len(block.rows) for block in engine.index._blocks.values())
+
+    rows = [n_rows()]
+    per_iteration = []
+    for k in range(10):
+        before = len(scans)
+        engine.run_iteration(k)
+        per_iteration.append(len(scans) - before)
+        rows.append(n_rows())
+    for k in range(1, 10):
+        # rows[k] is the row count after iteration k - 1
+        if per_iteration[k]:
+            assert rows[k] > rows[k - 1]
+    assert per_iteration == [0, 38, 34, 14, 7, 0, 0, 0, 0, 0]
 
 
 def test_eval_retrieval_never_hurts():

@@ -17,6 +17,13 @@ same bytes. The fourth rolls back: its
 evaluation reports a 0.2 drop on every odd iteration, so half its
 iterations restore the boundary snapshot from a ring of two.
 
+The first two runs also pin which exemplars retrieval picks: the run files
+cannot show it, because the simulated learner reads only how many blocks a
+bundle holds. The digest is of every ``retrieve_bundle`` call's success and
+failure node ids in call order, node ids only, since similarity bits may
+differ across CPUs; it was taken before the index blocks dropped their
+capacity matrix and their memo extension.
+
 Each run's audit lines are pinned too, as the audit printed them when it
 still decoded the whole log into a list before checking it: every event
 count, boundary count and final hash must come out of the streamed pass
@@ -28,7 +35,7 @@ import hashlib
 
 import pytest
 
-from evoloop import Engine, EngineConfig, RunStore, audit_run, init_run, run_eval, run_training
+from evoloop import Engine, EngineConfig, MemoryIndex, RunStore, audit_run, init_run, run_eval, run_training
 from evoloop.runner import bootstrap_run
 
 from oracles import oracle_bundle
@@ -97,9 +104,27 @@ AUDIT_LINES = {
 }
 
 
+# sha256 of the node ids of every bundle the run retrieves, one line per
+# call: success ids, "|", failure ids
+RETRIEVALS = {
+    "static_qa": "e1293a5fecd50f3e91912ba93d7899020fb2aca669a4d6ea3b2a2b7c82debca4",
+    "sequential": "424c1198437f6706540ff779ac2f2e5cd3f7dba9253450d577e9658c6834bc9c",
+}
+
+
 @pytest.mark.parametrize("env_name", sorted(GOLDEN))
-def test_run_files_match_golden_digests(tmp_path, env_name):
+def test_run_files_match_golden_digests(tmp_path, monkeypatch, env_name):
     overrides, expected = GOLDEN[env_name]
+    retrieved = []
+    retrieve = MemoryIndex.retrieve_bundle
+
+    def recording(self, *args, **kwargs):
+        bundle = retrieve(self, *args, **kwargs)
+        ids = [[e.node_id for e in entries] for entries in (bundle.success, bundle.failure)]
+        retrieved.append(" ".join(map(str, ids[0])) + "|" + " ".join(map(str, ids[1])))
+        return bundle
+
+    monkeypatch.setattr(MemoryIndex, "retrieve_bundle", recording)
     store = init_run(tmp_path / "run", EngineConfig(**overrides), env_name)
     run_training(store)
     run_eval(store, retrieval=True)
@@ -108,6 +133,7 @@ def test_run_files_match_golden_digests(tmp_path, env_name):
         name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
     }
     assert digests == expected
+    assert hashlib.sha256("\n".join(retrieved).encode()).hexdigest() == RETRIEVALS[env_name]
     assert audit_run(RunStore(store.root)).lines() == AUDIT_LINES[env_name]
 
 

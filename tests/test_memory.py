@@ -460,10 +460,10 @@ def test_scan_scores_each_distinct_vector_once(monkeypatch):
     add_success(graph, index, tt, question="s0", vector=vectors[0])
     assert index.retrieve_bundle(vectors[1], tt, context_length=10, k=3) == bundle
     assert scanned == [3]
-    # a new distinct row is the only one scored
+    # a new distinct row rescans the block once
     add_success(graph, index, tt, question="s3", vector=seeded_unit(403))
     index.retrieve_bundle(vectors[1], tt, context_length=10, k=3)
-    assert scanned == [3, 1]
+    assert scanned == [3, 4]
 
 
 # a query, or the exemplar of one kind and task type with one of the vectors
@@ -528,7 +528,7 @@ def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
                     assert ranked == fresh[expected_order].tolist()
                 else:
                     # a stale entry covers a prefix of the rows, and
-                    # scores() extends it before it is read
+                    # scores() rescans them whole before it is read
                     assert len(sims) < len(fresh)
                     assert sims.tobytes() == fresh[: len(sims)].tobytes()
 
@@ -680,7 +680,8 @@ def _assert_same_blocks(index, other, embed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(exemplar, max_size=60), st.lists(exemplar, min_size=50, max_size=50))
-# a one-row block and a full 20-row block, each grown past its capacity
+# a one-row block that grows to six rows, and a six-row block whose vectors
+# come back as type_strategy nodes, so it gains members but no row
 @example([(0, 0, 0)], [(0, 0, i % 6) for i in range(50)])
 @example([(1, 1, i % 6) for i in range(20)], [(2, 1, i % 6) for i in range(50)])
 def test_bulk_rebuild_matches_incremental_index_bit_for_bit(first, more):
