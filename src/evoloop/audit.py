@@ -140,7 +140,7 @@ def _check_event_log(
     A line of events.log that does not decode raises its ``IntegrityError``.
     """
     protected = _ProtectedConservation()
-    bandits = _BanditRecount(config.snapshot_history_limit)
+    bandits = _BanditRecount()
     records = _EventStream(store, [protected.step, bandits.step])
     replay_check, replayed = _check_log_replay(store, records, reports, config, boundaries)
     if isinstance(replayed, IntegrityError):
@@ -452,14 +452,13 @@ def _check_eval_boundary(evals, reports, boundaries: dict[int, str | None]) -> C
 
 class _BanditRecount:
     """bandit_consistency: draws and updates per context recounted from
-    scratch, one replayed event at a time; rollbacks are honored."""
+    scratch, one replayed event at a time; rollbacks are honored. Every
+    snapshot's counts are kept: a rollback to one the ring evicted fails replay."""
 
-    def __init__(self, snapshot_history_limit: int):
-        self.limit = snapshot_history_limit
+    def __init__(self):
         self.draws: dict[str, int] = {}
         self.totals: dict[str, dict[str, list[int]]] = {}
         self.snapshots: dict[int, tuple[dict, dict]] = {}
-        self.snapshot_order: list[int] = []
         self.error: KeyError | TypeError | None = None
 
     def step(self, event) -> None:
@@ -483,9 +482,6 @@ class _BanditRecount:
                     {c: n for c, n in draws.items()},
                     {c: {a: list(v) for a, v in arms.items()} for c, arms in totals.items()},
                 )
-                self.snapshot_order.append(sid)
-                if len(self.snapshot_order) > self.limit:
-                    self.snapshots.pop(self.snapshot_order.pop(0), None)
             elif op == "rollback":
                 saved_draws, saved_totals = self.snapshots[payload["snapshot_id"]]
                 for ctx in draws:

@@ -6,9 +6,7 @@ One iteration runs five phases against a frozen model tier:
             only reorder or subset it
   EXPLORE   sequential environments only: one episode, writing observation
             nodes, abstracted patterns, and trailing-action recipes; each
-            step asks the explorer through ``_explorer_step``, the one
-            sequential prompt path, which frozen eval shares without
-            retrieval
+            step asks the explorer through ``_explorer_step``
   EVALUATE  the learner answers the evolution pool with retrieved bundles;
             the critic judges one batch per task type; every graph or
             bandit write this phase produces is queued. On a sequential
@@ -30,7 +28,7 @@ measured accuracy with the previous committed accuracy: a drop past
 ``delta_guard`` rolls mutable slots back to the previous boundary snapshot
 (past ``catastrophic_threshold`` it is additionally flagged), while
 protected nodes appended during the iteration always survive. Unless
-``remeasure_after_update`` scores the static pool again after EVOLVE, the
+``remeasure_after_update`` scores the pool again after EVOLVE, the
 measured accuracy is EVALUATE's, taken before UPDATE and EVOLVE write: a
 score of the graph iteration k-1 committed. So a rollback at k undoes k's
 writes on evidence about the graph they were written to, not about them.
@@ -50,7 +48,11 @@ recipe) once per (task type, skill), and the exemplar bundle, one
 retrieval, once per distinct question. A bundle depends only on the task
 type, the question text and which side of ``long_context_threshold`` the
 context length falls, and a pool of 200 questions holds about 130 such keys.
-``_bundle`` is where every learner prompt gets its bundle.
+
+Every prompt, the learner's and the explorer's, in training, re-measure
+and frozen eval, is assembled by ``_prompt`` under one rule: with retrieval
+it carries its bundle from ``_bundle`` and its graph-derived notes, and
+without retrieval neither.
 """
 
 from __future__ import annotations
@@ -501,7 +503,7 @@ class Engine:
             skill = self.graph.skill_by_name(self.env.RESOLVER[unlocked])
             record_action_recipe(self.graph, skill.id, state.actions_taken)
 
-        state = self._episode("train", record_recipe)
+        state = self._episode("train", on_unlock=record_recipe)
         self.graph.add_env_node(
             "observation",
             {"iteration": k, "actions": list(state.actions_taken), "unlocked": list(state.unlocked)},
@@ -513,7 +515,7 @@ class Engine:
         )
         return state
 
-    def _episode(self, phase: str, on_unlock=None):
+    def _episode(self, phase: str, retrieval: bool = True, on_unlock=None):
         """Play one bounded episode, each step asked through ``_explorer_step``;
         ``on_unlock(state, achievement)`` follows every unlocking step."""
         env = self.env
@@ -522,37 +524,28 @@ class Engine:
             target = env.intended_action(state)
             if target is None:
                 break
-            unlocked = env.step(state, self._explorer_step(state, target, phase))
+            unlocked = env.step(state, self._explorer_step(state, target, phase, retrieval))
             if unlocked is not None and on_unlock is not None:
                 on_unlock(state, unlocked)
         return state
 
-    def _explorer_step(self, state, target: str, phase: str) -> str:
-        """Assemble the explorer prompt for one episode step and ask for an action.
+    def _explorer_step(self, state, target: str, phase: str, retrieval: bool) -> str:
+        """Ask the explorer for one episode step's action toward ``target``;
+        its note is the last action of the resolver skill's recipe."""
 
-        EXPLORE ("train") and frozen eval ("infer") share this path; only
-        training retrieves an exemplar bundle for the step's task type.
-        """
-        skill = self.graph.skill_by_name(self.env.RESOLVER[target])
-        recipe = latest_action_recipe(self.graph, skill.id)
-        # the recipe's final action is the one that fired the unlock
-        notes = [f"next-action {recipe[-1]}"] if recipe else []
+        def recipe_note():
+            skill = self.graph.skill_by_name(self.env.RESOLVER[target])
+            recipe = latest_action_recipe(self.graph, skill.id)
+            # the recipe's final action is the one that fired the unlock
+            return None, [f"next-action {recipe[-1]}"] if recipe else []
+
         goal = f"achieve {target}"
-        if phase == "train":
-            bundle = self.index.retrieve_bundle(
-                self.backends.embedder.embed(goal),
-                self.graph.task_type_by_name(target).id,
-                context_length=0,
-                k=self.config.retrieval_top_k,
-                long_context_threshold=self.config.long_context_threshold,
-            )
-        else:
-            bundle = memory.MemoryBundle(allocation=(0, 0))
-        prompt = format_bundle(
-            bundle,
+        prompt, _ = self._prompt(
             goal,
-            context=f"unlocked: {', '.join(state.unlocked) or 'none'}",
-            guidance=notes,
+            f"unlocked: {', '.join(state.unlocked) or 'none'}",
+            (goal, self.graph.task_type_by_name(target).id, 0),
+            retrieval,
+            recipe_note,
         )
         self.backends.tracker.record(phase, "explorer", self.backends.execution.role)
         return self.backends.execution.act(
@@ -602,33 +595,35 @@ class Engine:
         phase: str = "train",
         retrieval: bool = True,
     ) -> tuple[str, str, int, int]:
-        """Assemble the learner prompt for one question and ask it once.
-
-        Training and frozen ("infer") eval share this path; the phase picks
-        the temperature. Without retrieval the prompt carries no exemplars,
-        lattice or guidance notes.
-        """
-        skill = self.graph.skills[skill_id]
-        lattice = None
-        notes: tuple[str, ...] = ()
-        if retrieval:
-            bundle = self._bundle(q, tt_id)
-            if search_arm == "cascade":
-                lattice, notes = self._cascade_context(tt_id, skill_id)
-        else:
-            bundle = memory.MemoryBundle(allocation=(0, 0))
-        prompt = format_bundle(
-            bundle,
-            skill.prompt_template.replace("{question}", q.text),
-            context=q.context,
-            lattice=lattice,
-            guidance=notes,
+        """Ask the learner one question; the phase picks the temperature. A
+        cascade prompt's lattice and notes are its cascade context."""
+        prompt, bundle = self._prompt(
+            self.graph.skills[skill_id].prompt_template.replace("{question}", q.text),
+            q.context,
+            (q.text, tt_id, len(q.context)),
+            retrieval,
+            (lambda: self._cascade_context(tt_id, skill_id)) if search_arm == "cascade" else None,
         )
         temperature = (
             self.config.train_temperature if phase == "train" else self.config.eval_temperature
         )
         raw = self._call_execution("learner", phase, prompt, {"question_id": q.qid}, temperature)
         return raw, extract_answer(raw), len(bundle.success), len(bundle.failure)
+
+    def _prompt(
+        self, question: str, context: str, key: tuple, retrieval: bool, notes=None
+    ) -> tuple[str, memory.MemoryBundle]:
+        """Every prompt, the learner's and the explorer's, and the bundle it
+        carries. With retrieval that is the bundle ``_bundle(*key)``, with
+        the skill lattice and guidance notes ``notes()`` returns (None: none);
+        without retrieval it carries neither."""
+        if retrieval:
+            bundle = self._bundle(*key)
+            lattice, guidance = notes() if notes else (None, ())
+        else:
+            bundle, lattice, guidance = memory.MemoryBundle(allocation=(0, 0)), None, ()
+        prompt = format_bundle(bundle, question, context=context, lattice=lattice, guidance=guidance)
+        return prompt, bundle
 
     def _version_memo(self) -> dict:
         """The memo of the current graph version: a fresh one once a write
@@ -640,18 +635,19 @@ class Engine:
             self._pass_memo = (version, memo)
         return memo
 
-    def _bundle(self, q, tt_id: int) -> memory.MemoryBundle:
-        """The exemplar bundle of question ``q`` under task type ``tt_id``,
-        retrieved once per distinct key while the graph version stands."""
+    def _bundle(self, text: str, tt_id: int, context_length: int) -> memory.MemoryBundle:
+        """The exemplar bundle of question ``text`` under task type ``tt_id``
+        with a context of ``context_length`` characters, retrieved once per
+        distinct key while the graph version stands."""
         threshold = self.config.long_context_threshold
-        key = ("bundle", tt_id, q.text, len(q.context) >= threshold)
+        key = ("bundle", tt_id, text, context_length >= threshold)
         memo = self._version_memo()
         bundle = memo.get(key)
         if bundle is None:
             bundle = memo[key] = self.index.retrieve_bundle(
-                self.backends.embedder.embed(q.text),
+                self.backends.embedder.embed(text),
                 tt_id,
-                context_length=len(q.context),
+                context_length=context_length,
                 k=self.config.retrieval_top_k,
                 long_context_threshold=threshold,
             )
@@ -976,16 +972,24 @@ class Engine:
     # re-measure mode for the delta guard
 
     def _remeasure(self) -> float:
-        """Score the pool again, read-only, against the post-UPDATE graph."""
+        """Score the pool again, read-only, against the post-UPDATE graph: a
+        sequential env's by one more episode, which records no recipe."""
         if self.env.mode == "sequential":
-            return self.prev_accuracy if self.prev_accuracy is not None else 0.0
+            return len(self._episode("train").unlocked) / len(self.env.ACHIEVEMENTS)
         pool = self.env.evolution_pool()[: self.config.pool_size]
-        routes = self._routes(pool, lambda tt: "base")
-        correct = 0
-        for q in pool:
-            _raw, predicted, _ns, _nf = self._answer_question(q, *routes[q.task_type])
-            correct += self._call_judge([(predicted, q.answer)])[0]
+        answers = self._answers(pool, lambda tt: "base", "train")
+        correct = sum(self._call_judge([(predicted, q.answer)])[0] for q, predicted in answers)
         return correct / len(pool)
+
+    def _answers(self, pool, pick, phase: str, retrieval: bool = True):
+        """Answer ``pool`` on the routes ``pick`` chooses (see ``_routes``),
+        yielding (question, predicted answer) as each is answered."""
+        routes = self._routes(pool, pick)
+        for q in pool:
+            _raw, predicted, _ns, _nf = self._answer_question(
+                q, *routes[q.task_type], phase=phase, retrieval=retrieval
+            )
+            yield q, predicted
 
     # ------------------------------------------------------------------
     # frozen inference
@@ -1013,7 +1017,7 @@ class Engine:
         try:
             if self.env.mode == "sequential":
                 n = len(self.env.ACHIEVEMENTS)
-                accuracy = len(self._episode("infer").unlocked) / n
+                accuracy = len(self._episode("infer", retrieval).unlocked) / n
             else:
                 accuracy, n = self._eval_static_frozen(pool_name, retrieval)
         finally:
@@ -1038,16 +1042,13 @@ class Engine:
         )
         # the frozen graph fixes one route per task type for the whole pass,
         # on the search arm of highest posterior mean
-        routes = self._routes(
-            pool, lambda tt: bandits.exploit_arm(self.graph.bandits[f"search/{tt.id}"])
+        answers = self._answers(
+            pool,
+            lambda tt: bandits.exploit_arm(self.graph.bandits[f"search/{tt.id}"]),
+            "infer",
+            retrieval,
         )
-        correct = 0
-        for q in pool:
-            _raw, predicted, _ns, _nf = self._answer_question(
-                q, *routes[q.task_type], phase="infer", retrieval=retrieval
-            )
-            if predicted.strip() == q.answer.strip():
-                correct += 1
+        correct = sum(predicted.strip() == q.answer.strip() for q, predicted in answers)
         return correct / len(pool), len(pool)
 
 

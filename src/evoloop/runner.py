@@ -173,10 +173,9 @@ def _load_engine(
 
     Of the reports it needs only their count ``committed`` and the last
     committed accuracy; everything else is in the replayed graph. For a
-    frozen eval, ``eval_retrieval`` says whether it retrieves. The engine
-    then gets an exemplar index only when the eval reads one: a static pool
-    with retrieval. The sequential explorer retrieves only in training. An
-    engine loaded without an index must not train or retrieve.
+    frozen eval, ``eval_retrieval`` says whether it retrieves, and the engine
+    gets an exemplar index only when it does. An engine loaded without an
+    index must not train or retrieve.
     """
     store.require()
     config, meta = load_run_config(store)
@@ -190,8 +189,7 @@ def _load_engine(
             skill_growth_cap=config.skill_growth_cap,
             snapshot_history_limit=config.snapshot_history_limit,
         )
-    index = eval_retrieval is None or (eval_retrieval and env.mode == "static")
-    engine = build_simulated_engine(config, env, graph, index)
+    engine = build_simulated_engine(config, env, graph, eval_retrieval is not False)
     engine.prev_accuracy = last_accuracy
     graph.set_event_sink(store.event_sink)
     # a write killed before its rename leaves only a temp file

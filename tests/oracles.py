@@ -197,8 +197,8 @@ def bundle_sizes_reference(n_success_ranked: int, n_failure_ranked: int, allocat
     return take_s, take_f
 
 
-def oracle_bundle(engine, q, tt_id: int) -> MemoryBundle:
-    """The bundle of question ``q`` under task type ``tt_id`` as an ideal
+def oracle_bundle(engine, text: str, tt_id: int, context_length: int) -> MemoryBundle:
+    """The bundle of question ``text`` under task type ``tt_id`` as an ideal
     retriever picks it: tests patch this over ``Engine._bundle``.
 
     The candidates of each store are the ones the similarity walk admits:
@@ -208,7 +208,7 @@ def oracle_bundle(engine, q, tt_id: int) -> MemoryBundle:
     other, then on node id; the slots and their backfill are the package's.
     """
     index, config = engine.index, engine.config
-    query = index._unit(engine.backends.embedder.embed(q.text))
+    query = index._unit(engine.backends.embedder.embed(text))
     ranked = []
     for outcome in ("success_memory", "failure_memory"):
         block = index._blocks.get((outcome, tt_id))
@@ -217,12 +217,12 @@ def oracle_bundle(engine, q, tt_id: int) -> MemoryBundle:
             for g, sim in enumerate(block.scores(query)[0]):
                 rows = block.plain[g] if sim < index.type_strategy_min_similarity else block.members[g]
                 candidates += [
-                    (1.0 if node.payload.get("question") == q.text else 0.15, node) for node in rows
+                    (1.0 if node.payload.get("question") == text else 0.15, node) for node in rows
                 ]
         candidates.sort(key=lambda pair: (-pair[0], pair[1].id))
         ranked.append(candidates)
     allocation = allocation_reference(
-        len(q.context), config.retrieval_top_k, config.long_context_threshold
+        context_length, config.retrieval_top_k, config.long_context_threshold
     )
     take_s, take_f = bundle_sizes_reference(len(ranked[0]), len(ranked[1]), allocation)
     return MemoryBundle(

@@ -347,7 +347,7 @@ def _counting(calls, fn):
     return wrapper
 
 
-def test_explorer_step_retrieves_in_training_only(monkeypatch):
+def test_explorer_retrieves_exactly_when_asked(monkeypatch):
     engine = make_engine(env_name="sequential", pool_size=10)
     for k in range(2):
         engine.run_iteration(k)
@@ -358,19 +358,49 @@ def test_explorer_step_retrieves_in_training_only(monkeypatch):
     monkeypatch.setattr(
         engine.backends.execution, "act", _counting(actions, engine.backends.execution.act)
     )
-    embeds_before = engine.backends.embedder.calls
 
-    record = engine.eval_run(retrieval=True)
+    # a frozen eval without retrieval neither retrieves nor embeds
+    embeds_before = engine.backends.embedder.calls
+    record = engine.eval_run(retrieval=False)
     assert retrievals == []
     assert engine.backends.embedder.calls == embeds_before
     assert record["calls"] == {"infer/explorer/execution": len(actions)}
     assert actions
 
-    # a sequential iteration retrieves only in EXPLORE: once per episode step
+    # with retrieval it retrieves once per goal of its episode, the graph frozen
     del actions[:]
+    record = engine.eval_run(retrieval=True)
+    assert record["calls"] == {"infer/explorer/execution": len(actions)}
+    # (query vector, task type id, context length): one goal per task type
+    goals = {args[1] for args in retrievals}
+    assert 0 < len(retrievals) == len(goals) <= len(actions)
+    assert engine.backends.embedder.calls > embeds_before
+
+    # a training iteration retrieves at most once per explorer step, and
+    # once per goal while the graph version stands
+    del actions[:], retrievals[:]
+    keys = []
+    retrieve = engine._bundle
+
+    def versioned(text, tt_id, context_length):
+        keys.append((engine.graph.last_seq, tt_id))
+        return retrieve(text, tt_id, context_length)
+
+    monkeypatch.setattr(engine, "_bundle", versioned)
     engine.run_iteration(2)
-    assert actions
-    assert len(retrievals) == len(actions)
+    assert actions and len(keys) == len(actions)
+    # the first step may reuse the eval's bundle: the graph has not moved since
+    assert 0 < len(retrievals) <= len(set(keys))
+
+
+def test_sequential_remeasure_plays_an_episode_that_writes_nothing():
+    engine = make_engine(env_name="sequential", seed=42, iterations=5, remeasure_after_update=True)
+    reports = [engine.run_iteration(k) for k in range(5)]
+    assert all(report.accuracy > 0.0 for report in reports)
+    # an episode that unlocks an achievement records no recipe
+    before = engine.graph.last_seq
+    assert engine._remeasure() == 1.0
+    assert engine.graph.last_seq == before
 
 
 def _bundle_keys(engine, pool):

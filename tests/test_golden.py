@@ -22,7 +22,13 @@ cannot show it, because the simulated learner reads only how many blocks a
 bundle holds. The digest is of every ``retrieve_bundle`` call's success and
 failure node ids in call order, node ids only, since similarity bits may
 differ across CPUs; it was taken before the index blocks dropped their
-capacity matrix and their memo extension.
+capacity matrix and their memo extension. A second digest pins what every
+prompt of the run's training carries, however retrieval served it: the
+node ids of the bundle each ``format_bundle`` call renders. It was taken
+before the explorer's prompt joined the learner's path, on which a step
+reuses the bundle an earlier step of the same graph version retrieved. So
+the sequential retrieval digest moved then while this one held; so did the
+sequential eval without retrieval, which since carries no recipe note.
 
 Each run's audit lines are pinned too, as the audit printed them when it
 still decoded the whole log into a list before checking it: every event
@@ -36,6 +42,7 @@ import hashlib
 import pytest
 
 from evoloop import Engine, EngineConfig, MemoryIndex, RunStore, audit_run, init_run, run_eval, run_training
+from evoloop import engine as engine_module
 from evoloop.runner import bootstrap_run
 
 from oracles import oracle_bundle
@@ -58,7 +65,7 @@ GOLDEN = {
             "reports.jsonl": "ea2d39333b27fcd44c1bc3381c0359c47bdbf8ce9ae52b56e8b817e5cbea2e6f",
             "snap-00005.json": "74820e1925645ee48ac88e01d95b3e4243afec96ff38c404c40cd890461873fc",
             "eval-held_out-ret-00006.json": "dfe58b72eaf828cb1804149442799ed839b68ce356b310288dce28831ed476fe",
-            "eval-held_out-noret-00006.json": "8d5a2661c00611ddfca1326e8a5225dc226bb1f7f3b6374eccdc95fa0fb80d01",
+            "eval-held_out-noret-00006.json": "ef89609db3db2f27280de381db3c54e57c7a538540347cfad3cc17467051e5a7",
         },
     ),
 }
@@ -108,25 +115,42 @@ AUDIT_LINES = {
 # call: success ids, "|", failure ids
 RETRIEVALS = {
     "static_qa": "e1293a5fecd50f3e91912ba93d7899020fb2aca669a4d6ea3b2a2b7c82debca4",
+    "sequential": "7e4e35bae709ef2c665b7de1f07c09d59880641d0058a8277748f6de7c8b24db",
+}
+
+# sha256 of the node ids of the bundle of every prompt training renders, one
+# line per prompt in the same format
+PROMPT_BUNDLES = {
+    "static_qa": "fb098e0905b9cf17fce860acb82e6e9beaae29124f90c995eada9ac81c842e1b",
     "sequential": "424c1198437f6706540ff779ac2f2e5cd3f7dba9253450d577e9658c6834bc9c",
 }
+
+
+def _bundle_ids(bundle) -> str:
+    ids = [[e.node_id for e in entries] for entries in (bundle.success, bundle.failure)]
+    return " ".join(map(str, ids[0])) + "|" + " ".join(map(str, ids[1]))
 
 
 @pytest.mark.parametrize("env_name", sorted(GOLDEN))
 def test_run_files_match_golden_digests(tmp_path, monkeypatch, env_name):
     overrides, expected = GOLDEN[env_name]
-    retrieved = []
-    retrieve = MemoryIndex.retrieve_bundle
+    retrieved, prompted = [], []
+    retrieve, render = MemoryIndex.retrieve_bundle, engine_module.format_bundle
 
     def recording(self, *args, **kwargs):
         bundle = retrieve(self, *args, **kwargs)
-        ids = [[e.node_id for e in entries] for entries in (bundle.success, bundle.failure)]
-        retrieved.append(" ".join(map(str, ids[0])) + "|" + " ".join(map(str, ids[1])))
+        retrieved.append(_bundle_ids(bundle))
         return bundle
+
+    def rendering(bundle, *args, **kwargs):
+        prompted.append(_bundle_ids(bundle))
+        return render(bundle, *args, **kwargs)
 
     monkeypatch.setattr(MemoryIndex, "retrieve_bundle", recording)
     store = init_run(tmp_path / "run", EngineConfig(**overrides), env_name)
-    run_training(store)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "format_bundle", rendering)
+        run_training(store)
     run_eval(store, retrieval=True)
     run_eval(store, retrieval=False)
     digests = {
@@ -134,6 +158,7 @@ def test_run_files_match_golden_digests(tmp_path, monkeypatch, env_name):
     }
     assert digests == expected
     assert hashlib.sha256("\n".join(retrieved).encode()).hexdigest() == RETRIEVALS[env_name]
+    assert hashlib.sha256("\n".join(prompted).encode()).hexdigest() == PROMPT_BUNDLES[env_name]
     assert audit_run(RunStore(store.root)).lines() == AUDIT_LINES[env_name]
 
 

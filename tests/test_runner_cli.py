@@ -1128,6 +1128,27 @@ def test_bandit_event_on_unknown_context_fails_cleanly(tmp_path):
     assert main(["audit", str(run_dir)]) == 2
 
 
+def test_rollback_to_a_snapshot_the_ring_evicted_fails_replay(tmp_path):
+    # the bandit recount keeps the counts of every snapshot; the graph's
+    # ring of two has evicted the first, so replay refuses the rollback and
+    # the recount reports that the log does not replay
+    config = EngineConfig(iterations=4, pool_size=40, seed=1, snapshot_history_limit=2)
+    store = init_run(tmp_path / "r", config, "static_qa")
+    run_training(store)
+    events = list(store.read_events())
+    first = next(e["payload"]["snapshot_id"] for e in events if e["op"] == "snapshot")
+    seq = events[-1]["seq"] + 1
+    append_event(store.root, {
+        "seq": seq, "iter": 3, "op": "rollback", "payload": {"snapshot_id": first},
+    })
+    lines = audit_run(RunStore(store.root)).lines()
+    assert all(line.startswith("[PASS]") for line in lines[:4])
+    assert lines[4:] == [
+        f"[FAIL] log_replay: replay failed at seq {seq} (rollback)",
+        f"[FAIL] bandit_consistency: log does not replay: replay failed at seq {seq} (rollback)",
+    ]
+
+
 @pytest.mark.parametrize(
     "record", [{"seq": 99999, "iter": 99, "payload": {}}, [1, 2]], ids=["no-op", "not-an-object"]
 )
@@ -1285,9 +1306,18 @@ def test_eval_without_retrieval_builds_no_index(tmp_path, monkeypatch, env_name)
     monkeypatch.setattr(evoloop.runner, "rebuild_index", counting)
     run_eval(RunStore(store.root), retrieval=True)
     assert len(load_engine(RunStore(store.root)).index) > 0
-    # the sequential explorer retrieves only in training, so its frozen eval
-    # with retrieval reads no index either
-    assert builds == ([1, 1] if env_name == "static_qa" else [1])
+    assert builds == [1, 1]
+
+
+def test_sequential_eval_without_retrieval_runs_without_memory(tmp_path):
+    # seed 42 unlocks 2 of 5 achievements in its one training episode; the
+    # frozen explorer does no better without the graph's memory, and
+    # reaches every one with its recipes and bundles
+    store = init_run(tmp_path / "r", EngineConfig(iterations=1, seed=42), "sequential")
+    run_training(store)
+    assert store.read_reports()[0]["accuracy"] == 0.4
+    assert run_eval(store, retrieval=False)["accuracy"] < 1.0
+    assert run_eval(store, retrieval=True)["accuracy"] == 1.0
 
 
 def test_init_run_rejects_bad_config_object(tmp_path):
