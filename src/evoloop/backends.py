@@ -15,7 +15,9 @@ model server:
     seed and the question id alone, so the learner is a pure function of
     (question, rendered prompt): more exemplars never flip a correct
     answer to wrong, which is what the retrieval-error bound needs. The
-    backend hashes the two once per question id and keeps them.
+    backend hashes the two once per question id and keeps them. It looks
+    each question up in the env's answer key and never copies the key, so
+    a ``static_qa`` key builds only the split whose questions are asked.
   * guidance: template-fills corrections, principles, refined prompts and
     tool notes from structured metadata.
   * judge: exact string match per item.
@@ -108,7 +110,8 @@ class SimulatedExecutionBackend(Backend):
     role = "execution"
 
     def __init__(self, answer_key: Mapping[str, Mapping[str, Any]], seed: int):
-        self.answer_key = dict(answer_key)
+        # read, not copied: an env's key may build its entries on first lookup
+        self.answer_key = answer_key
         self.seed = seed
         # (base difficulty, roll) by question id; pure functions of (seed, id)
         self._draws: dict[str, tuple[float, float]] = {}

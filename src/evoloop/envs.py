@@ -4,7 +4,9 @@
 eight skills whose prerequisite DAG is a diamond feeding a chain. Question
 pools are generated once from the seed and then fixed, so the evolution
 pool is the same 200 questions every iteration and the held-out pool never
-leaks into training. Two of the six types carry long narrative contexts to
+leaks into training. A pool is generated on its first use, and the answer
+key the simulated learner reads builds a split only when one of its
+questions is asked. Two of the six types carry long narrative contexts to
 exercise the long-context retrieval split.
 
 ``SequentialChainEnv`` is a five-achievement progression world. An episode
@@ -17,6 +19,7 @@ unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -107,16 +110,8 @@ class StaticQAEnv:
             ]
         return self._pools[split]
 
-    def answer_key(self) -> dict[str, dict[str, Any]]:
-        key = {}
-        for split in ("train", "heldout"):
-            for q in self._pool(split):
-                key[q.qid] = {
-                    "question": q.text,
-                    "answer": q.answer,
-                    "decomposition": [list(step) for step in q.decomposition],
-                }
-        return key
+    def answer_key(self) -> "StaticAnswerKey":
+        return StaticAnswerKey(self)
 
     def _make_question(self, split: str, i: int) -> Question:
         task_type = self.TASK_TYPES[i % len(self.TASK_TYPES)]
@@ -243,6 +238,51 @@ class StaticQAEnv:
                 ("compare_quantities", f"max({a * 12}, {c + d}) = {bigger}"),
             ),
         )
+
+
+class StaticAnswerKey(Mapping[str, dict[str, Any]]):
+    """The simulated learner's answer key of a ``StaticQAEnv``: by question
+    id, its text, answer and decomposition, over both splits.
+
+    A split's entries are built from its pool on the first lookup of one of
+    its ids (``q-<split>-<index>``), so a verb that asks only evolution
+    questions never builds the held-out pool, and a held-out eval never
+    builds the evolution pool. Iterating or sizing the key builds both.
+    """
+
+    # the id prefix ``_make_question`` gives each split
+    _PREFIXES = tuple((f"q-{split}-", split) for split in ("train", "heldout"))
+
+    def __init__(self, env: StaticQAEnv):
+        self._env = env
+        self._splits: dict[str, dict[str, dict[str, Any]]] = {}
+
+    def _entries(self, split: str) -> dict[str, dict[str, Any]]:
+        entries = self._splits.get(split)
+        if entries is None:
+            entries = self._splits[split] = {
+                q.qid: {
+                    "question": q.text,
+                    "answer": q.answer,
+                    "decomposition": [list(step) for step in q.decomposition],
+                }
+                for q in self._env._pool(split)
+            }
+        return entries
+
+    def __getitem__(self, qid: str) -> dict[str, Any]:
+        if isinstance(qid, str):
+            for prefix, split in self._PREFIXES:
+                if qid.startswith(prefix):
+                    return self._entries(split)[qid]
+        raise KeyError(qid)
+
+    def __iter__(self) -> Iterator[str]:
+        for _prefix, split in self._PREFIXES:
+            yield from self._entries(split)
+
+    def __len__(self) -> int:
+        return sum(len(self._entries(split)) for _prefix, split in self._PREFIXES)
 
 
 @dataclass

@@ -25,7 +25,10 @@ function the encoder itself escapes strings with and each int with
 ``%d``, which is byte for byte what the encoder writes. Replaying a log
 into an empty graph reproduces the final state bit-exactly: ids are
 allocated by the writer and embedded in payloads, the apply step is a
-pure function of (state, payload), and records carry no timestamps.
+pure function of (state, payload), and records carry no timestamps. The
+apply step finds each record's handler, ``_on_<op>``, in one table
+lookup, which matters to replay: a log holds thousands of records, most
+of them ``bandit_update``.
 
 Snapshots capture only the mutable slots (masteries, prompt templates,
 strategies, task counters, bandit states). Rolling back restores those slots
@@ -81,6 +84,8 @@ from .errors import (
 
 PROTECTED_OUTCOMES = frozenset({"principle", "failure_memory", "success_memory"})
 EXPERIENCE_OUTCOMES = PROTECTED_OUTCOMES | {"abstracted_pattern", "retrieval_recipe"}
+# the outcomes the exemplar index files by their question text
+EXEMPLAR_OUTCOMES = ("success_memory", "failure_memory")
 FAILURE_KINDS = frozenset({"specific", "type_strategy"})
 ENV_CLASSES = frozenset({"entity", "relation", "observation", "task_context"})
 
@@ -360,6 +365,7 @@ class KnowledgeGraph:
         elif kind is not None:
             raise ValidationError(f"kind is only valid for failure_memory, got {outcome!r}")
         _check_unit_interval("confidence", confidence)
+        _check_experience_payload(outcome, payload)
         if task_type_id is not None:
             self.task_type(task_type_id)
         if skill_id is not None:
@@ -491,124 +497,153 @@ class KnowledgeGraph:
     # apply: the only place state changes
 
     def _apply(self, op: str, payload: dict[str, Any]) -> None:
-        if op == "add_skill":
-            self._claim_id(payload["id"])
-            self.skills[payload["id"]] = SkillNode(
-                id=payload["id"],
-                name=payload["name"],
-                mastery=payload["mastery"],
-                prompt_template=payload["prompt_template"],
-                strategy=payload["strategy"],
-            )
-        elif op == "set_mastery":
-            self.skills[payload["skill_id"]].mastery = payload["value"]
-        elif op == "set_prompt_template":
-            self.skills[payload["skill_id"]].prompt_template = payload["value"]
-        elif op == "set_strategy":
-            self.skills[payload["skill_id"]].strategy = payload["value"]
-        elif op == "add_principle_ref":
-            skill = self.skills[payload["skill_id"]]
-            if payload["principle_id"] in skill.principle_ids:
-                return
-            skill.principle_ids.append(payload["principle_id"])
-            while len(skill.principle_ids) > self.principles_per_skill_cap:
-                skill.principle_ids.pop(0)
-        elif op == "add_prerequisite":
-            self._prereq_edges.add((payload["from_id"], payload["to_id"]))
-        elif op == "add_task_type":
-            self._claim_id(payload["id"])
-            self.task_types[payload["id"]] = TaskTypeNode(
-                id=payload["id"],
-                name=payload["name"],
-                observed_iter=payload.get("observed_iter", 0),
-            )
-        elif op == "set_resolver":
-            self.task_types[payload["task_type_id"]].resolver_skill_id = payload["skill_id"]
-        elif op == "task_failure":
-            self.task_types[payload["task_type_id"]].n_fail += 1
-        elif op == "mark_selected":
-            self.task_types[payload["task_type_id"]].k_last = payload["k"]
-        elif op == "append_experience":
-            self._claim_id(payload["id"])
-            replaced = self.experience.get(payload["id"])
-            if replaced is not None:
-                self._count_protected(replaced.outcome, -1)
-            self.experience[payload["id"]] = node = ExperienceNode(
-                id=payload["id"],
-                outcome=payload["outcome"],
-                task_type_id=payload["task_type_id"],
-                skill_id=payload["skill_id"],
-                kind=payload["kind"],
-                confidence=payload["confidence"],
-                payload=payload["payload"],
-                created_iter=payload["created_iter"],
-            )
-            self._count_protected(node.outcome, 1)
-            self._experience_json.discard(payload["id"])
-            if payload["outcome"] == "retrieval_recipe" and payload["skill_id"] is not None:
-                self._recipe_ids.setdefault(payload["skill_id"], []).append(payload["id"])
-        elif op == "prune":
-            # removed ids applied verbatim: the writer already validated them,
-            # and replay applies whatever ids a record names, recipes included
-            for nid in payload["removed_ids"]:
-                node = self.experience.pop(nid, None)
-                self._experience_json.discard(nid)
-                if node is None:
-                    continue
-                self._count_protected(node.outcome, -1)
-                if nid in self._recipe_ids.get(node.skill_id, ()):
-                    self._recipe_ids[node.skill_id].remove(nid)
-        elif op == "add_env_node":
-            self._claim_id(payload["id"])
-            self.env_nodes[payload["id"]] = EnvNode(
-                id=payload["id"],
-                node_class=payload["node_class"],
-                payload=payload["payload"],
-            )
-            self._env_json.discard(payload["id"])
-        elif op == "bandit_init":
-            self.bandits[payload["context_id"]] = new_slot(
-                payload["context_id"],
-                payload["arm_ids"],
-                payload["warmup_pulls"],
-                payload["rng_seed"],
-            )
-        elif op == "bandit_draw":
-            self.bandits[payload["context_id"]].draws += 1
-        elif op == "bandit_update":
-            update_arm(self.bandits[payload["context_id"]], payload["arm_id"], payload["reward"])
-        elif op == "snapshot":
-            sid = payload["snapshot_id"]
-            self._claim_id(sid)
-            self._snapshots[sid] = {
-                "snapshot_id": sid,
-                "iter": self.current_iter,
-                "mutable_state": self._capture_mutable_state(),
-                "protected_watermark": dict(self._protected),
-            }
-            self._snapshot_json.discard(sid)
-            while len(self._snapshots) > self.snapshot_history_limit:
-                oldest = min(self._snapshots)
-                del self._snapshots[oldest]
-                self._snapshot_json.discard(oldest)
-        elif op == "rollback":
-            state = self._snapshots[payload["snapshot_id"]]["mutable_state"]
-            for sid_str, slots in state["skills"].items():
-                skill = self.skills.get(int(sid_str))
-                if skill is not None:
-                    skill.mastery = slots["mastery"]
-                    skill.prompt_template = slots["prompt_template"]
-                    skill.strategy = slots["strategy"]
-            for tid_str, slots in state["task_types"].items():
-                tt = self.task_types.get(int(tid_str))
-                if tt is not None:
-                    tt.n_fail = slots["n_fail"]
-                    tt.k_last = slots["k_last"]
-            for cid, slot_data in state["bandits"].items():
-                if cid in self.bandits:
-                    self.bandits[cid] = BanditSlot.from_dict(slot_data)
-        else:
-            raise IntegrityError(f"unknown op {op!r}")
+        try:
+            apply = _APPLY[op]
+        except (KeyError, TypeError):
+            # TypeError: an op that is not hashable, such as a list
+            raise IntegrityError(f"unknown op {op!r}") from None
+        apply(self, payload)
+
+    # one handler per op, ``_on_<op>``: ``_APPLY`` finds it by the op's name
+
+    def _on_add_skill(self, payload: dict[str, Any]) -> None:
+        self._claim_id(payload["id"])
+        self.skills[payload["id"]] = SkillNode(
+            id=payload["id"],
+            name=payload["name"],
+            mastery=payload["mastery"],
+            prompt_template=payload["prompt_template"],
+            strategy=payload["strategy"],
+        )
+
+    def _on_set_mastery(self, payload: dict[str, Any]) -> None:
+        self.skills[payload["skill_id"]].mastery = payload["value"]
+
+    def _on_set_prompt_template(self, payload: dict[str, Any]) -> None:
+        self.skills[payload["skill_id"]].prompt_template = payload["value"]
+
+    def _on_set_strategy(self, payload: dict[str, Any]) -> None:
+        self.skills[payload["skill_id"]].strategy = payload["value"]
+
+    def _on_add_principle_ref(self, payload: dict[str, Any]) -> None:
+        skill = self.skills[payload["skill_id"]]
+        if payload["principle_id"] in skill.principle_ids:
+            return
+        skill.principle_ids.append(payload["principle_id"])
+        while len(skill.principle_ids) > self.principles_per_skill_cap:
+            skill.principle_ids.pop(0)
+
+    def _on_add_prerequisite(self, payload: dict[str, Any]) -> None:
+        self._prereq_edges.add((payload["from_id"], payload["to_id"]))
+
+    def _on_add_task_type(self, payload: dict[str, Any]) -> None:
+        self._claim_id(payload["id"])
+        self.task_types[payload["id"]] = TaskTypeNode(
+            id=payload["id"],
+            name=payload["name"],
+            observed_iter=payload.get("observed_iter", 0),
+        )
+
+    def _on_set_resolver(self, payload: dict[str, Any]) -> None:
+        self.task_types[payload["task_type_id"]].resolver_skill_id = payload["skill_id"]
+
+    def _on_task_failure(self, payload: dict[str, Any]) -> None:
+        self.task_types[payload["task_type_id"]].n_fail += 1
+
+    def _on_mark_selected(self, payload: dict[str, Any]) -> None:
+        self.task_types[payload["task_type_id"]].k_last = payload["k"]
+
+    def _on_append_experience(self, payload: dict[str, Any]) -> None:
+        nid = payload["id"]
+        self._claim_id(nid)
+        # positional, in field order
+        node = ExperienceNode(
+            nid,
+            payload["outcome"],
+            payload["task_type_id"],
+            payload["skill_id"],
+            payload["kind"],
+            payload["confidence"],
+            payload["payload"],
+            payload["created_iter"],
+        )
+        _check_experience_payload(node.outcome, node.payload)
+        replaced = self.experience.get(nid)
+        if replaced is not None:
+            self._count_protected(replaced.outcome, -1)
+            # a fragment is cached only for a record the graph holds
+            self._experience_json.discard(nid)
+        self.experience[nid] = node
+        self._count_protected(node.outcome, 1)
+        if node.outcome == "retrieval_recipe" and node.skill_id is not None:
+            self._recipe_ids.setdefault(node.skill_id, []).append(nid)
+
+    def _on_prune(self, payload: dict[str, Any]) -> None:
+        # removed ids applied verbatim: the writer already validated them,
+        # and replay applies whatever ids a record names, recipes included
+        for nid in payload["removed_ids"]:
+            node = self.experience.pop(nid, None)
+            self._experience_json.discard(nid)
+            if node is None:
+                continue
+            self._count_protected(node.outcome, -1)
+            if nid in self._recipe_ids.get(node.skill_id, ()):
+                self._recipe_ids[node.skill_id].remove(nid)
+
+    def _on_add_env_node(self, payload: dict[str, Any]) -> None:
+        self._claim_id(payload["id"])
+        self.env_nodes[payload["id"]] = EnvNode(
+            id=payload["id"],
+            node_class=payload["node_class"],
+            payload=payload["payload"],
+        )
+        self._env_json.discard(payload["id"])
+
+    def _on_bandit_init(self, payload: dict[str, Any]) -> None:
+        self.bandits[payload["context_id"]] = new_slot(
+            payload["context_id"],
+            payload["arm_ids"],
+            payload["warmup_pulls"],
+            payload["rng_seed"],
+        )
+
+    def _on_bandit_draw(self, payload: dict[str, Any]) -> None:
+        self.bandits[payload["context_id"]].draws += 1
+
+    def _on_bandit_update(self, payload: dict[str, Any]) -> None:
+        update_arm(self.bandits[payload["context_id"]], payload["arm_id"], payload["reward"])
+
+    def _on_snapshot(self, payload: dict[str, Any]) -> None:
+        sid = payload["snapshot_id"]
+        self._claim_id(sid)
+        self._snapshots[sid] = {
+            "snapshot_id": sid,
+            "iter": self.current_iter,
+            "mutable_state": self._capture_mutable_state(),
+            "protected_watermark": dict(self._protected),
+        }
+        self._snapshot_json.discard(sid)
+        while len(self._snapshots) > self.snapshot_history_limit:
+            oldest = min(self._snapshots)
+            del self._snapshots[oldest]
+            self._snapshot_json.discard(oldest)
+
+    def _on_rollback(self, payload: dict[str, Any]) -> None:
+        state = self._snapshots[payload["snapshot_id"]]["mutable_state"]
+        for sid_str, slots in state["skills"].items():
+            skill = self.skills.get(int(sid_str))
+            if skill is not None:
+                skill.mastery = slots["mastery"]
+                skill.prompt_template = slots["prompt_template"]
+                skill.strategy = slots["strategy"]
+        for tid_str, slots in state["task_types"].items():
+            tt = self.task_types.get(int(tid_str))
+            if tt is not None:
+                tt.n_fail = slots["n_fail"]
+                tt.k_last = slots["k_last"]
+        for cid, slot_data in state["bandits"].items():
+            if cid in self.bandits:
+                self.bandits[cid] = BanditSlot.from_dict(slot_data)
 
     def _count_protected(self, outcome: str, step: int) -> None:
         if outcome in self._protected:
@@ -757,8 +792,13 @@ class KnowledgeGraph:
         Records must arrive in strictly increasing seq order starting at 1,
         and their iter never goes backwards. The apply step runs verbatim
         (no write-side validation) so the rebuilt state matches the writer's
-        state bit-exactly; only a bandit record that ``bandits.new_slot`` or
-        ``update_arm`` refuses fails there. ``on_iteration(graph, it)`` sees
+        state bit-exactly. It refuses only what would break the state it
+        builds: a bandit record that ``bandits.new_slot`` or ``update_arm``
+        refuses, and an ``append_experience`` whose payload is not an object
+        or is a success or failure memory whose ``question`` is present and
+        not a str (the exemplar index embeds that text). Each refusal, and
+        each record that lacks a key its apply reads, fails as "replay failed
+        at seq N (op)". ``on_iteration(graph, it)`` sees
         the graph each time the log moves on to a later iteration ``it``,
         before that iteration's first record, and once more with ``it=None``
         at the end.
@@ -787,7 +827,7 @@ class KnowledgeGraph:
                 raise IntegrityError(
                     f"event iter goes backwards at seq {seq}: {it} after {graph.current_iter}"
                 )
-            if it > graph.current_iter and on_iteration is not None:
+            if on_iteration is not None and it > graph.current_iter:
                 on_iteration(graph, it)
             graph.current_iter = it
             try:
@@ -801,6 +841,28 @@ class KnowledgeGraph:
         if on_iteration is not None:
             on_iteration(graph, None)
         return graph
+
+
+# the apply handler of each op
+_APPLY: dict[str, Callable[[KnowledgeGraph, dict[str, Any]], None]] = {
+    name.removeprefix("_on_"): handler
+    for name, handler in vars(KnowledgeGraph).items()
+    if name.startswith("_on_")
+}
+
+
+def _check_experience_payload(outcome: str, payload: Any) -> None:
+    """Refuse an experience payload that is not an object, and an exemplar's
+    whose ``question`` is present and not a str: the exemplar index embeds
+    that text."""
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"experience payload must be an object, got {type(payload).__name__}"
+        )
+    if outcome in EXEMPLAR_OUTCOMES and not isinstance(payload.get("question", ""), str):
+        raise ValidationError(
+            f"{outcome} question must be a str, got {type(payload['question']).__name__}"
+        )
 
 
 def _json_copy(value: Any) -> Any:

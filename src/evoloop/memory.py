@@ -39,9 +39,11 @@ above).
 Every vector the index stores or queries with is normalised through a memo
 keyed by its float64 bytes, so each distinct vector is normalised once;
 ``normalize`` is a pure function of those bytes, so the rows are the same
-bits either way. ``rebuild_index`` files the graph's exemplars one by one
-in node id order, as ``index_memory`` would, embedding each distinct
-question text once. The index is derived state: a run's embedder is
+bits either way. ``rebuild_index`` gives the blocks that filing the
+graph's exemplars one by one in node id order through ``index_memory``
+gives, but files them a group at a time: the nodes of one block that share
+a question text go in together, and each distinct text is embedded once.
+The index is derived state: a run's embedder is
 fixed, so the blocks are a function of the graph, and only
 ``rebuild_index`` (after replay, or to swap the embedder) builds them
 again.
@@ -65,7 +67,6 @@ mastered skill to the weakest frontier skill.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -74,9 +75,8 @@ import numpy as np
 
 from .curriculum import learnable_frontier
 from .errors import NotFoundError, ValidationError
-from .graph import ExperienceNode, KnowledgeGraph
+from .graph import EXEMPLAR_OUTCOMES, ExperienceNode, KnowledgeGraph
 
-EXEMPLAR_OUTCOMES = ("success_memory", "failure_memory")
 LATTICE_DEPTH_CAP = 8
 
 
@@ -161,6 +161,10 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return arr / norm
 
 
+def _node_id(node: ExperienceNode) -> int:
+    return node.id
+
+
 def _rank(pair: tuple[float, ExperienceNode]) -> tuple[float, int]:
     """Sort key of a (similarity, node) candidate: most similar first, then
     node id."""
@@ -192,9 +196,10 @@ class _Block:
         # (similarities, rows best first, their similarities) by query bytes
         self._scored: dict[bytes, tuple[np.ndarray, list[int], list[float]]] = {}
 
-    def append(self, node: ExperienceNode, unit: np.ndarray) -> None:
-        """Add ``node`` to the group of its normalised vector ``unit``, in
-        node id order; an unseen vector opens a new group and adds its row."""
+    def add(self, unit: np.ndarray, nodes: list[ExperienceNode]) -> None:
+        """Add ``nodes``, in node id order, to the group of their normalised
+        vector ``unit``, keeping the group in node id order; an unseen
+        vector opens a new group and adds its row."""
         key = unit.tobytes()
         g = self._group_of.get(key)
         if g is None:
@@ -202,13 +207,16 @@ class _Block:
             self.rows.append(unit)
             self.members.append([])
             self.plain.append([])
-        for group in (
-            (self.members[g],) if node.kind == "type_strategy" else (self.members[g], self.plain[g])
-        ):
-            if group and group[-1].id > node.id:
-                bisect.insort(group, node, key=lambda n: n.id)
-            else:
-                group.append(node)
+        members, plain = self.members[g], self.plain[g]
+        merge = members[-1].id > nodes[0].id if members else False
+        members += nodes
+        for node in nodes:
+            if node.kind != "type_strategy":
+                plain.append(node)
+        if merge:
+            # two sorted runs, merged by the stable sort; ids are unique
+            members.sort(key=_node_id)
+            plain.sort(key=_node_id)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -290,15 +298,19 @@ class MemoryIndex:
         arr = self._checked(vector)
         if node_id in self._indexed:
             raise ValidationError(f"node {node_id} is already indexed")
-        self._file(node, self._unit(arr))
+        self._file((node.outcome, node.task_type_id), self._unit(arr), [node])
 
-    def _file(self, node: ExperienceNode, unit: np.ndarray) -> None:
-        key = (node.outcome, node.task_type_id)
+    def _file(
+        self, key: tuple[str, int | None], unit: np.ndarray, nodes: list[ExperienceNode]
+    ) -> None:
+        """File ``nodes``, in node id order, under the block ``key`` and the
+        normalised vector ``unit`` they share."""
         block = self._blocks.get(key)
         if block is None:
             block = self._blocks[key] = _Block()
-        block.append(node, unit)
-        self._indexed.add(node.id)
+        block.add(unit, nodes)
+        for node in nodes:
+            self._indexed.add(node.id)
 
     def _candidates(
         self,
@@ -438,19 +450,33 @@ def rebuild_index(
 ) -> MemoryIndex:
     """Derive the index from graph contents (used after event-log replay):
     the blocks ``index_memory`` gives for each exemplar in node id order,
-    with ``embed`` called once per distinct question text."""
+    with ``embed`` called once per distinct question text, in the order the
+    texts first arrive.
+
+    The exemplars are grouped by block and question text in one pass, and
+    each group is filed whole: its row is looked up once, not once per
+    node. Groups are filed in the order of their first node, so each row
+    still opens at the first node with its vector, and a group that joins
+    a row another text's vector opened merges into it in node id order.
+    """
     index = MemoryIndex(graph, dimension, type_strategy_min_similarity)
     unit_of: dict[str, np.ndarray] = {}
+    groups: dict[tuple[str, int | None, str], list[ExperienceNode]] = {}
     experience = graph.experience
     for node_id in sorted(experience):
         node = experience[node_id]
         if node.outcome not in EXEMPLAR_OUTCOMES:
             continue
         text = node.payload.get("question", "")
-        unit = unit_of.get(text)
-        if unit is None:
-            unit = unit_of[text] = index._unit(index._checked(embed(text)))
-        index._file(node, unit)
+        key = (node.outcome, node.task_type_id, text)
+        group = groups.get(key)
+        if group is None:
+            if text not in unit_of:
+                unit_of[text] = index._unit(index._checked(embed(text)))
+            group = groups[key] = []
+        group.append(node)
+    for (outcome, task_type_id, text), nodes in groups.items():
+        index._file((outcome, task_type_id), unit_of[text], nodes)
     return index
 
 

@@ -335,16 +335,18 @@ def _read_jsonl(
                 if not line:
                     continue
                 try:
-                    if line.startswith("\ufeff"):
-                        raise json.JSONDecodeError(
-                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
-                        )
                     value, end = decode(line)
                     if end != len(line):
                         end = _JSON_WS.match(line, end).end()
                         if end != len(line):
                             raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
+                    # no line that starts with a BOM decodes, and json.loads
+                    # names the BOM before it tries
+                    if line.startswith("\ufeff"):
+                        exc = json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                        )
                     raise IntegrityError(f"corrupt {what} at {path.name}:{lineno}: {exc}") from exc
                 reason = fault(value) if fault is not None else None
                 if reason is not None:

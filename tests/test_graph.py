@@ -16,6 +16,7 @@ from evoloop import (
     ValidationError,
 )
 
+from evoloop.graph import _APPLY
 from oracles import ancestors_reference
 
 
@@ -343,7 +344,7 @@ def test_bandit_update_takes_only_the_int_0_or_1_and_logs_nothing_else(reward):
     assert graph.bandits["route/s"].failures == {"direct": 0, "chain": 0}
 
 
-@pytest.mark.parametrize("reward", [True, False, 1.0])
+@pytest.mark.parametrize("reward", [True, False, 1.0, 2])
 def test_replay_refuses_a_reward_the_writer_refuses(reward):
     lines = []
     graph = KnowledgeGraph(event_sink=lines.append)
@@ -370,6 +371,95 @@ def test_replay_rejects_sequence_gap():
 def test_replay_rejects_unknown_op():
     with pytest.raises(IntegrityError):
         KnowledgeGraph.replay([{"seq": 1, "iter": -1, "op": "warp", "payload": {}}])
+
+
+# every op the writer logs, with the first payload key its apply reads
+FIRST_KEY = {
+    "add_skill": "id",
+    "set_mastery": "skill_id",
+    "set_prompt_template": "skill_id",
+    "set_strategy": "skill_id",
+    "add_principle_ref": "skill_id",
+    "add_prerequisite": "from_id",
+    "add_task_type": "id",
+    "set_resolver": "task_type_id",
+    "task_failure": "task_type_id",
+    "mark_selected": "task_type_id",
+    "append_experience": "id",
+    "prune": "removed_ids",
+    "add_env_node": "id",
+    "bandit_init": "context_id",
+    "bandit_draw": "context_id",
+    "bandit_update": "context_id",
+    "snapshot": "snapshot_id",
+    "rollback": "snapshot_id",
+}
+
+
+def _log_of_every_op():
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    a = graph.add_skill("a")
+    b = graph.add_skill("b")
+    graph.set_mastery(a, 0.5)
+    graph.set_prompt_template(a, "Q: {question}")
+    graph.set_strategy(a, "chain")
+    graph.add_prerequisite(a, b)
+    t = graph.add_task_type("t")
+    graph.set_resolver(t, a)
+    graph.record_task_failure(t)
+    graph.mark_selected(t, 0)
+    p = graph.append_experience("principle", {"text": "p"}, skill_id=a)
+    graph.add_principle_ref(a, p)
+    graph.append_experience("abstracted_pattern", {"text": "weak"}, confidence=0.1)
+    graph.prune_low_confidence(0.5)
+    graph.add_env_node("entity", {"name": "e"})
+    graph.bandit_init("route/a", ["x", "y"], warmup_pulls=1, rng_seed=1)
+    graph.bandit_record_draw("route/a", "x")
+    graph.bandit_update("route/a", "x", 1)
+    sid = graph.snapshot()
+    graph.rollback_mutable(sid)
+    events = [json.loads(line) for line in lines]
+    assert {e["op"] for e in events} == set(FIRST_KEY) == set(_APPLY)
+    assert KnowledgeGraph.replay(events).canonical_bytes() == graph.canonical_bytes()
+    return events
+
+
+@pytest.mark.parametrize("op", sorted(FIRST_KEY))
+def test_replay_names_the_record_whose_payload_lacks_a_key(op):
+    events = _log_of_every_op()
+    i = next(n for n, e in enumerate(events) if e["op"] == op)
+    forged = json.loads(json.dumps(events[i]))
+    del forged["payload"][FIRST_KEY[op]]
+    with pytest.raises(IntegrityError, match=rf"^replay failed at seq {i + 1} \({op}\)$"):
+        KnowledgeGraph.replay(events[:i] + [forged])
+
+
+@pytest.mark.parametrize(
+    "op, message", [("warp", "unknown op 'warp'"), (["warp"], "unknown op ['warp']")]
+)
+def test_replay_refuses_an_unknown_op_by_name(op, message):
+    events = _log_of_every_op()
+    record = {"seq": len(events) + 1, "iter": -1, "op": op, "payload": {}}
+    with pytest.raises(IntegrityError) as info:
+        KnowledgeGraph.replay(events + [record])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "outcome, kind, payload",
+    [
+        ("principle", None, ["p"]),
+        ("success_memory", None, ["q"]),
+        ("failure_memory", "specific", {"question": 7}),
+    ],
+)
+def test_append_experience_refuses_a_payload_replay_refuses(outcome, kind, payload):
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    with pytest.raises(ValidationError):
+        graph.append_experience(outcome, payload, kind=kind)
+    assert graph.last_seq == 0 and lines == [] and graph.experience == {}
 
 
 def _events_at_iters(iters):

@@ -23,11 +23,14 @@ from evoloop import (
     format_bundle,
     harvest_failure,
     harvest_success,
+    init_run,
     latest_action_recipe,
+    load_engine,
     make_env,
     rebuild_index,
     record_action_recipe,
     render_skill_lattice,
+    run_training,
 )
 from evoloop.memory import normalize
 from evoloop.runner import build_simulated_engine
@@ -708,6 +711,71 @@ def test_bulk_rebuild_matches_incremental_index_bit_for_bit(first, more):
         if node.outcome != "principle":
             bulk.index_memory(nid, embedder.embed(node.payload["question"]))
     _assert_same_blocks(bulk, incremental, embedder.embed)
+
+
+def _filed_one_by_one(graph, embed, floor=0.55):
+    """The index ``index_memory`` builds from every exemplar in node id order."""
+    index = MemoryIndex(graph, dimension=64, type_strategy_min_similarity=floor)
+    for nid in sorted(graph.experience):
+        node = graph.experience[nid]
+        if node.outcome in ("success_memory", "failure_memory"):
+            index.index_memory(nid, embed(node.payload["question"]))
+    return index
+
+
+def _assert_filed_alike(grouped, single):
+    assert len(grouped) == len(single)
+    assert grouped._blocks.keys() == single._blocks.keys()
+    for key, block in grouped._blocks.items():
+        twin = single._blocks[key]
+        assert [row.tobytes() for row in block.rows] == [row.tobytes() for row in twin.rows]
+        for groups in ("members", "plain"):
+            assert [[n.id for n in nodes] for nodes in getattr(block, groups)] == [
+                [n.id for n in nodes] for nodes in getattr(twin, groups)
+            ]
+
+
+def test_grouped_rebuild_equals_filing_one_by_one_on_a_trained_run(tmp_path):
+    config = EngineConfig(iterations=4, pool_size=60, seed=1)
+    store = init_run(tmp_path / "r", config, "static_qa")
+    run_training(store)
+    engine = load_engine(store)
+    embed = engine.backends.embedder.embed
+    rebuilt = rebuild_index(engine.graph, 64, embed, config.type_strategy_min_similarity)
+    _assert_filed_alike(rebuilt, _filed_one_by_one(engine.graph, embed))
+    _assert_filed_alike(engine.index, _filed_one_by_one(engine.graph, embed))
+    assert len(rebuilt) > 0
+
+
+def test_grouped_rebuild_merges_two_texts_of_one_vector_in_node_id_order():
+    embedder = HashEmbedder(dimension=64, seed=0)
+    texts = ("What is 2 + 3?", "what  is 2 + 3?")
+    # the embedder lower-cases and splits on whitespace: one vector
+    assert embedder.embed(texts[0]).tobytes() == embedder.embed(texts[1]).tobytes()
+    graph = KnowledgeGraph()
+    tt = graph.add_task_type("t")
+    for i in range(6):
+        # the two texts interleaved by id, the second one first
+        graph.append_experience(
+            "success_memory", {"question": texts[(i + 1) % 2]}, task_type_id=tt
+        )
+        if i == 2:
+            graph.append_experience(
+                "failure_memory", {"question": texts[0]}, task_type_id=tt, kind="type_strategy"
+            )
+            graph.append_experience(
+                "failure_memory", {"question": texts[1]}, task_type_id=tt, kind="specific"
+            )
+            graph.append_experience("principle", {"question": texts[0], "text": "p"})
+            graph.append_experience("success_memory", {"question": "another sum"}, task_type_id=tt)
+    rebuilt = rebuild_index(graph, 64, embedder.embed)
+    _assert_filed_alike(rebuilt, _filed_one_by_one(graph, embedder.embed))
+    success = rebuilt._blocks[("success_memory", tt)]
+    assert [len(nodes) for nodes in success.members] == [6, 1]
+    failure = rebuilt._blocks[("failure_memory", tt)]
+    assert [[n.kind for n in nodes] for nodes in failure.members] == [["type_strategy", "specific"]]
+    assert [[n.kind for n in nodes] for nodes in failure.plain] == [["specific"]]
+    assert len(rebuilt) == 9
 
 
 @settings(max_examples=100, deadline=None)

@@ -24,6 +24,7 @@ from evoloop import (
     run_training,
 )
 from evoloop.cli import STATS_HEADER, main
+from evoloop.envs import StaticQAEnv
 
 
 def read_bytes(run_dir, name):
@@ -1184,6 +1185,79 @@ def test_bytes_that_are_not_utf8_are_an_integrity_error(tmp_path, capsys, name):
         captured = capsys.readouterr()
         assert f"in {name}: bytes that are not UTF-8" in captured.out + captured.err
     assert read_bytes(run_dir, name) == tampered
+
+
+def _damage_first_memory(run_dir, outcome, damage):
+    """Apply ``damage`` to the record of the first ``outcome`` node in
+    events.log and write the line back; return the record's seq."""
+    path = run_dir / "events.log"
+    lines = path.read_text().splitlines()
+    for n, line in enumerate(lines):
+        record = json.loads(line)
+        if record["op"] == "append_experience" and record["payload"]["outcome"] == outcome:
+            damage(record["payload"])
+            lines[n] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            path.write_text("\n".join(lines) + "\n")
+            return record["seq"]
+    raise AssertionError(f"no {outcome} in the log")
+
+
+def _payload_as_array(record):
+    record["payload"] = [record["payload"]["question"]]
+
+
+def _question_as_number(record):
+    record["payload"]["question"] = 7
+
+
+@pytest.mark.parametrize(
+    "outcome, damage",
+    [("success_memory", _payload_as_array), ("failure_memory", _question_as_number)],
+    ids=["success-payload-array", "failure-question-number"],
+)
+def test_damaged_exemplar_payload_is_refused_by_every_reader(tmp_path, capsys, outcome, damage):
+    # the index embeds an exemplar's question, so replay refuses a payload
+    # it could not read instead of letting the index raise mid-load
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    seq = _damage_first_memory(run_dir, outcome, damage)
+    tampered = read_bytes(run_dir, "events.log")
+    capsys.readouterr()
+    for verb in (["eval"], ["eval", "--no-retrieval"], ["run", "--resume"], ["audit"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2, verb
+        captured = capsys.readouterr()
+        assert f"replay failed at seq {seq} (append_experience)" in captured.out + captured.err
+    assert read_bytes(run_dir, "events.log") == tampered
+
+
+def _splits_built(monkeypatch):
+    """Record the split of every question ``StaticQAEnv`` generates."""
+    built = set()
+    make = StaticQAEnv._make_question
+
+    def recording(self, split, i):
+        built.add(split)
+        return make(self, split, i)
+
+    monkeypatch.setattr(StaticQAEnv, "_make_question", recording)
+    return built
+
+
+def test_a_verb_builds_only_the_question_pool_it_asks(tmp_path, monkeypatch):
+    built = _splits_built(monkeypatch)
+    store = init_run(tmp_path / "r", EngineConfig(iterations=2, pool_size=24, seed=3), "static_qa")
+    evoloop.runner.bootstrap_run(store)
+    assert built == set()
+    run_training(store)
+    assert built == {"train"}
+    built.clear()
+    load_engine(store)
+    assert built <= {"train"}
+    for pool, split in (("held_out", "heldout"), ("evolution", "train")):
+        for retrieval in (True, False):
+            built.clear()
+            run_eval(store, pool=pool, retrieval=retrieval)
+            assert built == {split}, (pool, retrieval)
 
 
 # ----------------------------------------------------------------------
