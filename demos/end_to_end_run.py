@@ -12,8 +12,9 @@ which is the whole recovery story in two lines.
 import tempfile
 from pathlib import Path
 
-from evoloop import KnowledgeGraph, RunStore, committed_iterations
+from evoloop import KnowledgeGraph, RunStore
 from evoloop.cli import main as evoloop_cli
+from evoloop.runner import read_committed
 
 
 def main():
@@ -44,7 +45,7 @@ def main():
             skill_growth_cap=config["skill_growth_cap"],
             snapshot_history_limit=config["snapshot_history_limit"],
         )
-        last = committed_iterations(store) - 1
+        last = read_committed(store)[0] - 1
         snapshot = (Path(run_dir) / f"snap-{last:05d}.json").read_bytes()
         print("\nevent log replay matches final snapshot:",
               replayed.canonical_bytes() == snapshot)

@@ -39,15 +39,20 @@ by posterior mean, scores answers against environment gold directly, and
 leaves the graph hash unchanged.
 
 An answering pass (training EVALUATE, the re-measure pass, frozen eval)
-reads a graph that does not change under it: EVALUATE queues its writes
-and frozen eval freezes the graph. So what a prompt is assembled from is
-computed once per graph version, the graph's ``last_seq``, which every
-write advances (a harvest too, so the exemplar index cannot change while
-it stands): the cascade context (skill lattice, principle notes, action
-recipe) once per (task type, skill), and the exemplar bundle, one
-retrieval, once per distinct question. A bundle depends only on the task
-type, the question text and which side of ``long_context_threshold`` the
-context length falls, and a pool of 200 questions holds about 130 such keys.
+answers a static pool through ``_answers``, one (question, unjudged
+result, completion) record per question on the routes its caller picks;
+in training the critic judges them through ``_judge``, one batch per task
+type. The two read-only passes, re-measure and frozen eval, are
+``_score``, the one place they branch on the env. Each pass reads a graph
+that does not change under it: EVALUATE queues its writes and frozen eval
+freezes the graph. So what a prompt is assembled from is computed once
+per graph version, the graph's ``last_seq``, which every write advances
+(a harvest too, so the exemplar index cannot change while it stands): the
+cascade context (skill lattice, principle notes, action recipe) once per
+(task type, skill), and the exemplar bundle, one retrieval, once per
+distinct question. A bundle depends only on the task type, the question
+text and which side of ``long_context_threshold`` the context length
+falls, and a pool of 200 questions holds about 130 such keys.
 
 Every prompt, the learner's and the explorer's, in training, re-measure
 and frozen eval, is assembled by ``_prompt`` under one rule: with retrieval
@@ -566,25 +571,24 @@ class Engine:
         arms[ctx] = arm
         return arm
 
-    def _resolver(self, tt, search_arm: str) -> int:
-        """The skill that answers task type ``tt`` under ``search_arm``: its
-        resolver, which the cascade arm redirects by the curriculum override."""
-        if search_arm == "cascade":
-            return curriculum_override(
-                self.graph, tt.resolver_skill_id, self.config.mastery_threshold
-            )
-        return tt.resolver_skill_id
-
-    def _routes(self, pool, pick) -> dict[str, tuple[int, int, str]]:
-        """The route of each task type in ``pool``, by name: its id, the
-        skill that answers it, and its search arm ``pick(tt)``. ``pick`` is
-        called in task type id order, so the draws it queues are too."""
+    def _answers(self, pool, pick, phase: str, retrieval: bool = True) -> list:
+        """Answer ``pool``: one (question, unjudged result, completion) record
+        per question. A task type's route is its search arm ``pick(tt)`` and
+        the skill that answers under it: its resolver, which the cascade arm
+        redirects by the curriculum override. ``pick`` is called in task type
+        id order, so the draws it queues are too."""
         tts = [self.graph.task_type_by_name(name) for name in {q.task_type for q in pool}]
         routes = {}
         for tt in sorted(tts, key=lambda tt: tt.id):
             search_arm = pick(tt)
-            routes[tt.name] = (tt.id, self._resolver(tt, search_arm), search_arm)
-        return routes
+            skill_id = tt.resolver_skill_id
+            if search_arm == "cascade":
+                skill_id = curriculum_override(self.graph, skill_id, self.config.mastery_threshold)
+            routes[tt.name] = (tt.id, skill_id, search_arm)
+        return [
+            (q, *self._answer_question(q, *routes[q.task_type], phase=phase, retrieval=retrieval))
+            for q in pool
+        ]
 
     def _answer_question(
         self,
@@ -594,9 +598,10 @@ class Engine:
         search_arm: str,
         phase: str = "train",
         retrieval: bool = True,
-    ) -> tuple[str, str, int, int]:
+    ) -> tuple[QuestionResult, str]:
         """Ask the learner one question; the phase picks the temperature. A
-        cascade prompt's lattice and notes are its cascade context."""
+        cascade prompt's lattice and notes are its cascade context. Returns
+        the unjudged result (reward 0, no routing arm) and the completion."""
         prompt, bundle = self._prompt(
             self.graph.skills[skill_id].prompt_template.replace("{question}", q.text),
             q.context,
@@ -608,7 +613,18 @@ class Engine:
             self.config.train_temperature if phase == "train" else self.config.eval_temperature
         )
         raw = self._call_execution("learner", phase, prompt, {"question_id": q.qid}, temperature)
-        return raw, extract_answer(raw), len(bundle.success), len(bundle.failure)
+        result = QuestionResult(
+            qid=q.qid,
+            task_type_id=tt_id,
+            skill_id=skill_id,
+            reward=0,
+            predicted=extract_answer(raw),
+            search_arm=search_arm,
+            routing_arm="",
+            bundle_success=len(bundle.success),
+            bundle_failure=len(bundle.failure),
+        )
+        return result, raw
 
     def _prompt(
         self, question: str, context: str, key: tuple, retrieval: bool, notes=None
@@ -671,34 +687,26 @@ class Engine:
         return context
 
     def _evaluate_static(self) -> dict[str, Any]:
-        pool = self.env.evolution_pool()[: self.config.pool_size]
+        pool = self.env.pool("evolution")[: self.config.pool_size]
         # selections read current bandit state; the draw-counter advances are
         # queued so EVALUATE itself stays write-free. The queue order is
         # logged: every search draw, then the route draws by skill id
         draw_queue: list[tuple[str, str]] = []
         search_arms: dict[str, str] = {}
-        routes = self._routes(pool, lambda tt: self._draw(f"search/{tt.id}", search_arms, draw_queue))
+        answered = self._answers(
+            pool, lambda tt: self._draw(f"search/{tt.id}", search_arms, draw_queue), "train"
+        )
         routing_arms: dict[str, str] = {}
-        for skill_id in sorted({skill_id for _tt_id, skill_id, _arm in routes.values()}):
+        for skill_id in sorted({result.skill_id for _q, result, _raw in answered}):
             self._draw(f"route/{skill_id}", routing_arms, draw_queue)
-        answered = []
-        for q in pool:
-            tt_id, skill_id, search_arm = routes[q.task_type]
-            raw, predicted, n_s, n_f = self._answer_question(q, tt_id, skill_id, search_arm)
-            result = QuestionResult(
-                qid=q.qid,
-                task_type_id=tt_id,
-                skill_id=skill_id,
-                reward=0,  # the judge's verdict, below
-                predicted=predicted,
-                search_arm=search_arm,
-                routing_arm=routing_arms[f"route/{skill_id}"],
-                bundle_success=n_s,
-                bundle_failure=n_f,
-            )
-            answered.append((q, result, raw))
+        for _q, result, _raw in answered:
+            result.routing_arm = routing_arms[f"route/{result.skill_id}"]
+        self._judge(answered)
+        return self._evaluation(answered, search_arms, routing_arms, draw_queue)
 
-        # one judge batch per task type, in task type id order
+    def _judge(self, answered: list) -> None:
+        """Set each answered result's reward to the critic's verdict: one
+        judge batch per task type, in task type id order."""
         batches: dict[int, list] = {}
         for q, result, _raw in answered:
             batches.setdefault(result.task_type_id, []).append((q, result))
@@ -707,7 +715,6 @@ class Engine:
             verdicts = self._call_judge([(result.predicted, q.answer) for q, result in batch])
             for (_q, result), verdict in zip(batch, verdicts, strict=True):
                 result.reward = verdict
-        return self._evaluation(answered, search_arms, routing_arms, draw_queue)
 
     def _evaluate_sequential(self, state) -> dict[str, Any]:
         """Score each achievement by whether the EXPLORE episode unlocked it."""
@@ -717,7 +724,7 @@ class Engine:
         answered = []
         # the queue order is logged: per achievement its search draw, then
         # its skill's first route draw
-        for q in self.env.evolution_pool():
+        for q in self.env.pool("evolution"):
             tt = self.graph.task_type_by_name(q.task_type)
             arm = self._draw(f"search/{tt.id}", search_arms, draw_queue)
             skill_id = tt.resolver_skill_id
@@ -969,27 +976,30 @@ class Engine:
             raise ValidationError(f"unknown rotation action {action!r}")
 
     # ------------------------------------------------------------------
-    # re-measure mode for the delta guard
+    # read-only passes: the re-measure for the delta guard, and frozen eval
 
     def _remeasure(self) -> float:
         """Score the pool again, read-only, against the post-UPDATE graph: a
         sequential env's by one more episode, which records no recipe."""
-        if self.env.mode == "sequential":
-            return len(self._episode("train").unlocked) / len(self.env.ACHIEVEMENTS)
-        pool = self.env.evolution_pool()[: self.config.pool_size]
-        answers = self._answers(pool, lambda tt: "base", "train")
-        correct = sum(self._call_judge([(predicted, q.answer)])[0] for q, predicted in answers)
-        return correct / len(pool)
+        pool = self.env.pool("evolution")[: self.config.pool_size]
+        return self._score(pool, lambda tt: "base", "train")[0]
 
-    def _answers(self, pool, pick, phase: str, retrieval: bool = True):
-        """Answer ``pool`` on the routes ``pick`` chooses (see ``_routes``),
-        yielding (question, predicted answer) as each is answered."""
-        routes = self._routes(pool, pick)
-        for q in pool:
-            _raw, predicted, _ns, _nf = self._answer_question(
-                q, *routes[q.task_type], phase=phase, retrieval=retrieval
+    def _score(self, pool, pick, phase: str, retrieval: bool = True) -> tuple[float, int]:
+        """A read-only pass's accuracy and question count: one episode of a
+        sequential env, or ``pool`` answered (see ``_answers``) and judged by
+        the critic in training, against gold in a frozen eval."""
+        if self.env.mode == "sequential":
+            n = len(self.env.ACHIEVEMENTS)
+            return len(self._episode(phase, retrieval).unlocked) / n, n
+        answered = self._answers(pool, pick, phase, retrieval)
+        if phase == "train":
+            self._judge(answered)
+            correct = sum(result.reward for _q, result, _raw in answered)
+        else:
+            correct = sum(
+                result.predicted.strip() == q.answer.strip() for q, result, _raw in answered
             )
-            yield q, predicted
+        return correct / len(answered), len(answered)
 
     # ------------------------------------------------------------------
     # frozen inference
@@ -1009,17 +1019,22 @@ class Engine:
         and a full ``graph_hash`` otherwise, so a record whose two hashes
         differ names an eval that changed the graph.
         """
+        # a pool the env does not have is refused before anything is hashed
+        pool = self.env.pool(pool_name)
         hash_before = graph_hash_before or self.graph.graph_hash()
         mark = self.graph.state_mark()
         was_frozen = self.graph.frozen
         self.graph.freeze()
         tracker_before = self.backends.tracker.counts()
         try:
-            if self.env.mode == "sequential":
-                n = len(self.env.ACHIEVEMENTS)
-                accuracy = len(self._episode("infer", retrieval).unlocked) / n
-            else:
-                accuracy, n = self._eval_static_frozen(pool_name, retrieval)
+            # the frozen graph fixes one route per task type for the whole
+            # pass, on the search arm of highest posterior mean
+            accuracy, n = self._score(
+                pool,
+                lambda tt: bandits.exploit_arm(self.graph.bandits[f"search/{tt.id}"]),
+                "infer",
+                retrieval,
+            )
         finally:
             if not was_frozen:
                 self.graph.unfreeze()
@@ -1035,21 +1050,6 @@ class Engine:
             "graph_hash_before": hash_before,
             "graph_hash_after": hash_after,
         }
-
-    def _eval_static_frozen(self, pool_name: str, retrieval: bool) -> tuple[float, int]:
-        pool = (
-            self.env.heldout_pool() if pool_name == "held_out" else self.env.evolution_pool()
-        )
-        # the frozen graph fixes one route per task type for the whole pass,
-        # on the search arm of highest posterior mean
-        answers = self._answers(
-            pool,
-            lambda tt: bandits.exploit_arm(self.graph.bandits[f"search/{tt.id}"]),
-            "infer",
-            retrieval,
-        )
-        correct = sum(predicted.strip() == q.answer.strip() for q, predicted in answers)
-        return correct / len(pool), len(pool)
 
 
 def extract_answer(raw: str) -> str:

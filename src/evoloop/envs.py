@@ -14,7 +14,7 @@ is a bounded action sequence; each achievement unlocks when its action is
 taken after its predecessor is already unlocked. Achievements double as
 task types, and as the questions of its evolution pool ("achieve <name>",
 answered "unlocked"), so the curriculum, memory, and bandit plumbing run
-unchanged.
+unchanged. Its one fixed world has no held-out pool.
 """
 
 from __future__ import annotations
@@ -90,6 +90,9 @@ class StaticQAEnv:
 
     LONG_CONTEXT_TYPES = frozenset({"combined_total", "multi_step_chain"})
 
+    # the split each pool's questions are drawn from, by pool name
+    SPLITS = {"evolution": "train", "held_out": "heldout"}
+
     def __init__(self, seed: int, pool_size: int = 200):
         if pool_size < 1:
             raise ValidationError("pool_size must be >= 1")
@@ -97,13 +100,12 @@ class StaticQAEnv:
         self.pool_size = pool_size
         self._pools: dict[str, list[Question]] = {}
 
-    def evolution_pool(self) -> list[Question]:
-        return self._pool("train")
-
-    def heldout_pool(self) -> list[Question]:
-        return self._pool("heldout")
-
-    def _pool(self, split: str) -> list[Question]:
+    def pool(self, name: str) -> list[Question]:
+        """The pool called ``name``, "evolution" or "held_out", generated on
+        its first use."""
+        split = self.SPLITS.get(name)
+        if split is None:
+            raise ValidationError(f"env {self.name!r} has no pool {name!r}; its pools: evolution, held_out")
         if split not in self._pools:
             self._pools[split] = [
                 self._make_question(split, i) for i in range(self.pool_size)
@@ -250,39 +252,39 @@ class StaticAnswerKey(Mapping[str, dict[str, Any]]):
     builds the evolution pool. Iterating or sizing the key builds both.
     """
 
-    # the id prefix ``_make_question`` gives each split
-    _PREFIXES = tuple((f"q-{split}-", split) for split in ("train", "heldout"))
+    # the id prefix ``_make_question`` gives each pool's split
+    _PREFIXES = tuple((f"q-{split}-", name) for name, split in StaticQAEnv.SPLITS.items())
 
     def __init__(self, env: StaticQAEnv):
         self._env = env
-        self._splits: dict[str, dict[str, dict[str, Any]]] = {}
+        self._pools: dict[str, dict[str, dict[str, Any]]] = {}
 
-    def _entries(self, split: str) -> dict[str, dict[str, Any]]:
-        entries = self._splits.get(split)
+    def _entries(self, name: str) -> dict[str, dict[str, Any]]:
+        entries = self._pools.get(name)
         if entries is None:
-            entries = self._splits[split] = {
+            entries = self._pools[name] = {
                 q.qid: {
                     "question": q.text,
                     "answer": q.answer,
                     "decomposition": [list(step) for step in q.decomposition],
                 }
-                for q in self._env._pool(split)
+                for q in self._env.pool(name)
             }
         return entries
 
     def __getitem__(self, qid: str) -> dict[str, Any]:
         if isinstance(qid, str):
-            for prefix, split in self._PREFIXES:
+            for prefix, name in self._PREFIXES:
                 if qid.startswith(prefix):
-                    return self._entries(split)[qid]
+                    return self._entries(name)[qid]
         raise KeyError(qid)
 
     def __iter__(self) -> Iterator[str]:
-        for _prefix, split in self._PREFIXES:
-            yield from self._entries(split)
+        for _prefix, name in self._PREFIXES:
+            yield from self._entries(name)
 
     def __len__(self) -> int:
-        return sum(len(self._entries(split)) for _prefix, split in self._PREFIXES)
+        return sum(len(self._entries(name)) for _prefix, name in self._PREFIXES)
 
 
 @dataclass
@@ -328,11 +330,14 @@ class SequentialChainEnv:
         self.seed = seed
         self.pool_size = pool_size
 
-    def evolution_pool(self) -> list[Question]:
-        """One question per achievement, in unlock order."""
+    def pool(self, name: str) -> list[Question]:
+        """The pool called ``name``, only "evolution": one question per
+        achievement, in unlock order."""
+        if name != "evolution":
+            raise ValidationError(f"env {self.name!r} has no pool {name!r}; its pools: evolution")
         return [
-            Question(qid=f"ach-{name}", task_type=name, text=f"achieve {name}", context="", answer="unlocked")
-            for name in self.ACHIEVEMENTS
+            Question(qid=f"ach-{ach}", task_type=ach, text=f"achieve {ach}", context="", answer="unlocked")
+            for ach in self.ACHIEVEMENTS
         ]
 
     def actions(self) -> list[str]:
@@ -360,7 +365,7 @@ class SequentialChainEnv:
         return unlocked
 
     def answer_key(self) -> dict[str, dict[str, Any]]:
-        return {q.qid: {"answer": q.answer, "decomposition": []} for q in self.evolution_pool()}
+        return {q.qid: {"answer": q.answer, "decomposition": []} for q in self.pool("evolution")}
 
 
 ENVS = {

@@ -91,10 +91,6 @@ def load_run_config(store: RunStore) -> tuple[EngineConfig, dict[str, Any]]:
         raise IntegrityError(f"refused config {CONFIG_NAME}: {exc}") from exc
 
 
-def committed_iterations(store: RunStore) -> int:
-    return len(store.read_reports())
-
-
 def read_committed(store: RunStore) -> tuple[int, float | None]:
     """The number of committed iterations and the last one's committed
     accuracy (None before the first). The decoded reports are dropped here,
@@ -167,15 +163,14 @@ def _load_engine(
     store: RunStore,
     committed: int,
     last_accuracy: float | None,
-    eval_retrieval: bool | None = None,
+    index: bool = True,
 ) -> Engine:
     """``load_engine`` on what ``read_committed`` read from the run's reports.
 
     Of the reports it needs only their count ``committed`` and the last
-    committed accuracy; everything else is in the replayed graph. For a
-    frozen eval, ``eval_retrieval`` says whether it retrieves, and the engine
-    gets an exemplar index only when it does. An engine loaded without an
-    index must not train or retrieve.
+    committed accuracy; everything else is in the replayed graph. The engine
+    gets an exemplar index when ``index``: a frozen eval without retrieval
+    needs none. An engine loaded without an index must not train or retrieve.
     """
     store.require()
     config, meta = load_run_config(store)
@@ -189,7 +184,7 @@ def _load_engine(
             skill_growth_cap=config.skill_growth_cap,
             snapshot_history_limit=config.snapshot_history_limit,
         )
-    engine = build_simulated_engine(config, env, graph, eval_retrieval is not False)
+    engine = build_simulated_engine(config, env, graph, index)
     engine.prev_accuracy = last_accuracy
     graph.set_event_sink(store.event_sink)
     # a write killed before its rename leaves only a temp file
@@ -276,7 +271,7 @@ def run_eval(
     if not store.has_events():
         raise ValidationError("run has no training record yet; run training first")
     committed, last_accuracy = read_committed(store)
-    engine = _load_engine(store, committed, last_accuracy, eval_retrieval=retrieval)
+    engine = _load_engine(store, committed, last_accuracy, index=retrieval)
     digest = store.snapshot_digest(committed - 1) if committed else None
     record = engine.eval_run(pool_name=pool, retrieval=retrieval, graph_hash_before=digest)
     if record["graph_hash_before"] != record["graph_hash_after"]:

@@ -459,7 +459,7 @@ def test_criterion_07_improvement_monotone_or_bounded_by_retrieval_error(monkeyp
         # the same
         queries = sorted({
             (q.text, engine.graph.task_type_by_name(q.task_type).id)
-            for q in env.evolution_pool()[:96]
+            for q in env.pool("evolution")[:96]
         })
         eps = 0.0
         max_drop = 0.0

@@ -361,7 +361,7 @@ def test_explorer_retrieves_exactly_when_asked(monkeypatch):
 
     # a frozen eval without retrieval neither retrieves nor embeds
     embeds_before = engine.backends.embedder.calls
-    record = engine.eval_run(retrieval=False)
+    record = engine.eval_run("evolution", retrieval=False)
     assert retrievals == []
     assert engine.backends.embedder.calls == embeds_before
     assert record["calls"] == {"infer/explorer/execution": len(actions)}
@@ -369,7 +369,7 @@ def test_explorer_retrieves_exactly_when_asked(monkeypatch):
 
     # with retrieval it retrieves once per goal of its episode, the graph frozen
     del actions[:]
-    record = engine.eval_run(retrieval=True)
+    record = engine.eval_run("evolution", retrieval=True)
     assert record["calls"] == {"infer/explorer/execution": len(actions)}
     # (query vector, task type id, context length): one goal per task type
     goals = {args[1] for args in retrievals}
@@ -403,6 +403,20 @@ def test_sequential_remeasure_plays_an_episode_that_writes_nothing():
     assert engine.graph.last_seq == before
 
 
+@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
+def test_remeasure_is_judged_in_one_batch_per_task_type(env_name):
+    # on top of EVALUATE's calls, a static re-measure asks the critic once
+    # per task type of its pool, as EVALUATE does; an episode asks it nothing
+    critic = {}
+    for remeasure in (False, True):
+        engine = make_engine(env_name=env_name, remeasure_after_update=remeasure)
+        critic[remeasure] = [engine.run_iteration(k).agent_calls.get("critic", 0) for k in range(3)]
+    pool = engine.env.pool("evolution")[: engine.config.pool_size]
+    per_pass = len({q.task_type for q in pool}) if env_name == "static_qa" else 0
+    assert critic[False] == [per_pass] * 3
+    assert critic[True] == [2 * per_pass] * 3
+
+
 def _bundle_keys(engine, pool):
     """The distinct (task type, question text, long context) keys of a pool."""
     threshold = engine.config.long_context_threshold
@@ -430,10 +444,10 @@ def test_a_pass_retrieves_once_per_distinct_question(monkeypatch, pass_name):
         engine.run_iteration(k)
     calls = _counting_retrievals(monkeypatch, engine)
     if pass_name == "held_out":
-        pool = engine.env.heldout_pool()
+        pool = engine.env.pool("held_out")
         engine.eval_run(retrieval=True)
     else:
-        pool = engine.env.evolution_pool()[: engine.config.pool_size]
+        pool = engine.env.pool("evolution")[: engine.config.pool_size]
         if pass_name == "evaluate":
             # the learner answers in EVALUATE only; the rest of the
             # iteration retrieves nothing
@@ -450,7 +464,7 @@ def test_a_pass_retrieves_once_per_distinct_question(monkeypatch, pass_name):
 def test_a_graph_write_between_two_answers_retrieves_again(monkeypatch):
     engine = make_engine(pool_size=24)
     engine.run_iteration(0)
-    q = engine.env.evolution_pool()[0]
+    q = engine.env.pool("evolution")[0]
     tt = engine.graph.task_type_by_name(q.task_type)
     calls = _counting_retrievals(monkeypatch, engine)
     first = engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
@@ -464,11 +478,9 @@ def test_a_graph_write_between_two_answers_retrieves_again(monkeypatch):
         tt.resolver_skill_id,
         memory.SuccessPayload(question=q.text, reasoning_trace="worked", answer=q.answer),
     )
-    raw, predicted, n_success, _n_failure = engine._answer_question(
-        q, tt.id, tt.resolver_skill_id, "base"
-    )
+    result, _raw = engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
     assert len(calls) == 2
-    assert n_success >= 1 and predicted == q.answer
+    assert result.bundle_success >= 1 and result.predicted == q.answer
     # any write advances the graph version, whether or not it touches the index
     engine.graph.set_mastery(tt.resolver_skill_id, 0.5)
     engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
@@ -584,7 +596,7 @@ def test_cascade_context_follows_a_graph_write():
         return complete(prompt, meta=meta, temperature=temperature)
 
     engine.backends.execution.complete = capture
-    q = engine.env.evolution_pool()[0]
+    q = engine.env.pool("evolution")[0]
     tt = engine.graph.task_type_by_name(q.task_type)
     skill = engine.graph.skills[tt.resolver_skill_id]
     for _ in range(2):
@@ -632,7 +644,7 @@ def test_sequential_corrections_are_filed_under_the_achievement_question():
         node.payload["question"] for node in graph.experience.values()
         if node.outcome == "success_memory"
     }
-    assert successes <= {q.text for q in engine.env.evolution_pool()}
+    assert successes <= {q.text for q in engine.env.pool("evolution")}
 
 
 def test_question_result_dict_equals_asdict():

@@ -54,32 +54,41 @@ def test_registry_and_unknown_name():
 def test_static_pools_are_deterministic_and_cached():
     a = StaticQAEnv(seed=7, pool_size=24)
     b = StaticQAEnv(seed=7, pool_size=24)
-    assert a.evolution_pool() == b.evolution_pool()
-    assert a.heldout_pool() == b.heldout_pool()
-    assert a.evolution_pool() is a.evolution_pool()
+    assert a.pool("evolution") == b.pool("evolution")
+    assert a.pool("held_out") == b.pool("held_out")
+    assert a.pool("evolution") is a.pool("evolution")
     c = StaticQAEnv(seed=8, pool_size=24)
-    assert [q.text for q in c.evolution_pool()] != [q.text for q in a.evolution_pool()]
+    assert [q.text for q in c.pool("evolution")] != [q.text for q in a.pool("evolution")]
 
 
 def test_static_pools_are_disjoint_splits():
     env = StaticQAEnv(seed=3, pool_size=30)
-    train_ids = {q.qid for q in env.evolution_pool()}
-    held_ids = {q.qid for q in env.heldout_pool()}
+    train_ids = {q.qid for q in env.pool("evolution")}
+    held_ids = {q.qid for q in env.pool("held_out")}
     assert len(train_ids) == 30 and len(held_ids) == 30
     assert not train_ids & held_ids
+
+
+@pytest.mark.parametrize(
+    "env_name, name, pools",
+    [("static_qa", "train", "evolution, held_out"), ("sequential", "held_out", "evolution")],
+)
+def test_env_refuses_a_pool_it_does_not_have(env_name, name, pools):
+    with pytest.raises(ValidationError, match=f"^env '{env_name}' has no pool '{name}'; its pools: {pools}$"):
+        make_env(env_name, seed=1, pool_size=12).pool(name)
 
 
 def test_static_task_types_cycle_evenly():
     env = StaticQAEnv(seed=3, pool_size=12)
     counts = {}
-    for q in env.evolution_pool():
+    for q in env.pool("evolution"):
         counts[q.task_type] = counts.get(q.task_type, 0) + 1
     assert counts == {tt: 2 for tt in StaticQAEnv.TASK_TYPES}
 
 
 def test_static_answers_match_question_text():
     env = StaticQAEnv(seed=11, pool_size=60)
-    for q in env.evolution_pool() + env.heldout_pool():
+    for q in env.pool("evolution") + env.pool("held_out"):
         pattern, compute = ANSWER_ORACLES[q.task_type]
         match = pattern.search(q.context + "\n" + q.text)
         assert match, f"{q.qid}: text did not parse"
@@ -88,7 +97,7 @@ def test_static_answers_match_question_text():
 
 def test_static_long_context_only_on_marked_types():
     env = StaticQAEnv(seed=5, pool_size=36)
-    for q in env.evolution_pool():
+    for q in env.pool("evolution"):
         if q.task_type in StaticQAEnv.LONG_CONTEXT_TYPES:
             assert len(q.context) > 400
         else:
@@ -99,7 +108,7 @@ def test_static_answer_key_covers_both_splits():
     env = StaticQAEnv(seed=2, pool_size=12)
     key = env.answer_key()
     assert len(key) == 24
-    q = env.evolution_pool()[0]
+    q = env.pool("evolution")[0]
     assert key[q.qid]["question"] == q.text
     assert key[q.qid]["answer"] == q.answer
     assert key[q.qid]["decomposition"] == [list(step) for step in q.decomposition]
@@ -122,7 +131,7 @@ def test_static_pool_size_validation():
 def test_static_decompositions_name_known_skills():
     env = StaticQAEnv(seed=4, pool_size=18)
     names = {name for name, _ in StaticQAEnv.SKILLS}
-    for q in env.evolution_pool():
+    for q in env.pool("evolution"):
         assert q.decomposition, q.qid
         for skill, note in q.decomposition:
             assert skill in names

@@ -2,8 +2,9 @@
 
 Determinism is a hard rule for this package: for the same config, a speedup
 leaves ``events.log``, ``reports.jsonl``, the boundary snapshots and the
-frozen-eval records (held-out pool, with and without retrieval) byte for
-byte as they were. The run-file digests were taken before the graph encoder
+frozen-eval records (held-out pool, with and without retrieval; a
+sequential run's evolution pool, the only one it has) byte for byte as
+they were. The run-file digests were taken before the graph encoder
 became incremental, the eval-record digests before the learner prompt path
 memoized its embeddings and cascade context. A change that moves one of
 them changes what a run records; it must name that behaviour change and its
@@ -13,9 +14,10 @@ The third run covers what the first two skip: it stops half way and resumes
 in a fresh ``RunStore``, re-measures after UPDATE, and takes every bundle
 from the oracle fixture patched over ``Engine._bundle``; its digests were
 taken when that oracle was a run-format option, and the fixture writes the
-same bytes. The fourth rolls back: its
-evaluation reports a 0.2 drop on every odd iteration, so half its
-iterations restore the boundary snapshot from a ring of two.
+same bytes, except its reports and call audit, re-pinned when the
+re-measure came to be judged in EVALUATE's per-type batches. The fourth
+rolls back: its evaluation reports a 0.2 drop on every odd iteration, so
+half its iterations restore the boundary snapshot from a ring of two.
 
 The first two runs also pin which exemplars retrieval picks: the run files
 cannot show it, because the simulated learner reads only how many blocks a
@@ -64,8 +66,8 @@ GOLDEN = {
             "events.log": "98fd7f16c337ce1ef379f20a6782832928f746bab86210bbe110be3129e7ae8e",
             "reports.jsonl": "ea2d39333b27fcd44c1bc3381c0359c47bdbf8ce9ae52b56e8b817e5cbea2e6f",
             "snap-00005.json": "74820e1925645ee48ac88e01d95b3e4243afec96ff38c404c40cd890461873fc",
-            "eval-held_out-ret-00006.json": "dfe58b72eaf828cb1804149442799ed839b68ce356b310288dce28831ed476fe",
-            "eval-held_out-noret-00006.json": "ef89609db3db2f27280de381db3c54e57c7a538540347cfad3cc17467051e5a7",
+            "eval-evolution-ret-00006.json": "6b92209ba62d6518b7cfa7feb3c28a63db7419594b5a867ad3460067ef4c01b0",
+            "eval-evolution-noret-00006.json": "02cf18c3cd5e5992bf2c34e3d0045b72675f00ed83fd913d8038ed751233926c",
         },
     ),
 }
@@ -94,7 +96,7 @@ AUDIT_LINES = {
         "[PASS] protected_conservation: 357 protected nodes, none deleted across 1290 events",
         "[PASS] selection_gap: max observed wait 4 within running bound over 6 committed iterations",
         "[PASS] mastery_ratchet: 11 skill trajectories obey the rise/decay law",
-        "[PASS] tier_separation: guidance calls: train 432/1152 (37.50%), inference 0",
+        "[PASS] tier_separation: guidance calls: train 108/828 (13.04%), inference 0",
         "[PASS] log_replay: 1290 events replay cleanly, 6 boundary snapshots match, final hash 4702d6ccd217",
         "[PASS] bandit_consistency: 17 contexts match an independent event recount",
         "[PASS] eval_boundary: 2 eval records hash the replayed state at their boundary",
@@ -151,8 +153,10 @@ def test_run_files_match_golden_digests(tmp_path, monkeypatch, env_name):
     with monkeypatch.context() as patch:
         patch.setattr(engine_module, "format_bundle", rendering)
         run_training(store)
-    run_eval(store, retrieval=True)
-    run_eval(store, retrieval=False)
+    # a sequential env has only its evolution pool
+    pool = "held_out" if env_name == "static_qa" else "evolution"
+    run_eval(store, pool, retrieval=True)
+    run_eval(store, pool, retrieval=False)
     digests = {
         name: hashlib.sha256((store.root / name).read_bytes()).hexdigest() for name in expected
     }
@@ -166,7 +170,7 @@ RESUMED = (
     dict(iterations=6, pool_size=60, seed=3, remeasure_after_update=True),
     {
         "events.log": "f422cebd0a4c4e4512deecebe07c98d5b32ef79c107ec9db7dd305f7bc9f4f1b",
-        "reports.jsonl": "6d9f1be1b094d14ae769cf711d159a387c2ad92860fb149d7773158f909e6a74",
+        "reports.jsonl": "633ede5a2d32c1ab4470c8c2c2aaa5fd116542740d54404430fa1fde927506a8",
         "snap-00005.json": "4702d6ccd217e4ec458a3235507088d4e22c54366a1f7b35bc055862cf654a99",
         "eval-held_out-ret-00006.json": "3ba15f91a4ef287ca73278027699a740c3cf8c64fa507eb9e8cb64ce54f7fbfe",
         "eval-held_out-noret-00006.json": "37d6be14f42ffa3d58b24f084c955e0ac3e64701995ec419ab9bf5dba67d1e8a",

@@ -815,7 +815,7 @@ def test_live_index_matches_rebuild_after_training():
         engine.graph, engine.index.dimension, embed, config.type_strategy_min_similarity
     )
     assert len(rebuilt) == len(engine.index) > 0
-    for q in env.evolution_pool():
+    for q in env.pool("evolution"):
         tt = engine.graph.task_type_by_name(q.task_type).id
         args = (embed(q.text), tt, len(q.context), config.retrieval_top_k)
         assert _bundle_key(engine.index.retrieve_bundle(*args)) == _bundle_key(

@@ -38,6 +38,10 @@ def init_and_run(run_dir, iterations=4, pool=24, extra=()):
     return RunStore(run_dir)
 
 
+# the pool each env's evals here read: a sequential env has no held-out pool
+EVAL_POOL = {"static_qa": "held_out", "sequential": "evolution"}
+
+
 # ----------------------------------------------------------------------
 # verbs and exit codes
 
@@ -631,7 +635,8 @@ def _resumes_as_a_new_run(tmp_path, capsys, env_name, as_old):
         assert main(["run", str(run_dir), "--iterations", "2"]) == 0
         if name == "old":
             as_old(run_dir)
-        for verb in (["run", "--resume"], ["eval"], ["eval", "--no-retrieval"]):
+        pool = ["--pool", EVAL_POOL[env_name]]
+        for verb in (["run", "--resume"], ["eval", *pool], ["eval", *pool, "--no-retrieval"]):
             assert main([verb[0], str(run_dir), *verb[1:]]) == 0
         capsys.readouterr()
         assert main(["audit", str(run_dir)]) == 0
@@ -1369,7 +1374,8 @@ def test_eval_without_retrieval_builds_no_index(tmp_path, monkeypatch, env_name)
         raise AssertionError("an eval without retrieval built the exemplar index")
 
     monkeypatch.setattr(evoloop.runner, "rebuild_index", refusing)
-    assert run_eval(RunStore(store.root), retrieval=False)["retrieval_enabled"] is False
+    pool = EVAL_POOL[env_name]
+    assert run_eval(RunStore(store.root), pool, retrieval=False)["retrieval_enabled"] is False
 
     builds = []
 
@@ -1378,7 +1384,7 @@ def test_eval_without_retrieval_builds_no_index(tmp_path, monkeypatch, env_name)
         return rebuild_index(*args, **kwargs)
 
     monkeypatch.setattr(evoloop.runner, "rebuild_index", counting)
-    run_eval(RunStore(store.root), retrieval=True)
+    run_eval(RunStore(store.root), pool, retrieval=True)
     assert len(load_engine(RunStore(store.root)).index) > 0
     assert builds == [1, 1]
 
@@ -1390,8 +1396,30 @@ def test_sequential_eval_without_retrieval_runs_without_memory(tmp_path):
     store = init_run(tmp_path / "r", EngineConfig(iterations=1, seed=42), "sequential")
     run_training(store)
     assert store.read_reports()[0]["accuracy"] == 0.4
-    assert run_eval(store, retrieval=False)["accuracy"] < 1.0
-    assert run_eval(store, retrieval=True)["accuracy"] == 1.0
+    assert run_eval(store, "evolution", retrieval=False)["accuracy"] < 1.0
+    assert run_eval(store, "evolution", retrieval=True)["accuracy"] == 1.0
+
+
+def test_sequential_eval_refuses_a_pool_it_does_not_have(tmp_path, monkeypatch, capsys):
+    store = init_run(tmp_path / "r", EngineConfig(iterations=1, seed=42), "sequential")
+    run_training(store)
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("the graph was frozen or hashed before the pool was checked")
+
+    with monkeypatch.context() as patch:
+        for name in ("freeze", "graph_hash"):
+            patch.setattr(KnowledgeGraph, name, refusing)
+        for retrieval in (True, False):
+            with pytest.raises(
+                ValidationError, match="env 'sequential' has no pool 'held_out'; its pools: evolution"
+            ):
+                run_eval(RunStore(store.root), "held_out", retrieval=retrieval)
+    # a usage error: the CLI's default pool is held_out
+    capsys.readouterr()
+    assert main(["eval", str(store.root)]) == 1
+    assert "has no pool 'held_out'" in capsys.readouterr().err
+    assert not list(store.root.glob("eval-*.json"))
 
 
 def test_init_run_rejects_bad_config_object(tmp_path):
