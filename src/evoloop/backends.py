@@ -15,9 +15,10 @@ model server:
     seed and the question id alone, so the learner is a pure function of
     (question, rendered prompt): more exemplars never flip a correct
     answer to wrong, which is what the retrieval-error bound needs. The
-    backend hashes the two once per question id and keeps them. It looks
-    each question up in the env's answer key and never copies the key, so
-    a ``static_qa`` key builds only the split whose questions are asked.
+    backend hashes the two once per question id and keeps them. It holds
+    no copy of the questions: each call looks its question up once through
+    the env's ``question(qid)``, so a ``static_qa`` env builds only the
+    split whose questions are asked.
   * guidance: template-fills corrections, principles, refined prompts and
     tool notes from structured metadata.
   * judge: exact string match per item.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
@@ -49,6 +50,8 @@ from .errors import BackendError, ValidationError
 
 if TYPE_CHECKING:
     import requests
+
+    from .envs import Question
 
 GUIDANCE_AGENTS = frozenset({"skill_discovery", "navigator", "critic", "curator"})
 EXECUTION_AGENTS = frozenset({"explorer", "learner"})
@@ -109,9 +112,9 @@ class SimulatedExecutionBackend(Backend):
 
     role = "execution"
 
-    def __init__(self, answer_key: Mapping[str, Mapping[str, Any]], seed: int):
-        # read, not copied: an env's key may build its entries on first lookup
-        self.answer_key = answer_key
+    def __init__(self, question: Callable[[str], "Question"], seed: int):
+        # the env's lookup, which raises KeyError for an id it does not hold
+        self.question = question
         self.seed = seed
         # (base difficulty, roll) by question id; pure functions of (seed, id)
         self._draws: dict[str, tuple[float, float]] = {}
@@ -138,14 +141,22 @@ class SimulatedExecutionBackend(Backend):
         correction written for this exact question (it states the right
         answer), is always answered correctly. Otherwise each retrieved
         block adds a fixed boost on top of the question's latent
-        difficulty, saturating at three blocks.
+        difficulty, saturating at three blocks. An id the env does not hold
+        has no own exemplar.
         """
-        entry = self.answer_key.get(question_id, {})
-        own_question = entry.get("question", "")
-        if own_question:
-            if f"Q: {own_question}\nReasoning:" in prompt:
+        try:
+            q = self.question(question_id)
+        except KeyError:
+            q = None
+        return self._probability(question_id, q, prompt)
+
+    def _probability(self, question_id: str, q: "Question | None", prompt: str) -> float:
+        """``success_probability`` given ``q``, the question the env holds
+        under ``question_id``, or None for an id it does not hold."""
+        if q is not None:
+            if f"Q: {q.text}\nReasoning:" in prompt:
                 return 1.0
-            if f"conditions: q={own_question};" in prompt:
+            if f"conditions: q={q.text};" in prompt:
                 return 1.0
         boost = 0.15 * min(self.exemplar_blocks(prompt), 3)
         return min(max(self.base_difficulty(question_id) + boost, 0.0), 0.98)
@@ -154,17 +165,13 @@ class SimulatedExecutionBackend(Backend):
         if not meta or "question_id" not in meta:
             raise ValidationError("simulated execution backend needs meta['question_id']")
         qid = meta["question_id"]
-        entry = self.answer_key.get(qid)
-        if entry is None:
-            raise ValidationError(f"unknown question id {qid!r}")
-        threshold = self.success_probability(qid, prompt)
-        correct = self._question_draws(qid)[1] < threshold
-        steps = entry.get("decomposition", [])
-        trace_lines = [f"Step {i}: {text}" for i, (_skill, text) in enumerate(steps, start=1)]
-        if correct:
-            trace_lines.append(f"Answer: {entry['answer']}")
-        else:
-            trace_lines.append(f"Answer: {self._wrong_answer(entry['answer'], qid)}")
+        try:
+            q = self.question(qid)
+        except KeyError:
+            raise ValidationError(f"unknown question id {qid!r}") from None
+        correct = self._question_draws(qid)[1] < self._probability(qid, q, prompt)
+        trace_lines = [f"Step {i}: {text}" for i, (_skill, text) in enumerate(q.decomposition, start=1)]
+        trace_lines.append(f"Answer: {q.answer if correct else self._wrong_answer(q.answer, qid)}")
         return "\n".join(trace_lines)
 
     def _wrong_answer(self, gold: str, qid: str) -> str:
@@ -369,12 +376,10 @@ class HttpBackend(Backend):
         raise BackendError(f"backend call failed after {self.attempts} attempts: {last_error}")
 
 
-def simulated_backend_set(
-    answer_key: Mapping[str, Mapping[str, Any]], seed: int
-) -> BackendSet:
+def simulated_backend_set(question: Callable[[str], "Question"], seed: int) -> BackendSet:
     return BackendSet(
         guidance=SimulatedGuidanceBackend(seed=seed),
-        execution=SimulatedExecutionBackend(answer_key, seed=seed),
+        execution=SimulatedExecutionBackend(question, seed=seed),
         judge=SimulatedJudgeBackend(),
         embedder=HashEmbedder(dimension=EMBED_DIMENSION, seed=seed),
     )

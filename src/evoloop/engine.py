@@ -157,8 +157,9 @@ class EngineConfig:
     snapshot_history_limit: int = 64
     routing_strategies: tuple[str, ...] = ("direct", "chain", "decompose")
     search_strategies: tuple[str, ...] = ("base", "cascade")
-    # retired: accepted and ignored, as format-2 configs hold it; EVALUATE
-    # answers serially
+    # retired: accepted and ignored, as every run's config.json holds it,
+    # format 3 included, and perfbench passes it; EVALUATE answers serially.
+    # Dropping it is a run-format step (ROADMAP item 5)
     eval_workers: int = 1
     remeasure_after_update: bool = False
 

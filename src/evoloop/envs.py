@@ -4,10 +4,9 @@
 eight skills whose prerequisite DAG is a diamond feeding a chain. Question
 pools are generated once from the seed and then fixed, so the evolution
 pool is the same 200 questions every iteration and the held-out pool never
-leaks into training. A pool is generated on its first use, and the answer
-key the simulated learner reads builds a split only when one of its
-questions is asked. Two of the six types carry long narrative contexts to
-exercise the long-context retrieval split.
+leaks into training. A pool is generated on its first use, and a lookup
+by id builds only the pool of the id it is asked. Two of the six types
+carry long narrative contexts to exercise the long-context retrieval split.
 
 ``SequentialChainEnv`` is a five-achievement progression world. An episode
 is a bounded action sequence; each achievement unlocks when its action is
@@ -15,13 +14,15 @@ taken after its predecessor is already unlocked. Achievements double as
 task types, and as the questions of its evolution pool ("achieve <name>",
 answered "unlocked"), so the curriculum, memory, and bandit plumbing run
 unchanged. Its one fixed world has no held-out pool.
+
+Each env is the one owner of its questions: ``question(qid)``, the lookup
+the simulated learner answers through, returns the pool's own ``Question``
+and raises ``KeyError`` for an id no pool of the env holds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Any
 
 from .backends import stable_hash64
 from .errors import ValidationError
@@ -92,6 +93,8 @@ class StaticQAEnv:
 
     # the split each pool's questions are drawn from, by pool name
     SPLITS = {"evolution": "train", "held_out": "heldout"}
+    # the pool of each id prefix ``_make_question`` gives a split's questions
+    _ID_PREFIXES = tuple((f"q-{split}-", name) for name, split in SPLITS.items())
 
     def __init__(self, seed: int, pool_size: int = 200):
         if pool_size < 1:
@@ -99,6 +102,8 @@ class StaticQAEnv:
         self.seed = seed
         self.pool_size = pool_size
         self._pools: dict[str, list[Question]] = {}
+        # by pool name, each built pool's questions by id
+        self._by_id: dict[str, dict[str, Question]] = {}
 
     def pool(self, name: str) -> list[Question]:
         """The pool called ``name``, "evolution" or "held_out", generated on
@@ -106,14 +111,25 @@ class StaticQAEnv:
         split = self.SPLITS.get(name)
         if split is None:
             raise ValidationError(f"env {self.name!r} has no pool {name!r}; its pools: evolution, held_out")
-        if split not in self._pools:
-            self._pools[split] = [
-                self._make_question(split, i) for i in range(self.pool_size)
-            ]
-        return self._pools[split]
+        if name not in self._pools:
+            questions = [self._make_question(split, i) for i in range(self.pool_size)]
+            self._pools[name] = questions
+            self._by_id[name] = {q.qid: q for q in questions}
+        return self._pools[name]
 
-    def answer_key(self) -> "StaticAnswerKey":
-        return StaticAnswerKey(self)
+    def question(self, qid: str) -> Question:
+        """The question ``qid`` names, ``q-<split>-<index>``, from the pool of
+        that split, which is built on its first use and no other is.
+
+        Any other id, such as one that is not a str, an unpadded index or one
+        past the pool, raises ``KeyError``.
+        """
+        if isinstance(qid, str):
+            for prefix, name in self._ID_PREFIXES:
+                if qid.startswith(prefix):
+                    self.pool(name)
+                    return self._by_id[name][qid]
+        raise KeyError(qid)
 
     def _make_question(self, split: str, i: int) -> Question:
         task_type = self.TASK_TYPES[i % len(self.TASK_TYPES)]
@@ -242,51 +258,6 @@ class StaticQAEnv:
         )
 
 
-class StaticAnswerKey(Mapping[str, dict[str, Any]]):
-    """The simulated learner's answer key of a ``StaticQAEnv``: by question
-    id, its text, answer and decomposition, over both splits.
-
-    A split's entries are built from its pool on the first lookup of one of
-    its ids (``q-<split>-<index>``), so a verb that asks only evolution
-    questions never builds the held-out pool, and a held-out eval never
-    builds the evolution pool. Iterating or sizing the key builds both.
-    """
-
-    # the id prefix ``_make_question`` gives each pool's split
-    _PREFIXES = tuple((f"q-{split}-", name) for name, split in StaticQAEnv.SPLITS.items())
-
-    def __init__(self, env: StaticQAEnv):
-        self._env = env
-        self._pools: dict[str, dict[str, dict[str, Any]]] = {}
-
-    def _entries(self, name: str) -> dict[str, dict[str, Any]]:
-        entries = self._pools.get(name)
-        if entries is None:
-            entries = self._pools[name] = {
-                q.qid: {
-                    "question": q.text,
-                    "answer": q.answer,
-                    "decomposition": [list(step) for step in q.decomposition],
-                }
-                for q in self._env.pool(name)
-            }
-        return entries
-
-    def __getitem__(self, qid: str) -> dict[str, Any]:
-        if isinstance(qid, str):
-            for prefix, name in self._PREFIXES:
-                if qid.startswith(prefix):
-                    return self._entries(name)[qid]
-        raise KeyError(qid)
-
-    def __iter__(self) -> Iterator[str]:
-        for _prefix, name in self._PREFIXES:
-            yield from self._entries(name)
-
-    def __len__(self) -> int:
-        return sum(len(self._entries(name)) for _prefix, name in self._PREFIXES)
-
-
 @dataclass
 class EpisodeState:
     step: int = 0
@@ -364,8 +335,13 @@ class SequentialChainEnv:
             unlocked = action
         return unlocked
 
-    def answer_key(self) -> dict[str, dict[str, Any]]:
-        return {q.qid: {"answer": q.answer, "decomposition": []} for q in self.pool("evolution")}
+    def question(self, qid: str) -> Question:
+        """The question of the achievement ``qid`` names, ``ach-<name>``; any
+        other id raises ``KeyError``."""
+        for q in self.pool("evolution"):
+            if q.qid == qid:
+                return q
+        raise KeyError(qid)
 
 
 ENVS = {

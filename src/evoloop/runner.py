@@ -142,7 +142,7 @@ def build_simulated_engine(
             skill_growth_cap=config.skill_growth_cap,
             snapshot_history_limit=config.snapshot_history_limit,
         )
-    backends = simulated_backend_set(env.answer_key(), seed=config.seed)
+    backends = simulated_backend_set(env.question, seed=config.seed)
     memory_index = None
     if index:
         memory_index = rebuild_index(
@@ -164,6 +164,7 @@ def _load_engine(
     committed: int,
     last_accuracy: float | None,
     index: bool = True,
+    pool: str | None = None,
 ) -> Engine:
     """``load_engine`` on what ``read_committed`` read from the run's reports.
 
@@ -171,10 +172,14 @@ def _load_engine(
     committed accuracy; everything else is in the replayed graph. The engine
     gets an exemplar index when ``index``: a frozen eval without retrieval
     needs none. An engine loaded without an index must not train or retrieve.
+    ``pool`` names the pool a frozen eval will ask of the env: one the env
+    does not have is refused before replay, which may cut the log.
     """
     store.require()
     config, meta = load_run_config(store)
     env = make_env(meta["env"], seed=config.seed, pool_size=config.pool_size)
+    if pool is not None:
+        env.pool(pool)
 
     # closing: a replay refused part way leaves the log open in the stream
     with closing(_committed_events(store, committed - 1)) as events:
@@ -266,12 +271,13 @@ def run_eval(
     iteration, or a missing file, hashes the graph instead.
     ``graph_hash_after`` is the same digest unless the graph's
     ``state_mark`` moved during the eval, and then an eval that changed the
-    graph raises.
+    graph raises. A pool the run's env does not have is refused before
+    the run's files are touched.
     """
     if not store.has_events():
         raise ValidationError("run has no training record yet; run training first")
     committed, last_accuracy = read_committed(store)
-    engine = _load_engine(store, committed, last_accuracy, index=retrieval)
+    engine = _load_engine(store, committed, last_accuracy, index=retrieval, pool=pool)
     digest = store.snapshot_digest(committed - 1) if committed else None
     record = engine.eval_run(pool_name=pool, retrieval=retrieval, graph_hash_before=digest)
     if record["graph_hash_before"] != record["graph_hash_after"]:

@@ -17,6 +17,7 @@ from evoloop import (
     CallTracker,
     HashEmbedder,
     HttpBackend,
+    Question,
     SimulatedExecutionBackend,
     SimulatedGuidanceBackend,
     SimulatedJudgeBackend,
@@ -27,9 +28,11 @@ from evoloop import (
 )
 
 KEY = {
-    "q1": {"question": "what is 2+2", "answer": "4", "decomposition": [["add", "sum"]]},
-    "q2": {"question": "double 3", "answer": "6", "decomposition": []},
+    "q1": Question("q1", "t", "what is 2+2", "", "4", (("add", "sum"),)),
+    "q2": Question("q2", "t", "double 3", "", "6"),
 }
+# the learner looks each question up as it does in an env: unknown ids raise KeyError
+LOOKUP = KEY.__getitem__
 
 
 # ----------------------------------------------------------------------
@@ -54,8 +57,8 @@ def test_unit_draw_range_and_determinism():
 
 
 def test_learner_is_deterministic():
-    a = SimulatedExecutionBackend(KEY, seed=42)
-    b = SimulatedExecutionBackend(KEY, seed=42)
+    a = SimulatedExecutionBackend(LOOKUP, seed=42)
+    b = SimulatedExecutionBackend(LOOKUP, seed=42)
     prompt = "[QUESTION]\nQ: what is 2+2"
     assert a.complete(prompt, meta={"question_id": "q1"}) == b.complete(
         prompt, meta={"question_id": "q1"}
@@ -63,7 +66,7 @@ def test_learner_is_deterministic():
 
 
 def test_learner_requires_known_question():
-    backend = SimulatedExecutionBackend(KEY, seed=42)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=42)
     with pytest.raises(ValidationError):
         backend.complete("p", meta={})
     with pytest.raises(ValidationError):
@@ -71,21 +74,22 @@ def test_learner_requires_known_question():
 
 
 def test_learner_that_kept_its_draws_answers_as_a_fresh_one():
-    key = evoloop.make_env("static_qa", seed=3, pool_size=20).answer_key()
-    qids = sorted(key)
+    env = evoloop.make_env("static_qa", seed=3, pool_size=20)
+    questions = {q.qid: q for q in env.pool("evolution") + env.pool("held_out")}
+    qids = sorted(questions)
     other = "[SUCCESS 1]\nQ: other\nReasoning: r\nA: 1\n\n"
     prompts = {
-        qid: [f"[QUESTION]\nQ: {key[qid]['question']}"]
-        + [other * n + f"[QUESTION]\nQ: {key[qid]['question']}" for n in (1, 2, 4)]
-        + [f"[SUCCESS 1]\nQ: {key[qid]['question']}\nReasoning: r\nA: x\n\n[QUESTION]\nQ: x"]
+        qid: [f"[QUESTION]\nQ: {questions[qid].text}"]
+        + [other * n + f"[QUESTION]\nQ: {questions[qid].text}" for n in (1, 2, 4)]
+        + [f"[SUCCESS 1]\nQ: {questions[qid].text}\nReasoning: r\nA: x\n\n[QUESTION]\nQ: x"]
         for qid in qids
     }
-    kept = SimulatedExecutionBackend(key, seed=11)
+    kept = SimulatedExecutionBackend(env.question, seed=11)
     # every question asked several times, with different prompts, interleaved
     for round_ in range(3):
         for i, qid in enumerate(qids):
             for prompt in prompts[qid][(i + round_) % 5 :] + prompts[qid][: (i + round_) % 5]:
-                fresh = SimulatedExecutionBackend(key, seed=11)
+                fresh = SimulatedExecutionBackend(env.question, seed=11)
                 meta = {"question_id": qid}
                 reply = kept.complete(prompt, meta=meta)
                 assert reply == fresh.complete(prompt, meta=meta)
@@ -93,20 +97,43 @@ def test_learner_that_kept_its_draws_answers_as_a_fresh_one():
                 assert probability == fresh.success_probability(qid, prompt)
                 # the roll is the hash of (seed, "roll", id)
                 solved = unit_draw(11, "roll", qid) < probability
-                assert reply.endswith(f"Answer: {key[qid]['answer']}") == solved
+                assert reply.endswith(f"Answer: {questions[qid].answer}") == solved
         assert [kept.base_difficulty(qid) for qid in qids] == [
             0.35 + 0.40 * unit_draw(11, "base", qid) for qid in qids
         ]
 
 
+def test_learner_looks_its_question_up_once_per_call():
+    asked = []
+
+    def lookup(qid):
+        asked.append(qid)
+        return KEY[qid]
+
+    backend = SimulatedExecutionBackend(lookup, seed=1)
+    for qid in ("q1", "q2", "q1"):
+        asked.clear()
+        backend.complete("[QUESTION]\nQ: x", meta={"question_id": qid})
+        assert asked == [qid]
+
+
+def test_learner_is_not_certain_on_an_id_the_env_does_not_hold():
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
+    p = "[SUCCESS 1]\nQ: what is 2+2\nReasoning: add\nA: 4\n\n[QUESTION]\nQ: what is 2+2"
+    assert backend.success_probability("q1", p) == 1.0
+    assert backend.success_probability("nope", p) == pytest.approx(
+        min(backend.base_difficulty("nope") + 0.15, 0.98)
+    )
+
+
 def test_learner_base_difficulty_band():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     values = [backend.base_difficulty(f"q{i}") for i in range(300)]
     assert all(0.35 <= v < 0.75 for v in values)
 
 
 def test_learner_block_boost_saturates():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     base = backend.base_difficulty("q2")
     blocks = "[SUCCESS 1]\nQ: other\nReasoning: r\nA: 1\n\n"
     for n, expected in ((0, base), (1, base + 0.15), (3, base + 0.45), (5, base + 0.45)):
@@ -117,13 +144,13 @@ def test_learner_block_boost_saturates():
 
 
 def test_learner_probability_clamped():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = ("[SUCCESS 1]\nQ: x\nReasoning: r\nA: 1\n\n" * 3) + "[QUESTION]\nQ: double 3"
     assert backend.success_probability("q2", p) <= 0.98
 
 
 def test_learner_certain_on_own_exemplar():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = "[SUCCESS 1]\nQ: what is 2+2\nReasoning: add\nA: 4\n\n[QUESTION]\nQ: what is 2+2"
     assert backend.success_probability("q1", p) == 1.0
     out = backend.complete(p, meta={"question_id": "q1"})
@@ -131,7 +158,7 @@ def test_learner_certain_on_own_exemplar():
 
 
 def test_learner_certain_on_own_correction():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = (
         "[CORRECTION 1]\nconditions: q=what is 2+2; task_type=t; skill=s; kind=specific\n"
         "correction: recompute\n\n[QUESTION]\nQ: what is 2+2"
@@ -140,13 +167,13 @@ def test_learner_certain_on_own_correction():
 
 
 def test_learner_other_questions_exemplar_is_not_certainty():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = "[SUCCESS 1]\nQ: double 3\nReasoning: r\nA: 6\n\n[QUESTION]\nQ: what is 2+2"
     assert backend.success_probability("q1", p) < 1.0
 
 
 def test_learner_monotone_in_blocks():
-    backend = SimulatedExecutionBackend(KEY, seed=3)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=3)
     block = "[SUCCESS 1]\nQ: other\nReasoning: r\nA: 1\n\n"
     probs = [
         backend.success_probability("q2", block * n + "[QUESTION]\nQ: double 3")
@@ -156,13 +183,13 @@ def test_learner_monotone_in_blocks():
 
 
 def test_learner_wrong_answer_differs_from_gold():
-    backend = SimulatedExecutionBackend(KEY, seed=9)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=9)
     assert backend._wrong_answer("4", "q1") != "4"
     assert backend._wrong_answer("oslo", "q1") == "not-oslo"
 
 
 def test_act_follows_recipe_note():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     prompt = "[QUESTION]\nNote: next-action craft\nQ: step"
     assert backend.act(prompt, {"state_id": "s"}, ["move", "craft"]) == "craft"
     # an illegal hinted action falls through to the seeded pick
@@ -173,7 +200,7 @@ def test_act_follows_recipe_note():
 
 
 def test_act_requires_actions():
-    backend = SimulatedExecutionBackend(KEY, seed=1)
+    backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     with pytest.raises(ValidationError):
         backend.act("p", {}, [])
 
@@ -296,7 +323,7 @@ def test_tracker_since_returns_only_nonzero_deltas():
 
 
 def test_simulated_backend_set_roles():
-    bs = simulated_backend_set(KEY, seed=5)
+    bs = simulated_backend_set(LOOKUP, seed=5)
     assert bs.guidance.role == "guidance"
     assert bs.execution.role == "execution"
     assert bs.judge.role == "judge"

@@ -104,14 +104,33 @@ def test_static_long_context_only_on_marked_types():
             assert q.context == ""
 
 
-def test_static_answer_key_covers_both_splits():
+def test_static_question_covers_both_splits_and_builds_only_the_one_asked(monkeypatch):
+    built = []
+    make = StaticQAEnv._make_question
+
+    def recording(self, split, i):
+        built.append(split)
+        return make(self, split, i)
+
+    monkeypatch.setattr(StaticQAEnv, "_make_question", recording)
     env = StaticQAEnv(seed=2, pool_size=12)
-    key = env.answer_key()
-    assert len(key) == 24
-    q = env.pool("evolution")[0]
-    assert key[q.qid]["question"] == q.text
-    assert key[q.qid]["answer"] == q.answer
-    assert key[q.qid]["decomposition"] == [list(step) for step in q.decomposition]
+    assert env.question("q-heldout-0011").qid == "q-heldout-0011"
+    assert set(built) == {"heldout"}
+    for name in ("held_out", "evolution"):
+        for q in env.pool(name):
+            assert env.question(q.qid) is q
+    assert built.count("train") == built.count("heldout") == 12
+
+
+@pytest.mark.parametrize(
+    "qid",
+    [1, None, ("q-train-0000",), "q-train-1", "q-train-0200", "q-heldout-0200",
+     "q-train-00001", "ach-gather_wood", "q-test-0000", ""],
+)
+def test_static_question_refuses_an_id_no_pool_holds(qid):
+    env = StaticQAEnv(seed=2, pool_size=200)
+    with pytest.raises(KeyError):
+        env.question(qid)
 
 
 def test_static_skill_graph_shape():
@@ -205,7 +224,12 @@ def test_chain_state_id_tracks_progress():
     assert state.state_id == "s1-u1"
 
 
-def test_chain_answer_key_shape():
-    key = SequentialChainEnv(seed=0).answer_key()
-    assert set(key) == {f"ach-{a}" for a in SequentialChainEnv.ACHIEVEMENTS}
-    assert all(v["answer"] == "unlocked" for v in key.values())
+def test_chain_question_covers_its_achievements():
+    env = SequentialChainEnv(seed=0)
+    assert [env.question(f"ach-{a}") for a in env.ACHIEVEMENTS] == env.pool("evolution")
+    for a in env.ACHIEVEMENTS:
+        q = env.question(f"ach-{a}")
+        assert (q.task_type, q.text, q.answer, q.decomposition) == (a, f"achieve {a}", "unlocked", ())
+    for qid in ("ach-teleport", "q-train-0000", "gather_wood", 1, None):
+        with pytest.raises(KeyError):
+            env.question(qid)

@@ -1422,6 +1422,39 @@ def test_sequential_eval_refuses_a_pool_it_does_not_have(tmp_path, monkeypatch, 
     assert not list(store.root.glob("eval-*.json"))
 
 
+def test_a_refused_eval_leaves_the_run_as_it_found_it(tmp_path, capsys):
+    # a kill between the event flush and the report leaves an uncommitted
+    # tail in events.log; an eval refused for its pool must not cut it
+    store = init_run(tmp_path / "r", EngineConfig(iterations=3, seed=42), "sequential")
+    run_training(store)
+    reports = read_bytes(store.root, "reports.jsonl").splitlines(keepends=True)
+    (store.root / "reports.jsonl").write_bytes(b"".join(reports[:-1]))
+    events = read_bytes(store.root, "events.log")
+    for retrieval in (True, False):
+        with pytest.raises(ValidationError, match="has no pool 'held_out'"):
+            run_eval(RunStore(store.root), "held_out", retrieval=retrieval)
+        assert read_bytes(store.root, "events.log") == events
+    capsys.readouterr()
+    assert main(["eval", str(store.root), "--pool", "held_out"]) == 1
+    assert read_bytes(store.root, "events.log") == events
+    assert not list(store.root.glob("eval-*.json"))
+
+
+def test_an_eval_builds_its_pool_once(tmp_path, monkeypatch):
+    store = init_run(tmp_path / "r", EngineConfig(iterations=1, pool_size=24, seed=3), "static_qa")
+    run_training(store)
+    built = []
+    make = StaticQAEnv._make_question
+
+    def recording(self, split, i):
+        built.append(split)
+        return make(self, split, i)
+
+    monkeypatch.setattr(StaticQAEnv, "_make_question", recording)
+    run_eval(RunStore(store.root), "held_out")
+    assert built == ["heldout"] * 24
+
+
 def test_init_run_rejects_bad_config_object(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("[1, 2]")
