@@ -2,7 +2,8 @@
 
 Every backend exposes ``complete(prompt, meta, temperature) -> str``. The
 engine tags each call with the agent making it and the phase it runs in,
-and records one tracker call per ``complete`` or ``act``, so audits can
+and records one tracker call per attempt of each ``complete`` or ``act``
+(a backend without ``last_attempts`` makes one), so audits can
 separate guidance-tier from execution-tier traffic. Embedder calls are
 tracked but excluded from audit fractions.
 
@@ -31,10 +32,13 @@ The HTTP backend speaks a minimal chat wire protocol: POST
 ``{"model", "messages", "temperature", "max_tokens"}`` and read
 ``{"text": ...}`` back. It retries twice with backoff, raises
 ``BackendError`` when every attempt failed, and leaves the attempt count of
-its last call in ``last_attempts``. Nothing reads that yet,
-so a retried HTTP call still counts once in the tracker (ROADMAP item 7).
+its last call in ``last_attempts``. The engine records that count in its
+tracker, so a call answered on its second attempt counts two, and one that
+failed every attempt counts ``attempts``.
 It imports ``requests`` only when one is built, so a process that runs the
-simulated backends never loads the HTTP stack.
+simulated backends never loads the HTTP stack. In the same way the embedder
+imports ``numpy`` only when it computes a vector, so a process that embeds
+nothing never loads it.
 """
 
 from __future__ import annotations
@@ -44,11 +48,10 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-import numpy as np
-
 from .errors import BackendError, ValidationError
 
 if TYPE_CHECKING:
+    import numpy as np
     import requests
 
     from .envs import Question
@@ -287,6 +290,8 @@ class HashEmbedder:
     def _token_vector(self, token: str) -> np.ndarray:
         cached = self._token_cache.get(token)
         if cached is None:
+            import numpy as np
+
             rng = np.random.default_rng(stable_hash64(self.seed, "tok", token) % 2**63)
             cached = rng.standard_normal(self.dimension)
             self._token_cache[token] = cached
@@ -297,6 +302,8 @@ class HashEmbedder:
         cached = self._memo.get(text)
         if cached is not None:
             return cached
+        import numpy as np
+
         tokens = [t for t in text.lower().split() if t] or ["<empty>"]
         acc = np.zeros(self.dimension)
         for tok in tokens:
@@ -316,8 +323,8 @@ class HttpBackend(Backend):
     """Chat-completion wire client with bounded retries.
 
     A call that fails on every attempt raises ``BackendError``.
-    ``last_attempts`` holds the attempt count of the last ``complete``. The
-    engine does not read it, so its tracker counts a retried call once.
+    ``last_attempts`` holds the attempt count of the last ``complete``; the
+    engine's tracker counts that many calls, so retries are counted.
     """
 
     def __init__(

@@ -16,14 +16,13 @@ it: ``graph.bandit_init``, ``select_arm`` on ``graph.bandits[context]``, a
 logged ``graph.bandit_record_draw`` after each Thompson pick (the only
 thing that advances the draw counter), and ``graph.bandit_update``.
 Context and arm ids are strings, so a slot always encodes and sorts.
+Only a Thompson draw imports ``numpy``; warm-up picks and updates do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from .errors import NotFoundError, ValidationError
 
@@ -107,6 +106,8 @@ def select_arm(slot: BanditSlot) -> tuple[str, bool]:
     cold = [a for a in sorted(slot.arm_ids) if slot.pulls(a) < slot.warmup_pulls]
     if cold:
         return min(cold, key=lambda a: (slot.pulls(a), a)), False
+    import numpy as np
+
     rng = np.random.default_rng([slot.rng_seed & 0xFFFFFFFF, slot.draws])
     ordered = sorted(slot.arm_ids)
     samples = [

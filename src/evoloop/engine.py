@@ -357,15 +357,26 @@ class Engine:
     # ------------------------------------------------------------------
     # backend call helpers (every call is tracked with agent and phase)
 
+    def _count(self, phase: str, agent: str, backend: Any) -> None:
+        """Record the call just made on ``backend``: one per attempt when it
+        reports ``last_attempts`` (a retried HTTP call), else one."""
+        self.backends.tracker.record(phase, agent, backend.role, getattr(backend, "last_attempts", 1))
+
     def _call_guidance(self, agent: str, meta: dict, prompt: str) -> str:
-        self.backends.tracker.record("train", agent, self.backends.guidance.role)
-        return self.backends.guidance.complete(prompt, meta=meta, temperature=0.0)
+        backend = self.backends.guidance
+        try:
+            return backend.complete(prompt, meta=meta, temperature=0.0)
+        finally:
+            self._count("train", agent, backend)
 
     def _call_judge(self, items: list[tuple[str, str]]) -> list[int]:
         """One verdict per (predicted, gold) item; a reply that is not one
         ``0`` or ``1`` per item is a ``BackendError``."""
-        self.backends.tracker.record("train", "critic", self.backends.judge.role)
-        verdicts = self.backends.judge.complete("judge", meta={"items": items}).strip()
+        backend = self.backends.judge
+        try:
+            verdicts = backend.complete("judge", meta={"items": items}).strip()
+        finally:
+            self._count("train", "critic", backend)
         if len(verdicts) != len(items) or not set(verdicts) <= {"0", "1"}:
             raise BackendError(
                 f"judge reply {verdicts[:80]!r} is not one 0/1 verdict for each of {len(items)} items"
@@ -373,8 +384,11 @@ class Engine:
         return [int(ch) for ch in verdicts]
 
     def _call_execution(self, agent: str, phase: str, prompt: str, meta: dict, temperature: float) -> str:
-        self.backends.tracker.record(phase, agent, self.backends.execution.role)
-        return self.backends.execution.complete(prompt, meta=meta, temperature=temperature)
+        backend = self.backends.execution
+        try:
+            return backend.complete(prompt, meta=meta, temperature=temperature)
+        finally:
+            self._count(phase, agent, backend)
 
     # ------------------------------------------------------------------
     # one full iteration
@@ -553,12 +567,15 @@ class Engine:
             retrieval,
             recipe_note,
         )
-        self.backends.tracker.record(phase, "explorer", self.backends.execution.role)
-        return self.backends.execution.act(
-            prompt,
-            meta={"state_id": state.state_id, "intended_action": target},
-            actions=self.env.actions(),
-        )
+        backend = self.backends.execution
+        try:
+            return backend.act(
+                prompt,
+                meta={"state_id": state.state_id, "intended_action": target},
+                actions=self.env.actions(),
+            )
+        finally:
+            self._count(phase, "explorer", backend)
 
     # ------------------------------------------------------------------
     # EVALUATE

@@ -14,8 +14,9 @@ the scan costs one row per distinct vector however many copies are stored,
 and it fills a success block and a failure block from the best ``k`` nodes
 of each store. A block scores each query vector once while its row count
 stands: it keeps the similarities, the rows best first and their sorted
-similarities, and a new distinct row makes it stack and scan its rows
-whole again. The rows are few (a static_qa 14x200 run, seed 42, files
+similarities, and a new distinct row makes it scan its rows whole again.
+It keeps its rows stacked in one matrix, restacked only when a row is
+added. The rows are few (a static_qa 14x200 run, seed 42, files
 2,765 exemplars under 163 rows in 12 blocks), and a training run stops
 adding rows once its pool saturates, so its scans stop too.
 The slot split depends on how much context the question already carries:
@@ -63,19 +64,23 @@ The cascade helpers assemble graph-derived context: principle closures in
 prerequisite-first topological order, trailing-action recipes, a rendered
 skill lattice, and the curriculum override that redirects an already
 mastered skill to the weakest frontier skill.
+
+Only the functions that compute with vectors import ``numpy``, so a
+process that builds no index and retrieves nothing never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .curriculum import learnable_frontier
 from .errors import NotFoundError, ValidationError
 from .graph import EXEMPLAR_OUTCOMES, ExperienceNode, KnowledgeGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LATTICE_DEPTH_CAP = 8
 
@@ -152,6 +157,8 @@ def allocation_for(context_length: int, k: int, long_context_threshold: int = 50
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(vector, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError(f"vector must be 1-d, got shape {arr.shape}")
@@ -183,10 +190,11 @@ class _Block:
 
     ``_scored`` memoises, by the bytes of each query vector, what a scan of
     the rows gives for it. An entry stands while the row count does; a
-    stale one is rescanned whole.
+    stale one is rescanned whole. ``_stacked`` holds the rows as one matrix
+    and, like an entry, stands while the row count does.
     """
 
-    __slots__ = ("rows", "members", "plain", "_group_of", "_scored")
+    __slots__ = ("rows", "members", "plain", "_group_of", "_scored", "_stacked")
 
     def __init__(self):
         self.rows: list[np.ndarray] = []
@@ -195,6 +203,7 @@ class _Block:
         self._group_of: dict[bytes, int] = {}
         # (similarities, rows best first, their similarities) by query bytes
         self._scored: dict[bytes, tuple[np.ndarray, list[int], list[float]]] = {}
+        self._stacked: np.ndarray | None = None
 
     def add(self, unit: np.ndarray, nodes: list[ExperienceNode]) -> None:
         """Add ``nodes``, in node id order, to the group of their normalised
@@ -220,7 +229,13 @@ class _Block:
 
     @property
     def vectors(self) -> np.ndarray:
-        return np.stack(self.rows)
+        stacked = self._stacked
+        if stacked is None or len(stacked) != len(self.rows):
+            import numpy as np
+
+            stacked = self._stacked = np.stack(self.rows)
+            stacked.flags.writeable = False
+        return stacked
 
     def scores(self, query: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
         """The similarity of each row to the normalised ``query``, the rows
@@ -229,6 +244,8 @@ class _Block:
         key = query.tobytes()
         scored = self._scored.get(key)
         if scored is None or len(scored[0]) != len(self.rows):
+            import numpy as np
+
             # vecdot runs the per-row kernel of ``vector @ query``, so a
             # row's similarity does not depend on the rows scanned with it;
             # a BLAS matvec (``M @ query``) rounds by row position
@@ -263,6 +280,8 @@ class MemoryIndex:
 
     def _unit(self, vector: np.ndarray) -> np.ndarray:
         """``normalize(vector)``, read-only, computed once per distinct vector."""
+        import numpy as np
+
         arr = np.asarray(vector, dtype=np.float64)
         if arr.ndim != 1:
             # the bytes do not record the shape; normalize rejects this one
@@ -275,6 +294,8 @@ class MemoryIndex:
         return unit
 
     def _checked(self, vector: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         arr = np.asarray(vector, dtype=np.float64)
         if arr.shape != (self.dimension,):
             raise ValidationError(

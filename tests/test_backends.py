@@ -15,6 +15,7 @@ import evoloop
 from evoloop import (
     BackendError,
     CallTracker,
+    EngineConfig,
     HashEmbedder,
     HttpBackend,
     Question,
@@ -22,10 +23,12 @@ from evoloop import (
     SimulatedGuidanceBackend,
     SimulatedJudgeBackend,
     ValidationError,
+    make_env,
     simulated_backend_set,
     stable_hash64,
     unit_draw,
 )
+from evoloop.runner import build_simulated_engine
 
 KEY = {
     "q1": Question("q1", "t", "what is 2+2", "", "4", (("add", "sum"),)),
@@ -426,12 +429,63 @@ def test_http_backend_outage_is_a_backend_error_not_a_usage_error():
     assert session.posts == backend.last_attempts == 3
 
 
+class _FlakySession:
+    """A ``requests.Session`` stand-in whose first ``fails`` POSTs fail to
+    connect and whose later ones answer ``ack``."""
+
+    def __init__(self, fails):
+        self.fails = fails
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        if self.posts <= self.fails:
+            raise requests.ConnectionError("connection refused")
+        return _Ack()
+
+
+class _Ack:
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"text": "ack"}
+
+
+def _engine_with_http_guidance(session, attempts=3):
+    config = EngineConfig(pool_size=12, iterations=1)
+    engine = build_simulated_engine(config, make_env("static_qa", seed=config.seed, pool_size=12))
+    engine.backends.guidance = HttpBackend(
+        "http://backend.invalid/v1", model="m", role="guidance",
+        attempts=attempts, backoff=0.0, session=session,
+    )
+    return engine
+
+
+def test_engine_counts_each_attempt_of_a_retried_call():
+    # bootstrap makes one guidance call; it fails once, then answers
+    engine = _engine_with_http_guidance(_FlakySession(fails=1))
+    engine.bootstrap()
+    assert engine.backends.tracker.counts()[("train", "skill_discovery", "guidance")] == 2
+
+
+def test_engine_counts_every_attempt_of_a_failed_call():
+    session = _DownSession()
+    engine = _engine_with_http_guidance(session, attempts=3)
+    with pytest.raises(BackendError, match="after 3 attempts"):
+        engine.bootstrap()
+    assert session.posts == 3
+    assert engine.backends.tracker.counts() == {("train", "skill_discovery", "guidance"): 3}
+
+
 def test_importing_the_package_loads_no_http_client_or_thread_pool():
+    # nor numpy: the embedder, the exemplar index and Thompson draws import
+    # it when they first compute
     src = os.path.dirname(os.path.dirname(evoloop.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
         "import sys, evoloop, evoloop.cli; "
-        "print(sorted(m for m in ('requests', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in ('requests', 'concurrent.futures', 'numpy') if m in sys.modules))"
     )
     loaded = subprocess.run(
         [sys.executable, "-c", code],

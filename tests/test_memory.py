@@ -469,6 +469,38 @@ def test_scan_scores_each_distinct_vector_once(monkeypatch):
     assert scanned == [3, 4]
 
 
+def test_block_restacks_its_rows_only_when_a_row_is_added(monkeypatch):
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=64)
+    tt = graph.add_task_type("t")
+    for i in range(3):
+        add_success(graph, index, tt, question=f"s{i}", vector=seeded_unit(400 + i))
+    block = index._blocks[("success_memory", tt)]
+    stacked = []
+    stack = np.stack
+
+    def counting(rows):
+        stacked.append(len(rows))
+        return stack(rows)
+
+    monkeypatch.setattr(np, "stack", counting)
+    # four new queries, each scanned once, share one stack of the rows
+    for i in range(4):
+        index.retrieve_bundle(seeded_unit(700 + i), tt, context_length=10, k=3)
+    assert stacked == [3]
+    # a new copy of a stored vector adds no row, so no new query restacks
+    add_success(graph, index, tt, question="s0", vector=seeded_unit(400))
+    index.retrieve_bundle(seeded_unit(704), tt, context_length=10, k=3)
+    assert stacked == [3]
+    # a new distinct row restacks once, and the stack holds every row
+    add_success(graph, index, tt, question="s3", vector=seeded_unit(403))
+    index.retrieve_bundle(seeded_unit(700), tt, context_length=10, k=3)
+    index.retrieve_bundle(seeded_unit(705), tt, context_length=10, k=3)
+    assert stacked == [3, 4]
+    assert block.vectors.tobytes() == stack(block.rows).tobytes()
+    assert not block.vectors.flags.writeable
+
+
 # a query, or the exemplar of one kind and task type with one of the vectors
 MEMO_VECTORS = [seeded_unit(500 + i, dimension=8) for i in range(10)] + GROUP_POOL[:3]
 MEMO_QUERIES = [GROUP_QUERY] + [seeded_unit(600 + i, dimension=8) for i in range(3)]
@@ -523,7 +555,7 @@ def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
         for block in index._blocks.values():
             for key, (sims, order, ranked) in block._scored.items():
                 q = np.frombuffer(key)
-                fresh = np.vecdot(block.vectors, q)
+                fresh = np.vecdot(np.stack(block.rows), q)
                 if len(sims) == len(fresh):
                     assert sims.tobytes() == fresh.tobytes()
                     expected_order = np.argsort(-fresh, kind="stable")

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -1387,6 +1389,47 @@ def test_eval_without_retrieval_builds_no_index(tmp_path, monkeypatch, env_name)
     run_eval(RunStore(store.root), pool, retrieval=True)
     assert len(load_engine(RunStore(store.root)).index) > 0
     assert builds == [1, 1]
+
+
+def _fresh_cli(*argvs):
+    """Run each argv through ``cli.main`` in one fresh interpreter; return
+    the exit codes and whether that interpreter loaded numpy."""
+    src = os.path.dirname(os.path.dirname(evoloop.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import json, sys; from evoloop.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, 'numpy' in sys.modules]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([[str(a) for a in argv] for argv in argvs])],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    return codes, loaded
+
+
+@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
+def test_the_read_verbs_never_load_numpy(tmp_path, env_name):
+    run_dir = tmp_path / "r"
+    assert main(["init", str(run_dir), "--env", env_name, "--pool", "24",
+                 "--iterations", "2", "--seed", "7"]) == 0
+    assert main(["run", str(run_dir)]) == 0
+    pool = ["--pool", EVAL_POOL[env_name]]
+    codes, loaded = _fresh_cli(
+        ["init", tmp_path / "fresh", "--env", env_name, "--pool", "24"],
+        ["stats", run_dir],
+        ["audit", run_dir],
+        ["eval", run_dir, *pool, "--no-retrieval", "--tag", "noret"],
+    )
+    assert codes == [0, 0, 0, 0] and not loaded
+    assert json.loads((run_dir / "eval-noret.json").read_text())["retrieval_enabled"] is False
+    # the verbs that embed or draw do load it, so the check above can fail
+    assert _fresh_cli(["eval", run_dir, *pool, "--tag", "ret"]) == ([0], True)
+    assert _fresh_cli(["run", run_dir, "--resume", "--iterations", "3"]) == ([0], True)
 
 
 def test_sequential_eval_without_retrieval_runs_without_memory(tmp_path):
