@@ -45,14 +45,14 @@ in training the critic judges them through ``_judge``, one batch per task
 type. The two read-only passes, re-measure and frozen eval, are
 ``_score``, the one place they branch on the env. Each pass reads a graph
 that does not change under it: EVALUATE queues its writes and frozen eval
-freezes the graph. So what a prompt is assembled from is computed once
-per graph version, the graph's ``last_seq``, which every write advances
-(a harvest too, so the exemplar index cannot change while it stands): the
-cascade context (skill lattice, principle notes, action recipe) once per
-(task type, skill), and the exemplar bundle, one retrieval, once per
-distinct question. A bundle depends only on the task type, the question
-text and which side of ``long_context_threshold`` the context length
-falls, and a pool of 200 questions holds about 130 such keys.
+freezes the graph. So the cascade context (skill lattice, principle
+notes, action recipe) is computed once per (task type, skill) per graph
+version, the graph's ``last_seq``, which every write advances. The
+exemplar bundle is kept longer. It depends only on the task type, the
+question text and which side of ``long_context_threshold`` the context
+length falls (a pool of 200 questions holds about 130 such keys), and the
+engine keeps the last bundle of each key across passes and iterations
+until a write changes what its retrieval read (``_bundle``).
 
 Every prompt, the learner's and the explorer's, in training, re-measure
 and frozen eval, is assembled by ``_prompt`` under one rule: with retrieval
@@ -312,10 +312,10 @@ class Engine:
         self.config = config
         self.env = env
         self.prev_accuracy: float | None = None
-        # (graph version, {key: value}): cascade contexts keyed ("cascade",
-        # task type id, skill id) and bundles keyed ("bundle", task type id,
-        # question text, long context)
+        # (graph version, {(task type id, skill id): cascade context})
         self._pass_memo: tuple[int, dict] = (-1, {})
+        # the last bundle of each (task type id, question text, long context)
+        self._bundles: dict[tuple[int, str, bool], memory.MemoryBundle] = {}
 
     # ------------------------------------------------------------------
     # phase 0
@@ -659,26 +659,28 @@ class Engine:
         prompt = format_bundle(bundle, question, context=context, lattice=lattice, guidance=guidance)
         return prompt, bundle
 
-    def _version_memo(self) -> dict:
-        """The memo of the current graph version: a fresh one once a write
-        advanced the version."""
-        version = self.graph.last_seq
-        memo_version, memo = self._pass_memo
-        if memo_version != version:
-            memo = {}
-            self._pass_memo = (version, memo)
-        return memo
-
     def _bundle(self, text: str, tt_id: int, context_length: int) -> memory.MemoryBundle:
         """The exemplar bundle of question ``text`` under task type ``tt_id``
-        with a context of ``context_length`` characters, retrieved once per
-        distinct key while the graph version stands."""
+        with a context of ``context_length`` characters.
+
+        The last bundle of each key is kept across passes and iterations,
+        with its rendered exemplar blocks, and retrieved again only once a
+        write may have changed what its retrieval read
+        (``MemoryIndex.is_current``): a new row or a merge in one of its two
+        blocks, or a node list the walk read growing while it held fewer
+        than ``k``. A bandit update, a rollback or a group of ``k`` or more
+        gaining a node leaves it standing. What a kept entry copies (payload,
+        similarity, task type and skill names) is fixed once its node and
+        the node's referents exist; a bundle with an entry whose referent
+        was missing, as a replayed log may leave one, is retrieved afresh
+        on every call. The embedder, ``retrieval_top_k`` and the
+        long-context threshold are fixed for the engine, so the key fixes
+        the query."""
         threshold = self.config.long_context_threshold
-        key = ("bundle", tt_id, text, context_length >= threshold)
-        memo = self._version_memo()
-        bundle = memo.get(key)
-        if bundle is None:
-            bundle = memo[key] = self.index.retrieve_bundle(
+        key = (tt_id, text, context_length >= threshold)
+        bundle = self._bundles.get(key)
+        if bundle is None or not self.index.is_current(bundle):
+            bundle = self._bundles[key] = self.index.retrieve_bundle(
                 self.backends.embedder.embed(text),
                 tt_id,
                 context_length=context_length,
@@ -690,8 +692,12 @@ class Engine:
     def _cascade_context(self, tt_id: int, skill_id: int) -> tuple[str | None, tuple[str, ...]]:
         """Skill lattice and guidance notes of a cascade prompt, computed
         once per (task type, skill) while the graph version stands."""
-        memo = self._version_memo()
-        context = memo.get(("cascade", tt_id, skill_id))
+        version = self.graph.last_seq
+        memo_version, memo = self._pass_memo
+        if memo_version != version:
+            memo = {}
+            self._pass_memo = (version, memo)
+        context = memo.get((tt_id, skill_id))
         if context is None:
             lattice = render_skill_lattice(self.graph, tt_id) or None
             notes = [
@@ -701,7 +707,7 @@ class Engine:
             recipe = latest_action_recipe(self.graph, skill_id)
             if recipe:
                 notes.append("recipe: " + " -> ".join(recipe))
-            context = memo[("cascade", tt_id, skill_id)] = (lattice, tuple(notes))
+            context = memo[(tt_id, skill_id)] = (lattice, tuple(notes))
         return context
 
     def _evaluate_static(self) -> dict[str, Any]:
@@ -1087,8 +1093,9 @@ def call_audit(
     """Guidance-call accounting over a run record.
 
     Guidance fraction counts calls made by the guidance roster agents over
-    all non-embedder calls. The engine records one call per backend request,
-    so the retries of an HTTP backend are not in the counts (ROADMAP item 7).
+    all non-embedder calls. The engine counts every attempt of a backend
+    request (``Engine._count``), so the retries of an HTTP backend are in
+    the counts.
     """
     train_guidance = 0
     train_total = 0

@@ -41,7 +41,12 @@ change once applied. Their payloads are frozen at commit: the writer copies
 a caller's payload once, as the JSON tree the log records (dicts and lists
 copied, tuples turned into lists, other values shared), and nothing mutates
 it afterwards (replay builds its nodes from the fresh dicts of the decoded
-log). So each such record is encoded once, at commit or on the first
+log). The one payload the writer does not copy is one ``share_payload``
+handed out: an experience node's own payload, given back for a record that
+repeats it type for type, which the new node shares. The graph keeps that
+payload's encoding, and fills the new record's line and fragment into a
+fixed template around it, as it fills the bandit lines (above). So each
+such record is encoded once, at commit or on the first
 ``canonical_bytes``, and the fragment stays in a derived cache that is
 never serialised; a prune or a ring eviction drops the fragment with its
 record. Each ``canonical_bytes`` call encodes only the small mutable
@@ -171,6 +176,10 @@ class KnowledgeGraph:
         self._experience_json = _FragmentCache(_experience_record)
         self._env_json = _FragmentCache(_env_record)
         self._snapshot_json = _FragmentCache(lambda rec: rec)
+        # derived, not serialised: each payload object ``share_payload`` has
+        # handed out, with its canonical JSON, by the object's id (the entry
+        # keeps the object alive, so no other object takes that id)
+        self._shared_json: dict[int, tuple[Any, str]] = {}
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -206,7 +215,7 @@ class KnowledgeGraph:
             # the payload is the node's record, so its encoding is the node's
             # canonical fragment as well as the middle of its log line, whose
             # sorted keys put it between "op" and "seq"
-            body = _ENCODE(payload)
+            body = _experience_body(payload, self._shared_json) or _ENCODE(payload)
             self._experience_json.put(payload["id"], body.encode())
             line = '{"iter":%d,"op":"append_experience","payload":%s,"seq":%d}' % (it, body, self._seq)
         else:
@@ -380,11 +389,28 @@ class KnowledgeGraph:
                 "skill_id": skill_id,
                 "kind": kind,
                 "confidence": confidence,
-                "payload": _json_copy(payload),
+                # a payload share_payload handed out is held already, frozen
+                "payload": payload if id(payload) in self._shared_json else _json_copy(payload),
                 "created_iter": self.current_iter,
             },
         )
         return nid
+
+    def share_payload(self, node_id: int) -> dict[str, Any]:
+        """Experience node ``node_id``'s payload, for a caller whose new
+        record repeats it, type for type, to append in its place.
+
+        Appended, it is not copied: the new node holds the same frozen
+        object, and the record's line and fragment are filled in around the
+        payload's encoding, made on its first share and kept while the graph
+        lives. The log records the object appended, so the log and the state
+        agree whatever the caller compared; an entry is kept per object
+        shared, so a graph that appends one payload again and again keeps one.
+        """
+        payload = self.experience_node(node_id).payload
+        if id(payload) not in self._shared_json:
+            self._shared_json[id(payload)] = (payload, _ENCODE(payload))
+        return payload
 
     def prune_low_confidence(self, threshold: float) -> list[int]:
         """Drop abstracted_pattern nodes below the confidence threshold.
@@ -921,6 +947,48 @@ def _template_line(op: str, payload: dict[str, Any], it: int, seq: int) -> str |
     return (
         '{"iter":%d,"op":"bandit_update","payload":{"arm_id":%s,"context_id":%s,"reward":%d},"seq":%d}'
         % (it, _STR(arm_id), _STR(context_id), payload["reward"], seq)
+    )
+
+
+# an append_experience record, keys sorted, as _experience_body fills it
+_EXPERIENCE_BODY = (
+    '{"confidence":%r,"created_iter":%d,"id":%d,"kind":%s,"outcome":%s,'
+    '"payload":%s,"skill_id":%s,"task_type_id":%s}'
+)
+
+
+def _experience_body(record: dict[str, Any], shared: dict[int, tuple[Any, str]]) -> str | None:
+    """The canonical JSON of an ``append_experience`` record whose payload
+    ``share_payload`` handed out, filled into a fixed template around the
+    payload's kept encoding: byte for byte what ``_ENCODE`` writes for the
+    record, whose sorted keys fix the order (``%r`` of a float is its repr,
+    and ``%d`` or ``%s`` of an int its digits). None for any other record,
+    or for one the template would not write as the encoder does: a
+    confidence that is not a float, or an id, kind or referent id of
+    another type than the writer's (``True`` passes the writer's task type
+    lookup, as ``True == 1``; a replayed log can make the next id a float).
+    The caller has checked that ``created_iter`` is an int."""
+    held = shared.get(id(record["payload"]))
+    if held is None:
+        return None
+    kind, skill_id, task_type_id = record["kind"], record["skill_id"], record["task_type_id"]
+    if (
+        type(record["confidence"]) is not float
+        or type(record["id"]) is not int
+        or not (kind is None or type(kind) is str)
+        or not (skill_id is None or type(skill_id) is int)
+        or not (task_type_id is None or type(task_type_id) is int)
+    ):
+        return None
+    return _EXPERIENCE_BODY % (
+        record["confidence"],
+        record["created_iter"],
+        record["id"],
+        "null" if kind is None else _STR(kind),
+        _STR(record["outcome"]),
+        held[1],
+        "null" if skill_id is None else skill_id,
+        "null" if task_type_id is None else task_type_id,
     )
 
 

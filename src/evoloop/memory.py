@@ -49,6 +49,21 @@ fixed, so the blocks are a function of the graph, and only
 ``rebuild_index`` (after replay, or to swap the embedder) builds them
 again.
 
+A bundle keeps what its retrieval read (``MemoryBundle.reads``): its two
+blocks, their row and merge counts, and the node lists the walk read
+while they held fewer than ``k``. Blocks only grow, so
+``MemoryIndex.is_current`` tells from those alone whether retrieving the
+same query again would give an equal bundle, and a caller may keep a
+bundle across graph writes until one changes what it read.
+``format_bundle`` renders a bundle's exemplar blocks once and keeps them
+on it.
+
+A success memory whose payload, all strs, repeats one harvested before is
+appended with that node's payload object: the graph neither copies nor
+encodes it again (``KnowledgeGraph.share_payload``), and the index files
+the node under the vector it already holds for the text, without
+embedding it again.
+
 ``format_bundle`` renders the byte-stable prompt contract:
 
     [SUCCESS i]   blocks with Q: / Reasoning: / A: lines
@@ -73,6 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .curriculum import learnable_frontier
@@ -134,9 +150,17 @@ class BundleEntry:
 
 @dataclass
 class MemoryBundle:
+    """The exemplars a prompt carries. Two derived slots stay out of its
+    equality: ``reads``, what the retrieval that made it read of the index
+    (``MemoryIndex.is_current``), and ``exemplars``, its rendered exemplar
+    blocks, which ``format_bundle`` fills on first use and reuses after,
+    so a bundle is not edited once rendered."""
+
     success: list[BundleEntry] = field(default_factory=list)
     failure: list[BundleEntry] = field(default_factory=list)
     allocation: tuple[int, int] = (0, 0)
+    reads: tuple | None = field(default=None, compare=False, repr=False)
+    exemplars: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.success) + len(self.failure)
@@ -192,14 +216,20 @@ class _Block:
     the rows gives for it. An entry stands while the row count does; a
     stale one is rescanned whole. ``_stacked`` holds the rows as one matrix
     and, like an entry, stands while the row count does.
+
+    ``merges`` counts the adds that put a node before a group's last one.
+    Every other add appends to its group, so a group's first ``k`` nodes
+    change only with a merge or, while it holds fewer than ``k``, with its
+    length.
     """
 
-    __slots__ = ("rows", "members", "plain", "_group_of", "_scored", "_stacked")
+    __slots__ = ("rows", "members", "plain", "merges", "_group_of", "_scored", "_stacked")
 
     def __init__(self):
         self.rows: list[np.ndarray] = []
         self.members: list[list[ExperienceNode]] = []
         self.plain: list[list[ExperienceNode]] = []
+        self.merges = 0
         self._group_of: dict[bytes, int] = {}
         # (similarities, rows best first, their similarities) by query bytes
         self._scored: dict[bytes, tuple[np.ndarray, list[int], list[float]]] = {}
@@ -226,6 +256,7 @@ class _Block:
             # two sorted runs, merged by the stable sort; ids are unique
             members.sort(key=_node_id)
             plain.sort(key=_node_id)
+            self.merges += 1
 
     @property
     def vectors(self) -> np.ndarray:
@@ -274,6 +305,10 @@ class MemoryIndex:
         # normalised vector by the float64 bytes of the raw one; it holds one
         # entry per distinct vector the index has seen
         self._units: dict[bytes, np.ndarray] = {}
+        # the first node ``harvest_success`` appended with each payload of
+        # strs, by (question, trace, answer, decomposition steps), with the
+        # question's normalised vector
+        self._repeats: dict[tuple, tuple[ExperienceNode, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._indexed)
@@ -339,22 +374,29 @@ class MemoryIndex:
         query: np.ndarray,
         task_type_id: int | None,
         k: int,
+        reads: list | None = None,
     ) -> list[tuple[float, ExperienceNode]]:
         """The ``k`` best eligible exemplar nodes of one store for a query,
         with their similarities, best first.
 
         Eligible are the nodes of the query's task type, a ``type_strategy``
         node only at or above the similarity floor. Ties on similarity break
-        on node id ascending.
+        on node id ascending. ``reads``, when given, gets what the walk read
+        that a write could change (see ``is_current``).
         """
-        block = self._blocks.get((outcome, task_type_id))
+        key = (outcome, task_type_id)
+        block = self._blocks.get(key)
         if block is None:
+            if reads is not None:
+                reads.append((key, None, 0, 0, ()))
             return []
         _sims, order, ranked = block.scores(query)
         floor = self.type_strategy_min_similarity
         # ranked by similarity, a group past the k-th best node has nothing
         # to add, and one at or above it adds at most its first k nodes
         picked: list[tuple[float, ExperienceNode]] = []
+        # the node lists read that hold fewer than k, with their lengths
+        short = []
         seen = 0
         kth = None
         # best row first, ties in row order
@@ -362,14 +404,51 @@ class MemoryIndex:
             if kth is not None and sim < kth:
                 break
             rows = block.plain[g] if sim < floor else block.members[g]
-            if not rows:
-                continue
+            n = len(rows)
+            if n < k:
+                short.append((rows, n))
+                if not n:
+                    continue
             picked.extend([(sim, node) for node in rows[:k]])
-            seen += len(rows)
+            seen += n
             if kth is None and seen >= k:
                 kth = sim
+        if reads is not None:
+            reads.append((key, block, len(block.rows), block.merges, tuple(short)))
         picked.sort(key=_rank)
         return picked[:k]
+
+    def is_current(self, bundle: MemoryBundle) -> bool:
+        """Whether retrieving ``bundle``'s query again, with the same ``k``
+        and context length, would give an equal bundle.
+
+        A walk of ``_candidates`` can see a write only through its block: a
+        new row (which may rank anywhere), a merge, or a node list it read
+        growing while it held fewer than ``k``. A list of ``k`` or more
+        appends past its first ``k`` nodes, after the walk's count reached
+        ``k``, so its growth changes neither what the walk picks nor where
+        it stops. Every value a bundle entry copies is fixed once its node
+        and the node's task type and skill exist: the payload is frozen at
+        commit, the similarity is the query's against the node's row, and
+        no write renames a task type or a skill. The writer refuses a node
+        whose task type or skill does not exist, but replay does not, and a
+        later write may create the id it names; a bundle with an entry
+        whose name was missing is therefore never current. So is a bundle
+        that no retrieval made (``reads`` None).
+        """
+        reads = bundle.reads
+        if reads is None:
+            return False
+        blocks = self._blocks
+        for key, block, n_rows, merges, short in reads:
+            if blocks.get(key) is not block:
+                return False
+            if block is not None and (len(block.rows) != n_rows or block.merges != merges):
+                return False
+            for rows, n in short:
+                if len(rows) != n:
+                    return False
+        return True
 
     def retrieve_bundle(
         self,
@@ -385,9 +464,10 @@ class MemoryIndex:
                 f"query dimension {query.shape} does not match index dimension {self.dimension}"
             )
         n_success, n_failure = allocation_for(context_length, k, long_context_threshold)
+        reads: list = []
         # no store contributes more than k, backfill included
-        succ = self._candidates("success_memory", query, task_type_id, k)
-        fail = self._candidates("failure_memory", query, task_type_id, k)
+        succ = self._candidates("success_memory", query, task_type_id, k, reads)
+        fail = self._candidates("failure_memory", query, task_type_id, k, reads)
         take_s = succ[:n_success]
         take_f = fail[:n_failure]
         # leftover budget backfills from the other store
@@ -397,10 +477,19 @@ class MemoryIndex:
                 take_f = fail[: n_failure + spare]
             elif len(take_f) < n_failure:
                 take_s = succ[: n_success + spare]
+        success = [self._bundle_entry(sim, node) for sim, node in take_s]
+        failure = [self._bundle_entry(sim, node) for sim, node in take_f]
+        # a name an entry lacks (replay admits a node whose task type or
+        # skill does not exist) may come with a later write
+        named = all(
+            (e.task_type_id is None or e.task_type_name) and (e.skill_id is None or e.skill_name)
+            for e in success + failure
+        )
         return MemoryBundle(
-            success=[self._bundle_entry(sim, node) for sim, node in take_s],
-            failure=[self._bundle_entry(sim, node) for sim, node in take_f],
+            success=success,
+            failure=failure,
             allocation=(n_success, n_failure),
+            reads=tuple(reads) if named else None,
         )
 
     def _bundle_entry(self, similarity: float, node: ExperienceNode) -> BundleEntry:
@@ -431,16 +520,40 @@ def harvest_success(
     trace_char_cap: int = 4000,
 ) -> int:
     """Append a success memory to ``index.graph``, its reasoning trace cut
-    to ``trace_char_cap`` characters, and index it for retrieval."""
+    to ``trace_char_cap`` characters, and index it for retrieval.
+
+    A payload of strs that repeats one harvested before is appended as that
+    node's payload object, which the graph neither copies nor encodes again
+    (``KnowledgeGraph.share_payload``), and filed under that node's vector,
+    the embedder being fixed for the index. The repeat is found by the
+    payload's content, not by the newest node of the question's group: one
+    question text can carry several contexts, and so several answers.
+    """
     record = payload.to_dict()
-    record["reasoning_trace"] = record["reasoning_trace"][:trace_char_cap]
-    node_id = index.graph.append_experience(
+    record["reasoning_trace"] = trace = record["reasoning_trace"][:trace_char_cap]
+    steps = tuple(map(tuple, record["decomposition"]))
+    key = (record["question"], trace, record["answer"], steps)
+    # equal strs are the same JSON; equal values of other types need not
+    # be (``1 == 1.0 == True`` encode three ways, a subclass as it likes)
+    if not all(type(text) is str for text in (*key[:3], *chain.from_iterable(steps))):
+        key = None
+    graph = index.graph
+    repeat = index._repeats.get(key)
+    if repeat is None:
+        unit = index._unit(index._checked(embed(payload.question)))
+    else:
+        held, unit = repeat
+        record = graph.share_payload(held.id)
+    node_id = graph.append_experience(
         outcome="success_memory",
         payload=record,
         task_type_id=task_type_id,
         skill_id=skill_id,
     )
-    index.index_memory(node_id, embed(payload.question))
+    node = graph.experience[node_id]
+    if key is not None and repeat is None:
+        index._repeats[key] = (node, unit)
+    index._file(("success_memory", task_type_id), unit, [node])
     return node_id
 
 
@@ -511,7 +624,30 @@ def format_bundle(
     lattice: str | None = None,
     guidance: Iterable[str] = (),
 ) -> str:
-    """Render the prompt contract; identical inputs yield identical bytes."""
+    """Render the prompt contract; identical inputs yield identical bytes.
+
+    The bundle's exemplar blocks are rendered on its first call and kept on
+    it (``MemoryBundle.exemplars``); each call adds the lattice and the
+    question block."""
+    exemplars = bundle.exemplars
+    if exemplars is None:
+        exemplars = bundle.exemplars = _render_exemplars(bundle)
+    blocks = [exemplars] if exemplars else []
+    if lattice:
+        blocks.append(f"[SKILL LATTICE]\n{lattice}")
+    question_lines = ["[QUESTION]"]
+    if context:
+        question_lines.append(f"Context: {context}")
+    for note in guidance:
+        question_lines.append(f"Note: {note}")
+    question_lines.append(f"Q: {question}")
+    blocks.append("\n".join(question_lines))
+    return "\n\n".join(blocks)
+
+
+def _render_exemplars(bundle: MemoryBundle) -> str:
+    """The [SUCCESS i] and [CORRECTION j] blocks of ``bundle``, joined as
+    ``format_bundle`` joins its blocks; empty for an empty bundle."""
     blocks: list[str] = []
     for i, entry in enumerate(bundle.success, start=1):
         p = entry.payload
@@ -534,15 +670,6 @@ def format_bundle(
             f"conditions: {conditions}\n"
             f"correction: {p.get('corrective_reasoning', '')}"
         )
-    if lattice:
-        blocks.append(f"[SKILL LATTICE]\n{lattice}")
-    question_lines = ["[QUESTION]"]
-    if context:
-        question_lines.append(f"Context: {context}")
-    for note in guidance:
-        question_lines.append(f"Note: {note}")
-    question_lines.append(f"Q: {question}")
-    blocks.append("\n".join(question_lines))
     return "\n\n".join(blocks)
 
 

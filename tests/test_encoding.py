@@ -6,6 +6,7 @@ import json
 import tempfile
 import tracemalloc
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -339,6 +340,46 @@ def test_every_flushed_line_is_the_canonical_dump_of_its_record(steps):
         assert (store.root / "reports.jsonl").read_text(encoding="utf-8") == (
             json.dumps(report, sort_keys=True) + "\n"
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    line_payloads,
+    st.sampled_from(LINE_OUTCOMES),
+    st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64), st.sampled_from([0, 1])),
+    st.integers(-1, 2**40),
+    st.booleans(),
+    st.booleans(),
+)
+def test_a_shared_payload_line_is_the_canonical_dump_of_its_record(
+    payload, outcome_kind, confidence, it, with_task_type, with_skill
+):
+    # the template a shared payload's record is filled into writes what the
+    # encoder writes; a confidence that is not a float falls back to the
+    # encoder (numpy's float64 reprs itself as "np.float64(...)")
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    refs = {
+        "task_type_id": graph.add_task_type("t") if with_task_type else None,
+        "skill_id": graph.add_skill("s") if with_skill else None,
+    }
+    graph.current_iter = it
+    outcome, kind = outcome_kind
+    nid = graph.append_experience(outcome, payload, kind=kind, confidence=confidence, **refs)
+    held = graph.experience[nid].payload
+    assert graph.share_payload(nid) is held
+    again = graph.append_experience(outcome, held, kind=kind, confidence=confidence, **refs)
+    assert graph.experience[again].payload is held
+    record = {
+        "id": again, "outcome": outcome, "kind": kind, "confidence": confidence, "payload": held,
+        "created_iter": it, **refs,
+    }
+    assert lines[-1] == json.dumps(
+        {"seq": graph.last_seq, "iter": it, "op": "append_experience", "payload": record},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert graph.canonical_bytes() == canonical_bytes_reference(graph)
 
 
 def check_run_against_reference(tmp_path, config, env_name):

@@ -347,50 +347,75 @@ def _counting(calls, fn):
     return wrapper
 
 
+def _stale(engine, keys):
+    """The ``Engine._bundle`` keys among ``keys`` that a pass must retrieve:
+    those with no kept bundle, or whose kept bundle a write made stale."""
+    return {
+        key for key in keys if key not in engine._bundles or not engine.index.is_current(engine._bundles[key])
+    }
+
+
 def test_explorer_retrieves_exactly_when_asked(monkeypatch):
     engine = make_engine(env_name="sequential", pool_size=10)
     for k in range(2):
         engine.run_iteration(k)
-    retrievals, actions = [], []
+    retrievals, actions, asked = [], [], []
     monkeypatch.setattr(
         engine.index, "retrieve_bundle", _counting(retrievals, engine.index.retrieve_bundle)
     )
     monkeypatch.setattr(
         engine.backends.execution, "act", _counting(actions, engine.backends.execution.act)
     )
+    monkeypatch.setattr(engine, "_bundle", _counting(asked, engine._bundle))
 
     # a frozen eval without retrieval neither retrieves nor embeds
     embeds_before = engine.backends.embedder.calls
     record = engine.eval_run("evolution", retrieval=False)
-    assert retrievals == []
+    assert retrievals == [] and asked == []
     assert engine.backends.embedder.calls == embeds_before
     assert record["calls"] == {"infer/explorer/execution": len(actions)}
     assert actions
 
-    # with retrieval it retrieves once per goal of its episode, the graph frozen
+    # with retrieval it asks for a bundle once per step, and retrieves, and
+    # embeds, once for each goal whose kept bundle is missing or stale, the
+    # graph frozen; (goal, task type id, context length): one goal per task type
     del actions[:]
+    kept = {key for key, bundle in engine._bundles.items() if engine.index.is_current(bundle)}
     record = engine.eval_run("evolution", retrieval=True)
-    assert record["calls"] == {"infer/explorer/execution": len(actions)}
-    # (query vector, task type id, context length): one goal per task type
-    goals = {args[1] for args in retrievals}
-    assert 0 < len(retrievals) == len(goals) <= len(actions)
-    assert engine.backends.embedder.calls > embeds_before
+    assert record["calls"] == {"infer/explorer/execution": len(actions)} and len(asked) == len(actions)
+    goals = {(tt_id, text, False) for text, tt_id, _length in asked}
+    assert sorted(args[1] for args in retrievals) == sorted(tt_id for tt_id, _goal, _long in goals - kept)
+    assert 0 < len(retrievals) <= len(goals)
+    assert engine.backends.embedder.calls - embeds_before == len(retrievals)
 
-    # a training iteration retrieves at most once per explorer step, and
-    # once per goal while the graph version stands
+    # a training iteration asks for a bundle once per explorer step, and
+    # retrieves exactly when the step's kept bundle is missing or stale
     del actions[:], retrievals[:]
-    keys = []
-    retrieve = engine._bundle
+    steps = []
+    bundle = engine._bundle
 
-    def versioned(text, tt_id, context_length):
-        keys.append((engine.graph.last_seq, tt_id))
-        return retrieve(text, tt_id, context_length)
+    def watched(text, tt_id, context_length):
+        key = (tt_id, text, False)
+        stale = bool(_stale(engine, [key]))
+        before = len(retrievals)
+        out = bundle(text, tt_id, context_length)
+        steps.append((key, stale, len(retrievals) - before))
+        return out
 
-    monkeypatch.setattr(engine, "_bundle", versioned)
+    monkeypatch.setattr(engine, "_bundle", watched)
     engine.run_iteration(2)
-    assert actions and len(keys) == len(actions)
-    # the first step may reuse the eval's bundle: the graph has not moved since
-    assert 0 < len(retrievals) <= len(set(keys))
+    assert actions and len(steps) == len(actions)
+    assert all(retrieved == stale for _key, stale, retrieved in steps)
+    # the episode writes to no exemplar block, so it retrieves at most once
+    # per goal, and its first step toward each goal the eval asked for
+    # reuses the eval's bundle
+    retrieved = [key for key, _stale, n in steps if n]
+    assert len(retrieved) == len(set(retrieved))
+    first = {}
+    for key, stale, _n in steps:
+        first.setdefault(key, stale)
+    reused = [stale for key, stale in first.items() if key in goals]
+    assert reused and not any(reused)
 
 
 def test_sequential_remeasure_plays_an_episode_that_writes_nothing():
@@ -418,13 +443,17 @@ def test_remeasure_is_judged_in_one_batch_per_task_type(env_name):
 
 
 def _bundle_keys(engine, pool):
-    """The distinct (task type, question text, long context) keys of a pool."""
+    """The distinct ``Engine._bundle`` keys of a pool: (task type id,
+    question text, long context)."""
     threshold = engine.config.long_context_threshold
-    return {(q.task_type, q.text, len(q.context) >= threshold) for q in pool}
+    return {
+        (engine.graph.task_type_by_name(q.task_type).id, q.text, len(q.context) >= threshold)
+        for q in pool
+    }
 
 
 def _counting_retrievals(monkeypatch, engine):
-    """Record the (task type id, long context) of each retrieval."""
+    """Record the (task type id, long context, query bytes) of each retrieval."""
     calls = []
     retrieve = engine.index.retrieve_bundle
     threshold = engine.config.long_context_threshold
@@ -439,26 +468,35 @@ def _counting_retrievals(monkeypatch, engine):
 
 @pytest.mark.parametrize("pass_name", ["evaluate", "held_out", "remeasure"])
 def test_a_pass_retrieves_once_per_distinct_question(monkeypatch, pass_name):
-    engine = make_engine(pool_size=200, iterations=4)
-    for k in range(2):
+    # a pass reads a graph that does not change under it, so it retrieves
+    # at most once per distinct question: exactly for the questions whose
+    # kept bundle is missing, or stale after a write since it was retrieved
+    engine = make_engine(pool_size=200, iterations=6)
+    for k in range(4):
         engine.run_iteration(k)
-    calls = _counting_retrievals(monkeypatch, engine)
     if pass_name == "held_out":
         pool = engine.env.pool("held_out")
-        engine.eval_run(retrieval=True)
+        run_pass = reread = lambda: engine.eval_run(retrieval=True)
     else:
         pool = engine.env.pool("evolution")[: engine.config.pool_size]
-        if pass_name == "evaluate":
-            # the learner answers in EVALUATE only; the rest of the
-            # iteration retrieves nothing
-            engine.run_iteration(2)
-        else:
-            engine._remeasure()
+        reread = engine._remeasure
+        # the learner answers in EVALUATE only; the rest of the iteration
+        # retrieves nothing
+        run_pass = (lambda: engine.run_iteration(4)) if pass_name == "evaluate" else reread
     keys = _bundle_keys(engine, pool)
     # the pool repeats questions, so a retrieval per question would show
     assert len(keys) < len(pool)
-    assert len(calls) == len(keys)
-    assert len(set(calls)) == len(calls)
+    stale = _stale(engine, keys)
+    embed = engine.backends.embedder.embed
+    calls = _counting_retrievals(monkeypatch, engine)
+    run_pass()
+    assert len(calls) == len(set(calls)) == len(stale) > 0
+    assert set(calls) == {(tt_id, long, embed(text).tobytes()) for tt_id, text, long in stale}
+    # no write between two read-only passes: the second retrieves nothing
+    reread()
+    del calls[:]
+    reread()
+    assert calls == []
 
 
 def test_a_graph_write_between_two_answers_retrieves_again(monkeypatch):
@@ -470,7 +508,7 @@ def test_a_graph_write_between_two_answers_retrieves_again(monkeypatch):
     first = engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
     assert engine._answer_question(q, tt.id, tt.resolver_skill_id, "base") == first
     assert len(calls) == 1
-    # the question's own solved exemplar: a harvest is a graph write
+    # the question's own solved exemplar: a write to a block the bundle read
     memory.harvest_success(
         engine.index,
         engine.backends.embedder.embed,
@@ -478,13 +516,68 @@ def test_a_graph_write_between_two_answers_retrieves_again(monkeypatch):
         tt.resolver_skill_id,
         memory.SuccessPayload(question=q.text, reasoning_trace="worked", answer=q.answer),
     )
-    result, _raw = engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
+    second = engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
     assert len(calls) == 2
+    result, _raw = second
     assert result.bundle_success >= 1 and result.predicted == q.answer
-    # any write advances the graph version, whether or not it touches the index
+    # a write that leaves both of its blocks as they were keeps the bundle
     engine.graph.set_mastery(tt.resolver_skill_id, 0.5)
-    engine._answer_question(q, tt.id, tt.resolver_skill_id, "base")
-    assert len(calls) == 3
+    engine.graph.bandit_update(f"search/{tt.id}", "base", 1)
+    assert engine._answer_question(q, tt.id, tt.resolver_skill_id, "base") == second
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("env_name", ["static_qa", "sequential"])
+def test_every_kept_bundle_and_prompt_equals_a_fresh_one(monkeypatch, env_name, k):
+    # a whole run, re-measure on and rollbacks forced, and frozen evals with
+    # and without retrieval on every pool: whatever the engine kept, each
+    # bundle equals a fresh retrieval and each prompt a fresh render
+    engine = make_engine(
+        env_name=env_name, pool_size=60, iterations=6, seed=5, retrieval_top_k=k, remeasure_after_update=True
+    )
+    threshold = engine.config.long_context_threshold
+    kept_bundle, render = engine._bundle, engine_module.format_bundle
+    served, retrieved, rendered = [], [], []
+
+    def checked_bundle(text, tt_id, context_length):
+        bundle = kept_bundle(text, tt_id, context_length)
+        fresh = engine.index.retrieve_bundle(
+            engine.backends.embedder.embed(text), tt_id, context_length, k=k, long_context_threshold=threshold
+        )
+        assert bundle == fresh
+        served.append(bundle)
+        return bundle
+
+    def checked_render(bundle, *args, **kwargs):
+        prompt = render(bundle, *args, **kwargs)
+        # a copy carries no rendered blocks, so it is rendered afresh
+        assert prompt == render(dataclasses.replace(bundle), *args, **kwargs)
+        rendered.append(prompt)
+        return prompt
+
+    monkeypatch.setattr(engine, "_bundle", checked_bundle)
+    monkeypatch.setattr(engine_module, "format_bundle", checked_render)
+    monkeypatch.setattr(engine.index, "retrieve_bundle", _counting(retrieved, engine.index.retrieve_bundle))
+    remeasure = engine._remeasure
+
+    def dropping():
+        # a drop on every odd iteration makes the delta guard roll back
+        accuracy = remeasure()
+        if engine.graph.current_iter % 2 and engine.prev_accuracy is not None:
+            return engine.prev_accuracy - 0.2
+        return accuracy
+
+    monkeypatch.setattr(engine, "_remeasure", dropping)
+    reports = [engine.run_iteration(it) for it in range(6)]
+    assert any(report.rollback != "none" for report in reports)
+    pools = ["evolution", "held_out"] if env_name == "static_qa" else ["evolution"]
+    for pool in pools:
+        for retrieval in (True, False):
+            engine.eval_run(pool, retrieval=retrieval)
+    # each fresh retrieval above is counted too: the engine's own are the rest
+    assert served and rendered
+    assert len(retrieved) - len(served) < len(served)
 
 
 def test_an_iteration_scans_the_index_only_after_new_rows(monkeypatch):

@@ -23,14 +23,16 @@ The first two runs also pin which exemplars retrieval picks: the run files
 cannot show it, because the simulated learner reads only how many blocks a
 bundle holds. The digest is of every ``retrieve_bundle`` call's success and
 failure node ids in call order, node ids only, since similarity bits may
-differ across CPUs; it was taken before the index blocks dropped their
-capacity matrix and their memo extension. A second digest pins what every
-prompt of the run's training carries, however retrieval served it: the
-node ids of the bundle each ``format_bundle`` call renders. It was taken
-before the explorer's prompt joined the learner's path, on which a step
-reuses the bundle an earlier step of the same graph version retrieved. So
-the sequential retrieval digest moved then while this one held; so did the
-sequential eval without retrieval, which since carries no recipe note.
+differ across CPUs; it was taken when the engine kept each bundle across
+iterations until a write changed what its retrieval read, and so moved
+then (static_qa 205 -> 202 calls, sequential 35 -> 25) while every run file
+held. A second digest pins what every prompt of the run's training
+carries, however retrieval served it: the node ids of the bundle each
+``format_bundle`` call renders. It was taken before the explorer's prompt
+joined the learner's path, on which a step reuses the bundle an earlier
+step retrieved. So the sequential retrieval digest moved then while this
+one held; so did the sequential eval without retrieval, which since
+carries no recipe note.
 
 Each run's audit lines are pinned too, as the audit printed them when it
 still decoded the whole log into a list before checking it: every event
@@ -116,8 +118,8 @@ AUDIT_LINES = {
 # sha256 of the node ids of every bundle the run retrieves, one line per
 # call: success ids, "|", failure ids
 RETRIEVALS = {
-    "static_qa": "e1293a5fecd50f3e91912ba93d7899020fb2aca669a4d6ea3b2a2b7c82debca4",
-    "sequential": "7e4e35bae709ef2c665b7de1f07c09d59880641d0058a8277748f6de7c8b24db",
+    "static_qa": "66aa3e59a01f08dc2be440f853e8cde5227d78e2d141de009027e9d81821f421",
+    "sequential": "9759d1dfb62653d7509b765aa374566c6c41e5703071a7bafb0939f99b2d08e5",
 }
 
 # sha256 of the node ids of the bundle of every prompt training renders, one

@@ -37,6 +37,7 @@ from evoloop.runner import build_simulated_engine
 from oracles import (
     allocation_reference,
     bundle_sizes_reference,
+    canonical_bytes_reference,
     rank_store_reference,
     respects_prereq_order,
 )
@@ -853,6 +854,198 @@ def test_live_index_matches_rebuild_after_training():
         assert _bundle_key(engine.index.retrieve_bundle(*args)) == _bundle_key(
             rebuilt.retrieve_bundle(*args)
         )
+
+
+# ----------------------------------------------------------------------
+# bundle currency and repeat harvests
+
+
+def test_a_bundle_stays_current_until_a_write_changes_what_it_read(indexed):
+    graph, index, _ = indexed
+    tt, other = graph.add_task_type("t"), graph.add_task_type("u")
+    skill = graph.add_skill("s")
+
+    def retrieve():
+        return index.retrieve_bundle(one_hot(0), tt, context_length=10, k=3)
+
+    # a success group of k nodes, and a failure group of one
+    for _ in range(3):
+        add_success(graph, index, tt, vector=one_hot(0))
+    add_failure(graph, index, tt, vector=one_hot(0))
+    bundle = retrieve()
+    assert index.is_current(bundle)
+    # writes no walk of the query reads: the saturated group growing,
+    # another task type's blocks, a mastery, a snapshot and a rollback
+    add_success(graph, index, tt, vector=one_hot(0))
+    add_success(graph, index, other, vector=one_hot(2))
+    add_failure(graph, index, other, vector=one_hot(0))
+    sid = graph.snapshot()
+    graph.set_mastery(skill, 0.5)
+    graph.rollback_mutable(sid)
+    assert index.is_current(bundle) and retrieve() == bundle
+    # the failure group holds fewer than k, so its growth is read
+    add_failure(graph, index, tt, vector=one_hot(0))
+    assert not index.is_current(bundle)
+    # a new row in either block, however far it ranks from the query
+    for add in (add_success, add_failure):
+        bundle = retrieve()
+        add(graph, index, tt, vector=one_hot(5))
+        assert not index.is_current(bundle) and retrieve() == bundle
+
+
+def test_a_merge_or_a_new_block_makes_a_bundle_stale(indexed):
+    graph, index, _ = indexed
+    tt = graph.add_task_type("t")
+    ids = [graph.append_experience("success_memory", {"question": "q"}, task_type_id=tt) for _ in range(4)]
+    for nid in ids[1:]:
+        index.index_memory(nid, one_hot(0))
+    bundle = index.retrieve_bundle(one_hot(0), tt, context_length=10, k=3)
+    # the failure block is empty, so the success store backfills its slot
+    assert [e.node_id for e in bundle.success] == ids[1:] and index.is_current(bundle)
+    # an older node merges to the head of a group of k
+    index.index_memory(ids[0], one_hot(0))
+    assert not index.is_current(bundle)
+    bundle = index.retrieve_bundle(one_hot(0), tt, context_length=10, k=3)
+    assert [e.node_id for e in bundle.success] == ids[:3] and index.is_current(bundle)
+    # the first failure memory opens the failure block the walk found empty
+    add_failure(graph, index, tt, vector=one_hot(7))
+    assert not index.is_current(bundle)
+    # a bundle no retrieval made is never current
+    assert not index.is_current(MemoryBundle())
+
+
+def test_a_bundle_naming_a_missing_referent_is_never_current():
+    # replay applies an exemplar whose skill does not exist, and a later
+    # write may create that id, so the bundle's skill name may change
+    record = {
+        "id": 2, "outcome": "success_memory", "task_type_id": 1, "skill_id": 3, "kind": None,
+        "confidence": 1.0, "payload": {"question": "q"}, "created_iter": 0,
+    }
+    graph = KnowledgeGraph.replay([
+        {"seq": 1, "iter": 0, "op": "add_task_type", "payload": {"id": 1, "name": "t", "observed_iter": 0}},
+        {"seq": 2, "iter": 0, "op": "append_experience", "payload": record},
+    ])
+    index = MemoryIndex(graph, dimension=64)
+    index.index_memory(2, one_hot(0))
+    bundle = index.retrieve_bundle(one_hot(0), 1, context_length=10)
+    assert bundle.success[0].skill_name == "" and not index.is_current(bundle)
+    assert graph.add_skill("s") == 3
+    assert index.retrieve_bundle(one_hot(0), 1, context_length=10).success[0].skill_name == "s"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    drawn=st.lists(
+        st.tuples(
+            st.sampled_from(("success", "specific", "type_strategy")),
+            st.integers(0, 1),
+            st.integers(0, len(GROUP_POOL) - 1),
+            st.booleans(),
+        ),
+        max_size=24,
+    ),
+    k=st.integers(1, 5),
+    above=st.booleans(),
+)
+def test_a_current_bundle_equals_a_fresh_retrieval(drawn, k, above):
+    graph = KnowledgeGraph()
+    index = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=0.3 if above else 0.9)
+    tts = [graph.add_task_type("a"), graph.add_task_type("b")]
+    queries = [(query, ctx) for query in GROUP_POOL + [GROUP_QUERY] for ctx in (0, 900)]
+    kept = {}
+    held = []
+    for kind, t, v, hold in drawn:
+        outcome = STORE_OF[kind]
+        payload = {"question": f"v{v}"}
+        nid = graph.append_experience(
+            outcome, payload, task_type_id=tts[t], kind=None if kind == "success" else kind
+        )
+        # a held node is filed after a newer one, so it merges into its group
+        held.append((nid, GROUP_POOL[v]))
+        if hold:
+            continue
+        for nid, vector in reversed(held):
+            index.index_memory(nid, vector)
+        del held[:]
+        for i, (query, ctx) in enumerate(queries):
+            fresh = index.retrieve_bundle(query, tts[0], context_length=ctx, k=k)
+            # kept as the engine keeps it: until it is no longer current
+            bundle = kept.get(i)
+            if bundle is not None and index.is_current(bundle):
+                assert bundle == fresh
+            else:
+                kept[i] = fresh
+
+
+def _harvest(index, embedder, tt, answer="4", steps=(("add", "2 + 2"),)):
+    payload = SuccessPayload(
+        question="what is \"2 + 2\"?", reasoning_trace="add\nÀ", answer=answer, decomposition=list(steps)
+    )
+    return harvest_success(index, embedder.embed, tt, None, payload)
+
+
+def _assert_lines_are_canonical(graph, lines):
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+    assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+    assert KnowledgeGraph.replay(json.loads(line) for line in lines).canonical_bytes() == graph.canonical_bytes()
+
+
+def test_a_repeat_success_shares_the_held_payload_and_its_encoding(embedder):
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    index = MemoryIndex(graph, dimension=64)
+    tt = graph.add_task_type("t")
+    first = _harvest(index, embedder, tt)
+    embeds = embedder.calls
+    repeats = [_harvest(index, embedder, tt) for _ in range(3)]
+    held = graph.experience[first].payload
+    assert all(graph.experience[nid].payload is held for nid in repeats)
+    # filed under the vector the index holds for the text, not embedded again
+    assert embedder.calls == embeds
+    _assert_lines_are_canonical(graph, lines)
+    bundle = index.retrieve_bundle(embedder.embed(held["question"]), tt, context_length=10)
+    assert [e.node_id for e in bundle.success] == [first, *repeats[:2]]
+    # another answer, or other steps, to the same text are held apart, and
+    # shared in turn
+    for kwargs in ({"answer": "5"}, {"steps": [("add", "2 + 2"), ("check", "4")]}):
+        other = [_harvest(index, embedder, tt, **kwargs) for _ in range(2)]
+        assert graph.experience[other[0]].payload is not held
+        assert graph.experience[other[1]].payload is graph.experience[other[0]].payload
+    _assert_lines_are_canonical(graph, lines)
+
+
+class _Text(str):
+    """A str whose class may compare or encode as it likes."""
+
+
+@pytest.mark.parametrize("where", ["answer", "step"])
+def test_a_payload_that_equals_but_encodes_otherwise_is_not_shared(embedder, where):
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    index = MemoryIndex(graph, dimension=64)
+    tt = graph.add_task_type("t")
+
+    def harvested(value):
+        if where == "answer":
+            nid = _harvest(index, embedder, tt, answer=value)
+        else:
+            nid = _harvest(index, embedder, tt, steps=[("add", value)])
+        payload = graph.experience[nid].payload
+        return payload, payload["answer"] if where == "answer" else payload["decomposition"][0][1]
+
+    held, _value = harvested("1")
+    assert harvested("1")[0] is held
+    # 1 == 1.0 == True, and _Text("1") == "1", yet each encodes its own
+    # way: none is shared, not even with its own repeat
+    payloads = []
+    for again in (1, 1.0, True, _Text("1"), 0.0, -0.0):
+        for _ in range(2):
+            payload, value = harvested(again)
+            assert type(value) is type(again) and repr(value) == repr(again)
+            payloads.append(payload)
+    assert len({id(payload) for payload in payloads + [held]}) == len(payloads) + 1
+    _assert_lines_are_canonical(graph, lines)
 
 
 # ----------------------------------------------------------------------
