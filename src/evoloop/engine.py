@@ -666,10 +666,10 @@ class Engine:
         The last bundle of each key is kept across passes and iterations,
         with its rendered exemplar blocks, and retrieved again only once a
         write may have changed what its retrieval read
-        (``MemoryIndex.is_current``): a new row or a merge in one of its two
-        blocks, or a node list the walk read growing while it held fewer
-        than ``k``. A bandit update, a rollback or a group of ``k`` or more
-        gaining a node leaves it standing. What a kept entry copies (payload,
+        (``MemoryIndex.is_current``): a new row in one of its two blocks, or
+        a node list the walk read growing while it held fewer than ``k``.
+        A bandit update, a rollback or a group of ``k`` or more gaining a
+        node leaves it standing. What a kept entry copies (payload,
         similarity, task type and skill names) is fixed once its node and
         the node's referents exist; a bundle with an entry whose referent
         was missing, as a replayed log may leave one, is retrieved afresh

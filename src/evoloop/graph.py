@@ -18,14 +18,14 @@ transition and, when an event sink is attached, hands it the record
 whitespace, encoded here through one reused encoder. An
 ``append_experience`` payload holds exactly the node's record, so its body
 is encoded once and serves as both the middle of the line and the node's
-canonical fragment (below). UPDATE writes one to three small records per
-answered question (``bandit_update``, ``bandit_draw``, ``task_failure``);
-their lines are filled into fixed templates, each string through the
-function the encoder itself escapes strings with and each int with
-``%d``, which is byte for byte what the encoder writes. Replaying a log
-into an empty graph reproduces the final state bit-exactly: ids are
-allocated by the writer and embedded in payloads, the apply step is a
-pure function of (state, payload), and records carry no timestamps. The
+canonical fragment (below). UPDATE writes a ``bandit_update`` record for
+every answered question; its line is filled into a fixed template, each
+string through the function the encoder itself escapes strings with and
+each int with ``%d``, which is byte for byte what the encoder writes.
+Every other record goes through the encoder. Replaying a log into an
+empty graph reproduces the final state bit-exactly: ids are allocated by
+the writer and embedded in payloads, the apply step is a pure function of
+(state, payload), and records carry no timestamps. The
 apply step finds each record's handler, ``_on_<op>``, in one table
 lookup, which matters to replay: a log holds thousands of records, most
 of them ``bandit_update``.
@@ -45,8 +45,8 @@ log). The one payload the writer does not copy is one ``share_payload``
 handed out: an experience node's own payload, given back for a record that
 repeats it type for type, which the new node shares. The graph keeps that
 payload's encoding, and fills the new record's line and fragment into a
-fixed template around it, as it fills the bandit lines (above). So each
-such record is encoded once, at commit or on the first
+fixed template around it, as it fills the bandit update lines (above).
+So each such record is encoded once, at commit or on the first
 ``canonical_bytes``, and the fragment stays in a derived cache that is
 never serialised; a prune or a ring eviction drops the fragment with its
 record. Each ``canonical_bytes`` call encodes only the small mutable
@@ -218,10 +218,10 @@ class KnowledgeGraph:
             body = _experience_body(payload, self._shared_json) or _ENCODE(payload)
             self._experience_json.put(payload["id"], body.encode())
             line = '{"iter":%d,"op":"append_experience","payload":%s,"seq":%d}' % (it, body, self._seq)
+        elif op == "bandit_update":
+            line = _bandit_update_line(payload, it, self._seq)
         else:
-            line = _template_line(op, payload, it, self._seq) or _ENCODE(
-                {"seq": self._seq, "iter": it, "op": op, "payload": payload}
-            )
+            line = _ENCODE({"seq": self._seq, "iter": it, "op": op, "payload": payload})
         self._sink(line)
 
     def _claim_id(self, node_id: int) -> None:
@@ -921,32 +921,16 @@ def _dumps(value: Any) -> bytes:
 _STR = json.encoder.encode_basestring_ascii
 
 
-def _template_line(op: str, payload: dict[str, Any], it: int, seq: int) -> str | None:
-    """The log line of a ``bandit_update``, ``bandit_draw`` or ``task_failure``
-    record (UPDATE writes one to three per question), filled into a fixed
-    template: byte for byte what ``_ENCODE`` writes for the record, whose
-    sorted keys fix the order (every context and arm id is a str, since
-    ``bandits.new_slot`` refuses any other). None for any other op, or for a
-    ``task_failure`` whose task type id is not an int (``True`` passes the
-    writer's lookup, as ``True == 1``)."""
-    if op == "task_failure":
-        task_type_id = payload["task_type_id"]
-        if type(task_type_id) is not int:
-            return None
-        return '{"iter":%d,"op":"task_failure","payload":{"task_type_id":%d},"seq":%d}' % (
-            it, task_type_id, seq,
-        )
-    if op != "bandit_update" and op != "bandit_draw":
-        return None
-    context_id, arm_id = payload["context_id"], payload["arm_id"]
-    if op == "bandit_draw":
-        return '{"iter":%d,"op":"bandit_draw","payload":{"arm_id":%s,"context_id":%s},"seq":%d}' % (
-            it, _STR(arm_id), _STR(context_id), seq,
-        )
-    # bandit_update refuses any reward but the int 0 or 1
+def _bandit_update_line(payload: dict[str, Any], it: int, seq: int) -> str:
+    """The log line of a ``bandit_update`` record (UPDATE writes one per
+    answered question), filled into a fixed template: byte for byte what
+    ``_ENCODE`` writes for the record, whose sorted keys fix the order
+    (every context and arm id is a str, since ``bandits.new_slot`` refuses
+    any other, and the reward is the int 0 or 1, since ``bandit_update``
+    refuses any other)."""
     return (
         '{"iter":%d,"op":"bandit_update","payload":{"arm_id":%s,"context_id":%s,"reward":%d},"seq":%d}'
-        % (it, _STR(arm_id), _STR(context_id), payload["reward"], seq)
+        % (it, _STR(payload["arm_id"]), _STR(payload["context_id"]), payload["reward"], seq)
     )
 
 

@@ -8,17 +8,15 @@ block fills with exemplars that repeat a vector; it keeps one row per
 distinct L2-normalized vector, in the order the vectors first arrive,
 keyed by the vector's bytes, and for each row the nodes that share it in
 node id order, plus separately those of them whose kind is not
-``type_strategy``. Retrieval scores the query against its task type's
-distinct rows with an exact per-row dot product (no approximate index), so
-the scan costs one row per distinct vector however many copies are stored,
-and it fills a success block and a failure block from the best ``k`` nodes
-of each store. A block scores each query vector once while its row count
-stands: it keeps the similarities, the rows best first and their sorted
-similarities, and a new distinct row makes it scan its rows whole again.
-It keeps its rows stacked in one matrix, restacked only when a row is
-added. The rows are few (a static_qa 14x200 run, seed 42, files
-2,765 exemplars under 163 rows in 12 blocks), and a training run stops
-adding rows once its pool saturates, so its scans stop too.
+``type_strategy``. A node is filed after every node of its group, so a
+group only grows at its end; a node older than its group's last one is
+refused. Retrieval scores the query against its task type's distinct rows
+with an exact per-row dot product (no approximate index), so the scan
+costs one row per distinct vector however many copies are stored, and it
+fills a success block and a failure block from the best ``k`` nodes of
+each store. A block keeps its rows stacked in one matrix, restacked only
+when a row is added. The rows are few (a static_qa 14x200 run, seed 42,
+files 2,765 exemplars under 163 rows in 12 blocks).
 The slot split depends on how much context the question already carries:
 short contexts get two success slots and one failure slot, long contexts
 (at or past ``long_context_threshold`` characters) flip to one success
@@ -34,24 +32,21 @@ and every row at or above it offers its first ``k`` nodes. Those
 candidates are ordered on (-similarity, node id), so ties, across rows
 too, break on node id ascending and retrieval is deterministic; the list
 is the one a ranking of every stored node gives. The walk takes the rows
-in one stable numpy sort by descending similarity (the memoised order
-above).
+in one stable numpy sort by descending similarity.
 
-Every vector the index stores or queries with is normalised through a memo
-keyed by its float64 bytes, so each distinct vector is normalised once;
-``normalize`` is a pure function of those bytes, so the rows are the same
-bits either way. ``rebuild_index`` gives the blocks that filing the
-graph's exemplars one by one in node id order through ``index_memory``
-gives, but files them a group at a time: the nodes of one block that share
-a question text go in together, and each distinct text is embedded once.
-The index is derived state: a run's embedder is
-fixed, so the blocks are a function of the graph, and only
-``rebuild_index`` (after replay, or to swap the embedder) builds them
-again.
+Every vector the index stores or queries with goes through
+``MemoryIndex._unit``, which checks its dimension and normalises it.
+``rebuild_index`` gives the blocks that filing the graph's exemplars one
+by one in node id order through ``index_memory`` gives, but files them a
+group at a time: the nodes of one block that share a vector go in
+together, and each distinct question text is embedded once. The index is
+derived state: a run's embedder is fixed, so the blocks are a function of
+the graph, and only ``rebuild_index`` (after replay, or to swap the
+embedder) builds them again.
 
 A bundle keeps what its retrieval read (``MemoryBundle.reads``): its two
-blocks, their row and merge counts, and the node lists the walk read
-while they held fewer than ``k``. Blocks only grow, so
+blocks, their row counts, and the node lists the walk read while they
+held fewer than ``k``. Blocks only grow, and groups only at their end, so
 ``MemoryIndex.is_current`` tells from those alone whether retrieving the
 same query again would give an equal bundle, and a caller may keep a
 bundle across graph writes until one changes what it read.
@@ -192,10 +187,6 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return arr / norm
 
 
-def _node_id(node: ExperienceNode) -> int:
-    return node.id
-
-
 def _rank(pair: tuple[float, ExperienceNode]) -> tuple[float, int]:
     """Sort key of a (similarity, node) candidate: most similar first, then
     node id."""
@@ -210,35 +201,27 @@ class _Block:
     prune removes an exemplar). ``rows[g]`` is a distinct normalised vector,
     found by its bytes in ``_group_of``. ``members[g]`` lists the nodes with
     that vector in node id order, and ``plain[g]`` the ones among them whose
-    kind is not ``type_strategy``.
+    kind is not ``type_strategy``. ``add`` only appends to a group, so a
+    group's first ``k`` nodes change only while it holds fewer than ``k``,
+    with its length.
 
-    ``_scored`` memoises, by the bytes of each query vector, what a scan of
-    the rows gives for it. An entry stands while the row count does; a
-    stale one is rescanned whole. ``_stacked`` holds the rows as one matrix
-    and, like an entry, stands while the row count does.
-
-    ``merges`` counts the adds that put a node before a group's last one.
-    Every other add appends to its group, so a group's first ``k`` nodes
-    change only with a merge or, while it holds fewer than ``k``, with its
-    length.
+    ``_stacked`` holds the rows as one matrix and stands while the row
+    count does.
     """
 
-    __slots__ = ("rows", "members", "plain", "merges", "_group_of", "_scored", "_stacked")
+    __slots__ = ("rows", "members", "plain", "_group_of", "_stacked")
 
     def __init__(self):
         self.rows: list[np.ndarray] = []
         self.members: list[list[ExperienceNode]] = []
         self.plain: list[list[ExperienceNode]] = []
-        self.merges = 0
         self._group_of: dict[bytes, int] = {}
-        # (similarities, rows best first, their similarities) by query bytes
-        self._scored: dict[bytes, tuple[np.ndarray, list[int], list[float]]] = {}
         self._stacked: np.ndarray | None = None
 
     def add(self, unit: np.ndarray, nodes: list[ExperienceNode]) -> None:
-        """Add ``nodes``, in node id order, to the group of their normalised
-        vector ``unit``, keeping the group in node id order; an unseen
-        vector opens a new group and adds its row."""
+        """Append ``nodes``, in node id order, to the group of their
+        normalised vector ``unit``; an unseen vector opens a new group and
+        adds its row. A node older than the group's last one is refused."""
         key = unit.tobytes()
         g = self._group_of.get(key)
         if g is None:
@@ -247,16 +230,14 @@ class _Block:
             self.members.append([])
             self.plain.append([])
         members, plain = self.members[g], self.plain[g]
-        merge = members[-1].id > nodes[0].id if members else False
+        if members and members[-1].id > nodes[0].id:
+            raise ValidationError(
+                f"node {nodes[0].id} is older than node {members[-1].id} of its group"
+            )
         members += nodes
         for node in nodes:
             if node.kind != "type_strategy":
                 plain.append(node)
-        if merge:
-            # two sorted runs, merged by the stable sort; ids are unique
-            members.sort(key=_node_id)
-            plain.sort(key=_node_id)
-            self.merges += 1
 
     @property
     def vectors(self) -> np.ndarray:
@@ -268,22 +249,17 @@ class _Block:
             stacked.flags.writeable = False
         return stacked
 
-    def scores(self, query: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
-        """The similarity of each row to the normalised ``query``, the rows
-        best first (ties in row order), and their similarities in that order.
-        """
-        key = query.tobytes()
-        scored = self._scored.get(key)
-        if scored is None or len(scored[0]) != len(self.rows):
-            import numpy as np
+    def scores(self, query: np.ndarray) -> tuple[list[int], list[float]]:
+        """The rows best first by similarity to the normalised ``query``
+        (ties in row order), and their similarities in that order."""
+        import numpy as np
 
-            # vecdot runs the per-row kernel of ``vector @ query``, so a
-            # row's similarity does not depend on the rows scanned with it;
-            # a BLAS matvec (``M @ query``) rounds by row position
-            sims = np.vecdot(self.vectors, query)
-            order = np.argsort(-sims, kind="stable")
-            scored = self._scored[key] = (sims, order.tolist(), sims[order].tolist())
-        return scored
+        # vecdot runs the per-row kernel of ``vector @ query``, so a row's
+        # similarity does not depend on the rows scanned with it; a BLAS
+        # matvec (``M @ query``) rounds by row position
+        sims = np.vecdot(self.vectors, query)
+        order = np.argsort(-sims, kind="stable")
+        return order.tolist(), sims[order].tolist()
 
 
 class MemoryIndex:
@@ -302,9 +278,6 @@ class MemoryIndex:
         self.type_strategy_min_similarity = type_strategy_min_similarity
         self._blocks: dict[tuple[str, int | None], _Block] = {}
         self._indexed: set[int] = set()
-        # normalised vector by the float64 bytes of the raw one; it holds one
-        # entry per distinct vector the index has seen
-        self._units: dict[bytes, np.ndarray] = {}
         # the first node ``harvest_success`` appended with each payload of
         # strs, by (question, trace, answer, decomposition steps), with the
         # question's normalised vector
@@ -314,21 +287,8 @@ class MemoryIndex:
         return len(self._indexed)
 
     def _unit(self, vector: np.ndarray) -> np.ndarray:
-        """``normalize(vector)``, read-only, computed once per distinct vector."""
-        import numpy as np
-
-        arr = np.asarray(vector, dtype=np.float64)
-        if arr.ndim != 1:
-            # the bytes do not record the shape; normalize rejects this one
-            return normalize(arr)
-        key = arr.tobytes()
-        unit = self._units.get(key)
-        if unit is None:
-            unit = self._units[key] = normalize(arr)
-            unit.flags.writeable = False
-        return unit
-
-    def _checked(self, vector: np.ndarray) -> np.ndarray:
+        """``normalize(vector)``, read-only, for a vector of the index's
+        dimension."""
         import numpy as np
 
         arr = np.asarray(vector, dtype=np.float64)
@@ -336,7 +296,9 @@ class MemoryIndex:
             raise ValidationError(
                 f"vector dimension {arr.shape} does not match index dimension {self.dimension}"
             )
-        return arr
+        unit = normalize(arr)
+        unit.flags.writeable = False
+        return unit
 
     def index_memory(self, node_id: int, vector: np.ndarray) -> None:
         """File one protected exemplar under ``(node.outcome,
@@ -344,17 +306,19 @@ class MemoryIndex:
 
         Only success and failure memories are exemplar-retrievable;
         principles reach prompts through skill references, patterns and
-        recipes through the cascade helpers.
+        recipes through the cascade helpers. Nodes are filed in node id
+        order: one older than the last node already filed with its vector
+        in its block is refused.
         """
         node = self.graph.experience_node(node_id)
         if node.outcome not in EXEMPLAR_OUTCOMES:
             raise ValidationError(
                 f"outcome {node.outcome!r} is not exemplar-retrievable"
             )
-        arr = self._checked(vector)
+        unit = self._unit(vector)
         if node_id in self._indexed:
             raise ValidationError(f"node {node_id} is already indexed")
-        self._file((node.outcome, node.task_type_id), self._unit(arr), [node])
+        self._file((node.outcome, node.task_type_id), unit, [node])
 
     def _file(
         self, key: tuple[str, int | None], unit: np.ndarray, nodes: list[ExperienceNode]
@@ -388,9 +352,9 @@ class MemoryIndex:
         block = self._blocks.get(key)
         if block is None:
             if reads is not None:
-                reads.append((key, None, 0, 0, ()))
+                reads.append((key, None, 0, ()))
             return []
-        _sims, order, ranked = block.scores(query)
+        order, ranked = block.scores(query)
         floor = self.type_strategy_min_similarity
         # ranked by similarity, a group past the k-th best node has nothing
         # to add, and one at or above it adds at most its first k nodes
@@ -414,7 +378,7 @@ class MemoryIndex:
             if kth is None and seen >= k:
                 kth = sim
         if reads is not None:
-            reads.append((key, block, len(block.rows), block.merges, tuple(short)))
+            reads.append((key, block, len(block.rows), tuple(short)))
         picked.sort(key=_rank)
         return picked[:k]
 
@@ -423,14 +387,15 @@ class MemoryIndex:
         and context length, would give an equal bundle.
 
         A walk of ``_candidates`` can see a write only through its block: a
-        new row (which may rank anywhere), a merge, or a node list it read
-        growing while it held fewer than ``k``. A list of ``k`` or more
-        appends past its first ``k`` nodes, after the walk's count reached
-        ``k``, so its growth changes neither what the walk picks nor where
-        it stops. Every value a bundle entry copies is fixed once its node
-        and the node's task type and skill exist: the payload is frozen at
-        commit, the similarity is the query's against the node's row, and
-        no write renames a task type or a skill. The writer refuses a node
+        new row (which may rank anywhere), or a node list it read growing
+        while it held fewer than ``k``. Nodes are only appended to a list
+        (``_Block.add``), so a list of ``k`` or more grows past its first
+        ``k`` nodes, after the walk's count reached ``k``, and its growth
+        changes neither what the walk picks nor where it stops. Every value
+        a bundle entry copies is fixed once its node and the node's task
+        type and skill exist: the payload is frozen at commit, the
+        similarity is the query's against the node's row, and no write
+        renames a task type or a skill. The writer refuses a node
         whose task type or skill does not exist, but replay does not, and a
         later write may create the id it names; a bundle with an entry
         whose name was missing is therefore never current. So is a bundle
@@ -440,10 +405,10 @@ class MemoryIndex:
         if reads is None:
             return False
         blocks = self._blocks
-        for key, block, n_rows, merges, short in reads:
+        for key, block, n_rows, short in reads:
             if blocks.get(key) is not block:
                 return False
-            if block is not None and (len(block.rows) != n_rows or block.merges != merges):
+            if block is not None and len(block.rows) != n_rows:
                 return False
             for rows, n in short:
                 if len(rows) != n:
@@ -459,10 +424,6 @@ class MemoryIndex:
         long_context_threshold: int = 500,
     ) -> MemoryBundle:
         query = self._unit(query_vector)
-        if query.shape != (self.dimension,):
-            raise ValidationError(
-                f"query dimension {query.shape} does not match index dimension {self.dimension}"
-            )
         n_success, n_failure = allocation_for(context_length, k, long_context_threshold)
         reads: list = []
         # no store contributes more than k, backfill included
@@ -540,7 +501,7 @@ def harvest_success(
     graph = index.graph
     repeat = index._repeats.get(key)
     if repeat is None:
-        unit = index._unit(index._checked(embed(payload.question)))
+        unit = index._unit(embed(payload.question))
     else:
         held, unit = repeat
         record = graph.share_payload(held.id)
@@ -564,7 +525,12 @@ def harvest_failure(
     skill_id: int | None,
     payload: FailurePayload,
 ) -> int:
-    """Append a failure memory to ``index.graph`` and index it for retrieval."""
+    """Append a failure memory to ``index.graph`` and index it for retrieval.
+
+    The question's vector is checked before the append, so a vector the
+    index refuses leaves the graph as it was."""
+    vector = embed(payload.question)
+    index._unit(vector)
     node_id = index.graph.append_experience(
         outcome="failure_memory",
         payload=payload.to_dict(),
@@ -572,7 +538,7 @@ def harvest_failure(
         skill_id=skill_id,
         kind=payload.kind,
     )
-    index.index_memory(node_id, embed(payload.question))
+    index.index_memory(node_id, vector)
     return node_id
 
 
@@ -587,30 +553,33 @@ def rebuild_index(
     with ``embed`` called once per distinct question text, in the order the
     texts first arrive.
 
-    The exemplars are grouped by block and question text in one pass, and
-    each group is filed whole: its row is looked up once, not once per
-    node. Groups are filed in the order of their first node, so each row
-    still opens at the first node with its vector, and a group that joins
-    a row another text's vector opened merges into it in node id order.
+    The exemplars are grouped by block and vector in one pass, and each
+    group is filed whole: its row is looked up once, not once per node.
+    Groups are filed in the order of their first node, so each row still
+    opens at the first node with its vector, and two texts that embed to
+    one vector share one group, so no node is filed before an older one.
     """
     index = MemoryIndex(graph, dimension, type_strategy_min_similarity)
-    unit_of: dict[str, np.ndarray] = {}
-    groups: dict[tuple[str, int | None, str], list[ExperienceNode]] = {}
+    # each text's normalised vector, with its bytes
+    unit_of: dict[str, tuple[np.ndarray, bytes]] = {}
+    groups: dict[tuple[str, int | None, bytes], tuple[np.ndarray, list[ExperienceNode]]] = {}
     experience = graph.experience
     for node_id in sorted(experience):
         node = experience[node_id]
         if node.outcome not in EXEMPLAR_OUTCOMES:
             continue
         text = node.payload.get("question", "")
-        key = (node.outcome, node.task_type_id, text)
+        entry = unit_of.get(text)
+        if entry is None:
+            unit = index._unit(embed(text))
+            entry = unit_of[text] = (unit, unit.tobytes())
+        key = (node.outcome, node.task_type_id, entry[1])
         group = groups.get(key)
         if group is None:
-            if text not in unit_of:
-                unit_of[text] = index._unit(index._checked(embed(text)))
-            group = groups[key] = []
-        group.append(node)
-    for (outcome, task_type_id, text), nodes in groups.items():
-        index._file((outcome, task_type_id), unit_of[text], nodes)
+            group = groups[key] = (entry[0], [])
+        group[1].append(node)
+    for (outcome, task_type_id, _), (unit, nodes) in groups.items():
+        index._file((outcome, task_type_id), unit, nodes)
     return index
 
 

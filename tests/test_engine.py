@@ -581,10 +581,12 @@ def test_every_kept_bundle_and_prompt_equals_a_fresh_one(monkeypatch, env_name, 
 
 
 def test_an_iteration_scans_the_index_only_after_new_rows(monkeypatch):
-    # an index block rescans a query only when it has gained a distinct row
-    # since the query's last scan, so once the pool saturates and stores no
-    # new vector, an iteration answers every question without a scan
+    # a kept bundle is retrieved again only once its blocks gain a row or a
+    # group it read below k grows, so once the pool saturates and neither
+    # happens for two iterations, an iteration answers every question
+    # without a scan
     engine = make_engine(pool_size=40, seed=3, iterations=10)
+    k_top = engine.config.retrieval_top_k
     scans = []
     vecdot = np.vecdot
 
@@ -594,21 +596,28 @@ def test_an_iteration_scans_the_index_only_after_new_rows(monkeypatch):
 
     monkeypatch.setattr(np, "vecdot", counting)
 
-    def n_rows():
-        return sum(len(block.rows) for block in engine.index._blocks.values())
+    def read():
+        # what a walk can see of each block: its rows, and its groups up to k
+        return {
+            key: (len(block.rows), [min(len(g), k_top) for g in block.members + block.plain])
+            for key, block in engine.index._blocks.items()
+        }
 
-    rows = [n_rows()]
+    reads = [read()]
     per_iteration = []
     for k in range(10):
         before = len(scans)
         engine.run_iteration(k)
         per_iteration.append(len(scans) - before)
-        rows.append(n_rows())
+        reads.append(read())
     for k in range(1, 10):
-        # rows[k] is the row count after iteration k - 1
-        if per_iteration[k]:
-            assert rows[k] > rows[k - 1]
-    assert per_iteration == [0, 38, 34, 14, 7, 0, 0, 0, 0, 0]
+        # reads[k] is what the walks could see after iteration k - 1
+        if reads[k - 1] == reads[k] == reads[k + 1]:
+            assert per_iteration[k] == 0
+    # the walks see no change after iteration 5, so the check above holds
+    # iterations 7 to 9 to no scan
+    assert reads[6] == reads[10]
+    assert per_iteration == [0, 38, 43, 48, 30, 4, 2, 0, 0, 0]
 
 
 def test_eval_retrieval_never_hurts():

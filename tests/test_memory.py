@@ -386,18 +386,31 @@ def test_grouped_retrieval_matches_bruteforce_reference(
     tied = np.vecdot(np.stack([index._unit(v) for v in GROUP_POOL[:2]]), unit)
     assert tied[0] == tied[1]
 
-    # entries indexed newest first must land in the same groups, in id order
+    # filing newest first is refused at each node older than the last one
+    # filed in its group, and a refused node leaves the index as it was
     shuffled = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=floor)
+    newest = {}
     for nid in sorted(graph.experience, reverse=True):
         node = graph.experience[nid]
-        shuffled.index_memory(nid, _embed_pool(node.payload["question"]))
+        group = (node.outcome, node.task_type_id, node.payload["question"])
+        vector = _embed_pool(node.payload["question"])
+        if group in newest:
+            with pytest.raises(ValidationError, match=f"node {nid} is older than node {newest[group]} "):
+                shuffled.index_memory(nid, vector)
+        else:
+            shuffled.index_memory(nid, vector)
+            newest[group] = nid
+    assert len(shuffled) == len(newest)
+    assert sorted(e.id for block in shuffled._blocks.values() for rows in block.members for e in rows) == sorted(
+        newest.values()
+    )
     bulk = rebuild_index(graph, 8, _embed_pool, floor)
     _assert_same_blocks(bulk, index, _embed_pool)
 
     tt = tts[0]
     for outcome in ("success_memory", "failure_memory"):
         want = rank_store_reference(stores[outcome], query, tt, floor)[:k]
-        for candidates in (index, shuffled, bulk):
+        for candidates in (index, bulk):
             got = candidates._candidates(outcome, unit, tt, k)
             assert [e.id for _, e in got] == [nid for _, nid in want]
             assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
@@ -459,15 +472,15 @@ def test_scan_scores_each_distinct_vector_once(monkeypatch):
     # one scan of the success block's three rows; the failure store is empty
     assert scanned == [3]
     assert [e.node_id for e in bundle.success] == ids[1:10:3]
-    # the same query scores nothing again while the rows stand, and a new
-    # copy of a stored vector adds no row
+    # a new copy of a stored vector adds no row, so the same query scans
+    # the same three rows again
     add_success(graph, index, tt, question="s0", vector=vectors[0])
     assert index.retrieve_bundle(vectors[1], tt, context_length=10, k=3) == bundle
-    assert scanned == [3]
-    # a new distinct row rescans the block once
+    assert scanned == [3, 3]
+    # a new distinct vector adds one row
     add_success(graph, index, tt, question="s3", vector=seeded_unit(403))
     index.retrieve_bundle(vectors[1], tt, context_length=10, k=3)
-    assert scanned == [3, 4]
+    assert scanned == [3, 3, 4]
 
 
 def test_block_restacks_its_rows_only_when_a_row_is_added(monkeypatch):
@@ -503,29 +516,29 @@ def test_block_restacks_its_rows_only_when_a_row_is_added(monkeypatch):
 
 
 # a query, or the exemplar of one kind and task type with one of the vectors
-MEMO_VECTORS = [seeded_unit(500 + i, dimension=8) for i in range(10)] + GROUP_POOL[:3]
-MEMO_QUERIES = [GROUP_QUERY] + [seeded_unit(600 + i, dimension=8) for i in range(3)]
-memo_steps = st.one_of(
+STEP_VECTORS = [seeded_unit(500 + i, dimension=8) for i in range(10)] + GROUP_POOL[:3]
+STEP_QUERIES = [GROUP_QUERY] + [seeded_unit(600 + i, dimension=8) for i in range(3)]
+index_steps = st.one_of(
     st.tuples(
         st.just("append"),
         st.sampled_from(("success", "specific", "type_strategy")),
         st.integers(0, 1),
-        st.integers(0, len(MEMO_VECTORS) - 1),
+        st.integers(0, len(STEP_VECTORS) - 1),
     ),
-    st.tuples(st.just("query"), st.integers(0, len(MEMO_QUERIES) - 1), st.integers(1, 6)),
+    st.tuples(st.just("query"), st.integers(0, len(STEP_QUERIES) - 1), st.integers(1, 6)),
 )
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    steps=st.lists(memo_steps, min_size=1, max_size=40),
-    near=st.integers(0, len(MEMO_VECTORS) - 1),
+    steps=st.lists(index_steps, min_size=1, max_size=40),
+    near=st.integers(0, len(STEP_VECTORS) - 1),
     above=st.booleans(),
 )
-def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
+def test_candidates_match_the_reference_as_the_index_grows(steps, near, above):
     # the floor sits just below or just above the first query's similarity
     # to one vector, so type_strategy rows fall on both sides of it
-    near_sim = float(normalize(MEMO_VECTORS[near]) @ normalize(MEMO_QUERIES[0]))
+    near_sim = float(normalize(STEP_VECTORS[near]) @ normalize(STEP_QUERIES[0]))
     floor = near_sim - 0.01 if above else near_sim + 0.01
     graph = KnowledgeGraph()
     index = MemoryIndex(graph, dimension=8, type_strategy_min_similarity=floor)
@@ -534,7 +547,7 @@ def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
     for step in steps:
         if step[0] == "append":
             _, kind, t, v = step
-            vector = MEMO_VECTORS[v]
+            vector = STEP_VECTORS[v]
             if kind == "success":
                 nid = add_success(graph, index, tts[t], question=f"v{v}", vector=vector)
             else:
@@ -545,7 +558,7 @@ def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
             )
             continue
         _, qi, k = step
-        query = MEMO_QUERIES[qi]
+        query = STEP_QUERIES[qi]
         unit = index._unit(query)
         for tt in tts:
             for outcome in ("success_memory", "failure_memory"):
@@ -553,20 +566,6 @@ def test_similarity_memo_holds_the_bits_of_a_fresh_scan(steps, near, above):
                 got = index._candidates(outcome, unit, tt, k)
                 assert [e.id for _, e in got] == [nid for _, nid in want]
                 assert [key for key, _ in got] == pytest.approx([key for key, _ in want], abs=1e-12)
-        for block in index._blocks.values():
-            for key, (sims, order, ranked) in block._scored.items():
-                q = np.frombuffer(key)
-                fresh = np.vecdot(np.stack(block.rows), q)
-                if len(sims) == len(fresh):
-                    assert sims.tobytes() == fresh.tobytes()
-                    expected_order = np.argsort(-fresh, kind="stable")
-                    assert order == expected_order.tolist()
-                    assert ranked == fresh[expected_order].tolist()
-                else:
-                    # a stale entry covers a prefix of the rows, and
-                    # scores() rescans them whole before it is read
-                    assert len(sims) < len(fresh)
-                    assert sims.tobytes() == fresh[: len(sims)].tobytes()
 
 
 def test_index_rejects_duplicates_and_wrong_class(indexed):
@@ -651,6 +650,38 @@ def test_harvest_failure_kind_and_count(graph, embedder):
     assert graph.experience[nid].kind == "specific"
     assert graph.protected_counts()["failure_memory"] == 1
     assert len(index) == 1
+
+
+def test_a_harvest_whose_vector_is_refused_changes_nothing():
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    index = MemoryIndex(graph, dimension=64)
+    tt = graph.add_task_type("t")
+    harvest_success(
+        index, HashEmbedder(dimension=64).embed, tt, None,
+        SuccessPayload(question="q", reasoning_trace="r", answer="a"),
+    )
+    state, seq, n_lines = graph.canonical_bytes(), graph.last_seq, len(lines)
+    blocks = {key: [[n.id for n in nodes] for nodes in block.members] for key, block in index._blocks.items()}
+    # an embedder of another dimension than the index's
+    narrow = HashEmbedder(dimension=8).embed
+    harvests = [
+        lambda: harvest_success(
+            index, narrow, tt, None, SuccessPayload(question="p", reasoning_trace="r", answer="b")
+        ),
+        lambda: harvest_failure(
+            index, narrow, tt, None,
+            FailurePayload(question="p", wrong_answer="0", corrective_reasoning="c",
+                           correct_answer="b", kind="specific"),
+        ),
+    ]
+    for harvest in harvests:
+        with pytest.raises(ValidationError, match="dimension"):
+            harvest()
+        assert graph.canonical_bytes() == state and graph.last_seq == seq and len(lines) == n_lines
+        assert len(index) == 1
+        assert {key: [[n.id for n in nodes] for nodes in block.members]
+                for key, block in index._blocks.items()} == blocks
 
 
 def test_rebuild_index_matches_incremental(graph, embedder):
@@ -811,21 +842,49 @@ def test_grouped_rebuild_merges_two_texts_of_one_vector_in_node_id_order():
     assert len(rebuilt) == 9
 
 
+def test_rebuild_index_never_files_out_of_order():
+    embedder = HashEmbedder(dimension=64, seed=0)
+    texts = ("Add 4 and 5.", "add  4 AND 5.")
+    # the embedder lower-cases and splits on whitespace: one vector
+    assert embedder.embed(texts[0]).tobytes() == embedder.embed(texts[1]).tobytes()
+    graph = KnowledgeGraph()
+    tts = [graph.add_task_type("t"), graph.add_task_type("u")]
+    ids = []
+    for i in range(16):
+        # each (store, task type) block gets four nodes, the two texts
+        # interleaved by id, the second text first in the failure store
+        outcome = ("success_memory", "failure_memory")[i % 2]
+        text = texts[(i // 4 + i % 2) % 2]
+        kind = None if outcome == "success_memory" else ("specific", "type_strategy")[i // 8]
+        ids.append(graph.append_experience(outcome, {"question": text}, task_type_id=tts[i // 2 % 2], kind=kind))
+    graph.append_experience("success_memory", {"question": "another sum"}, task_type_id=tts[0])
+    rebuilt = rebuild_index(graph, 64, embedder.embed)
+    # the rows, bit for bit, and the groups of the index filed in id order
+    _assert_filed_alike(rebuilt, _filed_one_by_one(graph, embedder.embed))
+    # each block's one shared vector is one group, in node id order
+    for block in rebuilt._blocks.values():
+        for nodes in block.members:
+            assert [n.id for n in nodes] == sorted(n.id for n in nodes)
+    assert [len(nodes) for nodes in rebuilt._blocks[("success_memory", tts[0])].members] == [4, 1]
+    # filing a node after a newer one of its group is refused, naming both
+    index = MemoryIndex(graph, dimension=64)
+    index.index_memory(ids[4], embedder.embed(texts[1]))
+    with pytest.raises(ValidationError, match=f"node {ids[0]} is older than node {ids[4]} "):
+        index.index_memory(ids[0], embedder.embed(texts[0]))
+    assert len(index) == 1
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.floats(-1e3, 1e3, width=32), min_size=4, max_size=4), min_size=1, max_size=6))
-def test_normalisation_memo_gives_the_bits_of_normalize(vectors):
+@given(st.lists(st.floats(-1e3, 1e3, width=32), min_size=4, max_size=4))
+def test_unit_gives_the_bits_of_normalize(raw):
     index = MemoryIndex(KnowledgeGraph(), dimension=4)
-    for _ in range(2):
-        for raw in vectors:
-            v = np.array(raw)
-            try:
-                expected = normalize(v).tobytes()
-            except ValidationError:
-                with pytest.raises(ValidationError):
-                    index._unit(v)
-                continue
-            assert index._unit(v).tobytes() == expected
-            assert index._unit(list(raw)).tobytes() == expected
+    try:
+        expected = normalize(np.array(raw)).tobytes()
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            index._unit(np.array(raw))
+        return
+    assert index._unit(np.array(raw)).tobytes() == index._unit(raw).tobytes() == expected
 
 
 def _bundle_key(bundle):
@@ -893,7 +952,7 @@ def test_a_bundle_stays_current_until_a_write_changes_what_it_read(indexed):
         assert not index.is_current(bundle) and retrieve() == bundle
 
 
-def test_a_merge_or_a_new_block_makes_a_bundle_stale(indexed):
+def test_an_older_node_is_refused_and_a_new_block_makes_a_bundle_stale(indexed):
     graph, index, _ = indexed
     tt = graph.add_task_type("t")
     ids = [graph.append_experience("success_memory", {"question": "q"}, task_type_id=tt) for _ in range(4)]
@@ -902,11 +961,17 @@ def test_a_merge_or_a_new_block_makes_a_bundle_stale(indexed):
     bundle = index.retrieve_bundle(one_hot(0), tt, context_length=10, k=3)
     # the failure block is empty, so the success store backfills its slot
     assert [e.node_id for e in bundle.success] == ids[1:] and index.is_current(bundle)
-    # an older node merges to the head of a group of k
-    index.index_memory(ids[0], one_hot(0))
+    # a node older than its group's last one is refused, and the index and
+    # the bundle stand as they were
+    with pytest.raises(ValidationError, match=f"node {ids[0]} is older than node {ids[3]} "):
+        index.index_memory(ids[0], one_hot(0))
+    assert len(index) == 3 and index.is_current(bundle)
+    assert [[n.id for n in nodes] for nodes in index._blocks[("success_memory", tt)].members] == [ids[1:]]
+    # filed with a vector of its own, it opens a new row instead
+    index.index_memory(ids[0], one_hot(3))
     assert not index.is_current(bundle)
     bundle = index.retrieve_bundle(one_hot(0), tt, context_length=10, k=3)
-    assert [e.node_id for e in bundle.success] == ids[:3] and index.is_current(bundle)
+    assert [e.node_id for e in bundle.success] == ids[1:] and index.is_current(bundle)
     # the first failure memory opens the failure block the walk found empty
     add_failure(graph, index, tt, vector=one_hot(7))
     assert not index.is_current(bundle)
@@ -954,18 +1019,29 @@ def test_a_current_bundle_equals_a_fresh_retrieval(drawn, k, above):
     queries = [(query, ctx) for query in GROUP_POOL + [GROUP_QUERY] for ctx in (0, 900)]
     kept = {}
     held = []
+    # the newest node filed in each group, and the count filed
+    newest = {}
+    filed = 0
     for kind, t, v, hold in drawn:
         outcome = STORE_OF[kind]
         payload = {"question": f"v{v}"}
         nid = graph.append_experience(
             outcome, payload, task_type_id=tts[t], kind=None if kind == "success" else kind
         )
-        # a held node is filed after a newer one, so it merges into its group
-        held.append((nid, GROUP_POOL[v]))
+        # held nodes are filed newest first, so each one older than the
+        # last one filed in its group is refused and never filed
+        held.append((nid, (outcome, tts[t], v)))
         if hold:
             continue
-        for nid, vector in reversed(held):
-            index.index_memory(nid, vector)
+        for nid, group in reversed(held):
+            if group in newest and newest[group] > nid:
+                with pytest.raises(ValidationError, match=f"node {nid} is older than node {newest[group]} "):
+                    index.index_memory(nid, GROUP_POOL[group[2]])
+            else:
+                index.index_memory(nid, GROUP_POOL[group[2]])
+                newest[group] = nid
+                filed += 1
+        assert len(index) == filed
         del held[:]
         for i, (query, ctx) in enumerate(queries):
             fresh = index.retrieve_bundle(query, tts[0], context_length=ctx, k=k)

@@ -11,8 +11,10 @@ otherwise. Run it from the root of a checkout.
 
 The matrix: static_qa runs of 12 iterations over a pool of 200 (seed 11),
 20 x 200 (seed 42) and 10 x 60 (seed 5), and sequential runs of 10 and 45
-iterations over a pool of 40 (seeds 3 and 7), each with
-``remeasure_after_update`` off and on. Each run is trained half way, then
+iterations over a pool of 40 (seeds 3 and 7), all at the default
+``retrieval_top_k`` of 3, and static_qa 10 x 60 (seed 5) again at
+``retrieval_top_k`` 1 and 5; each with ``remeasure_after_update`` off and
+on. Each run is trained half way, then
 resumed; then evaluated on every pool its environment has, with and
 without retrieval; then audited. Each step goes through the ``evoloop``
 command line, so a resume replays the log as ``evoloop run --resume``
@@ -37,13 +39,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (env, iterations, pool, seed)
+# (env, iterations, pool, seed, retrieval_top_k)
 RUNS = [
-    ("static_qa", 12, 200, 11),
-    ("static_qa", 20, 200, 42),
-    ("static_qa", 10, 60, 5),
-    ("sequential", 10, 40, 3),
-    ("sequential", 45, 40, 7),
+    ("static_qa", 12, 200, 11, 3),
+    ("static_qa", 20, 200, 42, 3),
+    ("static_qa", 10, 60, 5, 3),
+    ("sequential", 10, 40, 3, 3),
+    ("sequential", 45, 40, 7, 3),
+    ("static_qa", 10, 60, 5, 1),
+    ("static_qa", 10, 60, 5, 5),
 ]
 POOLS = {"static_qa": ("held_out", "evolution"), "sequential": ("evolution",)}
 
@@ -54,11 +58,12 @@ def run_matrix(out: Path) -> None:
     from evoloop.cli import main
 
     os.chdir(out)
-    for env, iterations, pool_size, seed in RUNS:
+    for env, iterations, pool_size, seed, top_k in RUNS:
         for remeasure in (False, True):
-            case = f"{env}-{iterations}x{pool_size}" + ("-remeasure" if remeasure else "")
+            case = f"{env}-{iterations}x{pool_size}" + (f"-k{top_k}" if top_k != 3 else "")
+            case += "-remeasure" if remeasure else ""
             config = Path(f"{case}.config.json")
-            config.write_text(json.dumps({"remeasure_after_update": remeasure}))
+            config.write_text(json.dumps({"remeasure_after_update": remeasure, "retrieval_top_k": top_k}))
             flags = ["--iterations", str(iterations), "--pool", str(pool_size), "--seed", str(seed)]
             verbs = [
                 ["init", case, "--env", env, "--config", str(config), *flags],
