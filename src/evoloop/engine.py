@@ -670,10 +670,9 @@ class Engine:
         a node list the walk read growing while it held fewer than ``k``.
         A bandit update, a rollback or a group of ``k`` or more gaining a
         node leaves it standing. What a kept entry copies (payload,
-        similarity, task type and skill names) is fixed once its node and
-        the node's referents exist; a bundle with an entry whose referent
-        was missing, as a replayed log may leave one, is retrieved afresh
-        on every call. The embedder, ``retrieval_top_k`` and the
+        similarity, task type and skill names) is fixed once its node is
+        applied, and the graph applies no node whose referents do not
+        exist. The embedder, ``retrieval_top_k`` and the
         long-context threshold are fixed for the engine, so the key fixes
         the query."""
         threshold = self.config.long_context_threshold

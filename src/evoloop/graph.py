@@ -23,12 +23,19 @@ every answered question; its line is filled into a fixed template, each
 string through the function the encoder itself escapes strings with and
 each int with ``%d``, which is byte for byte what the encoder writes.
 Every other record goes through the encoder. Replaying a log into an
-empty graph reproduces the final state bit-exactly: ids are allocated by
-the writer and embedded in payloads, the apply step is a pure function of
-(state, payload), and records carry no timestamps. The
-apply step finds each record's handler, ``_on_<op>``, in one table
-lookup, which matters to replay: a log holds thousands of records, most
-of them ``bandit_update``.
+empty graph reproduces the final state bit-exactly: each id is embedded
+in its payload, the apply step is a pure function of (state, payload), and
+records carry no timestamps. The apply step finds each record's handler,
+``_on_<op>``, in one table lookup, which matters to replay: a log holds
+thousands of records, most of them ``bandit_update``.
+
+A check that a written and a replayed record both need (an experience
+payload's shape and referents, a bandit context's arms and rewards, a
+fresh id) runs in the handler, before any state changes. A writer names
+the next id without advancing it; ``_claim_id``, the only place the next
+id moves, refuses one that is not an int at least the next id. So a
+refused write leaves the graph, its next id and ``last_seq`` included, as
+it was.
 
 Snapshots capture only the mutable slots (masteries, prompt templates,
 strategies, task counters, bandit states). Rolling back restores those slots
@@ -65,9 +72,9 @@ not thread-safe: a caller that shares one across threads must serialise
 every call itself.
 
 The per-outcome counts of protected nodes are kept up to date by the apply
-step (an append adds one, a prune or a replayed append that replaces a node
-under the same id subtracts one), so neither ``protected_counts`` nor the
-watermark a snapshot records scans the experience nodes.
+step (an append adds one, a prune subtracts one), so neither
+``protected_counts`` nor the watermark a snapshot records scans the
+experience nodes.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .bandits import BanditSlot, check_reward, new_slot, update_arm
+from .bandits import BanditSlot, new_slot, update_arm
 from .errors import (
     CapError,
     CycleError,
@@ -204,8 +211,8 @@ class KnowledgeGraph:
     def _commit(self, op: str, payload: dict[str, Any]) -> None:
         if self._frozen:
             raise FrozenGraphError(f"graph is frozen, refused op {op!r}")
-        self._seq += 1
         self._apply(op, payload)
+        self._seq += 1
         if self._sink is None:
             return
         it = self.current_iter
@@ -226,13 +233,9 @@ class KnowledgeGraph:
 
     def _claim_id(self, node_id: int) -> None:
         # ids come from the payload so replay reproduces them exactly
-        if node_id >= self._next_id:
-            self._next_id = node_id + 1
-
-    def allocate_id(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
+        if type(node_id) is not int or node_id < self._next_id:
+            raise ValidationError(f"id {node_id!r} is not an int at least the next id {self._next_id}")
+        self._next_id = node_id + 1
 
     # ------------------------------------------------------------------
     # capability subgraph
@@ -251,7 +254,7 @@ class KnowledgeGraph:
             raise CapError(
                 f"skill cap reached ({self.skill_growth_cap}), refused {name!r}"
             )
-        nid = self.allocate_id()
+        nid = self._next_id
         self._commit(
             "add_skill",
             {
@@ -326,7 +329,7 @@ class KnowledgeGraph:
     def add_task_type(self, name: str) -> int:
         if not name:
             raise ValidationError("task type name must be non-empty")
-        nid = self.allocate_id()
+        nid = self._next_id
         self._commit(
             "add_task_type",
             {"id": nid, "name": name, "observed_iter": max(self.current_iter, 0)},
@@ -374,12 +377,7 @@ class KnowledgeGraph:
         elif kind is not None:
             raise ValidationError(f"kind is only valid for failure_memory, got {outcome!r}")
         _check_unit_interval("confidence", confidence)
-        _check_experience_payload(outcome, payload)
-        if task_type_id is not None:
-            self.task_type(task_type_id)
-        if skill_id is not None:
-            self.skill(skill_id)
-        nid = self.allocate_id()
+        nid = self._next_id
         self._commit(
             "append_experience",
             {
@@ -440,7 +438,7 @@ class KnowledgeGraph:
     def add_env_node(self, node_class: str, payload: dict[str, Any]) -> int:
         if node_class not in ENV_CLASSES:
             raise ValidationError(f"unknown env node class {node_class!r}")
-        nid = self.allocate_id()
+        nid = self._next_id
         self._commit(
             "add_env_node",
             {"id": nid, "node_class": node_class, "payload": _json_copy(payload)},
@@ -453,15 +451,11 @@ class KnowledgeGraph:
     def bandit_init(
         self, context_id: str, arm_ids: Iterable[str], warmup_pulls: int, rng_seed: int
     ) -> None:
-        arms = list(arm_ids)
-        new_slot(context_id, arms, warmup_pulls, rng_seed)  # validates; _apply builds it
-        if context_id in self.bandits:
-            raise ValidationError(f"bandit context {context_id!r} already exists")
         self._commit(
             "bandit_init",
             {
                 "context_id": context_id,
-                "arm_ids": arms,
+                "arm_ids": list(arm_ids),
                 "warmup_pulls": warmup_pulls,
                 "rng_seed": rng_seed,
             },
@@ -480,7 +474,6 @@ class KnowledgeGraph:
 
     def bandit_update(self, context_id: str, arm_id: str, reward: int) -> None:
         self._require_arm(context_id, arm_id)
-        check_reward(reward)
         self._commit(
             "bandit_update",
             {"context_id": context_id, "arm_id": arm_id, "reward": reward},
@@ -490,7 +483,7 @@ class KnowledgeGraph:
     # snapshots
 
     def snapshot(self) -> int:
-        sid = self.allocate_id()
+        sid = self._next_id
         self._commit("snapshot", {"snapshot_id": sid})
         return sid
 
@@ -520,7 +513,7 @@ class KnowledgeGraph:
         }
 
     # ------------------------------------------------------------------
-    # apply: the only place state changes
+    # apply: the only place state changes, after every shared check
 
     def _apply(self, op: str, payload: dict[str, Any]) -> None:
         try:
@@ -533,14 +526,15 @@ class KnowledgeGraph:
     # one handler per op, ``_on_<op>``: ``_APPLY`` finds it by the op's name
 
     def _on_add_skill(self, payload: dict[str, Any]) -> None:
-        self._claim_id(payload["id"])
-        self.skills[payload["id"]] = SkillNode(
+        node = SkillNode(
             id=payload["id"],
             name=payload["name"],
             mastery=payload["mastery"],
             prompt_template=payload["prompt_template"],
             strategy=payload["strategy"],
         )
+        self._claim_id(node.id)
+        self.skills[node.id] = node
 
     def _on_set_mastery(self, payload: dict[str, Any]) -> None:
         self.skills[payload["skill_id"]].mastery = payload["value"]
@@ -563,12 +557,13 @@ class KnowledgeGraph:
         self._prereq_edges.add((payload["from_id"], payload["to_id"]))
 
     def _on_add_task_type(self, payload: dict[str, Any]) -> None:
-        self._claim_id(payload["id"])
-        self.task_types[payload["id"]] = TaskTypeNode(
+        node = TaskTypeNode(
             id=payload["id"],
             name=payload["name"],
             observed_iter=payload.get("observed_iter", 0),
         )
+        self._claim_id(node.id)
+        self.task_types[node.id] = node
 
     def _on_set_resolver(self, payload: dict[str, Any]) -> None:
         self.task_types[payload["task_type_id"]].resolver_skill_id = payload["skill_id"]
@@ -581,7 +576,6 @@ class KnowledgeGraph:
 
     def _on_append_experience(self, payload: dict[str, Any]) -> None:
         nid = payload["id"]
-        self._claim_id(nid)
         # positional, in field order
         node = ExperienceNode(
             nid,
@@ -594,11 +588,11 @@ class KnowledgeGraph:
             payload["created_iter"],
         )
         _check_experience_payload(node.outcome, node.payload)
-        replaced = self.experience.get(nid)
-        if replaced is not None:
-            self._count_protected(replaced.outcome, -1)
-            # a fragment is cached only for a record the graph holds
-            self._experience_json.discard(nid)
+        if node.task_type_id is not None:
+            self.task_type(node.task_type_id)
+        if node.skill_id is not None:
+            self.skill(node.skill_id)
+        self._claim_id(nid)
         self.experience[nid] = node
         self._count_protected(node.outcome, 1)
         if node.outcome == "retrieval_recipe" and node.skill_id is not None:
@@ -617,15 +611,17 @@ class KnowledgeGraph:
                 self._recipe_ids[node.skill_id].remove(nid)
 
     def _on_add_env_node(self, payload: dict[str, Any]) -> None:
-        self._claim_id(payload["id"])
-        self.env_nodes[payload["id"]] = EnvNode(
+        node = EnvNode(
             id=payload["id"],
             node_class=payload["node_class"],
             payload=payload["payload"],
         )
-        self._env_json.discard(payload["id"])
+        self._claim_id(node.id)
+        self.env_nodes[node.id] = node
 
     def _on_bandit_init(self, payload: dict[str, Any]) -> None:
+        if payload["context_id"] in self.bandits:
+            raise ValidationError(f"bandit context {payload['context_id']!r} already exists")
         self.bandits[payload["context_id"]] = new_slot(
             payload["context_id"],
             payload["arm_ids"],
@@ -648,7 +644,6 @@ class KnowledgeGraph:
             "mutable_state": self._capture_mutable_state(),
             "protected_watermark": dict(self._protected),
         }
-        self._snapshot_json.discard(sid)
         while len(self._snapshots) > self.snapshot_history_limit:
             oldest = min(self._snapshots)
             del self._snapshots[oldest]
@@ -816,15 +811,17 @@ class KnowledgeGraph:
         """Rebuild a graph from an event log.
 
         Records must arrive in strictly increasing seq order starting at 1,
-        and their iter never goes backwards. The apply step runs verbatim
-        (no write-side validation) so the rebuilt state matches the writer's
-        state bit-exactly. It refuses only what would break the state it
-        builds: a bandit record that ``bandits.new_slot`` or ``update_arm``
-        refuses, and an ``append_experience`` whose payload is not an object
-        or is a success or failure memory whose ``question`` is present and
-        not a str (the exemplar index embeds that text). Each refusal, and
-        each record that lacks a key its apply reads, fails as "replay failed
-        at seq N (op)". ``on_iteration(graph, it)`` sees
+        and their iter never goes backwards. Each goes through the apply step
+        a live write goes through, so the rebuilt state matches the writer's
+        bit-exactly, and what no writer makes is refused: an id that is not
+        an int above every id before it, a second ``bandit_init`` of one
+        context, a bandit record ``new_slot`` or ``update_arm`` refuses, and
+        an ``append_experience`` whose task type or skill does not exist,
+        whose payload is not an object, or whose exemplar ``question`` is
+        present and not a str (the exemplar index embeds that text). Each
+        refusal, and each record that lacks a key its apply reads, fails as
+        "replay failed at seq N (op)". A prune applies its ids as logged.
+        ``on_iteration(graph, it)`` sees
         the graph each time the log moves on to a later iteration ``it``,
         before that iteration's first record, and once more with ``it=None``
         at the end.
@@ -926,8 +923,8 @@ def _bandit_update_line(payload: dict[str, Any], it: int, seq: int) -> str:
     answered question), filled into a fixed template: byte for byte what
     ``_ENCODE`` writes for the record, whose sorted keys fix the order
     (every context and arm id is a str, since ``bandits.new_slot`` refuses
-    any other, and the reward is the int 0 or 1, since ``bandit_update``
-    refuses any other)."""
+    any other, and the reward is the int 0 or 1, since ``update_arm``
+    refuses any other before the line is made)."""
     return (
         '{"iter":%d,"op":"bandit_update","payload":{"arm_id":%s,"context_id":%s,"reward":%d},"seq":%d}'
         % (it, _STR(payload["arm_id"]), _STR(payload["context_id"]), payload["reward"], seq)
@@ -948,17 +945,16 @@ def _experience_body(record: dict[str, Any], shared: dict[int, tuple[Any, str]])
     record, whose sorted keys fix the order (``%r`` of a float is its repr,
     and ``%d`` or ``%s`` of an int its digits). None for any other record,
     or for one the template would not write as the encoder does: a
-    confidence that is not a float, or an id, kind or referent id of
-    another type than the writer's (``True`` passes the writer's task type
-    lookup, as ``True == 1``; a replayed log can make the next id a float).
-    The caller has checked that ``created_iter`` is an int."""
+    confidence that is not a float, or a kind or referent id of another
+    type than the writer's (``True`` passes the task type lookup, as
+    ``True == 1``). The id is an int, as the apply step claimed it, and the
+    caller has checked that ``created_iter`` is an int."""
     held = shared.get(id(record["payload"]))
     if held is None:
         return None
     kind, skill_id, task_type_id = record["kind"], record["skill_id"], record["task_type_id"]
     if (
         type(record["confidence"]) is not float
-        or type(record["id"]) is not int
         or not (kind is None or type(kind) is str)
         or not (skill_id is None or type(skill_id) is int)
         or not (task_type_id is None or type(task_type_id) is int)
@@ -1003,8 +999,8 @@ class _FragmentCache:
 
     A fragment is ``"<id>":{...}`` exactly as ``json.dumps(sort_keys=True)``
     writes that member inside its section. It is encoded on first use and
-    must be discarded whenever the record under its id leaves or is
-    replaced. The fragments are the only copy of the section kept: no
+    must be discarded whenever the record under its id leaves. The
+    fragments are the only copy of the section kept: no
     joined section is cached, so each ``canonical_bytes`` call sorts the ids
     again and its one join copies the fragments into the state.
     """

@@ -392,14 +392,11 @@ class MemoryIndex:
         (``_Block.add``), so a list of ``k`` or more grows past its first
         ``k`` nodes, after the walk's count reached ``k``, and its growth
         changes neither what the walk picks nor where it stops. Every value
-        a bundle entry copies is fixed once its node and the node's task
-        type and skill exist: the payload is frozen at commit, the
+        a bundle entry copies is fixed once its node is applied, which
+        needs its task type and skill: the payload is frozen at commit, the
         similarity is the query's against the node's row, and no write
-        renames a task type or a skill. The writer refuses a node
-        whose task type or skill does not exist, but replay does not, and a
-        later write may create the id it names; a bundle with an entry
-        whose name was missing is therefore never current. So is a bundle
-        that no retrieval made (``reads`` None).
+        renames a task type or a skill. A bundle that no retrieval made
+        (``reads`` None) is never current.
         """
         reads = bundle.reads
         if reads is None:
@@ -440,17 +437,11 @@ class MemoryIndex:
                 take_s = succ[: n_success + spare]
         success = [self._bundle_entry(sim, node) for sim, node in take_s]
         failure = [self._bundle_entry(sim, node) for sim, node in take_f]
-        # a name an entry lacks (replay admits a node whose task type or
-        # skill does not exist) may come with a later write
-        named = all(
-            (e.task_type_id is None or e.task_type_name) and (e.skill_id is None or e.skill_name)
-            for e in success + failure
-        )
         return MemoryBundle(
             success=success,
             failure=failure,
             allocation=(n_success, n_failure),
-            reads=tuple(reads) if named else None,
+            reads=tuple(reads),
         )
 
     def _bundle_entry(self, similarity: float, node: ExperienceNode) -> BundleEntry:

@@ -223,7 +223,8 @@ def run_training(
     store's buffer, and the run would hold reports and boundary snapshots
     that no event in its log backs. A caller that has read the reports
     already passes what ``read_committed`` returned as ``committed``, and
-    they are not read again.
+    they are not read again. A target below the committed count is refused
+    before the run's files are touched.
     """
     store.require()
     # bound methods are equal only when bound to the same store
@@ -233,17 +234,17 @@ def run_training(
             "load the engine with load_engine(store)"
         )
     start, last_accuracy = committed if committed is not None else read_committed(store)
+    total = iterations
+    if total is None:
+        total = (engine.config if engine is not None else load_run_config(store)[0]).iterations
+    if total < start:  # before loading, which may bootstrap or cut the log
+        raise ValidationError(f"run already has {start} committed iterations, cannot target {total}")
     if engine is None:
         fresh = not start and not store.has_events()
         engine = _load_engine(store, start, last_accuracy)
         if fresh:
             engine.bootstrap()
             store.flush_events()
-    total = iterations if iterations is not None else engine.config.iterations
-    if total < start:
-        raise ValidationError(
-            f"run already has {start} committed iterations, cannot target {total}"
-        )
     for k in range(start, total):
         report = engine.run_iteration(k)
         store.flush_events()

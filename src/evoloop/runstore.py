@@ -114,8 +114,16 @@ class RunStore:
     # creation and loading
 
     def initialize(self, config: Mapping[str, Any], meta: Mapping[str, Any]) -> None:
+        """Make the run directory. A run, or a run's record without its config
+        (a non-empty event log or report file, a boundary or eval file), is
+        refused; an init killed before its config left only empty files."""
         if self.exists():
             raise ValidationError(f"run directory already initialized: {self.root}")
+        logs = [self.root / EVENTS_NAME, self.root / REPORTS_NAME]
+        held = [p.name for p in logs if p.exists() and p.stat().st_size]
+        held += sorted(p.name for glob in ("snap-*.json", "eval-*.json") for p in self.root.glob(glob))
+        if held:
+            raise ValidationError(f"{self.root} holds a run's record ({', '.join(held)}), refused")
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / EVENTS_NAME).touch()
         (self.root / REPORTS_NAME).touch()

@@ -7,10 +7,20 @@ import tempfile
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoloop import EngineConfig, KnowledgeGraph, RunStore, init_run, load_engine, run_training
+from evoloop import (
+    EngineConfig,
+    IntegrityError,
+    KnowledgeGraph,
+    RunStore,
+    ValidationError,
+    init_run,
+    load_engine,
+    run_training,
+)
 from evoloop.graph import ENV_CLASSES
 from evoloop.runner import bootstrap_run
 
@@ -142,25 +152,6 @@ def test_in_place_payload_mutation_shows_as_stale_cache(graph):
     assert graph.canonical_bytes() != canonical_bytes_reference(graph)
 
 
-def test_replayed_record_under_a_reused_id_replaces_its_fragment():
-    def append(seq, it, answer):
-        payload = {"id": 1, "outcome": "success_memory", "task_type_id": None,
-                   "skill_id": None, "kind": None, "confidence": 1.0,
-                   "payload": {"answer": answer}, "created_iter": it}
-        return {"seq": seq, "iter": it, "op": "append_experience", "payload": payload}
-
-    seen = []
-
-    def encode(graph, it):
-        seen.append(graph.canonical_bytes())
-
-    graph = KnowledgeGraph.replay([append(1, 0, "a"), append(2, 1, "b")], on_iteration=encode)
-    # seen: before iter 0, before iter 1 (caching "a"), at the end
-    assert b'"answer":"a"' in seen[1]
-    assert seen[-1] == graph.canonical_bytes() == canonical_bytes_reference(graph)
-    assert b'"answer":"b"' in seen[-1]
-
-
 def _append(seq, it, nid, outcome, answer="a"):
     payload = {"id": nid, "outcome": outcome, "task_type_id": None, "skill_id": None,
                "kind": "specific" if outcome == "failure_memory" else None,
@@ -168,8 +159,50 @@ def _append(seq, it, nid, outcome, answer="a"):
     return {"seq": seq, "iter": it, "op": "append_experience", "payload": payload}
 
 
-def test_replayed_prune_and_id_reuse_keep_protected_counts_equal_to_a_scan():
-    # the writer refuses both; a replayed log applies them verbatim
+# a record of each op that names a fresh id, as (seq, iter, id) -> record
+ID_RECORDS = {
+    "add_skill": lambda seq, it, nid: {"seq": seq, "iter": it, "op": "add_skill", "payload": {
+        "id": nid, "name": "s", "mastery": 0.0, "prompt_template": "{question}", "strategy": "direct"}},
+    "add_task_type": lambda seq, it, nid: {"seq": seq, "iter": it, "op": "add_task_type", "payload": {
+        "id": nid, "name": "t", "observed_iter": 0}},
+    "append_experience": lambda seq, it, nid: _append(seq, it, nid, "success_memory"),
+    "add_env_node": lambda seq, it, nid: {"seq": seq, "iter": it, "op": "add_env_node", "payload": {
+        "id": nid, "node_class": "entity", "payload": {}}},
+    "snapshot": lambda seq, it, nid: {"seq": seq, "iter": it, "op": "snapshot", "payload": {
+        "snapshot_id": nid}},
+}
+
+
+@pytest.mark.parametrize("first", sorted(ID_RECORDS))
+@pytest.mark.parametrize("op", sorted(ID_RECORDS))
+def test_replay_refuses_a_reused_id_naming_its_seq(first, op):
+    # no writer reuses an id, so a replayed record that does would replace
+    # a node, and its cached fragment, under the same id
+    seen = []
+    log = [ID_RECORDS[first](1, 0, 1), ID_RECORDS[op](2, 1, 1)]
+    with pytest.raises(IntegrityError, match=rf"^replay failed at seq 2 \({op}\)$") as refused:
+        KnowledgeGraph.replay(log, on_iteration=lambda graph, it: seen.append(graph.canonical_bytes()))
+    assert isinstance(refused.value.__cause__, ValidationError)
+    assert str(refused.value.__cause__) == "id 1 is not an int at least the next id 2"
+    # the graph was encoded before the refused record's iteration
+    assert len(seen) == 2
+    # an id past the next one is no reuse
+    graph = KnowledgeGraph.replay([ID_RECORDS[first](1, 0, 1), ID_RECORDS[op](2, 1, 5)])
+    assert graph.canonical_bytes() == canonical_bytes_reference(graph)
+    assert b'"next_id":6' in graph.canonical_bytes()
+
+
+@pytest.mark.parametrize("nid", [1.0, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("op", sorted(ID_RECORDS))
+def test_replay_refuses_an_id_that_is_not_an_int(op, nid):
+    with pytest.raises(IntegrityError, match=rf"^replay failed at seq 1 \({op}\)$") as refused:
+        KnowledgeGraph.replay([ID_RECORDS[op](1, 0, nid)])
+    assert isinstance(refused.value.__cause__, ValidationError)
+
+
+def test_replayed_prune_keeps_protected_counts_equal_to_a_scan():
+    # the writer never prunes a protected node, a missing one or one twice;
+    # a replayed prune applies the ids it names as logged
     log = [
         _append(1, 0, 1, "success_memory"),
         _append(2, 0, 2, "principle"),
@@ -177,9 +210,10 @@ def test_replayed_prune_and_id_reuse_keep_protected_counts_equal_to_a_scan():
         _append(4, 0, 4, "abstracted_pattern"),
         {"seq": 5, "iter": 1, "op": "prune",
          "payload": {"threshold": None, "removed_ids": [2, 4, 2, 99]}},
-        _append(6, 2, 3, "abstracted_pattern"),
-        _append(7, 2, 1, "success_memory", answer="b"),
-        _append(8, 3, 4, "principle"),
+        _append(6, 2, 5, "abstracted_pattern"),
+        {"seq": 7, "iter": 2, "op": "prune",
+         "payload": {"threshold": None, "removed_ids": [3, 5]}},
+        _append(8, 3, 6, "principle"),
         {"seq": 9, "iter": 3, "op": "snapshot", "payload": {"snapshot_id": 10}},
     ]
     seen = []
@@ -198,6 +232,7 @@ def test_replayed_prune_and_id_reuse_keep_protected_counts_equal_to_a_scan():
         expected,
     ]
     assert graph._snapshots[10]["protected_watermark"] == expected
+    assert sorted(graph.experience) == [1, 6]
 
 
 def test_writer_copies_the_callers_payload_once(graph):

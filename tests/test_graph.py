@@ -240,6 +240,101 @@ def test_frozen_graph_refuses_writes(graph):
     graph.add_skill("t")
 
 
+def _graph_with_every_referent():
+    """A graph with a sink, two skills, a task type, a principle, a bandit
+    context and a snapshot, so that every writer has what it names."""
+    lines = []
+    graph = KnowledgeGraph(event_sink=lines.append)
+    ids = {"s": graph.add_skill("s"), "u": graph.add_skill("u"), "t": graph.add_task_type("t")}
+    ids["p"] = graph.append_experience("principle", {"text": "p"})
+    graph.bandit_init("route/s", ["direct", "chain"], warmup_pulls=2, rng_seed=7)
+    ids["snap"] = graph.snapshot()
+    return graph, lines, ids
+
+
+# every writer, as a call on (graph, ids)
+WRITERS = {
+    "add_skill": lambda g, ids: g.add_skill("v"),
+    "set_mastery": lambda g, ids: g.set_mastery(ids["s"], 0.5),
+    "set_prompt_template": lambda g, ids: g.set_prompt_template(ids["s"], "Q: {question}"),
+    "set_strategy": lambda g, ids: g.set_strategy(ids["s"], "chain"),
+    "add_principle_ref": lambda g, ids: g.add_principle_ref(ids["s"], ids["p"]),
+    "add_prerequisite": lambda g, ids: g.add_prerequisite(ids["s"], ids["u"]),
+    "add_task_type": lambda g, ids: g.add_task_type("w"),
+    "set_resolver": lambda g, ids: g.set_resolver(ids["t"], ids["s"]),
+    "record_task_failure": lambda g, ids: g.record_task_failure(ids["t"]),
+    "mark_selected": lambda g, ids: g.mark_selected(ids["t"], 0),
+    "append_experience": lambda g, ids: g.append_experience("success_memory", {"question": "q"}),
+    "prune_low_confidence": lambda g, ids: g.prune_low_confidence(0.5),
+    "add_env_node": lambda g, ids: g.add_env_node("entity", {"name": "e"}),
+    "bandit_init": lambda g, ids: g.bandit_init("route/t", ["a"], warmup_pulls=1, rng_seed=1),
+    "bandit_record_draw": lambda g, ids: g.bandit_record_draw("route/s", "chain"),
+    "bandit_update": lambda g, ids: g.bandit_update("route/s", "chain", 1),
+    "snapshot": lambda g, ids: g.snapshot(),
+    "rollback_mutable": lambda g, ids: g.rollback_mutable(ids["snap"]),
+}
+
+
+def _unmoved(graph, lines):
+    """What a refused write must leave as it was."""
+    return graph.canonical_bytes(), graph.last_seq, graph._next_id, len(lines)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_write_the_frozen_graph_refuses_changes_nothing(writer):
+    graph, lines, ids = _graph_with_every_referent()
+    before = _unmoved(graph, lines)
+    graph.freeze()
+    with pytest.raises(FrozenGraphError):
+        WRITERS[writer](graph, ids)
+    assert _unmoved(graph, lines) == before
+    # unfrozen, the write goes through with the id it would have had
+    graph.unfreeze()
+    fresh = _graph_with_every_referent()[0]
+    assert WRITERS[writer](graph, ids) == WRITERS[writer](fresh, ids)
+    assert graph.canonical_bytes() == fresh.canonical_bytes()
+
+
+@pytest.mark.parametrize(
+    "write, error, message",
+    [
+        (lambda g, ids: g.append_experience("success_memory", ["q"]), ValidationError, "must be an object"),
+        (lambda g, ids: g.append_experience("principle", "p"), ValidationError, "must be an object"),
+        (lambda g, ids: g.append_experience("success_memory", {"question": 7}), ValidationError,
+         "question must be a str"),
+        (lambda g, ids: g.append_experience("failure_memory", {"question": None}, kind="specific"),
+         ValidationError, "question must be a str"),
+        (lambda g, ids: g.append_experience("success_memory", {"question": "q"}, task_type_id=99),
+         NotFoundError, "task type 99 not found"),
+        (lambda g, ids: g.append_experience("principle", {"text": "p"}, skill_id=99),
+         NotFoundError, "skill 99 not found"),
+        (lambda g, ids: g.bandit_update("route/x", "chain", 1), NotFoundError, "not found"),
+        (lambda g, ids: g.bandit_update("route/s", "walk", 1), ValidationError, "unknown arm"),
+        (lambda g, ids: g.bandit_record_draw("route/x", "chain"), NotFoundError, "not found"),
+        (lambda g, ids: g.bandit_record_draw("route/s", "walk"), ValidationError, "unknown arm"),
+        (lambda g, ids: g.bandit_update("route/s", "chain", True), ValidationError, "reward must be"),
+        (lambda g, ids: g.bandit_update("route/s", "chain", 2), ValidationError, "reward must be"),
+        (lambda g, ids: g.bandit_init("route/s", ["a"], warmup_pulls=1, rng_seed=1), ValidationError,
+         "already exists"),
+    ],
+    ids=[
+        "payload-array", "payload-str", "success-question-int", "failure-question-none",
+        "missing-task-type", "missing-skill", "update-unknown-context", "update-unknown-arm",
+        "draw-unknown-context", "draw-unknown-arm", "reward-true", "reward-2", "init-twice",
+    ],
+)
+def test_a_refused_write_changes_nothing(write, error, message):
+    graph, lines, ids = _graph_with_every_referent()
+    before = _unmoved(graph, lines)
+    slot = graph.bandits["route/s"].to_dict()
+    with pytest.raises(error, match=message):
+        write(graph, ids)
+    assert _unmoved(graph, lines) == before
+    assert graph.bandits["route/s"].to_dict() == slot
+    # the next write takes the id the refused one would have
+    assert graph.add_skill("v") == before[2]
+
+
 def test_event_records_shape():
     lines = []
     graph = KnowledgeGraph(event_sink=lines.append)

@@ -12,9 +12,11 @@ from evoloop import (
     EngineConfig,
     FailurePayload,
     HashEmbedder,
+    IntegrityError,
     KnowledgeGraph,
     MemoryBundle,
     MemoryIndex,
+    NotFoundError,
     SuccessPayload,
     ValidationError,
     allocation_for,
@@ -979,23 +981,26 @@ def test_an_older_node_is_refused_and_a_new_block_makes_a_bundle_stale(indexed):
     assert not index.is_current(MemoryBundle())
 
 
-def test_a_bundle_naming_a_missing_referent_is_never_current():
-    # replay applies an exemplar whose skill does not exist, and a later
-    # write may create that id, so the bundle's skill name may change
+@pytest.mark.parametrize(
+    "referent, missing",
+    [("skill_id", "skill 3 not found"), ("task_type_id", "task type 3 not found")],
+    ids=["skill", "task-type"],
+)
+def test_replay_refuses_an_exemplar_whose_skill_or_task_type_does_not_exist(referent, missing):
+    # a later write could create the missing id, and so change a name that
+    # a bundle of the exemplar copied; no writer makes such a node
     record = {
-        "id": 2, "outcome": "success_memory", "task_type_id": 1, "skill_id": 3, "kind": None,
+        "id": 2, "outcome": "success_memory", "task_type_id": 1, "skill_id": None, "kind": None,
         "confidence": 1.0, "payload": {"question": "q"}, "created_iter": 0,
     }
-    graph = KnowledgeGraph.replay([
-        {"seq": 1, "iter": 0, "op": "add_task_type", "payload": {"id": 1, "name": "t", "observed_iter": 0}},
-        {"seq": 2, "iter": 0, "op": "append_experience", "payload": record},
-    ])
-    index = MemoryIndex(graph, dimension=64)
-    index.index_memory(2, one_hot(0))
-    bundle = index.retrieve_bundle(one_hot(0), 1, context_length=10)
-    assert bundle.success[0].skill_name == "" and not index.is_current(bundle)
-    assert graph.add_skill("s") == 3
-    assert index.retrieve_bundle(one_hot(0), 1, context_length=10).success[0].skill_name == "s"
+    record[referent] = 3
+    with pytest.raises(IntegrityError, match=r"^replay failed at seq 2 \(append_experience\)$") as refused:
+        KnowledgeGraph.replay([
+            {"seq": 1, "iter": 0, "op": "add_task_type", "payload": {"id": 1, "name": "t", "observed_iter": 0}},
+            {"seq": 2, "iter": 0, "op": "append_experience", "payload": record},
+        ])
+    assert isinstance(refused.value.__cause__, NotFoundError)
+    assert str(refused.value.__cause__) == missing
 
 
 @settings(max_examples=120, deadline=None)

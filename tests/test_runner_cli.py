@@ -1237,6 +1237,31 @@ def test_damaged_exemplar_payload_is_refused_by_every_reader(tmp_path, capsys, o
     assert read_bytes(run_dir, "events.log") == tampered
 
 
+
+def test_a_log_that_reuses_an_id_is_refused_by_every_reader(tmp_path, capsys):
+    # no writer reuses an id; replayed, the second record would replace the
+    # first record's node under that id
+    run_dir = tmp_path / "r"
+    init_and_run(run_dir, iterations=2)
+    path = run_dir / "events.log"
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    first, second = [r for r in records if r["op"] == "append_experience"][:2]
+    second["payload"]["id"] = first["payload"]["id"]
+    lines[second["seq"] - 1] = json.dumps(second, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    tampered = read_bytes(run_dir, "events.log")
+    refusal = f"replay failed at seq {second['seq']} (append_experience)"
+    capsys.readouterr()
+    for verb in (["run", "--resume"], ["eval"]):
+        assert main([verb[0], str(run_dir), *verb[1:]]) == 2, verb
+        assert refusal in capsys.readouterr().err
+    assert main(["audit", str(run_dir)]) == 2
+    assert f"[FAIL] log_replay: {refusal}" in capsys.readouterr().out
+    by_name = {c.name: c for c in audit_run(RunStore(run_dir)).checks}
+    assert not by_name["log_replay"].passed
+    assert read_bytes(run_dir, "events.log") == tampered
+
 def _splits_built(monkeypatch):
     """Record the split of every question ``StaticQAEnv`` generates."""
     built = set()
@@ -1482,6 +1507,60 @@ def test_a_refused_eval_leaves_the_run_as_it_found_it(tmp_path, capsys):
     assert read_bytes(store.root, "events.log") == events
     assert not list(store.root.glob("eval-*.json"))
 
+
+
+@pytest.mark.parametrize("killed", [False, True], ids=["committed", "killed-after-flush"])
+def test_a_refused_run_leaves_the_run_as_it_found_it(tmp_path, capsys, killed):
+    # a target below the committed count is refused before the run is
+    # loaded: loading would bootstrap a fresh run or cut an uncommitted tail
+    store = init_run(tmp_path / "r", EngineConfig(iterations=3, pool_size=24, seed=5), "static_qa")
+    assert main(["run", str(store.root), "--iterations", "-1"]) == 1
+    assert "cannot target -1" in capsys.readouterr().err
+    assert read_bytes(store.root, "events.log") == b""
+    run_training(store)
+    if killed:
+        reports = read_bytes(store.root, "reports.jsonl").splitlines(keepends=True)
+        (store.root / "reports.jsonl").write_bytes(b"".join(reports[:-1]))
+    files = {path.name: path.read_bytes() for path in store.root.iterdir()}
+    committed = 2 if killed else 3
+    with pytest.raises(ValidationError, match=f"has {committed} committed iterations, cannot target 1"):
+        run_training(RunStore(store.root), iterations=1)
+    assert main(["run", str(store.root), "--resume", "--iterations", "1"]) == 1
+    # the config's own target, when no target is given
+    _rewrite_json(store.root / "config.json", lambda config: config.update(iterations=1))
+    files["config.json"] = read_bytes(store.root, "config.json")
+    assert main(["run", str(store.root), "--resume"]) == 1
+    assert {path.name: path.read_bytes() for path in store.root.iterdir()} == files
+
+
+@pytest.mark.parametrize(
+    "held",
+    [["events.log"], ["reports.jsonl"], ["events.log", "reports.jsonl"], ["snap-00000.json"],
+     ["eval-held_out-ret-00002.json"]],
+    ids=["events", "reports", "both-logs", "boundary", "eval-record"],
+)
+def test_init_refuses_a_directory_holding_a_runs_record(tmp_path, capsys, held):
+    # a run's record without its config.json: a new config must not adopt it
+    source = init_and_run(tmp_path / "source", iterations=2).root
+    assert main(["eval", str(source)]) == 0
+    target = tmp_path / "r"
+    target.mkdir()
+    for name in held:
+        (target / name).write_bytes(read_bytes(source, name))
+    before = {path.name: path.read_bytes() for path in target.iterdir()}
+    capsys.readouterr()
+    assert main(["init", str(target), "--env", "static_qa", "--seed", "9"]) == 1
+    assert "holds a run's record" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in target.iterdir()} == before
+
+
+def test_init_runs_again_after_a_kill_before_its_config(tmp_path):
+    # a kill before config.json is renamed in leaves empty logs and meta.json
+    run_dir = tmp_path / "r"
+    assert main(["init", str(run_dir), "--env", "static_qa", "--seed", "1"]) == 0
+    (run_dir / "config.json").unlink()
+    assert main(["init", str(run_dir), "--env", "static_qa", "--seed", "9"]) == 0
+    assert json.loads((run_dir / "config.json").read_text())["seed"] == 9
 
 def test_an_eval_builds_its_pool_once(tmp_path, monkeypatch):
     store = init_run(tmp_path / "r", EngineConfig(iterations=1, pool_size=24, seed=3), "static_qa")
