@@ -2,8 +2,7 @@
 
 Every backend exposes ``complete(prompt, meta, temperature) -> str``. The
 engine tags each call with the agent making it and the phase it runs in,
-and records one tracker call per attempt of each ``complete`` or ``act``
-(a backend without ``last_attempts`` makes one), so audits can
+and records one tracker call per ``complete`` or ``act``, so audits can
 separate guidance-tier from execution-tier traffic. Embedder calls are
 tracked but excluded from audit fractions.
 
@@ -28,31 +27,20 @@ model server:
     memoizes it by text and hands out the one read-only array each time;
     ``calls`` still counts every request, memo hits included.
 
-The HTTP backend speaks a minimal chat wire protocol: POST
-``{"model", "messages", "temperature", "max_tokens"}`` and read
-``{"text": ...}`` back. It retries twice with backoff, raises
-``BackendError`` when every attempt failed, and leaves the attempt count of
-its last call in ``last_attempts``. The engine records that count in its
-tracker, so a call answered on its second attempt counts two, and one that
-failed every attempt counts ``attempts``.
-It imports ``requests`` only when one is built, so a process that runs the
-simulated backends never loads the HTTP stack. In the same way the embedder
-imports ``numpy`` only when it computes a vector, so a process that embeds
-nothing never loads it.
+The embedder imports ``numpy`` only when it computes a vector, so a
+process that embeds nothing never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .errors import BackendError, ValidationError
+from .errors import ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
-    import requests
 
     from .envs import Question
 
@@ -80,9 +68,9 @@ class CallTracker:
     def __init__(self):
         self._counts: dict[tuple[str, str, str], int] = {}
 
-    def record(self, phase: str, agent: str, role: str, attempts: int = 1) -> None:
+    def record(self, phase: str, agent: str, role: str) -> None:
         key = (phase, agent, role)
-        self._counts[key] = self._counts.get(key, 0) + attempts
+        self._counts[key] = self._counts.get(key, 0) + 1
 
     def counts(self) -> dict[tuple[str, str, str], int]:
         return dict(self._counts)
@@ -137,8 +125,10 @@ class SimulatedExecutionBackend(Backend):
     def base_difficulty(self, question_id: str) -> float:
         return self._question_draws(question_id)[0]
 
-    def success_probability(self, question_id: str, prompt: str) -> float:
-        """Chance this learner answers correctly given the rendered prompt.
+    def _probability(self, question_id: str, q: "Question | None", prompt: str) -> float:
+        """Chance this learner answers question ``question_id`` correctly
+        given the rendered prompt, where ``q`` is the question the env holds
+        under that id, or None for an id it does not hold.
 
         A prompt that carries the question's own solved exemplar, or a
         correction written for this exact question (it states the right
@@ -147,15 +137,6 @@ class SimulatedExecutionBackend(Backend):
         difficulty, saturating at three blocks. An id the env does not hold
         has no own exemplar.
         """
-        try:
-            q = self.question(question_id)
-        except KeyError:
-            q = None
-        return self._probability(question_id, q, prompt)
-
-    def _probability(self, question_id: str, q: "Question | None", prompt: str) -> float:
-        """``success_probability`` given ``q``, the question the env holds
-        under ``question_id``, or None for an id it does not hold."""
         if q is not None:
             if f"Q: {q.text}\nReasoning:" in prompt:
                 return 1.0
@@ -317,70 +298,6 @@ class HashEmbedder:
         vector.flags.writeable = False
         self._memo[text] = vector
         return vector
-
-
-class HttpBackend(Backend):
-    """Chat-completion wire client with bounded retries.
-
-    A call that fails on every attempt raises ``BackendError``.
-    ``last_attempts`` holds the attempt count of the last ``complete``; the
-    engine's tracker counts that many calls, so retries are counted.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        role: str,
-        token: str | None = None,
-        max_tokens: int = 1024,
-        attempts: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 60.0,
-        session: requests.Session | None = None,
-    ):
-        self.url = url
-        self.model = model
-        self.role = role
-        self.token = token
-        self.max_tokens = max_tokens
-        self.attempts = attempts
-        self.backoff = backoff
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
-        self.last_attempts = 0
-
-    def complete(self, prompt: str, meta: Mapping[str, Any] | None = None, temperature: float = 0.0) -> str:
-        body = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": temperature,
-            "max_tokens": self.max_tokens,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        import requests
-
-        self.last_attempts = 0
-        last_error: Exception | None = None
-        for attempt in range(self.attempts):
-            self.last_attempts += 1
-            try:
-                response = self.session.post(
-                    self.url, json=body, headers=headers, timeout=self.timeout
-                )
-                response.raise_for_status()
-                return response.json()["text"]
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-                if attempt < self.attempts - 1:
-                    time.sleep(self.backoff * 2**attempt)
-        raise BackendError(f"backend call failed after {self.attempts} attempts: {last_error}")
 
 
 def simulated_backend_set(question: Callable[[str], "Question"], seed: int) -> BackendSet:

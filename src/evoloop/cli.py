@@ -9,8 +9,8 @@ Verbs:
   stats RUN_DIR               per-iteration growth table (TSV)
 
 Exit codes: 0 success, 1 validation or usage error, 2 integrity failure
-(corrupt logs, failed audit checks), 3 a model backend that failed on every
-retry.
+(corrupt logs, failed audit checks), 3 a model backend call that failed or
+broke its reply contract.
 """
 
 from __future__ import annotations

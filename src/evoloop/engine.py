@@ -358,9 +358,8 @@ class Engine:
     # backend call helpers (every call is tracked with agent and phase)
 
     def _count(self, phase: str, agent: str, backend: Any) -> None:
-        """Record the call just made on ``backend``: one per attempt when it
-        reports ``last_attempts`` (a retried HTTP call), else one."""
-        self.backends.tracker.record(phase, agent, backend.role, getattr(backend, "last_attempts", 1))
+        """Record the one call just made on ``backend``, answered or not."""
+        self.backends.tracker.record(phase, agent, backend.role)
 
     def _call_guidance(self, agent: str, meta: dict, prompt: str) -> str:
         backend = self.backends.guidance

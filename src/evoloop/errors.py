@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 ValidationError covers bad inputs and bad config (CLI exit code 1).
-BackendError is a model backend call that failed on every retry (CLI exit
-code 3); the iteration it interrupted was never flushed, so a resume
+BackendError is a model backend call that failed or broke its reply
+contract (CLI exit code 3); the iteration it interrupted was never flushed, so a resume
 starts again from the last committed one.
 The remaining errors are invariant breaches (CLI exit code 2).
 """
@@ -37,4 +37,4 @@ class IntegrityError(EvoloopError):
 
 
 class BackendError(EvoloopError):
-    """A model backend call failed on every attempt."""
+    """A model backend call failed or broke its reply contract."""

@@ -12,16 +12,18 @@ The graph is the single mutable aggregate of the engine. It holds:
     abstracted patterns alone),
   * environment nodes (thin payload store).
 
-Every mutation goes through ``_commit``, which applies the state
-transition and, when an event sink is attached, hands it the record
-``{seq, iter, op, payload}`` as its log line: JSON with sorted keys and no
-whitespace, encoded here through one reused encoder. An
-``append_experience`` payload holds exactly the node's record, so its body
-is encoded once and serves as both the middle of the line and the node's
-canonical fragment (below). UPDATE writes a ``bandit_update`` record for
-every answered question; its line is filled into a fixed template, each
-string through the function the encoder itself escapes strings with and
-each int with ``%d``, which is byte for byte what the encoder writes.
+Every mutation goes through ``_commit``. When an event sink is attached,
+it first makes the record ``{seq, iter, op, payload}`` into its log line:
+JSON with sorted keys and no whitespace, encoded here through one reused
+encoder that refuses NaN and infinities as it refuses a set or any other
+value JSON cannot hold. It then applies the state transition, and hands
+the sink the line only once that succeeded. An ``append_experience``
+payload holds exactly the node's record, so its body is encoded once and
+serves as both the middle of the line and the node's canonical fragment
+(below). UPDATE writes a ``bandit_update`` record for every answered
+question; its line is filled into a fixed template, each string through
+the function the encoder itself escapes strings with and each int with
+``%d``, which is byte for byte what the encoder writes.
 Every other record goes through the encoder. Replaying a log into an
 empty graph reproduces the final state bit-exactly: each id is embedded
 in its payload, the apply step is a pure function of (state, payload), and
@@ -33,9 +35,10 @@ A check that a written and a replayed record both need (an experience
 payload's shape and referents, a bandit context's arms and rewards, a
 fresh id) runs in the handler, before any state changes. A writer names
 the next id without advancing it; ``_claim_id``, the only place the next
-id moves, refuses one that is not an int at least the next id. So a
-refused write leaves the graph, its next id and ``last_seq`` included, as
-it was.
+id moves, refuses one that is not an int at least the next id. A record
+the encoder refuses is a ``ValidationError`` naming the op, raised before
+the apply step runs. So a refused write leaves the graph, its next id and
+``last_seq`` included, and the sink as it was.
 
 Snapshots capture only the mutable slots (masteries, prompt templates,
 strategies, task counters, bandit states). Rolling back restores those slots
@@ -84,7 +87,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .bandits import BanditSlot, new_slot, update_arm
+from .bandits import BanditSlot, check_reward, new_slot, update_arm
 from .errors import (
     CapError,
     CycleError,
@@ -211,24 +214,32 @@ class KnowledgeGraph:
     def _commit(self, op: str, payload: dict[str, Any]) -> None:
         if self._frozen:
             raise FrozenGraphError(f"graph is frozen, refused op {op!r}")
-        self._apply(op, payload)
-        self._seq += 1
         if self._sink is None:
+            self._apply(op, payload)
+            self._seq += 1
             return
-        it = self.current_iter
-        if type(it) is not int:
-            line = _ENCODE({"seq": self._seq, "iter": it, "op": op, "payload": payload})
-        elif op == "append_experience":
-            # the payload is the node's record, so its encoding is the node's
-            # canonical fragment as well as the middle of its log line, whose
-            # sorted keys put it between "op" and "seq"
-            body = _experience_body(payload, self._shared_json) or _ENCODE(payload)
+        # the line is made before the state changes, so a record the encoder
+        # refuses is refused whole
+        seq, it, body = self._seq + 1, self.current_iter, None
+        try:
+            if type(it) is not int:
+                line = _ENCODE({"seq": seq, "iter": it, "op": op, "payload": payload})
+            elif op == "append_experience":
+                # the payload is the node's record, so its encoding is the
+                # node's canonical fragment as well as the middle of its log
+                # line, whose sorted keys put it between "op" and "seq"
+                body = _experience_body(payload, self._shared_json) or _ENCODE(payload)
+                line = '{"iter":%d,"op":"append_experience","payload":%s,"seq":%d}' % (it, body, seq)
+            elif op == "bandit_update":
+                line = _bandit_update_line(payload, it, seq)
+            else:
+                line = _ENCODE({"seq": seq, "iter": it, "op": op, "payload": payload})
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"op {op!r} record is not JSON: {exc}") from None
+        self._apply(op, payload)
+        self._seq = seq
+        if body is not None:
             self._experience_json.put(payload["id"], body.encode())
-            line = '{"iter":%d,"op":"append_experience","payload":%s,"seq":%d}' % (it, body, self._seq)
-        elif op == "bandit_update":
-            line = _bandit_update_line(payload, it, self._seq)
-        else:
-            line = _ENCODE({"seq": self._seq, "iter": it, "op": op, "payload": payload})
         self._sink(line)
 
     def _claim_id(self, node_id: int) -> None:
@@ -907,7 +918,7 @@ _SHARED = frozenset({str, int, float, bool, type(None)})
 
 # one encoder for every log line and canonical fragment; json.dumps would
 # build a fresh one per call
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def _dumps(value: Any) -> bytes:
@@ -923,8 +934,9 @@ def _bandit_update_line(payload: dict[str, Any], it: int, seq: int) -> str:
     answered question), filled into a fixed template: byte for byte what
     ``_ENCODE`` writes for the record, whose sorted keys fix the order
     (every context and arm id is a str, since ``bandits.new_slot`` refuses
-    any other, and the reward is the int 0 or 1, since ``update_arm``
-    refuses any other before the line is made)."""
+    any other, and the reward is the int 0 or 1, since ``check_reward``
+    refuses any other before ``%d`` could write it)."""
+    check_reward(payload["reward"])
     return (
         '{"iter":%d,"op":"bandit_update","payload":{"arm_id":%s,"context_id":%s,"reward":%d},"seq":%d}'
         % (it, _STR(payload["arm_id"]), _STR(payload["context_id"]), payload["reward"], seq)
@@ -947,7 +959,7 @@ def _experience_body(record: dict[str, Any], shared: dict[int, tuple[Any, str]])
     or for one the template would not write as the encoder does: a
     confidence that is not a float, or a kind or referent id of another
     type than the writer's (``True`` passes the task type lookup, as
-    ``True == 1``). The id is an int, as the apply step claimed it, and the
+    ``True == 1``). The id is an int, the next id the writer names, and the
     caller has checked that ``created_iter`` is an int."""
     held = shared.get(id(record["payload"]))
     if held is None:

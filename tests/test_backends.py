@@ -1,34 +1,25 @@
-"""Simulated backends, call accounting, and the HTTP wire client."""
+"""Simulated backends and call accounting."""
 
-import json
 import os
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-import requests
 
 import evoloop
 from evoloop import (
-    BackendError,
     CallTracker,
-    EngineConfig,
     HashEmbedder,
-    HttpBackend,
     Question,
     SimulatedExecutionBackend,
     SimulatedGuidanceBackend,
     SimulatedJudgeBackend,
     ValidationError,
-    make_env,
     simulated_backend_set,
     stable_hash64,
     unit_draw,
 )
-from evoloop.runner import build_simulated_engine
 
 KEY = {
     "q1": Question("q1", "t", "what is 2+2", "", "4", (("add", "sum"),)),
@@ -36,6 +27,12 @@ KEY = {
 }
 # the learner looks each question up as it does in an env: unknown ids raise KeyError
 LOOKUP = KEY.__getitem__
+
+
+def probability(backend, qid, prompt):
+    """The learner's chance on ``qid`` given ``prompt``, the question looked
+    up in ``KEY`` as ``complete`` looks it up (None for an id it lacks)."""
+    return backend._probability(qid, KEY.get(qid), prompt)
 
 
 # ----------------------------------------------------------------------
@@ -96,10 +93,10 @@ def test_learner_that_kept_its_draws_answers_as_a_fresh_one():
                 meta = {"question_id": qid}
                 reply = kept.complete(prompt, meta=meta)
                 assert reply == fresh.complete(prompt, meta=meta)
-                probability = kept.success_probability(qid, prompt)
-                assert probability == fresh.success_probability(qid, prompt)
+                chance = kept._probability(qid, questions[qid], prompt)
+                assert chance == fresh._probability(qid, questions[qid], prompt)
                 # the roll is the hash of (seed, "roll", id)
-                solved = unit_draw(11, "roll", qid) < probability
+                solved = unit_draw(11, "roll", qid) < chance
                 assert reply.endswith(f"Answer: {questions[qid].answer}") == solved
         assert [kept.base_difficulty(qid) for qid in qids] == [
             0.35 + 0.40 * unit_draw(11, "base", qid) for qid in qids
@@ -123,8 +120,8 @@ def test_learner_looks_its_question_up_once_per_call():
 def test_learner_is_not_certain_on_an_id_the_env_does_not_hold():
     backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = "[SUCCESS 1]\nQ: what is 2+2\nReasoning: add\nA: 4\n\n[QUESTION]\nQ: what is 2+2"
-    assert backend.success_probability("q1", p) == 1.0
-    assert backend.success_probability("nope", p) == pytest.approx(
+    assert probability(backend, "q1", p) == 1.0
+    assert probability(backend, "nope", p) == pytest.approx(
         min(backend.base_difficulty("nope") + 0.15, 0.98)
     )
 
@@ -141,7 +138,7 @@ def test_learner_block_boost_saturates():
     blocks = "[SUCCESS 1]\nQ: other\nReasoning: r\nA: 1\n\n"
     for n, expected in ((0, base), (1, base + 0.15), (3, base + 0.45), (5, base + 0.45)):
         p = blocks * n + "[QUESTION]\nQ: double 3"
-        assert backend.success_probability("q2", p) == pytest.approx(
+        assert probability(backend, "q2", p) == pytest.approx(
             min(expected, 0.98)
         )
 
@@ -149,13 +146,13 @@ def test_learner_block_boost_saturates():
 def test_learner_probability_clamped():
     backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = ("[SUCCESS 1]\nQ: x\nReasoning: r\nA: 1\n\n" * 3) + "[QUESTION]\nQ: double 3"
-    assert backend.success_probability("q2", p) <= 0.98
+    assert probability(backend, "q2", p) <= 0.98
 
 
 def test_learner_certain_on_own_exemplar():
     backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = "[SUCCESS 1]\nQ: what is 2+2\nReasoning: add\nA: 4\n\n[QUESTION]\nQ: what is 2+2"
-    assert backend.success_probability("q1", p) == 1.0
+    assert probability(backend, "q1", p) == 1.0
     out = backend.complete(p, meta={"question_id": "q1"})
     assert out.endswith("Answer: 4")
 
@@ -166,20 +163,20 @@ def test_learner_certain_on_own_correction():
         "[CORRECTION 1]\nconditions: q=what is 2+2; task_type=t; skill=s; kind=specific\n"
         "correction: recompute\n\n[QUESTION]\nQ: what is 2+2"
     )
-    assert backend.success_probability("q1", p) == 1.0
+    assert probability(backend, "q1", p) == 1.0
 
 
 def test_learner_other_questions_exemplar_is_not_certainty():
     backend = SimulatedExecutionBackend(LOOKUP, seed=1)
     p = "[SUCCESS 1]\nQ: double 3\nReasoning: r\nA: 6\n\n[QUESTION]\nQ: what is 2+2"
-    assert backend.success_probability("q1", p) < 1.0
+    assert probability(backend, "q1", p) < 1.0
 
 
 def test_learner_monotone_in_blocks():
     backend = SimulatedExecutionBackend(LOOKUP, seed=3)
     block = "[SUCCESS 1]\nQ: other\nReasoning: r\nA: 1\n\n"
     probs = [
-        backend.success_probability("q2", block * n + "[QUESTION]\nQ: double 3")
+        probability(backend, "q2", block * n + "[QUESTION]\nQ: double 3")
         for n in range(6)
     ]
     assert probs == sorted(probs)
@@ -302,7 +299,8 @@ def test_embedder_seed_changes_projection():
 def test_tracker_counts_by_phase_agent_role():
     t = CallTracker()
     t.record("train", "learner", "execution")
-    t.record("train", "learner", "execution", attempts=2)
+    t.record("train", "learner", "execution")
+    t.record("train", "learner", "execution")
     t.record("infer", "learner", "execution")
     t.record("train", "critic", "judge")
     assert t.counts()[("train", "learner", "execution")] == 3
@@ -315,7 +313,8 @@ def test_tracker_since_returns_only_nonzero_deltas():
     t.record("train", "learner", "execution")
     t.record("train", "critic", "judge")
     before = t.counts()
-    t.record("train", "critic", "judge", attempts=2)
+    t.record("train", "critic", "judge")
+    t.record("train", "critic", "judge")
     t.record("infer", "learner", "execution")
     assert t.since(before) == {
         ("train", "critic", "judge"): 2,
@@ -334,148 +333,7 @@ def test_simulated_backend_set_roles():
 
 
 # ----------------------------------------------------------------------
-# HTTP wire client against a local stub server
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    fail_first = 0
-    seen: list[dict] = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
-        if type(self).fail_first > 0:
-            type(self).fail_first -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        payload = json.dumps({"text": f"echo: {body['messages'][0]['content']}"})
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload.encode())
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    _StubHandler.fail_first = 0
-    _StubHandler.seen = []
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    thread.join()
-    server.server_close()
-
-
-def test_http_backend_round_trip(stub_server):
-    backend = HttpBackend(stub_server, model="m1", role="execution", token="tok")
-    out = backend.complete("hello", temperature=0.3)
-    assert out == "echo: hello"
-    assert backend.last_attempts == 1
-    request = _StubHandler.seen[0]
-    assert request["auth"] == "Bearer tok"
-    assert request["body"]["model"] == "m1"
-    assert request["body"]["temperature"] == 0.3
-    assert request["body"]["messages"] == [{"role": "user", "content": "hello"}]
-
-
-def test_http_backend_retries_then_succeeds(stub_server):
-    _StubHandler.fail_first = 2
-    backend = HttpBackend(
-        stub_server, model="m", role="execution", attempts=3, backoff=0.0
-    )
-    assert backend.complete("again") == "echo: again"
-    assert backend.last_attempts == 3
-    assert len(_StubHandler.seen) == 3
-
-
-def test_http_backend_exhausts_retries(stub_server):
-    _StubHandler.fail_first = 99
-    backend = HttpBackend(
-        stub_server, model="m", role="execution", attempts=2, backoff=0.0
-    )
-    with pytest.raises(BackendError, match="after 2 attempts"):
-        backend.complete("doomed")
-    assert backend.last_attempts == 2
-
-
-class _DownSession:
-    """A ``requests.Session`` stand-in whose every POST fails to connect."""
-
-    def __init__(self):
-        self.posts = 0
-
-    def post(self, url, **kwargs):
-        self.posts += 1
-        raise requests.ConnectionError("connection refused")
-
-
-def test_http_backend_outage_is_a_backend_error_not_a_usage_error():
-    session = _DownSession()
-    backend = HttpBackend(
-        "http://backend.invalid/v1", model="m", role="execution",
-        attempts=3, backoff=0.0, session=session,
-    )
-    with pytest.raises(BackendError, match="after 3 attempts: connection refused") as caught:
-        backend.complete("anyone there")
-    assert not isinstance(caught.value, ValidationError)
-    assert session.posts == backend.last_attempts == 3
-
-
-class _FlakySession:
-    """A ``requests.Session`` stand-in whose first ``fails`` POSTs fail to
-    connect and whose later ones answer ``ack``."""
-
-    def __init__(self, fails):
-        self.fails = fails
-        self.posts = 0
-
-    def post(self, url, **kwargs):
-        self.posts += 1
-        if self.posts <= self.fails:
-            raise requests.ConnectionError("connection refused")
-        return _Ack()
-
-
-class _Ack:
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return {"text": "ack"}
-
-
-def _engine_with_http_guidance(session, attempts=3):
-    config = EngineConfig(pool_size=12, iterations=1)
-    engine = build_simulated_engine(config, make_env("static_qa", seed=config.seed, pool_size=12))
-    engine.backends.guidance = HttpBackend(
-        "http://backend.invalid/v1", model="m", role="guidance",
-        attempts=attempts, backoff=0.0, session=session,
-    )
-    return engine
-
-
-def test_engine_counts_each_attempt_of_a_retried_call():
-    # bootstrap makes one guidance call; it fails once, then answers
-    engine = _engine_with_http_guidance(_FlakySession(fails=1))
-    engine.bootstrap()
-    assert engine.backends.tracker.counts()[("train", "skill_discovery", "guidance")] == 2
-
-
-def test_engine_counts_every_attempt_of_a_failed_call():
-    session = _DownSession()
-    engine = _engine_with_http_guidance(session, attempts=3)
-    with pytest.raises(BackendError, match="after 3 attempts"):
-        engine.bootstrap()
-    assert session.posts == 3
-    assert engine.backends.tracker.counts() == {("train", "skill_discovery", "guidance"): 3}
+# import cost
 
 
 def test_importing_the_package_loads_no_http_client_or_thread_pool():
@@ -495,11 +353,3 @@ def test_importing_the_package_loads_no_http_client_or_thread_pool():
         check=True,
     )
     assert loaded.stdout.strip() == "[]"
-
-
-def test_http_backend_without_a_session_opens_a_requests_session():
-    backend = HttpBackend("http://backend.invalid/v1", model="m", role="execution")
-    try:
-        assert isinstance(backend.session, requests.Session)
-    finally:
-        backend.session.close()

@@ -295,9 +295,25 @@ def test_a_write_the_frozen_graph_refuses_changes_nothing(writer):
     assert graph.canonical_bytes() == fresh.canonical_bytes()
 
 
+# values the log cannot hold: the encoder refuses each before anything moves
+_NOT_JSON = {
+    "set": {1, 2},
+    "object": object(),
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+}
+
+
 @pytest.mark.parametrize(
     "write, error, message",
     [
+        *((lambda g, ids, v=v: g.add_env_node("entity", {"x": v}), ValidationError, "add_env_node")
+          for v in _NOT_JSON.values()),
+        *((lambda g, ids, v=v: g.append_experience("success_memory", {"question": "q", "x": v}),
+           ValidationError, "append_experience") for v in _NOT_JSON.values()),
+        (lambda g, ids: g.bandit_update("route/s", "chain", "1"), ValidationError, "reward must be"),
+        (lambda g, ids: g.bandit_update("route/s", "chain", 1.0), ValidationError, "reward must be"),
         (lambda g, ids: g.append_experience("success_memory", ["q"]), ValidationError, "must be an object"),
         (lambda g, ids: g.append_experience("principle", "p"), ValidationError, "must be an object"),
         (lambda g, ids: g.append_experience("success_memory", {"question": 7}), ValidationError,
@@ -318,6 +334,8 @@ def test_a_write_the_frozen_graph_refuses_changes_nothing(writer):
          "already exists"),
     ],
     ids=[
+        *(f"env-{name}" for name in _NOT_JSON), *(f"experience-{name}" for name in _NOT_JSON),
+        "reward-str", "reward-float",
         "payload-array", "payload-str", "success-question-int", "failure-question-none",
         "missing-task-type", "missing-skill", "update-unknown-context", "update-unknown-arm",
         "draw-unknown-context", "draw-unknown-arm", "reward-true", "reward-2", "init-twice",
@@ -331,8 +349,11 @@ def test_a_refused_write_changes_nothing(write, error, message):
         write(graph, ids)
     assert _unmoved(graph, lines) == before
     assert graph.bandits["route/s"].to_dict() == slot
-    # the next write takes the id the refused one would have
+    # the next write takes the id the refused one would have, and the log
+    # it extends replays to the live state
     assert graph.add_skill("v") == before[2]
+    replayed = KnowledgeGraph.replay(json.loads(line) for line in lines)
+    assert replayed.canonical_bytes() == graph.canonical_bytes()
 
 
 def test_event_records_shape():
